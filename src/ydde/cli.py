@@ -15,13 +15,14 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import coefficients as co
 from . import drivers, paths, sensitivity, solver, young
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError, GenerationError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -90,22 +91,36 @@ def scale_segment_to_norm(seg, beta, target):
     return seg.with_values(seg.values * (target / norm))
 
 
+@contextmanager
+def _section(name):
+    """Report a bad key or value in scenario section ``name`` as a DomainError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"scenario {name}: {exc}") from exc
+
+
 def build_scenario(d):
     d = dict(d)
     name = d.get("name", "scenario")
-    coeffs = co.coefficients_from_json(d["coefficients"])
-    config = solver.SolverConfig(**d["config"])
-    drv = dict(d["driver"])
-    drv.setdefault("T", config.T)
-    drv.setdefault("mesh", config.mesh)
-    spec = drivers.spec_from_json(drv)
+    with _section("coefficients"):
+        coeffs = co.coefficients_from_json(d["coefficients"])
+    with _section("config"):
+        config = solver.SolverConfig(**d["config"])
+    with _section("driver"):
+        drv = dict(d["driver"])
+        drv.setdefault("T", config.T)
+        drv.setdefault("mesh", config.mesh)
+        spec = drivers.spec_from_json(drv)
     if abs(spec.mesh - config.mesh) > 1e-12 * config.mesh:
         raise DomainError("driver mesh != config mesh")
     if spec.T < config.T - 1e-12:
         raise DomainError("driver horizon shorter than config T")
-    eta = _segment_from_spec(d.get("eta", {}), config, coeffs.dim)
+    with _section("eta"):
+        eta = _segment_from_spec(d.get("eta", {}), config, coeffs.dim)
     if "direction" in d:
-        direction = _segment_from_spec(d["direction"], config, coeffs.dim)
+        with _section("direction"):
+            direction = _segment_from_spec(d["direction"], config, coeffs.dim)
     else:
         direction = default_direction(config, coeffs.dim)
     checks = tuple(d.get("checks", _ALL_CHECKS))
@@ -164,28 +179,6 @@ def write_json_file(obj, filepath):
     with open(filepath, "w") as f:
         json.dump(_jsonable(obj), f, sort_keys=True, indent=1)
         f.write("\n")
-
-
-def emit(report, fmt, outdir, basename):
-    """Write a report as CSV (rows + header) or a JSON document.
-
-    ``report`` is either ``(header, rows)`` for tabular data or any
-    JSON-able mapping.  Returns the written file path.
-    """
-    os.makedirs(outdir, exist_ok=True)
-    if fmt == "csv" and isinstance(report, tuple):
-        header, rows = report
-        filepath = os.path.join(outdir, basename + ".csv")
-        with open(filepath, "w") as f:
-            write_table(rows, header, f)
-        return filepath
-    filepath = os.path.join(outdir, basename + ".json")
-    if isinstance(report, tuple):
-        header, rows = report
-        report = {"header": list(header),
-                  "rows": [list(r) for r in rows]}
-    write_json_file(report, filepath)
-    return filepath
 
 
 def partition_rows(partition):
@@ -671,7 +664,8 @@ def main(argv=None):
             scenario = load_scenario(args.scenario, seed=args.seed,
                                      mesh=args.mesh)
         return _COMMANDS[args.command](args, scenario, out, say)
-    except (DomainError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (DomainError, OSError, KeyError, json.JSONDecodeError,
+            ConvergenceError, GenerationError) as exc:
         if args.format == "json":
             write_json_file({"error": {"type": type(exc).__name__,
                                        "message": str(exc)}},

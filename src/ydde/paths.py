@@ -171,7 +171,34 @@ class NormReport:
 
 
 def _row_norms(arr):
+    """Euclidean norm of each row; ``|x|`` for a scalar (1-D) array."""
+    if arr.ndim == 1:
+        return np.abs(arr)
     return np.sqrt(np.einsum("ij,ij->i", arr, arr))
+
+
+def _pair_scan(v, h, exponent, max_gap=None):
+    """Grid pair scan: max over nodes k and gaps 1 <= g <= ``max_gap`` (default:
+    all) of ``|v[k+g] - v[k]| / (g*h)^exponent``.
+
+    ``v`` holds nodes (rows) of a path on mesh ``h`` and needs at least one
+    gap.  Returns ``(value, k, g)`` with the first attaining pair: smallest g,
+    then smallest k.  The gap loop takes one max per gap; only the winning
+    gap pays an argmax for the witness.
+    """
+    m = v.shape[0] - 1 if max_gap is None else max_gap
+    best, best_g = -1.0, 0
+    for g in range(1, m + 1):
+        val = _row_norms(v[g:] - v[:-g]).max() / (g * h) ** exponent
+        if val > best:
+            best, best_g = val, g
+    k = int(np.argmax(_row_norms(v[best_g:] - v[:-best_g])))
+    return float(best), k, best_g
+
+
+def _holder_norm_array(v, h, exponent):
+    """Full grid Holder norm of the node array ``v``: sup plus pair scan."""
+    return float(_row_norms(v).max()) + _pair_scan(v, h, exponent)[0]
 
 
 def sup_norm(path, window=None):
@@ -188,21 +215,10 @@ def holder_seminorm(path, beta, window=None):
     if not 0.0 < beta <= 1.0:
         raise DomainError(f"Holder exponent must lie in (0, 1], got {beta!r}")
     ia, ib = path.window_indices(window)
-    v = path.values[ia:ib + 1]
-    h = path.mesh
-    m = ib - ia
-    best = -1.0
-    best_pair = (0, 1)
-    for g in range(1, m + 1):
-        norms = _row_norms(v[g:] - v[:-g])
-        k = int(np.argmax(norms))
-        val = norms[k] / (g * h) ** beta
-        if val > best:
-            best = val
-            best_pair = (k, k + g)
-    s = path.t0 + (ia + best_pair[0]) * h
-    t = path.t0 + (ia + best_pair[1]) * h
-    return NormReport(float(best), (s, t), beta)
+    value, k, g = _pair_scan(path.values[ia:ib + 1], path.mesh, beta)
+    s = path.t0 + (ia + k) * path.mesh
+    t = path.t0 + (ia + k + g) * path.mesh
+    return NormReport(value, (s, t), beta)
 
 
 def holder_norm(path, beta, window=None):
@@ -274,6 +290,10 @@ def segment_path_holder(path, beta, r, window):
 
     Computes max over node pairs s < t in [a, b] of
     ``sup_u |x(t+u) - x(s+u)| / (t-s)^beta`` with u on the grid of [-r, 0].
+    For a gap g the segment pairs jointly cover the node pairs (k, k+g) with
+    k in [a-r, b-g], so this is the pair scan of [a-r, b] with gaps up to
+    b-a; the witness is the first segment pair whose window holds the
+    attaining node pair.
     """
     if not 0.0 < beta <= 1.0:
         raise DomainError(f"Holder exponent must lie in (0, 1], got {beta!r}")
@@ -286,23 +306,10 @@ def segment_path_holder(path, beta, r, window):
     if ia - mr < 0:
         raise DomainError("segment precedes history: window start - r is before path start")
     h = path.mesh
-    v = path.values
-    best = -1.0
-    best_pair = (ia, ia + 1)
-    for g in range(1, ib - ia + 1):
-        # D[k] = |x[k+g] - x[k]|, for k in [ia-mr, ib-g]
-        lo, hi = ia - mr, ib - g
-        diff = _row_norms(v[lo + g:hi + g + 1] - v[lo:hi + 1])
-        # segment pair (j, j+g), j in [ia, ib-g]: max over k in [j-mr, j]
-        seg_sup = sliding_window_view(diff, mr + 1).max(axis=1)
-        j = int(np.argmax(seg_sup))
-        val = seg_sup[j] / (g * h) ** beta
-        if val > best:
-            best = val
-            best_pair = (ia + j, ia + j + g)
-    s = path.t0 + best_pair[0] * h
-    t = path.t0 + best_pair[1] * h
-    return NormReport(float(best), (s, t), beta)
+    value, k, g = _pair_scan(path.values[ia - mr:ib + 1], h, beta,
+                             max_gap=ib - ia)
+    j = max(ia, ia - mr + k)
+    return NormReport(value, (path.t0 + j * h, path.t0 + (j + g) * h), beta)
 
 
 def segment_sup(seg):
@@ -312,14 +319,7 @@ def segment_sup(seg):
 def segment_holder_seminorm(seg, beta):
     if not 0.0 < beta <= 1.0:
         raise DomainError(f"Holder exponent must lie in (0, 1], got {beta!r}")
-    v = seg.values
-    h = seg.mesh
-    m = v.shape[0] - 1
-    best = 0.0
-    for g in range(1, m + 1):
-        val = _row_norms(v[g:] - v[:-g]).max() / (g * h) ** beta
-        best = max(best, float(val))
-    return best
+    return _pair_scan(seg.values, seg.mesh, beta)[0]
 
 
 def segment_norm(seg, beta):

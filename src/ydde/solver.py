@@ -25,9 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PartitionError
-from .paths import (GridPath, Segment, _row_norms, _snap_index, holder_norm,
-                    holder_seminorm, segment, segment_norm,
-                    segment_norm_profile)
+from .paths import (GridPath, Segment, _holder_norm_array, _pair_scan,
+                    _snap_index, holder_norm, holder_seminorm, segment,
+                    segment_norm, segment_norm_profile)
 from .young import YoungConstants
 
 _INIT_KINDS = ("constant", "linear", "euler_perturbed")
@@ -127,15 +127,6 @@ def compute_contraction_constants(coeffs, config):
 # ---------------------------------------------------------------------------
 # Greedy stopping-time partition.
 
-def _scalar_holder_nodes(vals, h, exponent, i0, i1):
-    """Grid Holder seminorm of a scalar array between node indices."""
-    best = 0.0
-    for g in range(1, i1 - i0 + 1):
-        m = np.abs(vals[i0 + g:i1 + 1] - vals[i0:i1 + 1 - g]).max()
-        best = max(best, m / (g * h) ** exponent)
-    return best
-
-
 def window_residual(omega, beta, nu, s, t):
     """(t-s)^(1-beta) + (t-s)^(nu-beta) |||omega|||_{nu, [s, t]} on the grid."""
     i0 = omega.index_of(s, "window start")
@@ -143,7 +134,7 @@ def window_residual(omega, beta, nu, s, t):
     if i1 <= i0:
         raise DomainError("window is empty")
     span = (i1 - i0) * omega.mesh
-    om = _scalar_holder_nodes(omega.values[:, 0], omega.mesh, nu, i0, i1)
+    om = _pair_scan(omega.values[i0:i1 + 1, 0], omega.mesh, nu)[0]
     return span ** (1.0 - beta) + span ** (nu - beta) * om
 
 
@@ -207,7 +198,7 @@ def greedy_partition(omega, config, C):
 
     def residual(ia, ib):
         span = (ib - ia) * h
-        om = _scalar_holder_nodes(vals, h, nu, ia, ib)
+        om = _pair_scan(vals[ia:ib + 1], h, nu)[0]
         return span ** (1.0 - beta) + span ** (nu - beta) * om
 
     cuts = [i0]
@@ -270,33 +261,6 @@ def stopping_count_bound(omega, config, C):
 
 # ---------------------------------------------------------------------------
 # The integral map F and windowed Picard iteration.
-
-def _zero_history_norm(diff, h, exponent):
-    """Full Holder norm of a path that vanishes up to the window start.
-
-    ``diff`` holds the values at offsets 1..w past the window start; pairs
-    into the (zero) history are dominated by the pair with the start node,
-    which the padded scan includes.
-    """
-    w = diff.shape[0]
-    padded = np.vstack([np.zeros((1, diff.shape[1])), diff])
-    norms = _row_norms(padded)
-    semi = 0.0
-    for g in range(1, w + 1):
-        m = _row_norms(padded[g:] - padded[:-g]).max()
-        semi = max(semi, m / (g * h) ** exponent)
-    return float(norms.max()) + semi
-
-
-def _holder_norm_nodes(values, h, exponent, i0, i1):
-    """Full Holder norm of array nodes i0..i1 (sup plus pair-scan seminorm)."""
-    v = values[i0:i1 + 1]
-    semi = 0.0
-    for g in range(1, i1 - i0 + 1):
-        m = _row_norms(v[g:] - v[:-g]).max()
-        semi = max(semi, m / (g * h) ** exponent)
-    return float(_row_norms(v).max()) + semi
-
 
 @dataclass(frozen=True)
 class WindowRecord:
@@ -395,15 +359,18 @@ class _WindowedPicard:
         for it in range(1, self.max_iters + 1):
             new_slice = values[ia] + self._eval_sums(values, ia, ib)
             diff = new_slice - values[ia + 1:ib + 1]
-            res = _zero_history_norm(diff, self.h, self.exponent)
+            # the difference vanishes up to the window start, so pairs into
+            # the history are dominated by pairs with the (zero) start node
+            res = _holder_norm_array(np.vstack([np.zeros((1, self.dim)), diff]),
+                                     self.h, self.exponent)
             values[ia + 1:ib + 1] = new_slice
             if it == 1 and self.first_iter_sink is not None:
                 self.first_iter_sink[ia + 1:ib + 1] = new_slice
             if residuals and residuals[-1] > 100.0 * self.tol and res > 0:
                 ratios.append(res / residuals[-1])
             residuals.append(res)
-            max_norm = max(max_norm, _holder_norm_nodes(
-                values, self.h, self.exponent, ia - self.m_r, ib))
+            max_norm = max(max_norm, _holder_norm_array(
+                values[ia - self.m_r:ib + 1], self.h, self.exponent))
             if res <= self.stop_tol:
                 converged = True
                 break
@@ -514,7 +481,7 @@ def picard_solve(coeffs, eta, omega, config, init="constant",
     mu = config.mu
     for (ta, tb) in partition.windows():
         ia, ib = m_r + omega.index_of(ta), m_r + omega.index_of(tb)
-        hist_norm = _holder_norm_nodes(values, h, config.beta, ia - m_r, ia)
+        hist_norm = _holder_norm_array(values[ia - m_r:ia + 1], h, config.beta)
         radius = (hist_norm + mu) / (1.0 - mu)
         recs = engine.run_window(values, ia, ib, init, radius)
         for rec in recs:

@@ -5,9 +5,9 @@ import re
 
 import pytest
 
-from ydde.cli import (EXIT_CONFIG, EXIT_OK, build_scenario, emit, main,
-                      write_table)
-from ydde.errors import DomainError
+from ydde import drivers
+from ydde.cli import EXIT_CONFIG, EXIT_OK, build_scenario, main, write_table
+from ydde.errors import DomainError, GenerationError
 
 MESH = 1.0 / 128
 
@@ -238,6 +238,41 @@ class TestErrorHandling:
                      "--out", str(tmp_path)]) == EXIT_CONFIG
         capsys.readouterr()
 
+    @pytest.mark.parametrize("section, key, value, exc_type", [
+        ("config", "picard_maxiters", 80, "DomainError"),
+        ("driver", "hurts", 0.75, "DomainError"),
+        ("coefficients", "params", {"sigma": "abc"}, "DomainError"),
+        ("config", "picard_max_iters", 1, "ConvergenceError"),
+    ], ids=["config_key", "driver_key", "coefficient_value", "no_convergence"])
+    def test_bad_scenario_writes_error_json(self, tmp_path, capsys, section,
+                                            key, value, exc_type):
+        d = scenario_dict()
+        d[section][key] = value
+        sc = write_scenario(tmp_path, d)
+        out = tmp_path / "o"
+        assert main(["solve", "--scenario", sc, "--out", str(out),
+                     "--format", "json"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if exc_type == "DomainError":
+            assert f"scenario {section}" in err
+        assert json.loads((out / "error.json").read_text())["error"]["type"] \
+            == exc_type
+
+    def test_generation_failure_writes_error_json(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def fail(spec):
+            raise GenerationError("covariance not PSD")
+
+        monkeypatch.setattr(drivers, "gen_driver", fail)
+        sc = write_scenario(tmp_path, scenario_dict())
+        out = tmp_path / "o"
+        assert main(["solve", "--scenario", sc, "--out", str(out),
+                     "--format", "json"]) == EXIT_CONFIG
+        assert "covariance not PSD" in capsys.readouterr().err
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["type"] == "GenerationError"
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("YDDE_OUT", str(tmp_path / "envout"))
         assert main(["counterexample", "--n", "10", "--quiet"]) == EXIT_OK
@@ -254,13 +289,6 @@ class TestEmit:
         buf = io.StringIO()
         write_table([(1 / 3, 2)], ["x", "k"], buf)
         assert buf.getvalue().splitlines()[1] == "0.33333333333333331,2"
-
-    def test_emit_csv_and_json(self, tmp_path):
-        path = emit((["x"], [(0.5,)]), "csv", str(tmp_path), "t")
-        assert path.endswith("t.csv")
-        path = emit((["x"], [(0.5,)]), "json", str(tmp_path), "t")
-        body = json.loads(open(path).read())
-        assert body["rows"] == [[0.5]]
 
     def test_scenario_validation(self):
         with pytest.raises(DomainError):

@@ -2,11 +2,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import random_path, rng
 from ydde.errors import DomainError
-from ydde.paths import (GridPath, Segment, counterexample_growth, holder_norm,
-                        holder_seminorm, pvar_seminorm,
+from ydde.paths import (GridPath, Segment, _pair_scan, counterexample_growth,
+                        holder_norm, holder_seminorm, pvar_seminorm,
                         pvar_seminorm_exhaustive, read_csv, read_json, segment,
                         segment_holder_seminorm, segment_norm,
                         segment_norm_profile, segment_path_holder, segment_sup,
@@ -37,6 +40,83 @@ def brute_segment_holder(path, beta, r, window):
                 v[j - mr:j + 1] - v[i - mr:i + 1], axis=1)))
             best = max(best, gap / ((j - i) * h) ** beta)
     return best
+
+
+def brute_pair_scan(v, h, exponent, max_gap=None):
+    """Double loop over all node pairs: ``(value, k, g)`` of the first pair,
+    in (gap, node) order, attaining the max of |v[k+g] - v[k]| / (g h)^exponent."""
+    n = v.shape[0]
+    m = n - 1 if max_gap is None else max_gap
+    best, best_k, best_g = -1.0, 0, 0
+    for g in range(1, m + 1):
+        for k in range(n - g):
+            dist = float(np.linalg.norm(np.atleast_1d(v[k + g] - v[k])))
+            val = dist / (g * h) ** exponent
+            if val > best:
+                best, best_k, best_g = val, k, g
+    return best, best_k, best_g
+
+
+def sliding_segment_holder(path, beta, r, window):
+    """Per-gap sliding-window maxima over segment pairs (j, j+g): the former
+    definition of segment_path_holder, kept as its oracle."""
+    ia, ib = path.window_indices(window)
+    mr = round(r / path.mesh)
+    v, h = path.values, path.mesh
+    best, best_pair = -1.0, (ia, ia + 1)
+    for g in range(1, ib - ia + 1):
+        lo, hi = ia - mr, ib - g
+        inc = v[lo + g:hi + g + 1] - v[lo:hi + 1]
+        seg_sup = sliding_window_view(np.sqrt(np.einsum("ij,ij->i", inc, inc)),
+                                      mr + 1).max(axis=1)
+        j = int(np.argmax(seg_sup))
+        val = seg_sup[j] / (g * h) ** beta
+        if val > best:
+            best, best_pair = val, (ia + j, ia + j + g)
+    return float(best), (path.t0 + best_pair[0] * h, path.t0 + best_pair[1] * h)
+
+
+MESHES = (1.0 / 64, 0.125, 0.3, 1.0)
+EXPONENTS = (0.3, 0.5, 0.55, 0.75, 1.0)
+
+
+@st.composite
+def node_arrays(draw, min_nodes=2, max_nodes=12, elems=st.integers(-3, 3)):
+    """(n, d) node arrays, d in {1, 2, 3}; a d = 1 array may come flat, as
+    the scalar driver does.  The default small integers make ties common and
+    keep every distance exact, so an oracle may take norms its own way."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    d = draw(st.sampled_from((1, 2, 3)))
+    v = np.asarray(draw(st.lists(elems, min_size=n * d, max_size=n * d)),
+                   dtype=float).reshape(n, d)
+    return v[:, 0] if d == 1 and draw(st.booleans()) else v
+
+
+class TestPairScan:
+    @settings(max_examples=300, deadline=None)
+    @given(v=node_arrays(), h=st.sampled_from(MESHES),
+           exponent=st.sampled_from(EXPONENTS), data=st.data())
+    def test_matches_double_loop(self, v, h, exponent, data):
+        max_gap = data.draw(st.none() | st.integers(1, v.shape[0] - 1))
+        assert _pair_scan(v, h, exponent, max_gap) == \
+            brute_pair_scan(v, h, exponent, max_gap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=node_arrays(min_nodes=3, max_nodes=20, elems=st.integers(-3, 3)
+                         | st.floats(-8.0, 8.0, allow_nan=False,
+                                     allow_infinity=False)),
+           h=st.sampled_from(MESHES), beta=st.sampled_from(EXPONENTS),
+           data=st.data())
+    def test_segment_path_holder_matches_sliding_window(self, v, h, beta, data):
+        n = v.shape[0] - 1
+        mr = data.draw(st.integers(1, n - 1))
+        ia = data.draw(st.integers(mr, n - 1))
+        ib = data.draw(st.integers(ia + 1, n))
+        path = GridPath(-mr * h, h, v)
+        window = (path.t0 + ia * h, path.t0 + ib * h)
+        rep = segment_path_holder(path, beta, mr * h, window)
+        assert (rep.seminorm, rep.witness) == \
+            sliding_segment_holder(path, beta, mr * h, window)
 
 
 class TestHolderSeminorm:
