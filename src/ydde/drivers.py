@@ -3,7 +3,9 @@
 fBm sampling is exact in distribution via Cholesky factorization of the
 increment covariance (fractional Gaussian noise), seeded with a
 counter-based generator so that a given spec reproduces bit-identical
-paths.  The O(n^3) factorization caps the node count at desk scale.
+paths.  The covariance is factored in place, so sampling holds one n x n
+array (8 n^2 bytes); the O(n^3) factorization caps the node count at desk
+scale.
 """
 
 from __future__ import annotations
@@ -94,13 +96,19 @@ def fgn_covariance(hurst, n, mesh):
 
 
 def fgn_cholesky(hurst, n, mesh):
-    """Lower Cholesky factor of the increment covariance, with jitter retry."""
-    cov = fgn_covariance(hurst, n, mesh)
-    scale = cov[0, 0]
+    """Lower Cholesky factor of the increment covariance, with jitter retry.
+
+    The factor overwrites the covariance, so one n x n array is alive at a
+    time; a retry rebuilds it and adds ``jitter * cov[0, 0]`` to the diagonal.
+    """
     for jitter in (0.0, 1e-12, 1e-10):
+        cov = fgn_covariance(hurst, n, mesh)
+        if jitter:
+            cov.flat[::n + 1] += jitter * cov[0, 0]
         try:
-            return scipy.linalg.cholesky(
-                cov + jitter * scale * np.eye(n), lower=True)
+            # cov is symmetric: cov.T is the same matrix in Fortran order,
+            # which LAPACK factors without a copy
+            return scipy.linalg.cholesky(cov.T, lower=True, overwrite_a=True)
         except scipy.linalg.LinAlgError:
             continue
     raise GenerationError(

@@ -16,12 +16,15 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
 
 # Relative slack when snapping a time to a grid index.
 _INDEX_TOL = 1e-6
+
+# Node pairs one block of _tail_scan holds at once: memory stays flat when a
+# window spans the whole horizon.
+_TAIL_BLOCK_PAIRS = 1 << 14
 
 
 def _snap_index(offset, mesh, what="time"):
@@ -196,6 +199,46 @@ def _pair_scan(v, h, exponent, max_gap=None):
     return float(best), k, best_g
 
 
+def _tail_scan(v, h, exponent, start):
+    """Pair scan of the pairs that end at or after node ``start``: max over
+    k < j with j >= ``start`` of ``|v[j] - v[k]| / ((j-k)*h)^exponent``.
+
+    The gap weights are :func:`_pair_scan`'s own ``(g*h) ** exponent``, so for
+    ``2 <= start < len(v)``, ``max(_pair_scan(v[:start])[0], _tail_scan(v, h,
+    exponent, start)) == _pair_scan(v)[0]`` bitwise.  Vectorised over blocks
+    of upper nodes j, each holding at most ``_TAIL_BLOCK_PAIRS`` pairs.
+    """
+    n = v.shape[0]
+    # weight[n - 1 + g] for gap g; gaps g <= 0 (k >= j) get inf, ratio 0
+    weight = np.concatenate((np.full(n, np.inf),
+                             [(g * h) ** exponent for g in range(1, n)]))
+    block = max(1, _TAIL_BLOCK_PAIRS // n)
+    best = 0.0
+    for j0 in range(start, n, block):
+        j1 = min(j0 + block, n)
+        diff = v[j0:j1, None] - v[None, :j1 - 1]
+        dist = _row_norms(diff.reshape(-1, *v.shape[1:])).reshape(diff.shape[:2])
+        slot = np.subtract.outer(np.arange(n - 1 + j0, n - 1 + j1),
+                                 np.arange(j1 - 1))
+        best = max(best, float((dist / weight[slot]).max()))
+    return best
+
+
+def _sliding_max(x, size):
+    """Maxima of the ``len(x) - size + 1`` windows of ``size`` consecutive
+    entries of the 1-D array ``x``, O(1) per window (van Herk 1992; Gil and
+    Werman 1993): within blocks of ``size`` entries, the max of a window is
+    the larger of a block suffix max and the next block's prefix max."""
+    n = x.shape[0]
+    nb = -(-n // size)
+    blocks = np.full(nb * size, -np.inf)
+    blocks[:n] = x
+    blocks = blocks.reshape(nb, size)
+    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
+    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(suffix[:n - size + 1], prefix[size - 1:n])
+
+
 def _holder_norm_array(v, h, exponent):
     """Full grid Holder norm of the node array ``v``: sup plus pair scan."""
     return float(_row_norms(v).max()) + _pair_scan(v, h, exponent)[0]
@@ -331,8 +374,9 @@ def segment_norm_profile(path, beta, r, window=None):
     """Per-node segment norms ``t -> |x_t| (sup + beta-seminorm on [-r,0])``.
 
     Returns ``(times, norms)`` for every grid node t in the window (default:
-    all t with t - r inside the path).  Sliding-window maxima keep the cost
-    at O(n * r/mesh) instead of a pair scan per node.
+    all t with t - r inside the path).  Per gap g <= r/mesh, one O(n)
+    sliding max (:func:`_sliding_max`) of the gap-g ratios over the segment's
+    pairs, so the profile costs O(n * r/mesh) instead of a pair scan per node.
     """
     if not 0.0 < beta <= 1.0:
         raise DomainError(f"Holder exponent must lie in (0, 1], got {beta!r}")
@@ -347,12 +391,11 @@ def segment_norm_profile(path, beta, r, window=None):
         raise DomainError("profile window starts before t0 + r")
     h = path.mesh
     v = path.values
-    node_norms = _row_norms(v)
-    sup_part = sliding_window_view(node_norms, mr + 1).max(axis=1)  # index j-mr
+    sup_part = _sliding_max(_row_norms(v), mr + 1)  # index j-mr
     semi = np.zeros(n + 1 - mr)
     for g in range(1, mr + 1):
         diff = _row_norms(v[g:] - v[:-g]) / (g * h) ** beta
-        semi = np.maximum(semi, sliding_window_view(diff, mr + 1 - g).max(axis=1))
+        semi = np.maximum(semi, _sliding_max(diff, mr + 1 - g))
     profile = sup_part + semi
     times = path.t0 + h * np.arange(mr, n + 1)
     sel = slice(ja - mr, jb - mr + 1)
@@ -378,11 +421,8 @@ def counterexample_growth(beta, p, n):
         raise DomainError("n must be a positive integer")
     t = np.abs(-1.0 + np.arange(2 * n + 1) / n) ** beta
     inc = np.abs(np.diff(t))
-    if n == 1:
-        terms = np.array([inc.max()])
-    else:
-        # consecutive segments differ by a one-cell shift; sup over u-window [i, i+n]
-        terms = sliding_window_view(inc, n + 1).max(axis=1)
+    # consecutive segments differ by a one-cell shift; sup over u-window [i, i+n]
+    terms = _sliding_max(inc, n + 1)
     return float(np.sum(terms ** p) ** (1.0 / p))
 
 

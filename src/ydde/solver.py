@@ -26,8 +26,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PartitionError
 from .paths import (GridPath, Segment, _holder_norm_array, _pair_scan,
-                    _snap_index, holder_norm, holder_seminorm, segment,
-                    segment_norm, segment_norm_profile)
+                    _row_norms, _snap_index, _tail_scan, holder_norm,
+                    holder_seminorm, segment, segment_norm,
+                    segment_norm_profile)
 from .young import YoungConstants
 
 _INIT_KINDS = ("constant", "linear", "euler_perturbed")
@@ -349,8 +350,22 @@ class _WindowedPicard:
         else:
             raise DomainError(f"unknown init kind {kind!r}; one of {_INIT_KINDS}")
 
-    def run_window(self, values, ia, ib, init_kind, ball_radius, depth=0):
-        """Iterate F on nodes (ia, ib]; returns a list of WindowRecords."""
+    def history_parts(self, values, ia):
+        """Sup and pair scan of the history nodes ``[ia - m_r, ia]``."""
+        hist = values[ia - self.m_r:ia + 1]
+        return (float(_row_norms(hist).max()),
+                _pair_scan(hist, self.h, self.exponent)[0])
+
+    def run_window(self, values, ia, ib, init_kind, ball_radius, hist=None,
+                   depth=0):
+        """Iterate F on nodes (ia, ib]; returns a list of WindowRecords.
+
+        ``hist`` is :meth:`history_parts` of the window (computed if None).
+        Iterates change only the window nodes, so the ball diagnostic joins
+        the fixed history parts with a scan of the pairs that touch the
+        window: the Holder norm of ``[ia - m_r, ib]`` at O(w * (m_r + w)).
+        """
+        hist_sup, hist_scan = hist or self.history_parts(values, ia)
         self._init_window(values, ia, ib, init_kind)
         residuals = []
         ratios = []
@@ -369,8 +384,11 @@ class _WindowedPicard:
             if residuals and residuals[-1] > 100.0 * self.tol and res > 0:
                 ratios.append(res / residuals[-1])
             residuals.append(res)
-            max_norm = max(max_norm, _holder_norm_array(
-                values[ia - self.m_r:ib + 1], self.h, self.exponent))
+            sup = max(hist_sup, float(_row_norms(values[ia + 1:ib + 1]).max()))
+            scan = max(hist_scan, _tail_scan(values[ia - self.m_r:ib + 1],
+                                             self.h, self.exponent,
+                                             self.m_r + 1))
+            max_norm = max(max_norm, sup + scan)
             if res <= self.stop_tol:
                 converged = True
                 break
@@ -481,9 +499,9 @@ def picard_solve(coeffs, eta, omega, config, init="constant",
     mu = config.mu
     for (ta, tb) in partition.windows():
         ia, ib = m_r + omega.index_of(ta), m_r + omega.index_of(tb)
-        hist_norm = _holder_norm_array(values[ia - m_r:ia + 1], h, config.beta)
-        radius = (hist_norm + mu) / (1.0 - mu)
-        recs = engine.run_window(values, ia, ib, init, radius)
+        hist = engine.history_parts(values, ia)
+        radius = (hist[0] + hist[1] + mu) / (1.0 - mu)
+        recs = engine.run_window(values, ia, ib, init, radius, hist)
         for rec in recs:
             if rec.max_iterate_norm > radius * (1.0 + 1e-9):
                 ball_ok = False

@@ -2,9 +2,12 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import ydde
 from ydde import drivers
 from ydde.cli import EXIT_CONFIG, EXIT_OK, build_scenario, main, write_table
 from ydde.errors import DomainError, GenerationError
@@ -277,6 +280,21 @@ class TestErrorHandling:
         monkeypatch.setenv("YDDE_OUT", str(tmp_path / "envout"))
         assert main(["counterexample", "--n", "10", "--quiet"]) == EXIT_OK
         assert (tmp_path / "envout" / "counterexample.csv").exists()
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        sc = write_scenario(tmp_path, zero_scenario())
+        src = os.path.dirname(os.path.dirname(ydde.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ydde", "solve", "--scenario", sc,
+             "--out", str(tmp_path / "sub"), "--quiet"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert main(["solve", "--scenario", sc, "--out",
+                     str(tmp_path / "inproc"), "--quiet"]) == EXIT_OK
+        assert read_all(tmp_path / "sub") == read_all(tmp_path / "inproc")
 
 
 class TestEmit:

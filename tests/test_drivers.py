@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ydde.drivers import (MAX_FBM_INTERVALS, RNG_ALGORITHM, DriverSpec,
                           driver_metadata, empirical_holder_exponent,
@@ -125,6 +126,27 @@ class TestFbm:
         assert np.all(np.diag(cov) == cov[0, 0])
         w = np.linalg.eigvalsh(cov)
         assert w.min() > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 300])
+    def test_cholesky_in_place_matches_scipy(self, n):
+        want = scipy.linalg.cholesky(fgn_covariance(0.75, n, 1 / n), lower=True)
+        got = fgn_cholesky(0.75, n, 1 / n)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_cholesky_retry_adds_diagonal_jitter(self, monkeypatch):
+        real, seen = scipy.linalg.cholesky, []
+
+        def fail_first(a, **kw):
+            seen.append(np.array(a))
+            if len(seen) == 1:
+                raise scipy.linalg.LinAlgError("not PSD")
+            return real(a, **kw)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky", fail_first)
+        cov = fgn_covariance(0.75, 8, 1 / 8)
+        fgn_cholesky(0.75, 8, 1 / 8)
+        assert np.array_equal(seen[0], cov)
+        assert np.array_equal(seen[1], cov + 1e-12 * cov[0, 0] * np.eye(8))
 
     def test_interval_cap(self):
         spec = DriverSpec(kind="fbm", T=float(2 ** 15), mesh=1.0, hurst=0.75)

@@ -8,8 +8,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import random_path, rng
 from ydde.errors import DomainError
-from ydde.paths import (GridPath, Segment, _pair_scan, counterexample_growth,
-                        holder_norm, holder_seminorm, pvar_seminorm,
+from ydde.paths import (GridPath, Segment, _pair_scan, _sliding_max,
+                        _tail_scan, counterexample_growth, holder_norm,
+                        holder_seminorm, pvar_seminorm,
                         pvar_seminorm_exhaustive, read_csv, read_json, segment,
                         segment_holder_seminorm, segment_norm,
                         segment_norm_profile, segment_path_holder, segment_sup,
@@ -76,6 +77,22 @@ def sliding_segment_holder(path, beta, r, window):
     return float(best), (path.t0 + best_pair[0] * h, path.t0 + best_pair[1] * h)
 
 
+def sliding_norm_profile(path, beta, r):
+    """Per-gap sliding-window maxima by ``sliding_window_view``: the former
+    definition of segment_norm_profile over all nodes, kept as its oracle."""
+    mr = round(r / path.mesh)
+    n = path.n_intervals
+    v, h = path.values, path.mesh
+    node_norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+    sup_part = sliding_window_view(node_norms, mr + 1).max(axis=1)
+    semi = np.zeros(n + 1 - mr)
+    for g in range(1, mr + 1):
+        inc = v[g:] - v[:-g]
+        diff = np.sqrt(np.einsum("ij,ij->i", inc, inc)) / (g * h) ** beta
+        semi = np.maximum(semi, sliding_window_view(diff, mr + 1 - g).max(axis=1))
+    return path.t0 + h * np.arange(mr, n + 1), sup_part + semi
+
+
 MESHES = (1.0 / 64, 0.125, 0.3, 1.0)
 EXPONENTS = (0.3, 0.5, 0.55, 0.75, 1.0)
 
@@ -117,6 +134,44 @@ class TestPairScan:
         rep = segment_path_holder(path, beta, mr * h, window)
         assert (rep.seminorm, rep.witness) == \
             sliding_segment_holder(path, beta, mr * h, window)
+
+
+# Small integers (exact distances, many ties) or floats with rounding; adding
+# 0.0 turns -0.0 into 0.0 so that equal maxima are also equal bytes.
+MIXED = st.integers(-3, 3) | st.floats(-8.0, 8.0, allow_nan=False,
+                                       allow_infinity=False).map(lambda x: x + 0.0)
+
+
+class TestTailScan:
+    @settings(max_examples=300, deadline=None)
+    @given(v=node_arrays(max_nodes=20, elems=MIXED), h=st.sampled_from(MESHES),
+           exponent=st.sampled_from(EXPONENTS))
+    def test_splits_pair_scan_bitwise(self, v, h, exponent):
+        full = _pair_scan(v, h, exponent)[0]
+        assert _tail_scan(v, h, exponent, 1) == full
+        for start in range(2, v.shape[0]):
+            assert max(_pair_scan(v[:start], h, exponent)[0],
+                       _tail_scan(v, h, exponent, start)) == full
+
+    @pytest.mark.parametrize("block_pairs", [1, 500, 4000])
+    def test_blocks_of_upper_nodes(self, monkeypatch, block_pairs):
+        monkeypatch.setattr("ydde.paths._TAIL_BLOCK_PAIRS", block_pairs)
+        v = random_path(5, n=120, mesh=1 / 120, dim=2).values
+        full = _pair_scan(v, 1 / 120, 0.55)[0]
+        for start in (2, 60, 113, 120):
+            assert max(_pair_scan(v[:start], 1 / 120, 0.55)[0],
+                       _tail_scan(v, 1 / 120, 0.55, start)) == full
+
+
+class TestSlidingMax:
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.lists(MIXED, min_size=1, max_size=40), data=st.data())
+    def test_matches_sliding_window_view(self, x, data):
+        x = np.asarray(x, dtype=float)
+        size = data.draw(st.integers(1, x.shape[0]))
+        got = _sliding_max(x, size)
+        want = sliding_window_view(x, size).max(axis=1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestHolderSeminorm:
@@ -315,6 +370,24 @@ class TestSegmentNormProfile:
         for t, val in zip(ts, profile):
             seg = segment(path, t, r)
             assert val == pytest.approx(segment_norm(seg, beta), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(v=node_arrays(min_nodes=3, max_nodes=30, elems=MIXED),
+           h=st.sampled_from(MESHES), beta=st.sampled_from(EXPONENTS),
+           data=st.data())
+    def test_matches_sliding_window_definition(self, v, h, beta, data):
+        n = v.shape[0] - 1
+        mr = data.draw(st.integers(1, n - 1))
+        path = GridPath(-mr * h, h, v)
+        ts, profile = segment_norm_profile(path, beta, mr * h)
+        want_ts, want = sliding_norm_profile(path, beta, mr * h)
+        assert ts.tobytes() == want_ts.tobytes()
+        assert profile.tobytes() == want.tobytes()
+        ja = data.draw(st.integers(mr, n))
+        jb = data.draw(st.integers(ja, n))
+        ts, profile = segment_norm_profile(
+            path, beta, mr * h, (path.t0 + ja * h, path.t0 + jb * h))
+        assert profile.tobytes() == want[ja - mr:jb - mr + 1].tobytes()
 
     def test_segment_norm_parts(self):
         path = random_path(11, n=32, mesh=1 / 32)

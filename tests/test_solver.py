@@ -222,6 +222,20 @@ class TestPicardSolve:
         assert rep.partition.N == 0
         assert rep.partition.n_windows == 1
 
+    def test_trivial_partition_ball_diagnostic(self):
+        # zero coefficients: one window over the whole horizon, scanned in
+        # many blocks of upper nodes; the ball norm is the solution's norm
+        mesh = 1 / 1024
+        cfg = SolverConfig(beta=0.55, nu=0.7, mesh=mesh, T=1.0, r=0.25)
+        u = np.linspace(-0.25, 0.0, cfg.n_history + 1)
+        eta = Segment(0.25, mesh, np.column_stack([np.cos(8 * u), u]))
+        rep = picard_solve(make_builtin("linear_delay", dim=2), eta,
+                           zero_omega(mesh=mesh), cfg)
+        assert rep.partition.n_windows == 1 and not rep.windows[0].split
+        assert rep.ball_ok
+        assert rep.windows[0].max_iterate_norm == \
+            holder_norm(rep.solution, cfg.beta)
+
     def test_exponential_decay_oracle(self):
         cfg = SolverConfig(beta=0.55, nu=0.7, mesh=1 / 1024, T=1.0, r=0.25)
         co = make_builtin("linear_delay", A=-1.0, B=0.0, Sigma=0.0, c=0.0)
