@@ -212,12 +212,20 @@ def solve_diagnostics(report, partition_bound=None):
 # ---------------------------------------------------------------------------
 # Subcommands.
 
-def _solve_scenario(scenario, collect_first_iterate=False):
+def _solve_scenario(scenario):
     omega = drivers.gen_driver(scenario.driver)
     report = solver.picard_solve(scenario.coefficients, scenario.eta, omega,
-                                 scenario.config,
-                                 collect_first_iterate=collect_first_iterate)
+                                 scenario.config)
     return omega, report
+
+
+def _differentiability_verdict(rep, family):
+    """(passed, detail) of a remainder ladder: at noise level for the linear
+    family, else shrinking to at most half its first value."""
+    if family == "linear_delay":
+        return rep.max_rho <= 1e-5, f"max rho {rep.max_rho:.3e} (linear)"
+    return (rep.decreasing and rep.final_over_initial <= 0.5,
+            f"ratio {rep.final_over_initial:.4f}")
 
 
 def cmd_solve(args, scenario, out, say):
@@ -330,9 +338,7 @@ def cmd_sensitivity(args, scenario, out, say):
         },
     }
     write_json_file(verdict, os.path.join(out, "sensitivity.json"))
-    nonlinear = scenario.coefficients.family != "linear_delay"
-    diff_ok = (diff.decreasing and diff.final_over_initial <= 0.5) \
-        if nonlinear else diff.max_rho <= 1e-5
+    diff_ok, _ = _differentiability_verdict(diff, coeffs.family)
     say(f"sensitivity: continuity {'ok' if cont_ok else 'FAILED'}, "
         f"rho ladder {'ok' if diff_ok else 'FAILED'} "
         f"(ratio {diff.final_over_initial:.3g})")
@@ -357,12 +363,11 @@ def cmd_counterexample(args, scenario, out, say):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _verify_checks(scenario, args):
-    """Run the scenario's enabled checks; yields (name, passed, detail)."""
+def _verify_checks(scenario):
+    """Run the enabled checks: (report, [(name, passed, detail)], tables)."""
     coeffs, config = scenario.coefficients, scenario.config
     omega = drivers.gen_driver(scenario.driver)
     checks = scenario.checks
-    report = None
     results = []
     tables = []
 
@@ -464,11 +469,7 @@ def _verify_checks(scenario, args):
     def chk_differentiability():
         rep = sensitivity.differentiability_check(
             coeffs, scenario.eta, scenario.direction, omega, config)
-        if coeffs.family == "linear_delay":
-            ok = rep.max_rho <= 1e-5
-            return ok, f"max rho {rep.max_rho:.3e} (linear)"
-        ok = rep.decreasing and rep.final_over_initial <= 0.5
-        return ok, f"ratio {rep.final_over_initial:.4f}"
+        return _differentiability_verdict(rep, coeffs.family)
 
     run("differentiability", chk_differentiability)
 
@@ -522,11 +523,11 @@ def _verify_checks(scenario, args):
         return ok, f"values {[f'{v:.4f}' for v in vals]}"
 
     run("counterexample", chk_counterexample)
-    return omega, report, results, tables
+    return report, results, tables
 
 
 def cmd_verify(args, scenario, out, say):
-    omega, report, results, tables = _verify_checks(scenario, args)
+    report, results, tables = _verify_checks(scenario)
     all_ok = all(ok for _, ok, _ in results)
     for name, ok, detail in results:
         say(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
@@ -551,9 +552,7 @@ def _ensemble_worker(raw_scenario, seed):
     d = json.loads(raw_scenario)
     d.setdefault("driver", {})["seed"] = int(seed)
     scenario = build_scenario(d)
-    omega = drivers.gen_driver(scenario.driver)
-    report = solver.picard_solve(scenario.coefficients, scenario.eta, omega,
-                                 scenario.config)
+    _, report = _solve_scenario(scenario)
     growth = solver.growth_bound_check(report, scenario.eta)
     return {
         "seed": int(seed),

@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .paths import (GridPath, Segment, _snap_index, holder_norm,
-                    holder_seminorm, sup_norm)
+from .paths import (GridPath, Segment, _delay_segments, _snap_index,
+                    holder_norm, holder_seminorm, sup_norm)
 
 _FAMILIES = ("linear_delay", "sin_delay", "scalar_logistic_bounded")
 
@@ -285,9 +285,9 @@ def composition_path(func, path, r, window=None):
     if ja < mr:
         raise DomainError("composition window starts before t0 + r")
     out = np.empty((jb - ja + 1, path.dim))
-    for k in range(ja, jb + 1):
-        seg = Segment(r, path.mesh, path.values[k - mr:k + 1])
-        out[k - ja] = func(seg)
+    for i, (seg,) in enumerate(_delay_segments((path.values,), ja, jb + 1, r,
+                                               path.mesh)):
+        out[i] = func(seg)
     return GridPath(path.t0 + ja * path.mesh, path.mesh, out)
 
 

@@ -164,6 +164,15 @@ class Segment:
         return Segment(self.delay, self.mesh, values)
 
 
+def _delay_segments(arrays, ka, kb, delay, mesh):
+    """For each node k in ``[ka, kb)``, the delay segments cut at k (rows
+    ``k - delay/mesh .. k``) from each array of ``arrays``.  Segments are cut
+    when k is reached, so a caller may fill row k before node k."""
+    m = _snap_index(delay, mesh, "delay")
+    for k in range(ka, kb):
+        yield tuple(Segment(delay, mesh, a[k - m:k + 1]) for a in arrays)
+
+
 @dataclass(frozen=True)
 class NormReport:
     """A seminorm value with the witness that attains it."""
@@ -203,10 +212,11 @@ def _tail_scan(v, h, exponent, start):
     """Pair scan of the pairs that end at or after node ``start``: max over
     k < j with j >= ``start`` of ``|v[j] - v[k]| / ((j-k)*h)^exponent``.
 
-    The gap weights are :func:`_pair_scan`'s own ``(g*h) ** exponent``, so for
-    ``2 <= start < len(v)``, ``max(_pair_scan(v[:start])[0], _tail_scan(v, h,
-    exponent, start)) == _pair_scan(v)[0]`` bitwise.  Vectorised over blocks
-    of upper nodes j, each holding at most ``_TAIL_BLOCK_PAIRS`` pairs.
+    The gap weights are :func:`_pair_scan`'s own ``(g*h) ** exponent``, so
+    ``max(_pair_scan(v[:start])[0], _tail_scan(v, h, exponent, start)) ==
+    _pair_scan(v)[0]`` bitwise for ``1 <= start < len(v)`` (one node scans
+    to 0).  Vectorised over blocks of upper nodes j, each holding at most
+    ``_TAIL_BLOCK_PAIRS`` pairs.
     """
     n = v.shape[0]
     # weight[n - 1 + g] for gap g; gaps g <= 0 (k >= j) get inf, ratio 0
@@ -237,11 +247,6 @@ def _sliding_max(x, size):
     prefix = np.maximum.accumulate(blocks, axis=1).ravel()
     suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
     return np.maximum(suffix[:n - size + 1], prefix[size - 1:n])
-
-
-def _holder_norm_array(v, h, exponent):
-    """Full grid Holder norm of the node array ``v``: sup plus pair scan."""
-    return float(_row_norms(v).max()) + _pair_scan(v, h, exponent)[0]
 
 
 def sup_norm(path, window=None):

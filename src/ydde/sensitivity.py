@@ -22,8 +22,9 @@ import numpy as np
 from .errors import DomainError
 from .paths import (GridPath, Segment, holder_norm, segment_norm,
                     segment_norm_profile)
-from .solver import (_WindowedPicard, compute_contraction_constants,
-                     greedy_partition, picard_solve, trivial_partition)
+from .solver import (_solve_grid, _WindowedPicard,
+                     compute_contraction_constants, greedy_partition,
+                     picard_solve, trivial_partition)
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,8 @@ class LinearizedProblem:
             raise DomainError("direction delay != config r")
         if abs(self.direction.mesh - cfg.mesh) > 1e-12 * cfg.mesh:
             raise DomainError("direction mesh != config mesh")
+        if self.direction.dim != self.coeffs.dim:
+            raise DomainError("direction dim != coefficient dim")
 
 
 def linearized_contraction_constant(coeffs, config, base_norm):
@@ -63,8 +66,7 @@ def linearized_solve(problem):
     omega, base = problem.omega, problem.base_solution
     exponent = coeffs.delta * cfg.beta
     cfg.young(coeffs.delta)   # validates delta*beta + nu > 1
-    m_r, n = cfg.n_history, cfg.n_history + cfg.n_horizon
-    h = cfg.mesh
+    m_r, h = cfg.n_history, cfg.mesh
 
     base_norm = holder_norm(base, cfg.beta)
     c_lin = linearized_contraction_constant(coeffs, cfg, base_norm)
@@ -73,19 +75,9 @@ def linearized_solve(problem):
     else:
         partition = greedy_partition(omega, replace(cfg, beta=exponent), c_lin)
 
-    base_segments = [Segment(cfg.r, h, base.values[k - m_r:k + 1])
-                     for k in range(m_r, n)]
-    values = np.zeros((n + 1, coeffs.dim))
-    values[:m_r + 1] = problem.direction.values
-    j0 = omega.index_of(0.0)
-    dw = np.zeros(n + 1)
-    dw[m_r:n] = np.diff(omega.values[j0:j0 + cfg.n_horizon + 1, 0])
-
-    engine = _WindowedPicard(
-        drift=lambda seg, k: coeffs.Df(base_segments[k - m_r], seg),
-        diffusion=lambda seg, k: coeffs.Dg(base_segments[k - m_r], seg),
-        dim=coeffs.dim, m_r=m_r, h=h, exponent=exponent,
-        tol=cfg.picard_tol, max_iters=cfg.picard_max_iters, dw_global=dw)
+    values, dw = _solve_grid(cfg, problem.direction, omega)
+    engine = _WindowedPicard(coeffs.Df, coeffs.Dg, (base.values,), cfg,
+                             exponent, dw)
     for (ta, tb) in partition.windows():
         ia, ib = m_r + omega.index_of(ta), m_r + omega.index_of(tb)
         engine.run_window(values, ia, ib, "constant", math.inf)

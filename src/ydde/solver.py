@@ -25,10 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PartitionError
-from .paths import (GridPath, Segment, _holder_norm_array, _pair_scan,
-                    _row_norms, _snap_index, _tail_scan, holder_norm,
-                    holder_seminorm, segment, segment_norm,
-                    segment_norm_profile)
+from .paths import (GridPath, _delay_segments, _pair_scan, _row_norms,
+                    _snap_index, _tail_scan, holder_norm, holder_seminorm,
+                    segment, segment_norm, segment_norm_profile)
 from .young import YoungConstants
 
 _INIT_KINDS = ("constant", "linear", "euler_perturbed")
@@ -46,7 +45,6 @@ class SolverConfig:
     mu: float = 0.25
     picard_tol: float = 1e-10
     picard_max_iters: int = 80
-    bisect_tol: float | None = None
 
     def __post_init__(self):
         if not 0.5 < self.nu <= 1.0:
@@ -62,8 +60,6 @@ class SolverConfig:
         _snap_index(self.T, self.mesh, "horizon T")
         if self.picard_tol <= 0 or self.picard_max_iters < 1:
             raise DomainError("picard_tol must be > 0 and max_iters >= 1")
-        if self.bisect_tol is None:
-            object.__setattr__(self, "bisect_tol", self.mesh)
 
     @property
     def n_history(self):
@@ -300,35 +296,66 @@ class SolveReport:
         return [w.residual for w in self.windows]
 
 
-class _WindowedPicard:
-    """Shared machinery: iterate the integral map window by window."""
+def _solve_grid(config, start, omega):
+    """Node array on ``[-r, T]`` holding the segment ``start`` on ``[-r, 0]``
+    (zeros past 0), and the driver increments ``dw[k]`` over
+    ``[t_k, t_{k+1}]`` (zero on the history)."""
+    m_r, n = config.n_history, config.n_history + config.n_horizon
+    values = np.zeros((n + 1, start.dim))
+    values[:m_r + 1] = start.values
+    j0 = omega.index_of(0.0)
+    dw = np.zeros(n + 1)
+    dw[m_r:n] = np.diff(omega.values[j0:j0 + config.n_horizon + 1, 0])
+    return values, dw
 
-    def __init__(self, drift, diffusion, dim, m_r, h, exponent,
-                 tol, max_iters, dw_global):
-        self.drift = drift
-        self.diffusion = diffusion
-        self.dim = dim
-        self.m_r = m_r
-        self.h = h
+
+def _left_sums(f, g, arrays, ia, ib, delay, h, dw):
+    """Left-point integral map on nodes ``(ia, ib]`` of the path ``x =
+    arrays[-1]``: ``x[ia] + cumsum(f h + g dw)``, with ``f`` and ``g`` applied
+    to the delay segments of ``arrays`` at nodes ``ia .. ib-1``."""
+    x = arrays[-1]
+    f_vals = np.empty((ib - ia, x.shape[1]))
+    g_vals = np.empty((ib - ia, x.shape[1]))
+    for i, segs in enumerate(_delay_segments(arrays, ia, ib, delay, h)):
+        f_vals[i] = f(*segs)
+        g_vals[i] = g(*segs)
+    return x[ia] + np.cumsum(f_vals * h + g_vals * dw[ia:ib, None], axis=0)
+
+
+def _euler_steps(f, g, arrays, ia, ib, delay, h, dw):
+    """Fill nodes ``(ia, ib]`` of the path ``x = arrays[-1]`` in place by
+    ``x[k+1] = x[k] + f h + g dw[k]``, ``f`` and ``g`` applied to the delay
+    segments of ``arrays`` at node k."""
+    x = arrays[-1]
+    for k, segs in enumerate(_delay_segments(arrays, ia, ib, delay, h), ia):
+        x[k + 1] = x[k] + f(*segs) * h + g(*segs) * dw[k]
+
+
+class _WindowedPicard:
+    """Shared machinery: iterate the integral map window by window.
+
+    ``f`` and ``g`` take the delay segments of the ``base`` arrays, then of
+    the iterate: the coefficients with no base, ``Df``/``Dg`` along a base
+    solution for the linearized equation."""
+
+    def __init__(self, f, g, base, config, exponent, dw, first_iter_sink=None):
+        self.f = f
+        self.g = g
+        self.base = base
+        self.m_r = config.n_history
+        self.h = config.mesh
         self.exponent = exponent
-        self.tol = tol
-        self.max_iters = max_iters
-        self.dw = dw_global
-        self.first_iter_sink = None
+        self.tol = config.picard_tol
+        self.max_iters = config.picard_max_iters
+        self.dw = dw
+        self.first_iter_sink = first_iter_sink
         # iterate beyond tol down to a polish floor so that distinct
         # initializations land on numerically identical fixed points
-        self.stop_tol = max(tol * 1e-2, 1e-15)
+        self.stop_tol = max(self.tol * 1e-2, 1e-15)
 
-    def _eval_sums(self, values, ia, ib):
-        drift_vals = np.empty((ib - ia, self.dim))
-        diff_vals = np.empty((ib - ia, self.dim))
-        for k in range(ia, ib):
-            seg = Segment(self.m_r * self.h, self.h,
-                          values[k - self.m_r:k + 1])
-            drift_vals[k - ia] = self.drift(seg, k)
-            diff_vals[k - ia] = self.diffusion(seg, k)
-        return np.cumsum(drift_vals * self.h
-                         + diff_vals * self.dw[ia:ib, None], axis=0)
+    def _step(self, kernel, values, ia, ib):
+        return kernel(self.f, self.g, self.base + (values,), ia, ib,
+                      self.m_r * self.h, self.h, self.dw)
 
     def _init_window(self, values, ia, ib, kind):
         w = ib - ia
@@ -339,11 +366,7 @@ class _WindowedPicard:
             values[ia + 1:ib + 1] = (values[ia]
                                      + np.outer(np.arange(1, w + 1) * self.h, slope))
         elif kind == "euler_perturbed":
-            for k in range(ia, ib):
-                seg = Segment(self.m_r * self.h, self.h,
-                              values[k - self.m_r:k + 1])
-                values[k + 1] = (values[k] + self.drift(seg, k) * self.h
-                                 + self.diffusion(seg, k) * self.dw[k])
+            self._step(_euler_steps, values, ia, ib)
             amp = 0.05 * (1.0 + float(np.linalg.norm(values[ia])))
             bump = amp * np.sin(math.pi * np.arange(1, w + 1) / w)
             values[ia + 1:ib + 1] += bump[:, None]
@@ -372,12 +395,13 @@ class _WindowedPicard:
         max_norm = 0.0
         converged = False
         for it in range(1, self.max_iters + 1):
-            new_slice = values[ia] + self._eval_sums(values, ia, ib)
+            new_slice = self._step(_left_sums, values, ia, ib)
             diff = new_slice - values[ia + 1:ib + 1]
             # the difference vanishes up to the window start, so pairs into
             # the history are dominated by pairs with the (zero) start node
-            res = _holder_norm_array(np.vstack([np.zeros((1, self.dim)), diff]),
-                                     self.h, self.exponent)
+            padded = np.vstack([np.zeros((1, diff.shape[1])), diff])
+            res = (float(_row_norms(diff).max())
+                   + _tail_scan(padded, self.h, self.exponent, 1))
             values[ia + 1:ib + 1] = new_slice
             if it == 1 and self.first_iter_sink is not None:
                 self.first_iter_sink[ia + 1:ib + 1] = new_slice
@@ -451,14 +475,8 @@ def map_F(x, coeffs, omega, window, history):
     dw = np.zeros(x.values.shape[0])
     dw[ia:ib] = np.diff(omega.values[j0:j0 + (ib - ia) + 1, 0])
     values = np.array(x.values)
-    drift_vals = np.empty((ib - ia, x.dim))
-    diff_vals = np.empty((ib - ia, x.dim))
-    for k in range(ia, ib):
-        seg = Segment(history.delay, x.mesh, values[k - m_r:k + 1])
-        drift_vals[k - ia] = coeffs.f(seg)
-        diff_vals[k - ia] = coeffs.g(seg)
-    values[ia + 1:ib + 1] = values[ia] + np.cumsum(
-        drift_vals * x.mesh + diff_vals * dw[ia:ib, None], axis=0)
+    values[ia + 1:ib + 1] = _left_sums(coeffs.f, coeffs.g, (x.values,), ia, ib,
+                                       history.delay, x.mesh, dw)
     return GridPath(x.t0, x.mesh, values)
 
 
@@ -477,22 +495,11 @@ def picard_solve(coeffs, eta, omega, config, init="constant",
         constants = compute_contraction_constants(coeffs, config)
         partition = greedy_partition(omega, config, constants.C)
 
-    m_r, n = config.n_history, config.n_history + config.n_horizon
-    h = config.mesh
-    values = np.zeros((n + 1, coeffs.dim))
-    values[:m_r + 1] = eta.values
-    j0 = omega.index_of(0.0)
-    dw = np.zeros(n + 1)
-    dw[m_r:n] = np.diff(omega.values[j0:j0 + config.n_horizon + 1, 0])
-
-    engine = _WindowedPicard(
-        drift=lambda seg, k: coeffs.f(seg),
-        diffusion=lambda seg, k: coeffs.g(seg),
-        dim=coeffs.dim, m_r=m_r, h=h, exponent=config.beta,
-        tol=config.picard_tol, max_iters=config.picard_max_iters,
-        dw_global=dw)
+    m_r, h = config.n_history, config.mesh
+    values, dw = _solve_grid(config, eta, omega)
     first_iter = np.array(values) if collect_first_iterate else None
-    engine.first_iter_sink = first_iter
+    engine = _WindowedPicard(coeffs.f, coeffs.g, (), config, config.beta, dw,
+                             first_iter)
 
     records = []
     ball_ok = True
@@ -525,17 +532,10 @@ def euler_solve(coeffs, eta, omega, config):
     Picard fixed point satisfies the same recursion.
     """
     _validate_solve_inputs(coeffs, eta, omega, config)
-    m_r, n = config.n_history, config.n_history + config.n_horizon
-    h = config.mesh
-    values = np.zeros((n + 1, coeffs.dim))
-    values[:m_r + 1] = eta.values
-    j0 = omega.index_of(0.0)
-    dw = np.diff(omega.values[j0:j0 + config.n_horizon + 1, 0])
-    for k in range(m_r, n):
-        seg = Segment(config.r, h, values[k - m_r:k + 1])
-        values[k + 1] = (values[k] + coeffs.f(seg) * h
-                         + coeffs.g(seg) * dw[k - m_r])
-    return GridPath(-config.r, h, values)
+    values, dw = _solve_grid(config, eta, omega)
+    _euler_steps(coeffs.f, coeffs.g, (values,), config.n_history,
+                 values.shape[0] - 1, config.r, config.mesh, dw)
+    return GridPath(-config.r, config.mesh, values)
 
 
 @dataclass(frozen=True)

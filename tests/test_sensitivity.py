@@ -75,6 +75,9 @@ class TestLinearizedSolve:
                               direction=workhorse["direction"],
                               omega=workhorse["omega"],
                               config=workhorse["config"])
+        xi = workhorse["direction"]
+        with pytest.raises(DomainError, match="dim"):
+            problem(workhorse, base, xi.with_values(np.hstack([xi.values] * 2)))
 
 
 class TestContinuityCheck:

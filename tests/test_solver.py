@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import MESH
-from ydde.coefficients import CoefficientSet, make_builtin
+from conftest import MESH, rng
+from ydde.coefficients import CoefficientSet, composition_path, make_builtin
 from ydde.drivers import DriverSpec, gen_deterministic, gen_fbm
 from ydde.errors import ConvergenceError, DomainError, PartitionError
 from ydde.paths import (GridPath, Segment, holder_norm, holder_seminorm,
                         segment)
-from ydde.solver import (SolverConfig, compute_contraction_constants,
-                         contraction_constants, euler_solve, greedy_partition,
-                         gronwall_check, growth_bound_check, map_F,
-                         picard_solve, stopping_count_bound, trivial_partition,
+from ydde.solver import (SolverConfig, _left_sums, _solve_grid,
+                         compute_contraction_constants, contraction_constants,
+                         euler_solve, greedy_partition, gronwall_check,
+                         growth_bound_check, map_F, picard_solve,
+                         stopping_count_bound, trivial_partition,
                          uniqueness_probe, window_residual)
 from ydde.young import YoungConstants
 
@@ -45,7 +48,6 @@ class TestSolverConfig:
     def test_grid_counts(self):
         cfg = SolverConfig(beta=0.55, nu=0.7, mesh=1 / 64, T=1.0, r=0.25)
         assert cfg.n_history == 16 and cfg.n_horizon == 64
-        assert cfg.bisect_tol == cfg.mesh
 
 
 class TestContractionConstants:
@@ -210,6 +212,155 @@ class TestMapF:
                                   - x.values[i0:i1 + 1]).max())
         assert defects[0] <= 0.05
         assert defects[0] / defects[1] == pytest.approx(2.0, abs=0.8)
+
+
+# The per-segment loops that the step kernel replaced, kept as its oracles.
+
+def loop_map_F(x, coeffs, omega, window, history):
+    """map_F as one loop over freshly built segments."""
+    ta, tb = window
+    m_r = round(history.delay / x.mesh)
+    ia, ib = x.index_of(ta), x.index_of(tb)
+    j0 = omega.index_of(ta)
+    dw = np.zeros(x.values.shape[0])
+    dw[ia:ib] = np.diff(omega.values[j0:j0 + (ib - ia) + 1, 0])
+    values = np.array(x.values)
+    drift_vals = np.empty((ib - ia, x.dim))
+    diff_vals = np.empty((ib - ia, x.dim))
+    for k in range(ia, ib):
+        seg = Segment(history.delay, x.mesh, values[k - m_r:k + 1])
+        drift_vals[k - ia] = coeffs.f(seg)
+        diff_vals[k - ia] = coeffs.g(seg)
+    values[ia + 1:ib + 1] = values[ia] + np.cumsum(
+        drift_vals * x.mesh + diff_vals * dw[ia:ib, None], axis=0)
+    return values
+
+
+def loop_euler(coeffs, eta, omega, config):
+    """euler_solve as one loop over freshly built segments."""
+    m_r, n = config.n_history, config.n_history + config.n_horizon
+    h = config.mesh
+    values = np.zeros((n + 1, coeffs.dim))
+    values[:m_r + 1] = eta.values
+    j0 = omega.index_of(0.0)
+    dw = np.diff(omega.values[j0:j0 + config.n_horizon + 1, 0])
+    for k in range(m_r, n):
+        seg = Segment(config.r, h, values[k - m_r:k + 1])
+        values[k + 1] = (values[k] + coeffs.f(seg) * h
+                         + coeffs.g(seg) * dw[k - m_r])
+    return values
+
+
+def loop_composition(func, path, r, ja, jb):
+    """composition_path on nodes [ja, jb] as one loop."""
+    mr = round(r / path.mesh)
+    out = np.empty((jb - ja + 1, path.dim))
+    for k in range(ja, jb + 1):
+        seg = Segment(r, path.mesh, path.values[k - mr:k + 1])
+        out[k - ja] = func(seg)
+    return out
+
+
+def loop_linearized_map(coeffs, base, values, ia, ib, m_r, h, dw):
+    """One application of the linearized map on (ia, ib], with the base
+    segments built up front and looked up by node."""
+    base_segments = [Segment(m_r * h, h, base[k - m_r:k + 1])
+                     for k in range(m_r, base.shape[0] - 1)]
+    drift = lambda seg, k: coeffs.Df(base_segments[k - m_r], seg)  # noqa: E731
+    diffusion = lambda seg, k: coeffs.Dg(base_segments[k - m_r], seg)  # noqa: E731
+    drift_vals = np.empty((ib - ia, values.shape[1]))
+    diff_vals = np.empty((ib - ia, values.shape[1]))
+    for k in range(ia, ib):
+        seg = Segment(m_r * h, h, values[k - m_r:k + 1])
+        drift_vals[k - ia] = drift(seg, k)
+        diff_vals[k - ia] = diffusion(seg, k)
+    return values[ia] + np.cumsum(drift_vals * h + diff_vals * dw[ia:ib, None],
+                                  axis=0)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A built-in family (d in {1, 2}; the logistic family is scalar), a
+    history length m_r, a horizon of n_h cells and a seed for the data."""
+    family = draw(st.sampled_from(("linear_delay", "sin_delay",
+                                   "scalar_logistic_bounded")))
+    dim = 1 if family == "scalar_logistic_bounded" else \
+        draw(st.sampled_from((1, 2)))
+    g = rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if family == "scalar_logistic_bounded":
+        coeffs = make_builtin(family, a=g.normal(), sigma=g.normal(),
+                              c=g.normal())
+    else:
+        mats = {k: g.normal(size=(dim, dim)) for k in ("A", "B")}
+        extra = ({"Sigma": g.normal(size=(dim, dim)), "c": g.normal(size=dim)}
+                 if family == "linear_delay" else {"sigma": g.normal()})
+        coeffs = make_builtin(family, dim=dim, **mats, **extra)
+    m_r = draw(st.integers(1, 5))
+    n_h = draw(st.integers(1, 12))
+    return coeffs, m_r, n_h, g
+
+
+class TestStepKernelOracle:
+    h = 1 / 16
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=kernel_cases(), data=st.data())
+    def test_map_F_matches_loop(self, case, data):
+        coeffs, m_r, n_h, g = case
+        n = m_r + n_h
+        x = GridPath(-m_r * self.h, self.h, g.normal(size=(n + 1, coeffs.dim)))
+        omega = GridPath(x.t0, self.h, g.normal(size=n + 1))
+        ia = data.draw(st.integers(m_r, n - 1))
+        ib = data.draw(st.integers(ia + 1, n))
+        window = (x.t0 + ia * self.h, x.t0 + ib * self.h)
+        history = segment(x, window[0], m_r * self.h)
+        assert np.array_equal(map_F(x, coeffs, omega, window, history).values,
+                              loop_map_F(x, coeffs, omega, window, history))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=kernel_cases())
+    def test_euler_matches_loop(self, case):
+        coeffs, m_r, n_h, g = case
+        cfg = SolverConfig(beta=0.55, nu=0.7, mesh=self.h, T=n_h * self.h,
+                           r=m_r * self.h)
+        eta = Segment(cfg.r, self.h, g.normal(size=(m_r + 1, coeffs.dim)))
+        omega = GridPath(0.0, self.h, 0.1 * g.normal(size=n_h + 1))
+        assert np.array_equal(euler_solve(coeffs, eta, omega, cfg).values,
+                              loop_euler(coeffs, eta, omega, cfg))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=kernel_cases(), data=st.data())
+    def test_composition_matches_loop(self, case, data):
+        coeffs, m_r, n_h, g = case
+        n = m_r + n_h
+        path = GridPath(-m_r * self.h, self.h,
+                        g.normal(size=(n + 1, coeffs.dim)))
+        ja = data.draw(st.integers(m_r, n))
+        jb = data.draw(st.integers(ja, n))
+        window = (path.t0 + ja * self.h, path.t0 + jb * self.h)
+        for func in (coeffs.f, coeffs.g):
+            comp = composition_path(func, path, m_r * self.h, window)
+            assert np.array_equal(comp.values, loop_composition(
+                func, path, m_r * self.h, ja, jb))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=kernel_cases(), data=st.data())
+    def test_linearized_map_matches_loop(self, case, data):
+        coeffs, m_r, n_h, g = case
+        cfg = SolverConfig(beta=0.55, nu=0.7, mesh=self.h, T=n_h * self.h,
+                           r=m_r * self.h)
+        direction = Segment(cfg.r, self.h,
+                            g.normal(size=(m_r + 1, coeffs.dim)))
+        omega = GridPath(0.0, self.h, g.normal(size=n_h + 1))
+        values, dw = _solve_grid(cfg, direction, omega)
+        values[m_r + 1:] = g.normal(size=(n_h, coeffs.dim))
+        base = g.normal(size=values.shape)
+        ia = data.draw(st.integers(m_r, m_r + n_h - 1))
+        ib = data.draw(st.integers(ia + 1, m_r + n_h))
+        kernel = _left_sums(coeffs.Df, coeffs.Dg, (base, values), ia, ib,
+                            m_r * self.h, self.h, dw)
+        assert np.array_equal(kernel, loop_linearized_map(
+            coeffs, base, values, ia, ib, m_r, self.h, dw))
 
 
 class TestPicardSolve:
