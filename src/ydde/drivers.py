@@ -1,11 +1,11 @@
 """Driver path generation: fractional Brownian motion and deterministic test drivers.
 
-fBm sampling is exact in distribution via Cholesky factorization of the
-increment covariance (fractional Gaussian noise), seeded with a
-counter-based generator so that a given spec reproduces bit-identical
-paths.  The covariance is factored in place, so sampling holds one n x n
-array (8 n^2 bytes); the O(n^3) factorization caps the node count at desk
-scale.
+fBm sampling is exact in distribution: the Durbin-Levinson recursion
+(Hosking 1984; Dieker 2004) applies the lower Cholesky factor of the
+increment covariance (fractional Gaussian noise) to standard normals,
+built from the autocovariance vector alone in O(n^2) time and O(n)
+memory.  The normals come from a counter-based generator, so a given spec
+reproduces bit-identical paths.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, GenerationError
 from .paths import GridPath, holder_seminorm, _snap_index
@@ -22,7 +21,7 @@ from .paths import GridPath, holder_seminorm, _snap_index
 # Counter-based PRNG backing all random generation, recorded in metadata.
 RNG_ALGORITHM = "philox4x64"
 
-# Cholesky of the full increment covariance is O(n^3); hard desk-scale cap.
+# Durbin-Levinson sampling is O(n^2) time, O(n) memory; hard desk-scale cap.
 MAX_FBM_INTERVALS = 2 ** 14
 
 _KINDS = ("fbm", "power", "sine", "zero", "samples")
@@ -86,33 +85,41 @@ def spec_to_json(spec):
     return d
 
 
-def fgn_covariance(hurst, n, mesh):
-    """Covariance matrix of the n fGn increments over steps of size ``mesh``."""
+def fgn_autocovariance(hurst, n, mesh):
+    """Autocovariance ``gamma(k)``, k < n, of fGn increments over steps of
+    size ``mesh``."""
     k = np.arange(n)
     two_h = 2.0 * hurst
-    acf = 0.5 * (np.abs(k + 1) ** two_h + np.abs(k - 1) ** two_h
-                 - 2.0 * np.abs(k) ** two_h) * mesh ** two_h
-    return scipy.linalg.toeplitz(acf)
+    return 0.5 * (np.abs(k + 1) ** two_h + np.abs(k - 1) ** two_h
+                  - 2.0 * np.abs(k) ** two_h) * mesh ** two_h
 
 
-def fgn_cholesky(hurst, n, mesh):
-    """Lower Cholesky factor of the increment covariance, with jitter retry.
+def fgn_levinson(hurst, z, mesh):
+    """fGn increments ``L z`` for the lower Cholesky factor ``L`` of the
+    increment covariance, by the Durbin-Levinson recursion.
 
-    The factor overwrites the covariance, so one n x n array is alive at a
-    time; a retry rebuilds it and adds ``jitter * cov[0, 0]`` to the diagonal.
+    ``z`` holds standard normals, shape ``(n,)`` or ``(n, m)``; the m
+    columns are independent draws sharing the prediction coefficients.
+    Increment k is its best linear prediction from increments ``k-1 .. 0``
+    plus ``sqrt(v_k) z_k``, with ``v_k`` the prediction variance.
     """
-    for jitter in (0.0, 1e-12, 1e-10):
-        cov = fgn_covariance(hurst, n, mesh)
-        if jitter:
-            cov.flat[::n + 1] += jitter * cov[0, 0]
-        try:
-            # cov is symmetric: cov.T is the same matrix in Fortran order,
-            # which LAPACK factors without a copy
-            return scipy.linalg.cholesky(cov.T, lower=True, overwrite_a=True)
-        except scipy.linalg.LinAlgError:
-            continue
-    raise GenerationError(
-        f"fGn covariance (H={hurst}, n={n}) not PSD after jitter")
+    n = z.shape[0]
+    gamma = fgn_autocovariance(hurst, n, mesh)
+    phi = np.zeros(n)
+    x = np.empty(z.shape)
+    v = gamma[0]
+    for k in range(n):
+        if k:
+            kappa = (gamma[k] - phi[:k - 1] @ gamma[k - 1:0:-1]) / v
+            phi[:k - 1] -= kappa * phi[:k - 1][::-1]
+            phi[k - 1] = kappa
+            v *= 1.0 - kappa * kappa
+        if not v > 0:
+            raise GenerationError(
+                f"fGn prediction variance {float(v)!r} at step {k} "
+                f"(H={hurst}, n={n}): covariance not positive definite")
+        x[k] = phi[:k] @ x[:k][::-1] + math.sqrt(v) * z[k]
+    return x
 
 
 def gen_fbm(spec, allow_h_half=False):
@@ -129,11 +136,7 @@ def gen_fbm(spec, allow_h_half=False):
     if n > MAX_FBM_INTERVALS:
         raise DomainError(f"fbm capped at {MAX_FBM_INTERVALS} intervals (got {n})")
     rng = np.random.Generator(np.random.Philox(key=int(spec.seed)))
-    z = rng.standard_normal(n)
-    if spec.hurst == 0.5:
-        increments = math.sqrt(spec.mesh) * z
-    else:
-        increments = fgn_cholesky(spec.hurst, n, spec.mesh) @ z
+    increments = fgn_levinson(spec.hurst, rng.standard_normal(n), spec.mesh)
     values = np.concatenate(([0.0], np.cumsum(spec.amplitude * increments)))
     return GridPath(0.0, spec.mesh, values)
 

@@ -10,7 +10,7 @@ class PartitionError(DomainError):
 
 
 class GenerationError(RuntimeError):
-    """Random path generation failed (e.g. covariance not PSD after jitter)."""
+    """Random path generation failed (e.g. covariance not positive definite)."""
 
 
 class ConvergenceError(RuntimeError):

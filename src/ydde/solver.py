@@ -283,9 +283,14 @@ class SolveReport:
     config: SolverConfig
     eta_norm: float
     ball_ok: bool
-    nu_seminorm: float        # grid nu-seminorm of the solution on [0, T]
     first_iterate: GridPath | None
     wall_time: float
+
+    @property
+    def nu_seminorm(self):
+        """Grid nu-seminorm of the solution on [0, T]."""
+        return holder_seminorm(self.solution, self.config.nu,
+                               (0.0, self.config.T)).seminorm
 
     @property
     def window_iterations(self):
@@ -377,7 +382,7 @@ class _WindowedPicard:
         """Sup and pair scan of the history nodes ``[ia - m_r, ia]``."""
         hist = values[ia - self.m_r:ia + 1]
         return (float(_row_norms(hist).max()),
-                _pair_scan(hist, self.h, self.exponent)[0])
+                _tail_scan(hist, self.h, self.exponent, 1))
 
     def run_window(self, values, ia, ib, init_kind, ball_radius, hist=None,
                    depth=0):
@@ -515,11 +520,10 @@ def picard_solve(coeffs, eta, omega, config, init="constant",
         records.extend(recs)
 
     solution = GridPath(-config.r, h, values)
-    nu_semi = holder_seminorm(solution, config.nu, (0.0, config.T)).seminorm
     return SolveReport(
         solution=solution, partition=partition, windows=tuple(records),
         config=config, eta_norm=segment_norm(eta, config.beta),
-        ball_ok=ball_ok, nu_seminorm=nu_semi,
+        ball_ok=ball_ok,
         first_iterate=GridPath(-config.r, h, first_iter)
         if first_iter is not None else None,
         wall_time=time.perf_counter() - t_start)

@@ -1,19 +1,42 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ydde
+from ydde import drivers
 from ydde.drivers import (MAX_FBM_INTERVALS, RNG_ALGORITHM, DriverSpec,
                           driver_metadata, empirical_holder_exponent,
-                          fgn_cholesky, fgn_covariance, gen_deterministic,
+                          fgn_autocovariance, fgn_levinson, gen_deterministic,
                           gen_driver, gen_fbm, spec_from_json, spec_to_json)
-from ydde.errors import DomainError
+from ydde.errors import DomainError, GenerationError
 from ydde.paths import holder_seminorm
 
 
 def fbm_cov(s, t, H):
     return 0.5 * (s ** (2 * H) + t ** (2 * H) - abs(t - s) ** (2 * H))
+
+
+def fgn_covariance(hurst, n, mesh):
+    """Dense Toeplitz covariance of the n fGn increments (oracle input)."""
+    return scipy.linalg.toeplitz(fgn_autocovariance(hurst, n, mesh))
+
+
+def cholesky_oracle(hurst, n, mesh):
+    """Lower Cholesky factor L of the increment covariance, O(n^3)."""
+    return scipy.linalg.cholesky(fgn_covariance(hurst, n, mesh), lower=True)
+
+
+def philox_normals(seed, n):
+    """The standard normals gen_fbm draws for ``seed``."""
+    return np.random.Generator(np.random.Philox(key=seed)).standard_normal(n)
 
 
 class TestDriverSpec:
@@ -83,38 +106,41 @@ class TestFbm:
         # cov(omega(1/4), omega(1/2)) from 1e4 seeds against the closed form
         H, mesh = 0.75, 1 / 256
         n = 128
-        chol = fgn_cholesky(H, n, mesh)
         i_quarter, i_half = 64, 128
-        samples = np.empty((10_000, 2))
-        for seed in range(10_000):
-            z = np.random.Generator(np.random.Philox(key=seed)).standard_normal(n)
-            path = np.cumsum(chol @ z)
-            samples[seed] = (path[i_quarter - 1], path[i_half - 1])
-        # the loop replicates gen_fbm exactly; pin that equivalence
-        spec = DriverSpec(kind="fbm", T=0.5, mesh=mesh, hurst=H, seed=1234)
-        assert np.allclose(gen_fbm(spec).values[1:, 0],
-                           np.cumsum(chol @ np.random.Generator(
-                               np.random.Philox(key=1234)).standard_normal(n)),
-                           atol=0, rtol=0)
-        est = np.cov(samples.T, ddof=1)[0, 1]
+        z = np.stack([philox_normals(seed, n) for seed in range(10_000)],
+                     axis=1)
+        paths = np.cumsum(fgn_levinson(H, z, mesh), axis=0)
+        samples = paths[[i_quarter - 1, i_half - 1]]
+        est = np.cov(samples, ddof=1)[0, 1]
         target = fbm_cov(0.25, 0.5, H)
         assert target == pytest.approx(0.5 * 0.5 ** 1.5, abs=1e-15)
         sxx, syy = fbm_cov(0.25, 0.25, H), fbm_cov(0.5, 0.5, H)
         se = math.sqrt((sxx * syy + target ** 2) / 9999)
         assert abs(est - target) <= 3 * se
 
+    def test_gen_fbm_is_cumsum_of_levinson(self):
+        # gen_fbm is exactly the 1-D sampler call; a batch column sums its
+        # dot products in a possibly different order, so it agrees to rounding
+        H, mesh, n, seed = 0.75, 1 / 256, 128, 1234
+        spec = DriverSpec(kind="fbm", T=n * mesh, mesh=mesh, hurst=H,
+                          seed=seed, amplitude=0.3)
+        z = philox_normals(seed, n)
+        one = fgn_levinson(H, z, mesh)
+        want = np.cumsum(0.3 * one)
+        assert gen_fbm(spec).values[1:, 0].tobytes() == want.tobytes()
+        batch = fgn_levinson(H, np.stack([philox_normals(7, n), z], axis=1),
+                             mesh)
+        assert np.allclose(batch[:, 1], one, rtol=1e-13, atol=0)
+
     def test_increment_stationarity(self):
         # equal-lag increments share their variance, wherever they start
         H, mesh, n = 0.75, 1 / 64, 64
-        chol = fgn_cholesky(H, n, mesh)
         lag = 16
-        var_a, var_b = [], []
-        for seed in range(4000):
-            z = np.random.Generator(np.random.Philox(key=seed)).standard_normal(n)
-            path = np.concatenate(([0.0], np.cumsum(chol @ z)))
-            var_a.append(path[lag] - path[0])
-            var_b.append(path[3 * lag] - path[2 * lag])
-        va, vb = np.var(var_a, ddof=1), np.var(var_b, ddof=1)
+        z = np.stack([philox_normals(seed, n) for seed in range(4000)], axis=1)
+        paths = np.vstack([np.zeros((1, 4000)),
+                           np.cumsum(fgn_levinson(H, z, mesh), axis=0)])
+        va = np.var(paths[lag] - paths[0], ddof=1)
+        vb = np.var(paths[3 * lag] - paths[2 * lag], ddof=1)
         target = (lag * mesh) ** (2 * H)
         se = target * math.sqrt(2.0 / 3999)
         assert abs(va - target) <= 3 * se
@@ -127,26 +153,51 @@ class TestFbm:
         w = np.linalg.eigvalsh(cov)
         assert w.min() > 0
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 300), hurst=st.floats(0.5, 0.999),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_levinson_matches_cholesky_oracle(self, n, hurst, seed):
+        # near H = 1 both factors carry rounding of about 1.5e-12 max|L z|
+        # against an extended-precision recursion (n = 300, H = 0.999), so
+        # the tolerance sits above that; for H <= 0.99 they agree to 3e-13
+        z = philox_normals(seed, n)
+        want = cholesky_oracle(hurst, n, 1 / n) @ z
+        got = fgn_levinson(hurst, z, 1 / n)
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
     @pytest.mark.parametrize("n", [1, 2, 17, 300])
-    def test_cholesky_in_place_matches_scipy(self, n):
-        want = scipy.linalg.cholesky(fgn_covariance(0.75, n, 1 / n), lower=True)
-        got = fgn_cholesky(0.75, n, 1 / n)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    def test_h_half_is_scaled_white_noise(self, n):
+        # gamma = [mesh, 0, 0, ...] exactly, so no prediction enters
+        z = philox_normals(n, n)
+        got = fgn_levinson(0.5, z, 1 / n)
+        assert got.tobytes() == (math.sqrt(1 / n) * z).tobytes()
 
-    def test_cholesky_retry_adds_diagonal_jitter(self, monkeypatch):
-        real, seen = scipy.linalg.cholesky, []
+    @pytest.mark.parametrize("gamma", [[1.0, 2.0, 0.5], [1.0, 1.0, 1.0],
+                                       [1.0, math.nan, 0.0]])
+    def test_non_positive_definite_autocovariance_raises(self, monkeypatch,
+                                                         gamma):
+        monkeypatch.setattr(drivers, "fgn_autocovariance",
+                            lambda hurst, n, mesh: np.array(gamma))
+        spec = DriverSpec(kind="fbm", T=3.0, mesh=1.0, hurst=0.75)
+        with pytest.raises(GenerationError):
+            gen_fbm(spec)
 
-        def fail_first(a, **kw):
-            seen.append(np.array(a))
-            if len(seen) == 1:
-                raise scipy.linalg.LinAlgError("not PSD")
-            return real(a, **kw)
-
-        monkeypatch.setattr(scipy.linalg, "cholesky", fail_first)
-        cov = fgn_covariance(0.75, 8, 1 / 8)
-        fgn_cholesky(0.75, 8, 1 / 8)
-        assert np.array_equal(seen[0], cov)
-        assert np.array_equal(seen[1], cov + 1e-12 * cov[0, 0] * np.eye(8))
+    def test_cap_is_reachable(self):
+        # a dense factor at the cap is one 2 GiB array; the recursion holds
+        # a few vectors of n floats
+        spec = DriverSpec(kind="fbm", T=1.0, mesh=2.0 ** -14, hurst=0.75,
+                          seed=3)
+        assert spec.n_intervals == MAX_FBM_INTERVALS
+        tracemalloc.start()
+        try:
+            path = gen_fbm(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.values.shape == (MAX_FBM_INTERVALS + 1, 1)
+        assert np.all(np.isfinite(path.values))
+        assert path.values[0, 0] == 0.0
+        assert peak < 8 * 2 ** 20
 
     def test_interval_cap(self):
         spec = DriverSpec(kind="fbm", T=float(2 ** 15), mesh=1.0, hurst=0.75)
@@ -159,6 +210,17 @@ class TestFbm:
         scaled = DriverSpec(kind="fbm", T=0.5, mesh=1 / 64, hurst=0.75, seed=4,
                             amplitude=0.25)
         assert np.allclose(gen_fbm(scaled).values, 0.25 * gen_fbm(base).values)
+
+
+def test_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(ydde.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ydde; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestDeterministic:
