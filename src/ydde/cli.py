@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -594,7 +594,6 @@ def _build_parser():
     common.add_argument("--seed", type=int, help="override driver seed")
     common.add_argument("--mesh", type=float, help="override grid mesh")
     common.add_argument("--out", help="output directory (default $YDDE_OUT or .)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--quiet", action="store_true")
 
     parser = argparse.ArgumentParser(
@@ -665,10 +664,11 @@ def main(argv=None):
         return _COMMANDS[args.command](args, scenario, out, say)
     except (DomainError, OSError, KeyError, json.JSONDecodeError,
             ConvergenceError, GenerationError) as exc:
-        if args.format == "json":
-            write_json_file({"error": {"type": type(exc).__name__,
-                                       "message": str(exc)}},
-                            os.path.join(out, "error.json"))
+        if os.path.isdir(out):
+            with suppress(OSError):    # must not mask the error it reports
+                write_json_file({"error": {"type": type(exc).__name__,
+                                           "message": str(exc)}},
+                                os.path.join(out, "error.json"))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

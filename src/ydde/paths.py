@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -22,9 +23,9 @@ from .errors import DomainError
 # Relative slack when snapping a time to a grid index.
 _INDEX_TOL = 1e-6
 
-# Node pairs one block of _tail_scan holds at once: memory stays flat when a
-# window spans the whole horizon.
-_TAIL_BLOCK_PAIRS = 1 << 14
+# Node pairs one block of _pair_blocks holds at once: memory stays flat when a
+# scan spans the whole horizon.
+_BLOCK_PAIRS = 1 << 14
 
 
 def _snap_index(offset, mesh, what="time"):
@@ -189,49 +190,60 @@ def _row_norms(arr):
     return np.sqrt(np.einsum("ij,ij->i", arr, arr))
 
 
-def _pair_scan(v, h, exponent, max_gap=None):
-    """Grid pair scan: max over nodes k and gaps 1 <= g <= ``max_gap`` (default:
-    all) of ``|v[k+g] - v[k]| / (g*h)^exponent``.
-
-    ``v`` holds nodes (rows) of a path on mesh ``h`` and needs at least one
-    gap.  Returns ``(value, k, g)`` with the first attaining pair: smallest g,
-    then smallest k.  The gap loop takes one max per gap; only the winning
-    gap pays an argmax for the witness.
-    """
-    m = v.shape[0] - 1 if max_gap is None else max_gap
-    best, best_g = -1.0, 0
-    for g in range(1, m + 1):
-        val = _row_norms(v[g:] - v[:-g]).max() / (g * h) ** exponent
-        if val > best:
-            best, best_g = val, g
-    k = int(np.argmax(_row_norms(v[best_g:] - v[:-best_g])))
-    return float(best), k, best_g
-
-
-def _tail_scan(v, h, exponent, start):
-    """Pair scan of the pairs that end at or after node ``start``: max over
-    k < j with j >= ``start`` of ``|v[j] - v[k]| / ((j-k)*h)^exponent``.
-
-    The gap weights are :func:`_pair_scan`'s own ``(g*h) ** exponent``, so
-    ``max(_pair_scan(v[:start])[0], _tail_scan(v, h, exponent, start)) ==
-    _pair_scan(v)[0]`` bitwise for ``1 <= start < len(v)`` (one node scans
-    to 0).  Vectorised over blocks of upper nodes j, each holding at most
-    ``_TAIL_BLOCK_PAIRS`` pairs.
+def _pair_blocks(v, h, exponent, start=1, max_gap=None):
+    """The grid pair scan of the nodes (rows) ``v`` of a path on mesh ``h``,
+    in blocks of upper nodes ``j >= start``: yields ``(j0, ratio)`` with
+    ``ratio[j - j0, k] = |v[j] - v[k]| / ((j-k)*h)^exponent``, 0 for pairs
+    with ``k >= j`` or a gap above ``max_gap`` (default: all).  A block holds
+    at most ``_BLOCK_PAIRS`` pairs.  The weights are Python's ``(g*h) **
+    exponent`` (numpy's ``power`` rounds some differently), so the ratios and
+    their maxima are bitwise those of a loop over gaps.
     """
     n = v.shape[0]
-    # weight[n - 1 + g] for gap g; gaps g <= 0 (k >= j) get inf, ratio 0
-    weight = np.concatenate((np.full(n, np.inf),
-                             [(g * h) ** exponent for g in range(1, n)]))
-    block = max(1, _TAIL_BLOCK_PAIRS // n)
-    best = 0.0
-    for j0 in range(start, n, block):
-        j1 = min(j0 + block, n)
+    m = n - 1 if max_gap is None else min(max_gap, n - 1)
+    # rw[n - 1 - g] weighs gap g; gaps g <= 0 or g > m weigh inf (ratio 0)
+    rw = np.full(2 * n - 2, np.inf)
+    rw[n - 1 - m:n - 1] = [(gap * h) ** exponent for gap in range(m, 0, -1)]
+    # weight[j, k] = rw[n - 1 - j + k], the weight of the pair (k, j)
+    step = rw.itemsize
+    weight = np.ndarray((n, n - 1), rw.dtype, rw, (n - 1) * step, (-step, step))
+    j0 = start
+    while j0 < n:
+        # largest j1 with (j1 - j0) * (j1 - 1) <= _BLOCK_PAIRS, one row at least
+        a = j0 - 1
+        j1 = min(n, max(j0 + 1, (a + math.isqrt(a * a + 4 * _BLOCK_PAIRS)) // 2 + 1))
         diff = v[j0:j1, None] - v[None, :j1 - 1]
         dist = _row_norms(diff.reshape(-1, *v.shape[1:])).reshape(diff.shape[:2])
-        slot = np.subtract.outer(np.arange(n - 1 + j0, n - 1 + j1),
-                                 np.arange(j1 - 1))
-        best = max(best, float((dist / weight[slot]).max()))
-    return best
+        yield j0, dist / weight[j0:j1, :j1 - 1]
+        j0 = j1
+
+
+def _pair_max(v, h, exponent, start=1):
+    """Value of the pair scan over the upper nodes ``j >= start``: max over
+    ``k < j`` of ``|v[j] - v[k]| / ((j-k)*h)^exponent``; 0 without pairs."""
+    return float(max((ratio.max() for _, ratio in
+                      _pair_blocks(v, h, exponent, start)), default=0.0))
+
+
+def _pair_scan(v, h, exponent, max_gap=None, start=1):
+    """The pair scan's value with the first pair attaining it, ``(value, k,
+    g)`` for the pair ``(k, k + g)``: smallest g, then smallest k.  Only a
+    block whose max ties or beats the best so far pays for locating it."""
+    n = v.shape[0]
+    best, key = -1.0, 0
+    for j0, ratio in _pair_blocks(v, h, exponent, start, max_gap):
+        top = ratio.max()
+        if top < best:
+            continue
+        rows, ks = np.nonzero(ratio == top)
+        gs = rows + j0 - ks
+        # a 0 max ties the pairs k >= j, which read 0 (pairs past max_gap
+        # do too, but a gap-1 pair of the block ties first)
+        block_key = int((gs * n + ks)[gs >= 1].min())
+        if top > best or block_key < key:
+            best, key = top, block_key
+    g, k = divmod(key, n)
+    return float(best), k, g
 
 
 def _sliding_max(x, size):
@@ -367,7 +379,7 @@ def segment_sup(seg):
 def segment_holder_seminorm(seg, beta):
     if not 0.0 < beta <= 1.0:
         raise DomainError(f"Holder exponent must lie in (0, 1], got {beta!r}")
-    return _pair_scan(seg.values, seg.mesh, beta)[0]
+    return _pair_max(seg.values, seg.mesh, beta)
 
 
 def segment_norm(seg, beta):

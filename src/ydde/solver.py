@@ -19,14 +19,13 @@ the estimates the window construction guarantees.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PartitionError
-from .paths import (GridPath, _delay_segments, _pair_scan, _row_norms,
-                    _snap_index, _tail_scan, holder_norm, holder_seminorm,
+from .paths import (GridPath, _delay_segments, _pair_blocks, _pair_max,
+                    _row_norms, _snap_index, holder_norm, holder_seminorm,
                     segment, segment_norm, segment_norm_profile)
 from .young import YoungConstants
 
@@ -131,7 +130,7 @@ def window_residual(omega, beta, nu, s, t):
     if i1 <= i0:
         raise DomainError("window is empty")
     span = (i1 - i0) * omega.mesh
-    om = _pair_scan(omega.values[i0:i1 + 1, 0], omega.mesh, nu)[0]
+    om = _pair_max(omega.values[i0:i1 + 1, 0], omega.mesh, nu)
     return span ** (1.0 - beta) + span ** (nu - beta) * om
 
 
@@ -180,7 +179,9 @@ def greedy_partition(omega, config, C):
 
     Each window end is the largest grid node whose residual stays below the
     threshold, so the defining equality holds as a one-sided inequality with
-    the reported residual; the final window is clamped at the horizon.
+    the reported residual; the final window is clamped at the horizon.  The
+    residual grows with the window end: one pass over the pair scan's row
+    maxima (their running max is the driver seminorm) finds each end.
     """
     if C <= 0.0:
         raise DomainError("greedy partition needs C > 0")
@@ -193,41 +194,27 @@ def greedy_partition(omega, config, C):
     vals = omega.values[:, 0]
     beta, nu = config.beta, config.nu
 
-    def residual(ia, ib):
-        span = (ib - ia) * h
-        om = _pair_scan(vals[ia:ib + 1], h, nu)[0]
-        return span ** (1.0 - beta) + span ** (nu - beta) * om
-
     cuts = [i0]
     residuals = []
     clamped = False
     while cuts[-1] < i_end:
         ia = cuts[-1]
-        if residual(ia, ia + 1) > threshold:
+        row_maxima = (row for _, ratio in _pair_blocks(vals[ia:i_end + 1], h, nu)
+                      for row in ratio.max(axis=1).tolist())
+        om, w = 0.0, 0
+        for j, row in enumerate(row_maxima, 1):
+            om = max(om, row)
+            res_j = (j * h) ** (1.0 - beta) + (j * h) ** (nu - beta) * om
+            if res_j > threshold:
+                break
+            w, res = j, res_j
+        if w == 0:
             raise PartitionError(
                 "refine mesh or increase mu: the first greedy step at "
                 f"t={omega.t0 + ia * h!r} is below one mesh cell")
-        # gallop to bracket the largest admissible node, then bisect
-        step = 1
-        good = ia + 1
-        while good < i_end:
-            nxt = min(ia + 2 * step, i_end)
-            if residual(ia, nxt) <= threshold:
-                good, step = nxt, nxt - ia
-            else:
-                lo, hi = good, nxt     # residual(lo) ok, residual(hi) too big
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    if residual(ia, mid) <= threshold:
-                        lo = mid
-                    else:
-                        hi = mid
-                good = lo
-                break
-        res = residual(ia, good)
-        if good == i_end and res < threshold:
+        if ia + w == i_end and res < threshold:
             clamped = True
-        cuts.append(good)
+        cuts.append(ia + w)
         residuals.append(res)
     times = omega.t0 + h * np.asarray(cuts, dtype=float)
     return GreedyPartition(times=times, residuals=np.asarray(residuals),
@@ -284,7 +271,6 @@ class SolveReport:
     eta_norm: float
     ball_ok: bool
     first_iterate: GridPath | None
-    wall_time: float
 
     @property
     def nu_seminorm(self):
@@ -382,7 +368,7 @@ class _WindowedPicard:
         """Sup and pair scan of the history nodes ``[ia - m_r, ia]``."""
         hist = values[ia - self.m_r:ia + 1]
         return (float(_row_norms(hist).max()),
-                _tail_scan(hist, self.h, self.exponent, 1))
+                _pair_max(hist, self.h, self.exponent))
 
     def run_window(self, values, ia, ib, init_kind, ball_radius, hist=None,
                    depth=0):
@@ -406,7 +392,7 @@ class _WindowedPicard:
             # the history are dominated by pairs with the (zero) start node
             padded = np.vstack([np.zeros((1, diff.shape[1])), diff])
             res = (float(_row_norms(diff).max())
-                   + _tail_scan(padded, self.h, self.exponent, 1))
+                   + _pair_max(padded, self.h, self.exponent))
             values[ia + 1:ib + 1] = new_slice
             if it == 1 and self.first_iter_sink is not None:
                 self.first_iter_sink[ia + 1:ib + 1] = new_slice
@@ -414,9 +400,9 @@ class _WindowedPicard:
                 ratios.append(res / residuals[-1])
             residuals.append(res)
             sup = max(hist_sup, float(_row_norms(values[ia + 1:ib + 1]).max()))
-            scan = max(hist_scan, _tail_scan(values[ia - self.m_r:ib + 1],
-                                             self.h, self.exponent,
-                                             self.m_r + 1))
+            scan = max(hist_scan, _pair_max(values[ia - self.m_r:ib + 1],
+                                            self.h, self.exponent,
+                                            self.m_r + 1))
             max_norm = max(max_norm, sup + scan)
             if res <= self.stop_tol:
                 converged = True
@@ -492,7 +478,6 @@ def picard_solve(coeffs, eta, omega, config, init="constant",
     Returns a :class:`SolveReport`; the solution equals ``eta`` exactly on
     ``[-r, 0]`` and satisfies the per-window fixed-point residual bound.
     """
-    t_start = time.perf_counter()
     _validate_solve_inputs(coeffs, eta, omega, config)
     if coeffs.is_zero():
         partition = trivial_partition(config)
@@ -525,8 +510,7 @@ def picard_solve(coeffs, eta, omega, config, init="constant",
         config=config, eta_norm=segment_norm(eta, config.beta),
         ball_ok=ball_ok,
         first_iterate=GridPath(-config.r, h, first_iter)
-        if first_iter is not None else None,
-        wall_time=time.perf_counter() - t_start)
+        if first_iter is not None else None)
 
 
 def euler_solve(coeffs, eta, omega, config):

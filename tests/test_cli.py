@@ -225,16 +225,34 @@ class TestErrorHandling:
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "mu" in capsys.readouterr().err
 
-    def test_error_json_on_request(self, tmp_path, capsys):
+    def test_error_json_on_config_error(self, tmp_path, capsys):
         d = zero_scenario()
         d["config"]["mu"] = 0.9
         sc = write_scenario(tmp_path, d)
         out = tmp_path / "o"
-        assert main(["solve", "--scenario", sc, "--out", str(out),
-                     "--format", "json"]) == EXIT_CONFIG
+        assert main(["solve", "--scenario", sc, "--out", str(out)]) \
+            == EXIT_CONFIG
         capsys.readouterr()
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["type"] == "DomainError"
+
+    @pytest.mark.parametrize("blocked", ["out_below_file", "error_json_dir"])
+    def test_unwritable_error_json_keeps_exit_code(self, tmp_path, capsys,
+                                                   blocked):
+        # the out path sits below a regular file, or error.json cannot be
+        # created in it: still exit 2 with the one-line message
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "o"
+        if blocked == "error_json_dir":
+            out = tmp_path / "o"
+            (out / "error.json").mkdir(parents=True)
+        d = zero_scenario()
+        d["config"]["mu"] = 0.9
+        sc = write_scenario(tmp_path, d)
+        assert main(["solve", "--scenario", sc, "--out", str(out)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_nonexistent_file(self, tmp_path, capsys):
         assert main(["verify", "--scenario", str(tmp_path / "nope.json"),
@@ -253,8 +271,8 @@ class TestErrorHandling:
         d[section][key] = value
         sc = write_scenario(tmp_path, d)
         out = tmp_path / "o"
-        assert main(["solve", "--scenario", sc, "--out", str(out),
-                     "--format", "json"]) == EXIT_CONFIG
+        assert main(["solve", "--scenario", sc, "--out", str(out)]) \
+            == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "Traceback" not in err
         if exc_type == "DomainError":
@@ -270,8 +288,8 @@ class TestErrorHandling:
         monkeypatch.setattr(drivers, "gen_driver", fail)
         sc = write_scenario(tmp_path, scenario_dict())
         out = tmp_path / "o"
-        assert main(["solve", "--scenario", sc, "--out", str(out),
-                     "--format", "json"]) == EXIT_CONFIG
+        assert main(["solve", "--scenario", sc, "--out", str(out)]) \
+            == EXIT_CONFIG
         assert "covariance not PSD" in capsys.readouterr().err
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["type"] == "GenerationError"

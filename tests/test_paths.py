@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import random_path, rng
 from ydde.errors import DomainError
-from ydde.paths import (GridPath, Segment, _pair_scan, _sliding_max,
-                        _tail_scan, counterexample_growth, holder_norm,
+from ydde.paths import (GridPath, Segment, _pair_blocks, _pair_max,
+                        _pair_scan, _row_norms, _sliding_max,
+                        counterexample_growth, holder_norm,
                         holder_seminorm, pvar_seminorm,
                         pvar_seminorm_exhaustive, read_csv, read_json, segment,
                         segment_holder_seminorm, segment_norm,
@@ -43,19 +45,35 @@ def brute_segment_holder(path, beta, r, window):
     return best
 
 
-def brute_pair_scan(v, h, exponent, max_gap=None):
-    """Double loop over all node pairs: ``(value, k, g)`` of the first pair,
-    in (gap, node) order, attaining the max of |v[k+g] - v[k]| / (g h)^exponent."""
+def brute_pair_scan(v, h, exponent, max_gap=None, start=1):
+    """Double loop over all node pairs with upper node k + g >= start:
+    ``(value, k, g)`` of the first pair, in (gap, node) order, attaining the
+    max of |v[k+g] - v[k]| / (g h)^exponent."""
     n = v.shape[0]
     m = n - 1 if max_gap is None else max_gap
     best, best_k, best_g = -1.0, 0, 0
     for g in range(1, m + 1):
-        for k in range(n - g):
+        for k in range(max(0, start - g), n - g):
             dist = float(np.linalg.norm(np.atleast_1d(v[k + g] - v[k])))
             val = dist / (g * h) ** exponent
             if val > best:
                 best, best_k, best_g = val, k, g
     return best, best_k, best_g
+
+
+def gap_loop_pair_scan(v, h, exponent, max_gap=None, start=1):
+    """The former pair scan, one vectorised max per gap, kept as an oracle;
+    extended only by ``start``, the lowest upper node of a pair."""
+    m = v.shape[0] - 1 if max_gap is None else max_gap
+    best, best_g = -1.0, 0
+    for g in range(1, m + 1):
+        lo = max(0, start - g)
+        val = _row_norms(v[lo + g:] - v[lo:-g]).max() / (g * h) ** exponent
+        if val > best:
+            best, best_g = val, g
+    lo = max(0, start - best_g)
+    k = lo + int(np.argmax(_row_norms(v[lo + best_g:] - v[lo:-best_g])))
+    return float(best), k, best_g
 
 
 def sliding_segment_holder(path, beta, r, window):
@@ -115,8 +133,38 @@ class TestPairScan:
            exponent=st.sampled_from(EXPONENTS), data=st.data())
     def test_matches_double_loop(self, v, h, exponent, data):
         max_gap = data.draw(st.none() | st.integers(1, v.shape[0] - 1))
-        assert _pair_scan(v, h, exponent, max_gap) == \
-            brute_pair_scan(v, h, exponent, max_gap)
+        start = data.draw(st.integers(1, v.shape[0] - 1))
+        # small blocks make ties across blocks
+        block_pairs = data.draw(st.sampled_from((1, 5, 30, 1 << 14)))
+        with mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
+            got = _pair_scan(v, h, exponent, max_gap, start)
+        assert got == brute_pair_scan(v, h, exponent, max_gap, start)
+
+    def test_weights_are_python_pow(self):
+        # on a ramp the distance is the gap, so each ratio shows its weight;
+        # numpy's power differs from Python's ** on some of these gaps
+        v = np.arange(150.0)
+        for h in MESHES:
+            for exponent in EXPONENTS:
+                for j0, ratio in _pair_blocks(v, h, exponent):
+                    for j, row in enumerate(ratio.tolist(), j0):
+                        want = [(j - k) / ((j - k) * h) ** exponent
+                                for k in range(j)]
+                        assert row == want + [0.0] * (len(row) - j)
+
+    @settings(max_examples=500, deadline=None)
+    @given(v=node_arrays(max_nodes=30, elems=st.floats(
+               -8.0, 8.0, allow_nan=False, allow_infinity=False)),
+           h=st.sampled_from(MESHES), exponent=st.sampled_from(EXPONENTS),
+           data=st.data())
+    def test_matches_gap_loop_bitwise(self, v, h, exponent, data):
+        max_gap = data.draw(st.none() | st.integers(1, v.shape[0] - 1))
+        start = data.draw(st.integers(1, v.shape[0] - 1))
+        got = _pair_scan(v, h, exponent, max_gap, start)
+        want = gap_loop_pair_scan(v, h, exponent, max_gap, start)
+        assert got == want
+        if max_gap is None:
+            assert _pair_max(v, h, exponent, start) == got[0]
 
     @settings(max_examples=300, deadline=None)
     @given(v=node_arrays(min_nodes=3, max_nodes=20, elems=st.integers(-3, 3)
@@ -147,20 +195,25 @@ class TestTailScan:
     @given(v=node_arrays(max_nodes=20, elems=MIXED), h=st.sampled_from(MESHES),
            exponent=st.sampled_from(EXPONENTS))
     def test_splits_pair_scan_bitwise(self, v, h, exponent):
+        # the pairs below and from node ``start`` split the scan
         full = _pair_scan(v, h, exponent)[0]
-        for start in range(1, v.shape[0]):
-            # one node (start = 1) has no pairs: its scan is 0
+        for start in range(1, v.shape[0] + 1):
+            # start = 1 leaves no pair below it, start = len(v) none from it
             head = _pair_scan(v[:start], h, exponent)[0] if start > 1 else 0.0
-            assert max(head, _tail_scan(v, h, exponent, start)) == full
+            assert max(head, _pair_max(v, h, exponent, start)) == full
 
     @pytest.mark.parametrize("block_pairs", [1, 500, 4000])
     def test_blocks_of_upper_nodes(self, monkeypatch, block_pairs):
-        monkeypatch.setattr("ydde.paths._TAIL_BLOCK_PAIRS", block_pairs)
         v = random_path(5, n=120, mesh=1 / 120, dim=2).values
+        want = {start: _pair_scan(v, 1 / 120, 0.55, start=start)
+                for start in (1, 2, 60, 113, 120)}
+        monkeypatch.setattr("ydde.paths._BLOCK_PAIRS", block_pairs)
         full = _pair_scan(v, 1 / 120, 0.55)[0]
-        for start in (2, 60, 113, 120):
-            assert max(_pair_scan(v[:start], 1 / 120, 0.55)[0],
-                       _tail_scan(v, 1 / 120, 0.55, start)) == full
+        for start, scan in want.items():
+            assert max(_pair_scan(v[:start], 1 / 120, 0.55)[0]
+                       if start > 1 else 0.0,
+                       _pair_max(v, 1 / 120, 0.55, start)) == full
+            assert _pair_scan(v, 1 / 120, 0.55, start=start) == scan
 
 
 class TestSlidingMax:

@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MESH, rng
 from ydde.coefficients import CoefficientSet, composition_path, make_builtin
 from ydde.drivers import DriverSpec, gen_deterministic, gen_fbm
 from ydde.errors import ConvergenceError, DomainError, PartitionError
-from ydde.paths import (GridPath, Segment, holder_norm, holder_seminorm,
-                        segment)
-from ydde.solver import (SolverConfig, _left_sums, _solve_grid,
+from ydde.paths import (GridPath, Segment, _pair_max, holder_norm,
+                        holder_seminorm, segment)
+from ydde.solver import (GreedyPartition, SolverConfig, _left_sums, _solve_grid,
                          compute_contraction_constants, contraction_constants,
                          euler_solve, greedy_partition, gronwall_check,
                          growth_bound_check, map_F, picard_solve,
@@ -27,6 +27,84 @@ def const_eta(value=1.0, r=0.25, mesh=MESH, dim=1):
 
 def zero_omega(T=1.0, mesh=MESH):
     return gen_deterministic(DriverSpec(kind="zero", T=T, mesh=mesh))
+
+
+def gallop_partition(omega, config, C):
+    """The former greedy partition, kept as an oracle: per window, gallop to
+    bracket the last admissible node, then bisect, each probe a fresh pair
+    scan of the window."""
+    i_end = omega.index_of(config.T, "horizon T")
+    i0 = omega.index_of(0.0, "origin")
+    threshold = config.mu / C
+    h = omega.mesh
+    vals = omega.values[:, 0]
+    beta, nu = config.beta, config.nu
+
+    def residual(ia, ib):
+        span = (ib - ia) * h
+        om = _pair_max(vals[ia:ib + 1], h, nu)
+        return span ** (1.0 - beta) + span ** (nu - beta) * om
+
+    cuts = [i0]
+    residuals = []
+    clamped = False
+    while cuts[-1] < i_end:
+        ia = cuts[-1]
+        if residual(ia, ia + 1) > threshold:
+            raise PartitionError(
+                "refine mesh or increase mu: the first greedy step at "
+                f"t={omega.t0 + ia * h!r} is below one mesh cell")
+        step = 1
+        good = ia + 1
+        while good < i_end:
+            nxt = min(ia + 2 * step, i_end)
+            if residual(ia, nxt) <= threshold:
+                good, step = nxt, nxt - ia
+            else:
+                lo, hi = good, nxt
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if residual(ia, mid) <= threshold:
+                        lo = mid
+                    else:
+                        hi = mid
+                good = lo
+                break
+        res = residual(ia, good)
+        if good == i_end and res < threshold:
+            clamped = True
+        cuts.append(good)
+        residuals.append(res)
+    times = omega.t0 + h * np.asarray(cuts, dtype=float)
+    return GreedyPartition(times=times, residuals=np.asarray(residuals),
+                           threshold=threshold, C=C, mu=config.mu,
+                           beta=beta, nu=nu, clamped_final=clamped)
+
+
+@st.composite
+def partition_cases(draw):
+    """A driver (fBm with n <= 512, a power or a sine path), exponents, mu
+    and C; a rough driver with a large C fails the first greedy step."""
+    T = draw(st.sampled_from((0.5, 1.0)))
+    mesh = draw(st.sampled_from((1 / 64, 1 / 128, 1 / 256, 1 / 512)))
+    kind = draw(st.sampled_from(("fbm", "power", "sine")))
+    amplitude = draw(st.floats(0.01, 4.0))
+    if kind == "fbm":
+        omega = gen_fbm(DriverSpec(kind="fbm", T=T, mesh=mesh,
+                                   hurst=draw(st.floats(0.55, 0.95)),
+                                   seed=draw(st.integers(0, 2 ** 64 - 1)),
+                                   amplitude=amplitude))
+    else:
+        omega = gen_deterministic(DriverSpec(
+            kind=kind, T=T, mesh=mesh, amplitude=amplitude,
+            exponent=draw(st.floats(0.3, 1.0)),
+            frequency=draw(st.floats(0.5, 20.0))))
+    nu = draw(st.floats(0.55, 1.0))
+    beta = nu * draw(st.floats(0.1, 0.95))
+    mu = draw(st.floats(0.05, 0.45))
+    C = mu * draw(st.floats(1.01, 40.0))
+    config = SolverConfig(beta=beta, nu=nu, mesh=mesh, T=T, r=0.25, mu=mu)
+    return omega, config, C
 
 
 class TestSolverConfig:
@@ -128,6 +206,26 @@ class TestGreedyPartition:
         cfg = SolverConfig(beta=0.55, nu=0.7, mesh=1 / 64, T=1.0, r=0.25)
         with pytest.raises(DomainError):
             greedy_partition(zero_omega(mesh=1 / 64), cfg, C=0.2)  # mu >= C
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=partition_cases())
+    # a flat driver whose residual meets mu / C = 1/4 exactly at 4 cells
+    @example(case=(zero_omega(mesh=1 / 64),
+                   SolverConfig(beta=0.5, nu=0.7, mesh=1 / 64, T=1.0, r=0.25),
+                   1.0))
+    def test_matches_gallop_bisect_bitwise(self, case):
+        omega, config, C = case
+        try:
+            want = gallop_partition(omega, config, C)
+        except PartitionError as exc:
+            with pytest.raises(PartitionError) as got:
+                greedy_partition(omega, config, C)
+            assert str(got.value) == str(exc)
+            return
+        got = greedy_partition(omega, config, C)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.residuals.tobytes() == want.residuals.tobytes()
+        assert got.clamped_final == want.clamped_final
 
     def test_stopping_time_counter(self):
         cfg = SolverConfig(beta=0.55, nu=0.7, mesh=1 / 64, T=1.0, r=0.25)
