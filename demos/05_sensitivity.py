@@ -21,10 +21,13 @@ u = np.linspace(-0.25, 0.0, config.n_history + 1)
 eta = Segment(0.25, mesh, (1.0 + 0.2 * u)[:, None])
 xi = Segment(0.25, mesh, (0.5 * np.cos(2 * np.pi * u))[:, None])
 
+# every check starts from the one base solve of eta
+report = picard_solve(coeffs, eta, omega, config)
+
 print("continuity in the initial segment:")
 for size in (1e-1, 1e-2):
     eta2 = eta.with_values(eta.values + size)
-    rep = continuity_check(coeffs, eta, eta2, omega, config)
+    rep = continuity_check(coeffs, report, eta2, omega)
     print(f"  |eta2 - eta1| = {size:.0e}:  N(T) = {rep.N_T}, "
           f"pointwise margin {rep.pointwise_min_margin:.2f}, "
           f"full-interval margin {rep.full_margin:.2f} "
@@ -33,8 +36,8 @@ for size in (1e-1, 1e-2):
 # The linearized equation along the base solution: for linear coefficients
 # it reproduces the exact solution difference; in general it is the
 # derivative of the solution map in the direction xi.
-base = picard_solve(coeffs, eta, omega, config).solution
-y = linearized_solve(LinearizedProblem(coeffs=coeffs, base_solution=base,
+y = linearized_solve(LinearizedProblem(coeffs=coeffs,
+                                       base_solution=report.solution,
                                        direction=xi, omega=omega,
                                        config=config))
 print(f"\nlinearized solution: y(0) = {y.value_at(0.0)[0]:+.4f}, "
@@ -42,7 +45,7 @@ print(f"\nlinearized solution: y(0) = {y.value_at(0.0)[0]:+.4f}, "
 
 print("\nfinite-difference remainder rho(eps) = "
       "sup_t |x_t(eta + eps xi) - x_t(eta) - eps y_t| / eps:")
-rep = differentiability_check(coeffs, eta, xi, omega, config)
+rep = differentiability_check(coeffs, report, xi, omega)
 for eps, rho in rep.table:
     print(f"  eps = {eps:.0e} : rho = {rho:.3e}")
 print(f"ladder decreasing: {rep.decreasing}, "

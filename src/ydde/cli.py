@@ -54,16 +54,15 @@ def _segment_from_spec(d, config, dim):
     n = config.n_history
     u = -r + mesh * np.arange(n + 1)
     form = d.get("form", "constant")
+
+    def vector(key, default):
+        return np.broadcast_to(np.atleast_1d(np.asarray(d.get(key, default),
+                                                        dtype=float)), (dim,))
+
     if form == "constant":
-        value = np.broadcast_to(np.atleast_1d(np.asarray(d.get("value", 1.0),
-                                                         dtype=float)), (dim,))
-        vals = np.tile(value, (n + 1, 1))
+        vals = np.tile(vector("value", 1.0), (n + 1, 1))
     elif form == "linear":
-        value = np.broadcast_to(np.atleast_1d(np.asarray(d.get("value", 1.0),
-                                                         dtype=float)), (dim,))
-        slope = np.broadcast_to(np.atleast_1d(np.asarray(d.get("slope", 0.0),
-                                                         dtype=float)), (dim,))
-        vals = value[None, :] + np.outer(u, slope)
+        vals = vector("value", 1.0)[None, :] + np.outer(u, vector("slope", 0.0))
     elif form == "cosine":
         amp = float(d.get("amplitude", 1.0))
         freq = float(d.get("frequency", 1.0))
@@ -219,21 +218,50 @@ def _solve_scenario(scenario):
     return omega, report
 
 
-def _differentiability_verdict(rep, family):
-    """(passed, detail) of a remainder ladder: at noise level for the linear
-    family, else shrinking to at most half its first value."""
-    if family == "linear_delay":
-        return rep.max_rho <= 1e-5, f"max rho {rep.max_rho:.3e} (linear)"
-    return (rep.decreasing and rep.final_over_initial <= 0.5,
+def _continuity(scenario, report, omega, sizes=(1e-1, 1e-2)):
+    """Continuity reports of ``eta + size * xi / |xi|`` and whether all hold."""
+    config = scenario.config
+    unit = scale_segment_to_norm(scenario.direction, config.beta, 1.0)
+    reps = [sensitivity.continuity_check(
+        scenario.coefficients, report,
+        scenario.eta.with_values(scenario.eta.values + size * unit.values),
+        omega) for size in sizes]
+    return reps, all(rep.pointwise_ok and rep.full_ok for rep in reps)
+
+
+def _differentiability(scenario, report, omega, eps_ladder=(1e-1, 1e-2, 1e-3)):
+    """Remainder ladder along the scenario direction, with its verdict and
+    detail: at noise level for the linear family, else shrinking to at most
+    half its first value."""
+    rep = sensitivity.differentiability_check(
+        scenario.coefficients, report, scenario.direction, omega,
+        eps_ladder=eps_ladder)
+    if scenario.coefficients.family == "linear_delay":
+        return rep, rep.max_rho <= 1e-5, f"max rho {rep.max_rho:.3e} (linear)"
+    return (rep, rep.decreasing and rep.final_over_initial <= 0.5,
             f"ratio {rep.final_over_initial:.4f}")
 
 
-def cmd_solve(args, scenario, out, say):
-    omega, report = _solve_scenario(scenario)
+def _counterexample_rows(beta, p, ns):
+    """Rows ``(n, partition sum, lower bound)`` of the p-variation growth of
+    ``|t|^beta``, and whether every sum meets its bound and the sums grow."""
+    rows = [(n, paths.counterexample_growth(beta, p, n),
+             n ** ((1.0 - beta * p) / p)) for n in ns]
+    ok = all(v >= b * (1.0 - 1e-12) for _, v, b in rows)
+    ok = ok and all(b[1] > a[1] for a, b in zip(rows, rows[1:]))
+    return rows, ok
+
+
+def _write_solution(report, out):
     with open(os.path.join(out, "solution.csv"), "w") as f:
         paths.write_csv(report.solution, f)
     with open(os.path.join(out, "partition.csv"), "w") as f:
         write_table(partition_rows(report.partition), ["t_i", "residual"], f)
+
+
+def cmd_solve(args, scenario, out, say):
+    omega, report = _solve_scenario(scenario)
+    _write_solution(report, out)
     bound = None
     if report.partition.C > 0:
         bound = solver.stopping_count_bound(omega, scenario.config,
@@ -284,17 +312,13 @@ def cmd_converge(args, scenario, out, say):
     target = 0.5 * float(omega_fine.values[-1, 0] ** 2
                          - omega_fine.values[0, 0] ** 2)
     rows = []
-    prev_err = None
-    decreasing = True
     for lev in range(levels):
         om = omega_fine.subsample(2 ** (levels - 1 - lev))
         val = float(young.young_integral(om, om)[0])
         err = abs(val - target)
         rel = err / abs(target) if target != 0 else math.inf
         rows.append((om.mesh, val, err, rel))
-        if prev_err is not None and err > prev_err:
-            decreasing = False
-        prev_err = err
+    decreasing = not any(b[2] > a[2] for a, b in zip(rows, rows[1:]))
     with open(os.path.join(out, "converge.csv"), "w") as f:
         write_table(rows, ["mesh", "integral", "abs_error", "rel_error"], f)
     final_rel = rows[-1][3]
@@ -305,28 +329,18 @@ def cmd_converge(args, scenario, out, say):
 
 
 def cmd_sensitivity(args, scenario, out, say):
-    omega = drivers.gen_driver(scenario.driver)
-    coeffs, config = scenario.coefficients, scenario.config
-    perts = [float(p) for p in (args.pert or [1e-1, 1e-2])]
-    unit = scale_segment_to_norm(scenario.direction, config.beta, 1.0)
-    continuity = {}
-    cont_ok = True
-    for size in perts:
-        eta2 = scenario.eta.with_values(
-            scenario.eta.values + size * unit.values)
-        rep = sensitivity.continuity_check(coeffs, scenario.eta, eta2,
-                                           omega, config)
-        continuity[f"{size:.17g}"] = {
+    omega, report = _solve_scenario(scenario)
+    sizes = args.pert or (1e-1, 1e-2)
+    reps, cont_ok = _continuity(scenario, report, omega, sizes)
+    continuity = {
+        f"{size:.17g}": {
             "eta_gap": rep.eta_gap, "N_T": rep.N_T, "C": rep.C,
             "pointwise_ok": rep.pointwise_ok,
             "pointwise_min_margin": rep.pointwise_min_margin,
             "full_ok": rep.full_ok, "full_margin": rep.full_margin,
-        }
-        cont_ok = cont_ok and rep.pointwise_ok and rep.full_ok
-    ladder = [float(e) for e in (args.eps or [1e-1, 1e-2, 1e-3])]
-    diff = sensitivity.differentiability_check(
-        coeffs, scenario.eta, scenario.direction, omega, config,
-        eps_ladder=ladder)
+        } for size, rep in zip(sizes, reps)}
+    diff, diff_ok, _ = _differentiability(scenario, report, omega,
+                                          args.eps or (1e-1, 1e-2, 1e-3))
     with open(os.path.join(out, "differentiability.csv"), "w") as f:
         write_table(diff.table, ["eps", "rho"], f)
     verdict = {
@@ -338,7 +352,6 @@ def cmd_sensitivity(args, scenario, out, say):
         },
     }
     write_json_file(verdict, os.path.join(out, "sensitivity.json"))
-    diff_ok, _ = _differentiability_verdict(diff, coeffs.family)
     say(f"sensitivity: continuity {'ok' if cont_ok else 'FAILED'}, "
         f"rho ladder {'ok' if diff_ok else 'FAILED'} "
         f"(ratio {diff.final_over_initial:.3g})")
@@ -346,18 +359,10 @@ def cmd_sensitivity(args, scenario, out, say):
 
 
 def cmd_counterexample(args, scenario, out, say):
-    beta, p = float(args.beta), float(args.p)
-    ns = [int(n) for n in (args.n or [100, 1000, 10000])]
-    rows = []
-    for n in ns:
-        value = paths.counterexample_growth(beta, p, n)
-        bound = n ** ((1.0 - beta * p) / p)
-        rows.append((n, value, bound))
+    rows, ok = _counterexample_rows(args.beta, args.p,
+                                    args.n or (100, 1000, 10000))
     with open(os.path.join(out, "counterexample.csv"), "w") as f:
         write_table(rows, ["n", "partition_sum", "lower_bound"], f)
-    ok = all(v >= b * (1.0 - 1e-12) for _, v, b in rows)
-    if len(rows) > 1:
-        ok = ok and all(rows[i + 1][1] > rows[i][1] for i in range(len(rows) - 1))
     for n, v, b in rows:
         say(f"n={n}: partition sum {v:.6g} >= lower bound {b:.6g}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -446,30 +451,20 @@ def _verify_checks(scenario):
     run("growth", chk_growth)
 
     def chk_uniqueness():
-        rep = solver.uniqueness_probe(coeffs, scenario.eta, omega, config)
+        rep = solver.uniqueness_probe(coeffs, report, omega)
         return rep.passed, f"max pairwise {rep.max_pairwise:.3e}"
 
     run("uniqueness", chk_uniqueness)
 
     def chk_continuity():
-        unit = scale_segment_to_norm(scenario.direction, config.beta, 1.0)
-        ok = True
-        margins = []
-        for size in (1e-1, 1e-2):
-            eta2 = scenario.eta.with_values(scenario.eta.values
-                                            + size * unit.values)
-            rep = sensitivity.continuity_check(coeffs, scenario.eta, eta2,
-                                               omega, config)
-            ok = ok and rep.pointwise_ok and rep.full_ok
-            margins.append(rep.pointwise_min_margin)
-        return ok, f"min margins {[f'{m:.2f}' for m in margins]}"
+        reps, ok = _continuity(scenario, report, omega)
+        return ok, ("min margins "
+                    f"{[f'{rep.pointwise_min_margin:.2f}' for rep in reps]}")
 
     run("continuity", chk_continuity)
 
     def chk_differentiability():
-        rep = sensitivity.differentiability_check(
-            coeffs, scenario.eta, scenario.direction, omega, config)
-        return _differentiability_verdict(rep, coeffs.family)
+        return _differentiability(scenario, report, omega)[1:]
 
     run("differentiability", chk_differentiability)
 
@@ -516,11 +511,8 @@ def _verify_checks(scenario):
     run("estimates", chk_estimates)
 
     def chk_counterexample():
-        vals = [paths.counterexample_growth(0.4, 2.0, n) for n in (100, 1000)]
-        bounds = [n ** 0.1 for n in (100, 1000)]
-        ok = all(v >= b * (1 - 1e-12) for v, b in zip(vals, bounds))
-        ok = ok and vals[1] > vals[0]
-        return ok, f"values {[f'{v:.4f}' for v in vals]}"
+        rows, ok = _counterexample_rows(0.4, 2.0, (100, 1000))
+        return ok, f"values {[f'{v:.4f}' for _, v, _ in rows]}"
 
     run("counterexample", chk_counterexample)
     return report, results, tables
@@ -531,10 +523,7 @@ def cmd_verify(args, scenario, out, say):
     all_ok = all(ok for _, ok, _ in results)
     for name, ok, detail in results:
         say(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    with open(os.path.join(out, "solution.csv"), "w") as f:
-        paths.write_csv(report.solution, f)
-    with open(os.path.join(out, "partition.csv"), "w") as f:
-        write_table(partition_rows(report.partition), ["t_i", "residual"], f)
+    _write_solution(report, out)
     for name, header, rows in tables:
         with open(os.path.join(out, name + ".csv"), "w") as f:
             write_table(rows, header, f)
@@ -652,15 +641,10 @@ def main(argv=None):
     say = (lambda *a: None) if args.quiet else (lambda *a: print(*a))
     try:
         os.makedirs(out, exist_ok=True)
-        scenario = None
-        if args.command in _NEEDS_SCENARIO:
-            if not args.scenario:
-                raise DomainError(f"{args.command} requires --scenario FILE")
-            scenario = load_scenario(args.scenario, seed=args.seed,
-                                     mesh=args.mesh)
-        elif args.scenario:
-            scenario = load_scenario(args.scenario, seed=args.seed,
-                                     mesh=args.mesh)
+        if args.command in _NEEDS_SCENARIO and not args.scenario:
+            raise DomainError(f"{args.command} requires --scenario FILE")
+        scenario = (load_scenario(args.scenario, seed=args.seed, mesh=args.mesh)
+                    if args.scenario else None)
         return _COMMANDS[args.command](args, scenario, out, say)
     except (DomainError, OSError, KeyError, json.JSONDecodeError,
             ConvergenceError, GenerationError) as exc:

@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .paths import (GridPath, Segment, holder_norm, segment_norm,
+from .paths import (GridPath, Segment, holder_norm, segment, segment_norm,
                     segment_norm_profile)
-from .solver import (_solve_grid, _WindowedPicard,
+from .solver import (_gronwall_conclusion, _solve_grid, _WindowedPicard,
                      compute_contraction_constants, greedy_partition,
                      picard_solve, trivial_partition)
 
@@ -99,22 +99,24 @@ class ContinuityReport:
     full_constant: float      # 1 + T/r
 
 
-def continuity_check(coeffs, eta1, eta2, omega, config):
-    """Check ``|x_t(eta2) - x_t(eta1)| <= (1-2mu)^-(N(t)+1) |eta2 - eta1|``
-    at every grid t, plus the full-interval form with constant 1 + T/r."""
-    gap_seg = eta1.with_values(eta2.values - eta1.values)
-    eta_gap = segment_norm(gap_seg, config.beta)
+def continuity_check(coeffs, base, eta2, omega):
+    """Check ``|x_t(eta2) - x_t(eta)| <= (1-2mu)^-(N(t)+1) |eta2 - eta|``
+    at every grid t, plus the full-interval form with constant 1 + T/r.
+
+    ``base`` is the :class:`SolveReport` of the solve from ``eta``; only
+    ``eta2`` is solved here.
+    """
+    config = base.config
+    x1 = base.solution
+    eta1 = segment(x1, 0.0, config.r)
+    eta_gap = segment_norm(eta1.with_values(eta2.values - eta1.values),
+                           config.beta)
     if eta_gap > 1.0 + 1e-12:
         raise DomainError("continuity estimate needs |eta2 - eta1| <= 1")
-    rep1 = picard_solve(coeffs, eta1, omega, config)
-    rep2 = picard_solve(coeffs, eta2, omega, config)
-    x1, x2 = rep1.solution, rep2.solution
+    x2 = picard_solve(coeffs, eta2, omega, config).solution
     M = max(holder_norm(x1, config.beta), holder_norm(x2, config.beta))
-    if coeffs.is_zero():
-        C = 0.0
-    else:
-        constants = compute_contraction_constants(coeffs, config)
-        C = constants.L(config.T, M)
+    C = (0.0 if coeffs.is_zero()
+         else compute_contraction_constants(coeffs, config).L(config.T, M))
     if C <= 0.0:
         # difference dynamics are inert (L_f = L_g = 0): the difference
         # path is constant past 0 and the single full window suffices
@@ -124,15 +126,12 @@ def continuity_check(coeffs, eta1, eta2, omega, config):
             raise DomainError(f"need mu < min(1/2, L(T, M)) = {min(0.5, C)!r}")
         partition = greedy_partition(omega, config, C)
 
+    # the Gronwall-type conclusion with A = 0 and z = x2 - x1
     diff = GridPath(x1.t0, x1.mesh, x2.values - x1.values)
-    ts, profile = segment_norm_profile(diff, config.beta, config.r,
-                                       (0.0, config.T))
-    log_factor = -math.log(1.0 - 2.0 * config.mu)
-    rhs = np.exp((partition.n_profile(ts) + 1) * log_factor) * eta_gap
+    pointwise_ok, pointwise_margin = _gronwall_conclusion(diff, 0.0, partition,
+                                                          config)
     scale = max(eta_gap, 1e-300)
-    pointwise_ok = bool(np.all(profile <= rhs + 1e-12 * scale))
-    margins = np.log(np.maximum(rhs, 1e-300)) - np.log(np.maximum(profile, 1e-300))
-
+    log_factor = -math.log(1.0 - 2.0 * config.mu)
     full_constant = 1.0 + config.T / config.r
     lhs_full = holder_norm(diff, config.beta)
     n_T = partition.n_at(config.T)
@@ -140,7 +139,7 @@ def continuity_check(coeffs, eta1, eta2, omega, config):
     return ContinuityReport(
         eta_gap=eta_gap, C=C, M=M, N_T=n_T,
         pointwise_ok=pointwise_ok,
-        pointwise_min_margin=float(margins.min()),
+        pointwise_min_margin=pointwise_margin,
         full_ok=lhs_full <= rhs_full + 1e-12 * scale,
         full_margin=float(np.log(max(rhs_full, 1e-300))
                           - np.log(max(lhs_full, 1e-300))),
@@ -157,29 +156,32 @@ class DifferentiabilityReport:
     max_rho: float
 
 
-def differentiability_check(coeffs, eta, direction, omega, config,
+def differentiability_check(coeffs, base, direction, omega,
                             eps_ladder=(1e-1, 1e-2, 1e-3)):
     """Remainder table rho(eps) = sup_t |x_t(eta + eps xi) - x_t(eta) - eps y_t| / eps.
 
-    The ladder must start at the 1e-1 scale and decrease; for C^1
-    coefficients rho vanishes with eps (superlinear remainder), and for
-    linear coefficients it sits at quadrature/fixed-point noise level.
+    ``base`` is the :class:`SolveReport` of the solve from ``eta``; only the
+    ladder and the linearized equation are solved here.  The ladder must
+    start at the 1e-1 scale and decrease; for C^1 coefficients rho vanishes
+    with eps (superlinear remainder), and for linear coefficients it sits at
+    quadrature/fixed-point noise level.
     """
     eps_ladder = tuple(float(e) for e in eps_ladder)
     if not eps_ladder or any(e <= 0 for e in eps_ladder):
         raise DomainError("eps ladder must be positive")
     if not all(b < a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise DomainError("eps ladder must be strictly decreasing")
-    base = picard_solve(coeffs, eta, omega, config).solution
+    config = base.config
+    x = base.solution
+    eta = segment(x, 0.0, config.r)
     y = linearized_solve(LinearizedProblem(
-        coeffs=coeffs, base_solution=base, direction=direction,
+        coeffs=coeffs, base_solution=x, direction=direction,
         omega=omega, config=config))
     rows = []
     for eps in eps_ladder:
         eta_eps = eta.with_values(eta.values + eps * direction.values)
         x_eps = picard_solve(coeffs, eta_eps, omega, config).solution
-        z = GridPath(base.t0, base.mesh,
-                     x_eps.values - base.values - eps * y.values)
+        z = GridPath(x.t0, x.mesh, x_eps.values - x.values - eps * y.values)
         _, profile = segment_norm_profile(z, config.beta, config.r,
                                           (0.0, config.T))
         rows.append((eps, float(profile.max()) / eps))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -181,7 +182,10 @@ def greedy_partition(omega, config, C):
     threshold, so the defining equality holds as a one-sided inequality with
     the reported residual; the final window is clamped at the horizon.  The
     residual grows with the window end: one pass over the pair scan's row
-    maxima (their running max is the driver seminorm) finds each end.
+    maxima (their running max is the driver seminorm) finds each end.  The
+    residual is at least ``(j*h)^(1-beta)`` for a window of j cells, so the
+    scan never looks past ``j_cap``, the first j where that term alone
+    exceeds the threshold.
     """
     if C <= 0.0:
         raise DomainError("greedy partition needs C > 0")
@@ -193,13 +197,17 @@ def greedy_partition(omega, config, C):
     h = omega.mesh
     vals = omega.values[:, 0]
     beta, nu = config.beta, config.nu
+    j_cap = max(0, int(threshold ** (1.0 / (1.0 - beta)) / h) - 1)
+    while (j_cap * h) ** (1.0 - beta) <= threshold:
+        j_cap += 1
 
     cuts = [i0]
     residuals = []
     clamped = False
     while cuts[-1] < i_end:
         ia = cuts[-1]
-        row_maxima = (row for _, ratio in _pair_blocks(vals[ia:i_end + 1], h, nu)
+        scan = vals[ia:min(i_end, ia + j_cap) + 1]
+        row_maxima = (row for _, ratio in _pair_blocks(scan, h, nu)
                       for row in ratio.max(axis=1).tolist())
         om, w = 0.0, 0
         for j, row in enumerate(row_maxima, 1):
@@ -536,20 +544,25 @@ class ProbeReport:
     passed: bool
 
 
-def uniqueness_probe(coeffs, eta, omega, config, n_inits=3):
+def uniqueness_probe(coeffs, base, omega, n_inits=3):
     """Re-solve from distinct initial iterates; all runs must agree within
-    ``10 * picard_tol`` in the grid Holder norm."""
+    ``10 * picard_tol`` in the grid Holder norm.
+
+    ``base`` is the :class:`SolveReport` of :func:`picard_solve` with its
+    default (constant) init; only the other inits are solved here, from the
+    base's segment on ``[-r, 0]``.
+    """
     if not 2 <= n_inits <= len(_INIT_KINDS):
         raise DomainError(f"n_inits must be in [2, {len(_INIT_KINDS)}]")
+    config = base.config
+    eta = segment(base.solution, 0.0, config.r)
     kinds = _INIT_KINDS[:n_inits]
-    solutions = [picard_solve(coeffs, eta, omega, config, init=k).solution
-                 for k in kinds]
-    worst = 0.0
-    for i in range(len(solutions)):
-        for j in range(i + 1, len(solutions)):
-            diff = GridPath(solutions[i].t0, solutions[i].mesh,
-                            solutions[i].values - solutions[j].values)
-            worst = max(worst, holder_norm(diff, config.beta))
+    solutions = [base.solution] + [
+        picard_solve(coeffs, eta, omega, config, init=k).solution
+        for k in kinds[1:]]
+    worst = max(holder_norm(GridPath(a.t0, a.mesh, a.values - b.values),
+                            config.beta)
+                for a, b in combinations(solutions, 2))
     tol = 10.0 * config.picard_tol
     return ProbeReport(init_kinds=kinds, max_pairwise=worst,
                        tolerance=tol, passed=worst <= tol)
@@ -557,14 +570,6 @@ def uniqueness_probe(coeffs, eta, omega, config, n_inits=3):
 
 # ---------------------------------------------------------------------------
 # Bound checkers.
-
-def _log_margin(rhs, lhs):
-    if lhs <= 0.0:
-        return math.inf
-    if rhs <= 0.0:
-        return -math.inf
-    return math.log(rhs) - math.log(lhs)
-
 
 @dataclass(frozen=True)
 class GrowthReport:
@@ -641,7 +646,16 @@ def gronwall_check(z, A, C, omega, config, n_window_samples=50, seed=0):
         return GronwallReport(hypothesis_ok=False, hypothesis_worst_ratio=worst,
                               conclusion_ok=None, conclusion_min_margin=None,
                               message="hypothesis not satisfied on sampled windows")
-    partition = greedy_partition(omega, config, C)
+    ok, margin = _gronwall_conclusion(z, A, greedy_partition(omega, config, C),
+                                      config)
+    return GronwallReport(hypothesis_ok=True, hypothesis_worst_ratio=worst,
+                          conclusion_ok=ok, conclusion_min_margin=margin,
+                          message="ok" if ok else "conclusion violated")
+
+
+def _gronwall_conclusion(z, A, partition, config):
+    """``(ok, min log-margin)`` of ``|z_t| <= (1-2mu)^-(N(t)+1) (A / mu +
+    |z_0|)`` at every grid t of ``[0, T]``, N counted on ``partition``."""
     ts, profile = segment_norm_profile(z, config.beta, config.r, (0.0, config.T))
     z0 = segment_norm(segment(z, 0.0, config.r), config.beta)
     log_factor = -math.log(1.0 - 2.0 * config.mu)
@@ -649,7 +663,4 @@ def gronwall_check(z, A, C, omega, config, n_window_samples=50, seed=0):
     scale = max(z0, A / config.mu, 1e-300)
     ok = bool(np.all(profile <= rhs + 1e-12 * scale))
     margins = np.log(np.maximum(rhs, 1e-300)) - np.log(np.maximum(profile, 1e-300))
-    return GronwallReport(hypothesis_ok=True, hypothesis_worst_ratio=worst,
-                          conclusion_ok=ok,
-                          conclusion_min_margin=float(margins.min()),
-                          message="ok" if ok else "conclusion violated")
+    return ok, float(margins.min())

@@ -129,7 +129,8 @@ def test_criterion_4_uniqueness_probe():
     eta = make_eta()
     worst = 0.0
     for seed in range(100, 110):
-        probe = uniqueness_probe(co, eta, fbm(seed), cfg)
+        omega = fbm(seed)
+        probe = uniqueness_probe(co, picard_solve(co, eta, omega, cfg), omega)
         assert probe.passed, f"seed {seed}"
         worst = max(worst, probe.max_pairwise)
     report(4, worst <= 10 * cfg.picard_tol,
@@ -190,9 +191,10 @@ def test_criterion_7_continuity():
     worst_margin = math.inf
     for name, co in BUILTINS.items():
         omega = fbm(seeds[name])
+        base = picard_solve(co, eta, omega, cfg)
         for size in (1e-1, 1e-2):
             eta2 = eta.with_values(eta.values + size)
-            rep = continuity_check(co, eta, eta2, omega, cfg)
+            rep = continuity_check(co, base, eta2, omega)
             assert rep.eta_gap == pytest.approx(size, rel=1e-12)
             assert rep.pointwise_ok, (name, size)
             assert rep.full_ok, (name, size)
@@ -206,17 +208,20 @@ def test_criterion_7_continuity():
 def test_criterion_8_differentiability():
     cfg = SolverConfig(beta=0.55, nu=0.7, mesh=MESH, T=1.0, r=0.25)
     eta, xi = make_eta(), make_direction()
-    rep = differentiability_check(BUILTINS["sin_fbm"], eta, xi, fbm(7), cfg)
+    def check(name, seed):
+        omega = fbm(seed)
+        base = picard_solve(BUILTINS[name], eta, omega, cfg)
+        return differentiability_check(BUILTINS[name], base, xi, omega)
+
+    rep = check("sin_fbm", 7)
     ratio = rep.final_over_initial
     ok_sin = rep.decreasing and ratio <= 0.5
 
     # the other nonlinear-g scenario shows the same vanishing remainder
-    rep_log = differentiability_check(BUILTINS["logistic_fbm"], eta, xi,
-                                      fbm(13), cfg)
+    rep_log = check("logistic_fbm", 13)
     ok_log = rep_log.decreasing and rep_log.final_over_initial <= 0.5
 
-    rep_lin = differentiability_check(BUILTINS["linear_fbm"], eta, xi,
-                                      fbm(11), cfg)
+    rep_lin = check("linear_fbm", 11)
     quadrature_budget = 1e-6     # linear remainder sits at solver noise level
     ok_lin = rep_lin.max_rho <= 10 * quadrature_budget
     report(8, ok_sin and ok_log and ok_lin,

@@ -82,6 +82,24 @@ class TestVerify:
               "--quiet"])
         assert capsys.readouterr().out == ""
 
+    def test_full_verify_solves_each_scenario_once(self, tmp_path,
+                                                   monkeypatch):
+        # base 1, uniqueness 2 more inits, continuity 2 sizes, ladder 3
+        calls = []
+        picard_solve = ydde.solver.picard_solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return picard_solve(*args, **kwargs)
+
+        monkeypatch.setattr(ydde.solver, "picard_solve", counting)
+        monkeypatch.setattr(ydde.sensitivity, "picard_solve", counting)
+        sc = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                          "scenarios", "sin_fbm.json")
+        assert main(["verify", "--scenario", sc, "--out",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_OK
+        assert len(calls) == 8
+
 
 class TestSolve:
     def test_artifacts_and_row_count(self, tmp_path):

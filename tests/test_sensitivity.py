@@ -5,14 +5,100 @@ import pytest
 
 from ydde.coefficients import make_builtin
 from ydde.errors import DomainError
-from ydde.sensitivity import (LinearizedProblem, continuity_check,
+from ydde.paths import (GridPath, holder_norm, segment_norm,
+                        segment_norm_profile)
+from ydde.sensitivity import (ContinuityReport, DifferentiabilityReport,
+                              LinearizedProblem, continuity_check,
                               differentiability_check, linearized_solve)
-from ydde.solver import picard_solve
+from ydde.solver import (compute_contraction_constants, greedy_partition,
+                         picard_solve, trivial_partition)
+
+
+def base_report(sc):
+    return picard_solve(sc["coeffs"], sc["eta"], sc["omega"], sc["config"])
 
 
 def base_solution(sc):
-    return picard_solve(sc["coeffs"], sc["eta"], sc["omega"],
-                        sc["config"]).solution
+    return base_report(sc).solution
+
+
+def two_solve_continuity_check(coeffs, eta1, eta2, omega, config):
+    """The former continuity check, kept as an oracle: it solves both
+    initial segments itself."""
+    gap_seg = eta1.with_values(eta2.values - eta1.values)
+    eta_gap = segment_norm(gap_seg, config.beta)
+    if eta_gap > 1.0 + 1e-12:
+        raise DomainError("continuity estimate needs |eta2 - eta1| <= 1")
+    rep1 = picard_solve(coeffs, eta1, omega, config)
+    rep2 = picard_solve(coeffs, eta2, omega, config)
+    x1, x2 = rep1.solution, rep2.solution
+    M = max(holder_norm(x1, config.beta), holder_norm(x2, config.beta))
+    if coeffs.is_zero():
+        C = 0.0
+    else:
+        constants = compute_contraction_constants(coeffs, config)
+        C = constants.L(config.T, M)
+    if C <= 0.0:
+        partition = trivial_partition(config)
+    else:
+        if not config.mu < min(0.5, C):
+            raise DomainError(f"need mu < min(1/2, L(T, M)) = {min(0.5, C)!r}")
+        partition = greedy_partition(omega, config, C)
+
+    diff = GridPath(x1.t0, x1.mesh, x2.values - x1.values)
+    ts, profile = segment_norm_profile(diff, config.beta, config.r,
+                                       (0.0, config.T))
+    log_factor = -math.log(1.0 - 2.0 * config.mu)
+    rhs = np.exp((partition.n_profile(ts) + 1) * log_factor) * eta_gap
+    scale = max(eta_gap, 1e-300)
+    pointwise_ok = bool(np.all(profile <= rhs + 1e-12 * scale))
+    margins = np.log(np.maximum(rhs, 1e-300)) - np.log(np.maximum(profile, 1e-300))
+
+    full_constant = 1.0 + config.T / config.r
+    lhs_full = holder_norm(diff, config.beta)
+    n_T = partition.n_at(config.T)
+    rhs_full = full_constant * math.exp((n_T + 1) * log_factor) * eta_gap
+    return ContinuityReport(
+        eta_gap=eta_gap, C=C, M=M, N_T=n_T,
+        pointwise_ok=pointwise_ok,
+        pointwise_min_margin=float(margins.min()),
+        full_ok=lhs_full <= rhs_full + 1e-12 * scale,
+        full_margin=float(np.log(max(rhs_full, 1e-300))
+                          - np.log(max(lhs_full, 1e-300))),
+        full_constant=full_constant)
+
+
+def resolving_differentiability_check(coeffs, eta, direction, omega, config,
+                                      eps_ladder=(1e-1, 1e-2, 1e-3)):
+    """The former differentiability check, kept as an oracle: it solves the
+    base from ``eta`` itself."""
+    base = picard_solve(coeffs, eta, omega, config).solution
+    y = linearized_solve(LinearizedProblem(
+        coeffs=coeffs, base_solution=base, direction=direction,
+        omega=omega, config=config))
+    rows = []
+    for eps in eps_ladder:
+        eta_eps = eta.with_values(eta.values + eps * direction.values)
+        x_eps = picard_solve(coeffs, eta_eps, omega, config).solution
+        z = GridPath(base.t0, base.mesh,
+                     x_eps.values - base.values - eps * y.values)
+        _, profile = segment_norm_profile(z, config.beta, config.r,
+                                          (0.0, config.T))
+        rows.append((eps, float(profile.max()) / eps))
+    rhos = [r for _, r in rows]
+    decreasing = all(b <= a * 1.1 + 1e-14 for a, b in zip(rhos, rhos[1:]))
+    ratio = rhos[-1] / rhos[0] if rhos[0] > 0 else 0.0
+    return DifferentiabilityReport(table=tuple(rows), decreasing=decreasing,
+                                   final_over_initial=ratio,
+                                   max_rho=max(rhos))
+
+
+def scenario(request, name):
+    """The named session fixture, or the sin_fbm one with zero coefficients."""
+    if name == "zero_coeffs":
+        return dict(request.getfixturevalue("workhorse"),
+                    coeffs=make_builtin("linear_delay"))
+    return request.getfixturevalue(name)
 
 
 def problem(sc, base, direction):
@@ -82,17 +168,15 @@ class TestLinearizedSolve:
 
 class TestContinuityCheck:
     def test_identical_segments_zero_gap(self, workhorse):
-        rep = continuity_check(workhorse["coeffs"], workhorse["eta"],
-                               workhorse["eta"], workhorse["omega"],
-                               workhorse["config"])
+        rep = continuity_check(workhorse["coeffs"], base_report(workhorse),
+                               workhorse["eta"], workhorse["omega"])
         assert rep.eta_gap == 0.0
         assert rep.pointwise_ok and rep.full_ok
 
     def test_linear_small_perturbation(self, linear_scenario):
         sc = linear_scenario
         eta2 = sc["eta"].with_values(sc["eta"].values + 0.01)
-        rep = continuity_check(sc["coeffs"], sc["eta"], eta2, sc["omega"],
-                               sc["config"])
+        rep = continuity_check(sc["coeffs"], base_report(sc), eta2, sc["omega"])
         assert rep.pointwise_ok and rep.full_ok
         assert rep.pointwise_min_margin > 0
         assert rep.full_constant == pytest.approx(1.0 + 1.0 / 0.25)
@@ -100,31 +184,47 @@ class TestContinuityCheck:
     def test_zero_coefficients_factor_dominates(self, workhorse):
         co = make_builtin("linear_delay")
         eta2 = workhorse["eta"].with_values(workhorse["eta"].values + 0.01)
-        rep = continuity_check(co, workhorse["eta"], eta2, workhorse["omega"],
-                               workhorse["config"])
+        base = picard_solve(co, workhorse["eta"], workhorse["omega"],
+                            workhorse["config"])
+        rep = continuity_check(co, base, eta2, workhorse["omega"])
         assert rep.C == 0.0 and rep.N_T == 0
         assert rep.pointwise_ok and rep.full_ok
 
     def test_sin_fbm_both_sizes(self, workhorse):
+        base = base_report(workhorse)
         for size in (1e-1, 1e-2):
             eta2 = workhorse["eta"].with_values(workhorse["eta"].values + size)
-            rep = continuity_check(workhorse["coeffs"], workhorse["eta"], eta2,
-                                   workhorse["omega"], workhorse["config"])
+            rep = continuity_check(workhorse["coeffs"], base, eta2,
+                                   workhorse["omega"])
             assert rep.eta_gap == pytest.approx(size, rel=1e-12)
             assert rep.pointwise_ok and rep.full_ok
 
     def test_vicinity_precondition(self, workhorse):
         eta2 = workhorse["eta"].with_values(workhorse["eta"].values + 2.0)
         with pytest.raises(DomainError, match="<= 1"):
-            continuity_check(workhorse["coeffs"], workhorse["eta"], eta2,
-                             workhorse["omega"], workhorse["config"])
+            continuity_check(workhorse["coeffs"], base_report(workhorse), eta2,
+                             workhorse["omega"])
+
+    @pytest.mark.parametrize("name", ["workhorse", "linear_scenario",
+                                      "zero_coeffs"])
+    @pytest.mark.parametrize("size", [0.0, 1e-2, 1e-1])
+    def test_matches_two_solve_check(self, request, name, size):
+        sc = scenario(request, name)
+        unit = sc["direction"].with_values(
+            sc["direction"].values
+            / segment_norm(sc["direction"], sc["config"].beta))
+        eta2 = sc["eta"].with_values(sc["eta"].values + size * unit.values)
+        got = continuity_check(sc["coeffs"], base_report(sc), eta2, sc["omega"])
+        want = two_solve_continuity_check(sc["coeffs"], sc["eta"], eta2,
+                                          sc["omega"], sc["config"])
+        assert got == want
 
 
 class TestDifferentiabilityCheck:
     def test_sin_fbm_ladder_decreases(self, workhorse):
         rep = differentiability_check(
-            workhorse["coeffs"], workhorse["eta"], workhorse["direction"],
-            workhorse["omega"], workhorse["config"])
+            workhorse["coeffs"], base_report(workhorse),
+            workhorse["direction"], workhorse["omega"])
         eps = [e for e, _ in rep.table]
         assert eps == [1e-1, 1e-2, 1e-3]
         assert rep.decreasing
@@ -132,26 +232,38 @@ class TestDifferentiabilityCheck:
 
     def test_linear_remainder_at_noise_floor(self, linear_scenario):
         sc = linear_scenario
-        rep = differentiability_check(sc["coeffs"], sc["eta"],
-                                      sc["direction"], sc["omega"],
-                                      sc["config"])
+        rep = differentiability_check(sc["coeffs"], base_report(sc),
+                                      sc["direction"], sc["omega"])
         assert rep.max_rho <= 1e-5
 
     def test_zero_direction(self, workhorse):
         zero = workhorse["direction"].with_values(
             np.zeros_like(workhorse["direction"].values))
         rep = differentiability_check(
-            workhorse["coeffs"], workhorse["eta"], zero, workhorse["omega"],
-            workhorse["config"], eps_ladder=(1e-1, 1e-2))
+            workhorse["coeffs"], base_report(workhorse), zero,
+            workhorse["omega"], eps_ladder=(1e-1, 1e-2))
         assert rep.max_rho == 0.0
         assert rep.final_over_initial == 0.0
 
     def test_ladder_validation(self, workhorse):
-        args = (workhorse["coeffs"], workhorse["eta"], workhorse["direction"],
-                workhorse["omega"], workhorse["config"])
+        args = (workhorse["coeffs"], base_report(workhorse),
+                workhorse["direction"], workhorse["omega"])
         with pytest.raises(DomainError):
             differentiability_check(*args, eps_ladder=())
         with pytest.raises(DomainError):
             differentiability_check(*args, eps_ladder=(1e-2, 1e-1))
         with pytest.raises(DomainError):
             differentiability_check(*args, eps_ladder=(1e-1, -1e-2))
+
+    @pytest.mark.parametrize("name", ["workhorse", "linear_scenario",
+                                      "zero_coeffs"])
+    def test_matches_resolving_check(self, request, name):
+        sc = scenario(request, name)
+        ladder = (1e-1, 3e-2, 1e-3)
+        got = differentiability_check(sc["coeffs"], base_report(sc),
+                                      sc["direction"], sc["omega"],
+                                      eps_ladder=ladder)
+        want = resolving_differentiability_check(
+            sc["coeffs"], sc["eta"], sc["direction"], sc["omega"],
+            sc["config"], eps_ladder=ladder)
+        assert got == want

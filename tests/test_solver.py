@@ -6,12 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MESH, rng
+from ydde import solver
 from ydde.coefficients import CoefficientSet, composition_path, make_builtin
 from ydde.drivers import DriverSpec, gen_deterministic, gen_fbm
 from ydde.errors import ConvergenceError, DomainError, PartitionError
 from ydde.paths import (GridPath, Segment, _pair_max, holder_norm,
                         holder_seminorm, segment)
-from ydde.solver import (GreedyPartition, SolverConfig, _left_sums, _solve_grid,
+from ydde.solver import (_INIT_KINDS, GreedyPartition, ProbeReport,
+                         SolverConfig, _left_sums, _solve_grid,
                          compute_contraction_constants, contraction_constants,
                          euler_solve, greedy_partition, gronwall_check,
                          growth_bound_check, map_F, picard_solve,
@@ -79,6 +81,27 @@ def gallop_partition(omega, config, C):
     return GreedyPartition(times=times, residuals=np.asarray(residuals),
                            threshold=threshold, C=C, mu=config.mu,
                            beta=beta, nu=nu, clamped_final=clamped)
+
+
+def j_cap(config, C):
+    """Smallest window length j with (j*h)^(1-beta) above mu / C."""
+    j = 1
+    while (j * config.mesh) ** (1.0 - config.beta) <= config.mu / C:
+        j += 1
+    return j
+
+
+# an fBm driver whose windows (j_cap = 15 cells) are far shorter than [0, T]
+CAP_BINDS = (gen_fbm(DriverSpec(kind="fbm", T=1.0, mesh=1 / 512, hurst=0.75,
+                                seed=3, amplitude=0.05)),
+             SolverConfig(beta=0.55, nu=0.7, mesh=1 / 512, T=1.0, r=0.25),
+             1.25)
+# mu / C = 0.9 at beta = 0.1: j_cap reaches past the horizon T = 0.5
+CAP_PAST_HORIZON = (gen_fbm(DriverSpec(kind="fbm", T=0.5, mesh=1 / 64,
+                                       hurst=0.75, seed=5, amplitude=0.5)),
+                    SolverConfig(beta=0.1, nu=0.7, mesh=1 / 64, T=0.5,
+                                 r=0.25, mu=0.45),
+                    0.5)
 
 
 @st.composite
@@ -213,6 +236,8 @@ class TestGreedyPartition:
     @example(case=(zero_omega(mesh=1 / 64),
                    SolverConfig(beta=0.5, nu=0.7, mesh=1 / 64, T=1.0, r=0.25),
                    1.0))
+    @example(case=CAP_BINDS)
+    @example(case=CAP_PAST_HORIZON)
     def test_matches_gallop_bisect_bitwise(self, case):
         omega, config, C = case
         try:
@@ -226,6 +251,27 @@ class TestGreedyPartition:
         assert got.times.tobytes() == want.times.tobytes()
         assert got.residuals.tobytes() == want.residuals.tobytes()
         assert got.clamped_final == want.clamped_final
+
+    @pytest.mark.parametrize("case", [CAP_BINDS, CAP_PAST_HORIZON, None])
+    def test_scan_stops_at_j_cap(self, monkeypatch, workhorse, case):
+        if case is None:
+            omega, config = workhorse["omega"], workhorse["config"]
+            C = compute_contraction_constants(workhorse["coeffs"], config).C
+        else:
+            omega, config, C = case
+        lengths = []
+
+        def recording(v, *args, **kwargs):
+            lengths.append(len(v))
+            return pair_blocks(v, *args, **kwargs)
+
+        pair_blocks = solver._pair_blocks
+        monkeypatch.setattr(solver, "_pair_blocks", recording)
+        part = greedy_partition(omega, config, C)
+        cap = j_cap(config, C)
+        assert len(lengths) == part.n_windows
+        assert max(lengths) == min(cap, config.n_horizon) + 1
+        assert (cap > config.n_horizon) == (case is CAP_PAST_HORIZON)
 
     def test_stopping_time_counter(self):
         cfg = SolverConfig(beta=0.55, nu=0.7, mesh=1 / 64, T=1.0, r=0.25)
@@ -596,27 +642,59 @@ class TestEulerSolve:
         assert min(orders) >= min(1.0, 0.55 + 0.7 - 1.0)
 
 
+def base_report(sc):
+    return picard_solve(sc["coeffs"], sc["eta"], sc["omega"], sc["config"])
+
+
+def all_init_probe(coeffs, eta, omega, config, n_inits=3):
+    """The former uniqueness probe, kept as an oracle: it solves every init,
+    the default one included."""
+    kinds = _INIT_KINDS[:n_inits]
+    solutions = [picard_solve(coeffs, eta, omega, config, init=k).solution
+                 for k in kinds]
+    worst = 0.0
+    for i in range(len(solutions)):
+        for j in range(i + 1, len(solutions)):
+            diff = GridPath(solutions[i].t0, solutions[i].mesh,
+                            solutions[i].values - solutions[j].values)
+            worst = max(worst, holder_norm(diff, config.beta))
+    tol = 10.0 * config.picard_tol
+    return ProbeReport(init_kinds=kinds, max_pairwise=worst,
+                       tolerance=tol, passed=worst <= tol)
+
+
 class TestUniquenessProbe:
     def test_zero_and_additive_exact(self, workhorse):
         for co in (make_builtin("linear_delay"),
                    make_builtin("linear_delay", A=0.0, B=0.0, Sigma=0.0,
                                 c=0.5)):
-            rep = uniqueness_probe(co, const_eta(), workhorse["omega"],
-                                   workhorse["config"])
+            base = picard_solve(co, const_eta(), workhorse["omega"],
+                                workhorse["config"])
+            rep = uniqueness_probe(co, base, workhorse["omega"])
             assert rep.passed
             assert rep.max_pairwise == 0.0
 
     def test_sin_fbm_inits_agree(self, workhorse):
-        rep = uniqueness_probe(workhorse["coeffs"], workhorse["eta"],
-                               workhorse["omega"], workhorse["config"])
+        rep = uniqueness_probe(workhorse["coeffs"], base_report(workhorse),
+                               workhorse["omega"])
         assert rep.passed
         assert rep.init_kinds == ("constant", "linear", "euler_perturbed")
         assert rep.max_pairwise <= rep.tolerance
 
     def test_init_count_validated(self, workhorse):
         with pytest.raises(DomainError):
-            uniqueness_probe(workhorse["coeffs"], workhorse["eta"],
-                             workhorse["omega"], workhorse["config"], n_inits=5)
+            uniqueness_probe(workhorse["coeffs"], base_report(workhorse),
+                             workhorse["omega"], n_inits=5)
+
+    @pytest.mark.parametrize("n_inits", [2, 3])
+    @pytest.mark.parametrize("name", ["workhorse", "linear_scenario"])
+    def test_matches_all_init_probe(self, request, name, n_inits):
+        sc = request.getfixturevalue(name)
+        got = uniqueness_probe(sc["coeffs"], base_report(sc), sc["omega"],
+                               n_inits)
+        want = all_init_probe(sc["coeffs"], sc["eta"], sc["omega"],
+                              sc["config"], n_inits)
+        assert got == want
 
 
 class TestGrowthBound:
