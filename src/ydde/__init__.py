@@ -7,10 +7,11 @@ windows with per-window Picard contraction, growth and Gronwall-type
 bounds, and sensitivity of the solution to its initial segment.
 """
 
-from .coefficients import (CoefficientSet, bounded_segment_sampler,
-                           coefficients_from_json, composition_holder,
-                           composition_holder_diff, composition_path,
-                           make_builtin, verify_regularity, zero_segment)
+from .coefficients import (CoefficientSet, accepts_stacks,
+                           bounded_segment_sampler, coefficients_from_json,
+                           composition_holder, composition_holder_diff,
+                           composition_path, make_builtin, verify_regularity,
+                           zero_segment)
 from .drivers import (RNG_ALGORITHM, DriverSpec, empirical_holder_exponent,
                       gen_deterministic, gen_driver, gen_fbm)
 from .errors import (ConvergenceError, DomainError, GenerationError,

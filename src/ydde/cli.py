@@ -554,6 +554,8 @@ def _ensemble_worker(raw_scenario, seed):
 
 
 def cmd_ensemble(args, scenario, out, say):
+    if int(args.seeds) < 1:
+        raise DomainError("ensemble needs --seeds >= 1")
     base_seed = int(scenario.driver.seed)
     seeds = [base_seed + k for k in range(int(args.seeds))]
     raw = json.dumps(scenario.raw)

@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .paths import (GridPath, Segment, _delay_segments, _snap_index,
-                    holder_norm, holder_seminorm, sup_norm)
+from .paths import (GridPath, Segment, SegmentView, _node_stack,
+                    _snap_index, holder_norm, holder_seminorm, sup_norm)
 
 _FAMILIES = ("linear_delay", "sin_delay", "scalar_logistic_bounded")
 
@@ -79,6 +79,74 @@ def _opnorm(mat):
     return float(np.linalg.norm(mat, 2))
 
 
+def _apply(mat, v):
+    """``mat @ v`` for each row vector v of ``v`` (one segment node, or one
+    node of a stack); the same product per row, so bitwise ``mat @ v``."""
+    return (mat @ v[..., None])[..., 0]
+
+
+def accepts_stacks(func):
+    """Declare that the functional ``func`` takes :class:`SegmentView`
+    arguments in place of Segments, stacks included, and returns one
+    ``(w, d)`` row per segment of a stack of w; :func:`node_values` then
+    calls it once per range of nodes instead of once per node.  Only mark a
+    functional written for both: on a stack, ``A @ seg.values[-1]`` forms a
+    matrix product silently."""
+    func.accepts_stacks = True
+    return func
+
+
+def _marked(func):
+    return getattr(func, "accepts_stacks", False)
+
+
+def node_values(funcs, arrays, ka, kb, delay, mesh):
+    """Each functional of ``funcs`` at the nodes k in ``[ka, kb)``, applied
+    to the delay segments of ``arrays`` cut at k (rows ``k - delay/mesh ..
+    k``): one ``(kb - ka, d)`` array per functional, d the width of
+    ``arrays[-1]``.  A functional marked by :func:`accepts_stacks` is called
+    once, on the stacks of these segments; any other once per node, on
+    Segments."""
+    m = _snap_index(delay, mesh, "delay")
+    shape = (kb - ka, arrays[-1].shape[1])
+    stacks = segs = None
+    out = []
+    for func in funcs:
+        if _marked(func):
+            if stacks is None:
+                stacks = [SegmentView(delay, mesh, _node_stack(a, ka, kb, m))
+                          for a in arrays]
+            vals = func(*stacks)
+            if np.shape(vals) != shape:
+                raise DomainError(f"a functional marked accepts_stacks gave "
+                                  f"shape {np.shape(vals)} for {shape[0]} "
+                                  f"segments of dimension {shape[1]}")
+        else:
+            if segs is None:
+                segs = [_segments_at(arrays, k, m, delay, mesh, False)
+                        for k in range(ka, kb)]
+            vals = np.empty(shape)
+            for i, node_segs in enumerate(segs):
+                vals[i] = func(*node_segs)
+        out.append(vals)
+    return out
+
+
+def _segments_at(arrays, k, m, delay, mesh, views):
+    """The delay segments of ``arrays`` cut at node k (rows ``k - m .. k``):
+    read-only views if ``views``, for functionals marked by
+    :func:`accepts_stacks` only, else Segments.  Cut when asked for, so a
+    sequential scheme (Euler) may fill row k just before."""
+    if not views:
+        return [Segment(delay, mesh, a[k - m:k + 1]) for a in arrays]
+    out = []
+    for a in arrays:
+        rows = a[k - m:k + 1]
+        rows.flags.writeable = False
+        out.append(SegmentView(delay, mesh, rows))
+    return out
+
+
 def make_builtin(family, **params):
     """Instantiate one of the built-in coefficient families.
 
@@ -87,6 +155,9 @@ def make_builtin(family, **params):
     scalar_logistic_bounded:  d=1, f(s) = a s(0) (1 - tanh(s(-r))),
                               g(s) = sigma sin(s(-r)) + c; the reported L_f
                               holds on the ball |s|_inf <= domain_bound.
+
+    Each functional is written once, valid on one segment and on a stack
+    of them, and marked :func:`accepts_stacks`.
     """
     if family == "linear_delay":
         dim = int(params.pop("dim", 1))
@@ -98,17 +169,22 @@ def make_builtin(family, **params):
         if params:
             raise DomainError(f"unknown linear_delay params {sorted(params)}")
 
+        @accepts_stacks
         def f(seg):
-            return A @ seg.values[-1] + B @ seg.values[0]
+            return _apply(A, seg.values[-1]) + _apply(B, seg.values[0])
 
+        @accepts_stacks
         def g(seg):
-            return Sigma @ seg.values[0] + c
+            return _apply(Sigma, seg.values[0]) + c
 
+        @accepts_stacks
         def Df(seg, direction):
-            return A @ direction.values[-1] + B @ direction.values[0]
+            return (_apply(A, direction.values[-1])
+                    + _apply(B, direction.values[0]))
 
+        @accepts_stacks
         def Dg(seg, direction):
-            return Sigma @ direction.values[0]
+            return _apply(Sigma, direction.values[0])
 
         return CoefficientSet(
             f=f, g=g, Df=Df, Dg=Dg,
@@ -128,15 +204,20 @@ def make_builtin(family, **params):
         if params:
             raise DomainError(f"unknown sin_delay params {sorted(params)}")
 
+        @accepts_stacks
         def f(seg):
-            return A @ seg.values[-1] + B @ seg.values[0]
+            return _apply(A, seg.values[-1]) + _apply(B, seg.values[0])
 
+        @accepts_stacks
         def g(seg):
             return sigma * np.sin(seg.values[0])
 
+        @accepts_stacks
         def Df(seg, direction):
-            return A @ direction.values[-1] + B @ direction.values[0]
+            return (_apply(A, direction.values[-1])
+                    + _apply(B, direction.values[0]))
 
+        @accepts_stacks
         def Dg(seg, direction):
             return sigma * np.cos(seg.values[0]) * direction.values[0]
 
@@ -159,19 +240,23 @@ def make_builtin(family, **params):
         if domain_bound <= 0:
             raise DomainError("domain_bound must be positive")
 
+        @accepts_stacks
         def f(seg):
             u, v = seg.values[-1], seg.values[0]
             return a * u * (1.0 - np.tanh(v))
 
+        @accepts_stacks
         def g(seg):
             return sigma * np.sin(seg.values[0]) + c
 
+        @accepts_stacks
         def Df(seg, direction):
             u, v = seg.values[-1], seg.values[0]
             du, dv = direction.values[-1], direction.values[0]
             sech2 = 1.0 / np.cosh(v) ** 2
             return a * (du * (1.0 - np.tanh(v)) - u * sech2 * dv)
 
+        @accepts_stacks
         def Dg(seg, direction):
             return sigma * np.cos(seg.values[0]) * direction.values[0]
 
@@ -211,14 +296,15 @@ def bounded_segment_sampler(r, mesh, dim, bound):
     """Random segments with sup-norm at most ``bound`` (low-order Fourier mix)."""
     n = int(round(r / mesh))
     u = np.linspace(0.0, 1.0, n + 1)
+    sin1, cos1, sin2 = (np.sin(math.pi * u), np.cos(math.pi * u),
+                        np.sin(2 * math.pi * u))
 
     def sample(rng):
         vals = np.zeros((n + 1, dim))
         for j in range(dim):
             coef = rng.standard_normal(5)
-            vals[:, j] = (coef[0]
-                          + coef[1] * np.sin(math.pi * u) + coef[2] * np.cos(math.pi * u)
-                          + coef[3] * np.sin(2 * math.pi * u) + coef[4] * u)
+            vals[:, j] = (coef[0] + coef[1] * sin1 + coef[2] * cos1
+                          + coef[3] * sin2 + coef[4] * u)
         peak = np.abs(vals).max()
         scale = bound * rng.uniform(0.05, 1.0) / max(peak, 1e-12)
         return Segment(r, mesh, scale * vals)
@@ -265,10 +351,11 @@ def verify_regularity(coeffs, sampler, M, trials, seed=0, n_directions=8):
             direction = sampler(rng)
             unit = direction.with_values(
                 direction.values / max(np.abs(direction.values).max(), 1e-12))
-            worst_db = max(worst_db, _ratio(
-                float(np.linalg.norm(coeffs.Dg(xi, unit))), coeffs.L_g))
+            dg_xi = coeffs.Dg(xi, unit)
+            worst_db = max(worst_db, _ratio(float(np.linalg.norm(dg_xi)),
+                                            coeffs.L_g))
             dir_gap = max(dir_gap, float(np.linalg.norm(
-                coeffs.Dg(xi, unit) - coeffs.Dg(eta, unit))))
+                dg_xi - coeffs.Dg(eta, unit))))
         worst_dh = max(worst_dh, _ratio(dir_gap, lm * gap ** coeffs.delta))
     passed = max(worst_f, worst_db, worst_dh) <= 1.0 + 1e-9
     return RegularityReport(worst_f, worst_db, worst_dh, trials, passed)
@@ -284,10 +371,7 @@ def composition_path(func, path, r, window=None):
         jb = path.index_of(window[1], "window end")
     if ja < mr:
         raise DomainError("composition window starts before t0 + r")
-    out = np.empty((jb - ja + 1, path.dim))
-    for i, (seg,) in enumerate(_delay_segments((path.values,), ja, jb + 1, r,
-                                               path.mesh)):
-        out[i] = func(seg)
+    out, = node_values((func,), (path.values,), ja, jb + 1, r, path.mesh)
     return GridPath(path.t0 + ja * path.mesh, path.mesh, out)
 
 

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -165,13 +166,33 @@ class Segment:
         return Segment(self.delay, self.mesh, values)
 
 
-def _delay_segments(arrays, ka, kb, delay, mesh):
-    """For each node k in ``[ka, kb)``, the delay segments cut at k (rows
-    ``k - delay/mesh .. k``) from each array of ``arrays``.  Segments are cut
-    when k is reached, so a caller may fill row k before node k."""
-    m = _snap_index(delay, mesh, "delay")
-    for k in range(ka, kb):
-        yield tuple(Segment(delay, mesh, a[k - m:k + 1]) for a in arrays)
+class SegmentView:
+    """Unchecked, read-only delay-segment data for the coefficient
+    functionals marked to take it (see :func:`ydde.coefficients.node_values`):
+    one segment, ``values`` of shape ``(m+1, d)`` as in :class:`Segment`, or a
+    node-major stack of w segments, shape ``(m+1, w, d)``, where
+    ``values[i]`` is node i of every segment, so ``values[0]`` and
+    ``values[-1]`` hold ``x(t - r)`` and ``x(t)`` at all w nodes at once.
+    The rows come from a validated grid, so nothing is checked or copied."""
+
+    __slots__ = ("delay", "mesh", "values")
+
+    def __init__(self, delay, mesh, values):
+        self.delay = delay
+        self.mesh = mesh
+        self.values = values
+
+
+def _node_stack(a, ka, kb, m):
+    """Zero-copy, read-only ``s[i, j] = a[ka + j - m + i]`` of the
+    C-contiguous ``(n, d)`` array ``a``: node i of the m-cell delay segment
+    cut at node ``ka + j``, for ``ka <= ka + j < kb``.  A view, so it sees
+    rows written after it was made."""
+    step, col = a.strides
+    stack = np.ndarray((m + 1, kb - ka, a.shape[1]), a.dtype, a,
+                       (ka - m) * step, (step, step, col))
+    stack.flags.writeable = False
+    return stack
 
 
 @dataclass(frozen=True)
@@ -190,6 +211,20 @@ def _row_norms(arr):
     return np.sqrt(np.einsum("ij,ij->i", arr, arr))
 
 
+@lru_cache(maxsize=64)
+def _gap_weights(n, m, h, exponent):
+    """Read-only ``weight[j, k]`` of the node pair ``(k, j)`` in a scan of n
+    nodes on mesh h: ``((j-k)*h) ** exponent`` for gaps 1..m, inf (ratio 0)
+    otherwise.  Cached, as scans of one size recur on every window."""
+    # rw[n - 1 - g] weighs gap g; gaps g <= 0 or g > m weigh inf
+    rw = np.full(2 * n - 2, np.inf)
+    rw[n - 1 - m:n - 1] = [(gap * h) ** exponent for gap in range(m, 0, -1)]
+    rw.flags.writeable = False
+    # weight[j, k] = rw[n - 1 - j + k]
+    step = rw.itemsize
+    return np.ndarray((n, n - 1), rw.dtype, rw, (n - 1) * step, (-step, step))
+
+
 def _pair_blocks(v, h, exponent, start=1, max_gap=None):
     """The grid pair scan of the nodes (rows) ``v`` of a path on mesh ``h``,
     in blocks of upper nodes ``j >= start``: yields ``(j0, ratio)`` with
@@ -201,12 +236,7 @@ def _pair_blocks(v, h, exponent, start=1, max_gap=None):
     """
     n = v.shape[0]
     m = n - 1 if max_gap is None else min(max_gap, n - 1)
-    # rw[n - 1 - g] weighs gap g; gaps g <= 0 or g > m weigh inf (ratio 0)
-    rw = np.full(2 * n - 2, np.inf)
-    rw[n - 1 - m:n - 1] = [(gap * h) ** exponent for gap in range(m, 0, -1)]
-    # weight[j, k] = rw[n - 1 - j + k], the weight of the pair (k, j)
-    step = rw.itemsize
-    weight = np.ndarray((n, n - 1), rw.dtype, rw, (n - 1) * step, (-step, step))
+    weight = _gap_weights(n, m, h, exponent)
     j0 = start
     while j0 < n:
         # largest j1 with (j1 - j0) * (j1 - 1) <= _BLOCK_PAIRS, one row at least

@@ -24,10 +24,11 @@ from itertools import combinations
 
 import numpy as np
 
+from .coefficients import _marked, _segments_at, node_values
 from .errors import ConvergenceError, DomainError, PartitionError
-from .paths import (GridPath, _delay_segments, _pair_blocks, _pair_max,
-                    _row_norms, _snap_index, holder_norm, holder_seminorm,
-                    segment, segment_norm, segment_norm_profile)
+from .paths import (GridPath, _pair_blocks, _pair_max, _row_norms,
+                    _snap_index, holder_norm, holder_seminorm, segment,
+                    segment_norm, segment_norm_profile)
 from .young import YoungConstants
 
 _INIT_KINDS = ("constant", "linear", "euler_perturbed")
@@ -311,22 +312,24 @@ def _solve_grid(config, start, omega):
 def _left_sums(f, g, arrays, ia, ib, delay, h, dw):
     """Left-point integral map on nodes ``(ia, ib]`` of the path ``x =
     arrays[-1]``: ``x[ia] + cumsum(f h + g dw)``, with ``f`` and ``g`` applied
-    to the delay segments of ``arrays`` at nodes ``ia .. ib-1``."""
-    x = arrays[-1]
-    f_vals = np.empty((ib - ia, x.shape[1]))
-    g_vals = np.empty((ib - ia, x.shape[1]))
-    for i, segs in enumerate(_delay_segments(arrays, ia, ib, delay, h)):
-        f_vals[i] = f(*segs)
-        g_vals[i] = g(*segs)
-    return x[ia] + np.cumsum(f_vals * h + g_vals * dw[ia:ib, None], axis=0)
+    to the delay segments of ``arrays`` at nodes ``ia .. ib-1``
+    (:func:`~ydde.coefficients.node_values`: one call each for marked
+    functionals)."""
+    f_vals, g_vals = node_values((f, g), arrays, ia, ib, delay, h)
+    return arrays[-1][ia] + np.cumsum(f_vals * h + g_vals * dw[ia:ib, None],
+                                      axis=0)
 
 
 def _euler_steps(f, g, arrays, ia, ib, delay, h, dw):
     """Fill nodes ``(ia, ib]`` of the path ``x = arrays[-1]`` in place by
     ``x[k+1] = x[k] + f h + g dw[k]``, ``f`` and ``g`` applied to the delay
-    segments of ``arrays`` at node k."""
+    segments of ``arrays`` at node k: read-only views if both are marked
+    ``accepts_stacks``, else Segments."""
     x = arrays[-1]
-    for k, segs in enumerate(_delay_segments(arrays, ia, ib, delay, h), ia):
+    m = _snap_index(delay, h, "delay")
+    views = _marked(f) and _marked(g)
+    for k in range(ia, ib):
+        segs = _segments_at(arrays, k, m, delay, h, views)
         x[k + 1] = x[k] + f(*segs) * h + g(*segs) * dw[k]
 
 

@@ -298,6 +298,24 @@ class TestErrorHandling:
         assert json.loads((out / "error.json").read_text())["error"]["type"] \
             == exc_type
 
+    @pytest.mark.parametrize("argv, message", [
+        (["ensemble", "--seeds", "0"], "--seeds >= 1"),
+        (["ensemble", "--seeds", "-3"], "--seeds >= 1"),
+        (["converge", "--levels", "1"], "at least 2 levels"),
+    ], ids=["ensemble_zero_seeds", "ensemble_negative_seeds",
+            "converge_one_level"])
+    def test_bad_flag_writes_error_json(self, tmp_path, capsys, argv,
+                                        message):
+        sc = write_scenario(tmp_path, zero_scenario())
+        out = tmp_path / "o"
+        assert main(argv + ["--scenario", sc, "--out", str(out)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err
+        assert os.listdir(out) == ["error.json"]
+        assert json.loads((out / "error.json").read_text())["error"]["type"] \
+            == "DomainError"
+
     def test_generation_failure_writes_error_json(self, tmp_path, capsys,
                                                   monkeypatch):
         def fail(spec):

@@ -9,8 +9,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import random_path, rng
 from ydde.errors import DomainError
-from ydde.paths import (GridPath, Segment, _pair_blocks, _pair_max,
-                        _pair_scan, _row_norms, _sliding_max,
+from ydde.paths import (GridPath, Segment, _gap_weights, _pair_blocks,
+                        _pair_max, _pair_scan, _row_norms, _sliding_max,
                         counterexample_growth, holder_norm,
                         holder_seminorm, pvar_seminorm,
                         pvar_seminorm_exhaustive, read_csv, read_json, segment,
@@ -151,6 +151,15 @@ class TestPairScan:
                         want = [(j - k) / ((j - k) * h) ** exponent
                                 for k in range(j)]
                         assert row == want + [0.0] * (len(row) - j)
+
+    def test_gap_weights_cached_read_only(self):
+        weight = _gap_weights(9, 5, 0.125, 0.55)
+        assert weight is _gap_weights(9, 5, 0.125, 0.55)
+        assert not weight.flags.writeable
+        with pytest.raises(ValueError):
+            weight[1, 0] = 1.0
+        # the cache holds a bounded number of scan sizes
+        assert _gap_weights.cache_info().maxsize is not None
 
     @settings(max_examples=500, deadline=None)
     @given(v=node_arrays(max_nodes=30, elems=st.floats(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import MESH, rng
 from ydde import solver
-from ydde.coefficients import CoefficientSet, composition_path, make_builtin
+from ydde.coefficients import (CoefficientSet, accepts_stacks,
+                               composition_path, make_builtin, node_values)
 from ydde.drivers import DriverSpec, gen_deterministic, gen_fbm
 from ydde.errors import ConvergenceError, DomainError, PartitionError
-from ydde.paths import (GridPath, Segment, _pair_max, holder_norm,
-                        holder_seminorm, segment)
+from ydde.paths import (GridPath, Segment, SegmentView, _node_stack,
+                        _pair_max, holder_norm, holder_seminorm, segment)
+from ydde.sensitivity import LinearizedProblem, linearized_solve
 from ydde.solver import (_INIT_KINDS, GreedyPartition, ProbeReport,
                          SolverConfig, _left_sums, _solve_grid,
                          compute_contraction_constants, contraction_constants,
@@ -284,18 +287,23 @@ class TestGreedyPartition:
             assert c == part.n_at(t)
 
 
-def constant_drift_coeffs(value=1.0):
-    """Custom set with f identically ``value`` (not a linear family member)."""
+def constant_drift_coeffs(value=1.0, stacks=False):
+    """Custom set with f identically ``value`` (not a linear family member);
+    written for segments and stacks alike, marked so only if ``stacks``."""
     vec = np.atleast_1d(np.asarray(value, dtype=float))
+    mark = accepts_stacks if stacks else (lambda func: func)
 
+    @mark
     def f(seg):
-        return vec
+        return np.broadcast_to(vec, seg.values.shape[1:])
 
+    @mark
     def zero(seg):
-        return np.zeros_like(vec)
+        return np.zeros(seg.values.shape[1:])
 
+    @mark
     def dzero(seg, direction):
-        return np.zeros_like(vec)
+        return np.zeros(seg.values.shape[1:])
 
     return CoefficientSet(f=f, g=zero, Df=dzero, Dg=dzero, L_f=0.0, L_g=0.0,
                           L_M=lambda M: 0.0, delta=1.0,
@@ -505,6 +513,131 @@ class TestStepKernelOracle:
                             m_r * self.h, self.h, dw)
         assert np.array_equal(kernel, loop_linearized_map(
             coeffs, base, values, ia, ib, m_r, self.h, dw))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=kernel_cases(), data=st.data())
+    def test_stacked_call_matches_segment_loop(self, case, data):
+        # each built-in functional called once on the node-major stacks of
+        # the segments cut at nodes [ka, kb), against one call per Segment
+        coeffs, m_r, n_h, g = case
+        n, r = m_r + n_h, m_r * self.h
+        arrays = (g.normal(size=(n + 1, coeffs.dim)),
+                  g.normal(size=(n + 1, coeffs.dim)))
+        ka = data.draw(st.integers(m_r, n))
+        kb = data.draw(st.integers(ka + 1, n + 1))
+        stacks = [SegmentView(r, self.h, _node_stack(a, ka, kb, m_r))
+                  for a in arrays]
+        segs = [[Segment(r, self.h, a[k - m_r:k + 1]) for a in arrays]
+                for k in range(ka, kb)]
+        funcs = ((coeffs.f, 1), (coeffs.g, 1), (coeffs.Df, 2), (coeffs.Dg, 2))
+        for func, n_args in funcs:
+            looped = np.array([func(*node[2 - n_args:]) for node in segs])
+            assert np.array_equal(func(*stacks[2 - n_args:]), looped)
+            got, = node_values((func,), arrays[2 - n_args:], ka, kb, r, self.h)
+            assert np.array_equal(got, looped)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=kernel_cases())
+    def test_segment_form_matches_former_products(self, case):
+        # the matrix parts equal the former per-row ``A @ v`` products
+        coeffs, m_r, _, g = case
+        if coeffs.family == "scalar_logistic_bounded":
+            return
+        A, B = (np.asarray(coeffs.params[k]) for k in ("A", "B"))
+        seg, direction = (Segment(m_r * self.h, self.h,
+                                  g.normal(size=(m_r + 1, coeffs.dim)))
+                          for _ in range(2))
+        v, u = seg.values, direction.values
+        assert np.array_equal(coeffs.f(seg), A @ v[-1] + B @ v[0])
+        assert np.array_equal(coeffs.Df(seg, direction), A @ u[-1] + B @ u[0])
+        if coeffs.family == "linear_delay":
+            Sigma, c = (np.asarray(coeffs.params[k]) for k in ("Sigma", "c"))
+            assert np.array_equal(coeffs.g(seg), Sigma @ v[0] + c)
+            assert np.array_equal(coeffs.Dg(seg, direction), Sigma @ u[0])
+
+
+def unmarked(coeffs):
+    """The same functionals behind wrappers that do not accept stacks."""
+    return replace(coeffs, f=lambda seg: coeffs.f(seg),
+                   g=lambda seg: coeffs.g(seg),
+                   Df=lambda seg, direction: coeffs.Df(seg, direction),
+                   Dg=lambda seg, direction: coeffs.Dg(seg, direction))
+
+
+@pytest.fixture
+def segment_count(monkeypatch):
+    """A list that grows by one for each Segment built."""
+    built = []
+    post_init = Segment.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(Segment, "__post_init__", counting)
+    return built
+
+
+class TestBatchedCoefficients:
+    def test_one_call_per_window_iterate(self, workhorse, segment_count):
+        co = workhorse["coeffs"]
+        widths = {"f": [], "g": []}
+
+        def counted(name):
+            func = getattr(co, name)
+
+            @accepts_stacks
+            def wrapper(seg):
+                widths[name].append(seg.values.shape[1])
+                return func(seg)
+            return wrapper
+
+        rep = picard_solve(replace(co, f=counted("f"), g=counted("g")),
+                           workhorse["eta"], workhorse["omega"],
+                           workhorse["config"])
+        # one stacked call per Picard iterate, covering the whole window
+        h = workhorse["config"].mesh
+        want = sorted(w for rec in rep.windows for w in [
+            round((rec.t_end - rec.t_start) / h)] * rec.iterations)
+        assert sorted(widths["f"]) == sorted(widths["g"]) == want
+        assert not segment_count
+
+    @pytest.mark.parametrize("family", ["constant_drift", "sin_delay_d2"])
+    def test_unmarked_set_takes_segment_loop_bitwise(self, workhorse, family,
+                                                     segment_count):
+        omega, cfg = workhorse["omega"], workhorse["config"]
+        if family == "constant_drift":
+            marked = constant_drift_coeffs(0.5, stacks=True)
+            plain = constant_drift_coeffs(0.5)
+            eta = const_eta()
+        else:
+            marked = make_builtin("sin_delay", dim=2,
+                                  A=[[-0.15, 0.05], [0.02, -0.1]],
+                                  B=[[0.1, 0.0], [0.03, 0.05]], sigma=0.05)
+            plain = unmarked(marked)
+            eta = Segment(cfg.r, cfg.mesh, np.column_stack(
+                [workhorse[k].values[:, 0] for k in ("eta", "direction")]))
+        runs = []
+        for co in (marked, plain):
+            del segment_count[:]
+            rep = picard_solve(co, eta, omega, cfg)
+            lin = linearized_solve(LinearizedProblem(
+                coeffs=co, base_solution=rep.solution, direction=eta,
+                omega=omega, config=cfg))
+            runs.append((rep.solution.values, lin.values,
+                         euler_solve(co, eta, omega, cfg).values,
+                         composition_path(co.g, rep.solution, cfg.r).values,
+                         len(segment_count)))
+        assert runs[0][-1] == 0 < runs[1][-1]
+        for got, want in zip(runs[1][:-1], runs[0][:-1]):
+            assert np.array_equal(got, want)
+
+    def test_marked_functional_must_return_one_row_per_segment(self):
+        co = constant_drift_coeffs(0.5)
+        bad = replace(co, f=accepts_stacks(lambda seg: np.ones(1)))
+        values = np.zeros((9, 1))
+        with pytest.raises(DomainError, match="accepts_stacks"):
+            node_values((bad.f, bad.g), (values,), 4, 8, 4 * MESH, MESH)
 
 
 class TestPicardSolve:
