@@ -556,11 +556,15 @@ def _ensemble_worker(raw_scenario, seed):
 def cmd_ensemble(args, scenario, out, say):
     if int(args.seeds) < 1:
         raise DomainError("ensemble needs --seeds >= 1")
+    if int(args.workers) < 1:
+        raise DomainError("ensemble needs --workers >= 1")
     base_seed = int(scenario.driver.seed)
     seeds = [base_seed + k for k in range(int(args.seeds))]
     raw = json.dumps(scenario.raw)
-    if int(args.workers) > 1:
-        with ProcessPoolExecutor(max_workers=int(args.workers)) as ex:
+    # a pool starts all its workers at once: no more than there are seeds
+    workers = min(int(args.workers), len(seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             rows = list(ex.map(_ensemble_worker, [raw] * len(seeds), seeds))
     else:
         rows = [_ensemble_worker(raw, s) for s in seeds]

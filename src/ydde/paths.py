@@ -225,23 +225,25 @@ def _gap_weights(n, m, h, exponent):
     return np.ndarray((n, n - 1), rw.dtype, rw, (n - 1) * step, (-step, step))
 
 
-def _pair_blocks(v, h, exponent, start=1, max_gap=None):
+def _pair_blocks(v, h, exponent, start=1, max_gap=None, stop=None):
     """The grid pair scan of the nodes (rows) ``v`` of a path on mesh ``h``,
-    in blocks of upper nodes ``j >= start``: yields ``(j0, ratio)`` with
-    ``ratio[j - j0, k] = |v[j] - v[k]| / ((j-k)*h)^exponent``, 0 for pairs
-    with ``k >= j`` or a gap above ``max_gap`` (default: all).  A block holds
-    at most ``_BLOCK_PAIRS`` pairs.  The weights are Python's ``(g*h) **
-    exponent`` (numpy's ``power`` rounds some differently), so the ratios and
-    their maxima are bitwise those of a loop over gaps.
+    in blocks of upper nodes ``start <= j < stop`` (default: all nodes):
+    yields ``(j0, ratio)`` with ``ratio[j - j0, k] = |v[j] - v[k]| /
+    ((j-k)*h)^exponent``, 0 for pairs with ``k >= j`` or a gap above
+    ``max_gap`` (default: all).  No node from ``stop`` on is read.  A block
+    holds at most ``_BLOCK_PAIRS`` pairs.  The weights are Python's ``(g*h)
+    ** exponent`` (numpy's ``power`` rounds some differently), so the ratios
+    and their maxima are bitwise those of a loop over gaps.
     """
     n = v.shape[0]
     m = n - 1 if max_gap is None else min(max_gap, n - 1)
     weight = _gap_weights(n, m, h, exponent)
+    stop = n if stop is None else stop
     j0 = start
-    while j0 < n:
+    while j0 < stop:
         # largest j1 with (j1 - j0) * (j1 - 1) <= _BLOCK_PAIRS, one row at least
         a = j0 - 1
-        j1 = min(n, max(j0 + 1, (a + math.isqrt(a * a + 4 * _BLOCK_PAIRS)) // 2 + 1))
+        j1 = min(stop, max(j0 + 1, (a + math.isqrt(a * a + 4 * _BLOCK_PAIRS)) // 2 + 1))
         diff = v[j0:j1, None] - v[None, :j1 - 1]
         dist = _row_norms(diff.reshape(-1, *v.shape[1:])).reshape(diff.shape[:2])
         yield j0, dist / weight[j0:j1, :j1 - 1]
@@ -276,6 +278,11 @@ def _pair_scan(v, h, exponent, max_gap=None, start=1):
     return float(best), k, g
 
 
+def _suffix_max(x):
+    """Maxima of the suffixes of ``x`` along its last axis."""
+    return np.maximum.accumulate(x[..., ::-1], axis=-1)[..., ::-1]
+
+
 def _sliding_max(x, size):
     """Maxima of the ``len(x) - size + 1`` windows of ``size`` consecutive
     entries of the 1-D array ``x``, O(1) per window (van Herk 1992; Gil and
@@ -287,8 +294,86 @@ def _sliding_max(x, size):
     blocks[:n] = x
     blocks = blocks.reshape(nb, size)
     prefix = np.maximum.accumulate(blocks, axis=1).ravel()
-    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    suffix = _suffix_max(blocks).ravel()
     return np.maximum(suffix[:n - size + 1], prefix[size - 1:n])
+
+
+class _SlidingPairMax:
+    """The sup and the pair scan of the history ``v[a - size : a + 1]`` of a
+    path whose nodes are solved in order: ``(_row_norms(hist).max(),
+    _pair_max(hist, h, exponent))``, kept up to date as ``a`` grows instead
+    of scanned afresh at every query -- the pair analogue of
+    :func:`_sliding_max`.
+
+    Cut the nodes into blocks of ``size`` from node 0.  The history of a
+    query ``a`` in block q is the suffix of block q-1 from ``a - size`` and
+    the nodes of block q up to ``a``.  Each node j of block q is taken in
+    once: a running max, by lower node k of blocks q-1 and q, of the pairs
+    ``(k, j)``.  The pair max of the history is the larger of the suffix
+    max of block q-1's own pairs, by lower node, and the max of the
+    running maxima from its first node on.  When the queries move on to
+    the next block, block q is taken in to its end and its running maxima
+    by lower node in block q are its own pairs'; after a jump over whole
+    blocks (or at the first query) block q-1's own pairs are scanned.  So a
+    solve costs O(n * size) pair ratios instead of O(size^2) per query; the
+    ratios come from :func:`_pair_blocks`, so the maxima are bitwise those
+    of :func:`_pair_max`.
+
+    ``a >= size`` must not decrease from one query to the next; the nodes
+    up to ``a`` must be final when ``a`` is queried, and later nodes are
+    never read.
+    """
+
+    def __init__(self, v, size, h, exponent):
+        self.v = v
+        self.size = size
+        self.h = h
+        self.exponent = exponent
+        self.block = 0      # block q of the last query; 0 before the first
+        self.next = 0       # first node not yet taken in
+        self.cols = np.zeros(2 * size)
+
+    def _take_in(self, lo, start, stop):
+        """Running max into ``cols[k - lo]`` of the ratios of the pairs
+        ``(k, j)``, ``lo <= k < j``, for the upper nodes ``start <= j <
+        stop``.  One scan size per block, so the cached gap weights serve
+        every query; pairs with a gap above ``size`` weigh inf, as no later
+        history holds them."""
+        m = self.size
+        for _, ratio in _pair_blocks(self.v[lo:lo + 2 * m], self.h,
+                                     self.exponent, start - lo, m, stop - lo):
+            cols = self.cols[:ratio.shape[1]]
+            np.maximum(cols, ratio.max(axis=0), out=cols)
+
+    def _enter(self, q):
+        m = self.size
+        lo = (q - 1) * m
+        if q == self.block + 1 > 1:
+            self._take_in(lo - m, self.next, lo + m)
+            own = self.cols[m:]
+        else:
+            self.cols[:] = 0.0
+            self._take_in(lo, lo + 1, lo + m)
+            own = self.cols[:m]
+        self.pair_suffix = _suffix_max(own)
+        self.sup_suffix = _suffix_max(_row_norms(self.v[lo:lo + m]))
+        self.cols[:] = 0.0
+        self.sup_in = 0.0
+        self.block, self.next = q, q * m
+
+    def query(self, a):
+        m = self.size
+        q = a // m
+        if q != self.block:
+            self._enter(q)
+        if a >= self.next:
+            self._take_in((q - 1) * m, self.next, a + 1)
+            self.sup_in = max(self.sup_in,
+                              _row_norms(self.v[self.next:a + 1]).max())
+            self.next = a + 1
+        s = a - q * m       # the history's first node, in block q-1
+        return (float(max(self.sup_suffix[s], self.sup_in)),
+                float(max(self.pair_suffix[s], self.cols[s:].max())))
 
 
 def sup_norm(path, window=None):

@@ -27,8 +27,9 @@ import numpy as np
 from .coefficients import _marked, _segments_at, node_values
 from .errors import ConvergenceError, DomainError, PartitionError
 from .paths import (GridPath, _pair_blocks, _pair_max, _row_norms,
-                    _snap_index, holder_norm, holder_seminorm, segment,
-                    segment_norm, segment_norm_profile)
+                    _SlidingPairMax, _snap_index, holder_norm,
+                    holder_seminorm, segment, segment_norm,
+                    segment_norm_profile)
 from .young import YoungConstants
 
 _INIT_KINDS = ("constant", "linear", "euler_perturbed")
@@ -351,6 +352,7 @@ class _WindowedPicard:
         self.max_iters = config.picard_max_iters
         self.dw = dw
         self.first_iter_sink = first_iter_sink
+        self.history = None
         # iterate beyond tol down to a polish floor so that distinct
         # initializations land on numerically identical fixed points
         self.stop_tol = max(self.tol * 1e-2, 1e-15)
@@ -376,10 +378,13 @@ class _WindowedPicard:
             raise DomainError(f"unknown init kind {kind!r}; one of {_INIT_KINDS}")
 
     def history_parts(self, values, ia):
-        """Sup and pair scan of the history nodes ``[ia - m_r, ia]``."""
-        hist = values[ia - self.m_r:ia + 1]
-        return (float(_row_norms(hist).max()),
-                _pair_max(hist, self.h, self.exponent))
+        """Sup and pair scan of the history nodes ``[ia - m_r, ia]``, kept up
+        to date over the solve grid ``values`` as its windows are solved
+        (:class:`~ydde.paths._SlidingPairMax`)."""
+        if self.history is None or self.history.v is not values:
+            self.history = _SlidingPairMax(values, self.m_r, self.h,
+                                           self.exponent)
+        return self.history.query(ia)
 
     def run_window(self, values, ia, ib, init_kind, ball_radius, hist=None,
                    depth=0):

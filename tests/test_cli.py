@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import ydde
-from ydde import drivers
+from ydde import cli, drivers
 from ydde.cli import EXIT_CONFIG, EXIT_OK, build_scenario, main, write_table
 from ydde.errors import DomainError, GenerationError
 
@@ -228,6 +228,36 @@ class TestEnsembleCommand:
         seeds = [int(r.split(",")[0]) for r in rows]
         assert seeds == sorted(seeds) and len(seeds) == 3
 
+    @pytest.mark.parametrize("workers, seeds, pool", [
+        (64, 2, 2), (2, 3, 2), (1, 3, None), (5, 1, None)])
+    def test_pool_no_larger_than_seeds(self, tmp_path, monkeypatch, workers,
+                                       seeds, pool):
+        sized = []
+
+        class SerialPool:
+            """Records the pool size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sized.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        sc = write_scenario(tmp_path, zero_scenario())
+        out = tmp_path / "o"
+        assert main(["ensemble", "--scenario", sc, "--seeds", str(seeds),
+                     "--workers", str(workers), "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        assert sized == ([] if pool is None else [pool])
+        assert len((out / "ensemble.csv").read_text().splitlines()) == seeds + 1
+
 
 class TestErrorHandling:
     def test_missing_scenario_exits_config(self, tmp_path, capsys):
@@ -301,8 +331,11 @@ class TestErrorHandling:
     @pytest.mark.parametrize("argv, message", [
         (["ensemble", "--seeds", "0"], "--seeds >= 1"),
         (["ensemble", "--seeds", "-3"], "--seeds >= 1"),
+        (["ensemble", "--workers", "0"], "--workers >= 1"),
+        (["ensemble", "--workers", "-3"], "--workers >= 1"),
         (["converge", "--levels", "1"], "at least 2 levels"),
     ], ids=["ensemble_zero_seeds", "ensemble_negative_seeds",
+            "ensemble_zero_workers", "ensemble_negative_workers",
             "converge_one_level"])
     def test_bad_flag_writes_error_json(self, tmp_path, capsys, argv,
                                         message):

@@ -1,4 +1,5 @@
 import io
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from conftest import random_path, rng
 from ydde.errors import DomainError
 from ydde.paths import (GridPath, Segment, _gap_weights, _pair_blocks,
                         _pair_max, _pair_scan, _row_norms, _sliding_max,
-                        counterexample_growth, holder_norm,
+                        _SlidingPairMax, counterexample_growth, holder_norm,
                         holder_seminorm, pvar_seminorm,
                         pvar_seminorm_exhaustive, read_csv, read_json, segment,
                         segment_holder_seminorm, segment_norm,
@@ -234,6 +235,69 @@ class TestSlidingMax:
         got = _sliding_max(x, size)
         want = sliding_window_view(x, size).max(axis=1)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def full_history_scan(v, a, size, h, exponent):
+    """The history norm parts as scanned afresh at every Picard window."""
+    hist = v[a - size:a + 1]
+    return float(_row_norms(hist).max()), _pair_max(hist, h, exponent)
+
+
+def answers(v, queries, size, h, exponent, garbage):
+    """Query a :class:`_SlidingPairMax` over a copy of ``v`` whose nodes past
+    each query are overwritten with ``garbage`` first, as iterates do."""
+    work = np.array(v)
+    hist = _SlidingPairMax(work, size, h, exponent)
+    got = []
+    for a in queries:
+        work[:a + 1] = v[:a + 1]
+        work[a + 1:] = garbage
+        got.append(hist.query(a))
+    return got
+
+
+def hexed(pairs):
+    return [tuple(float.hex(x) for x in pair) for pair in pairs]
+
+
+@st.composite
+def history_queries(draw):
+    """A path of n nodes, d in {1, 2} (d = 1 maybe flat), a history size
+    and a non-decreasing run of queries in ``[size, n - 1]``: repeats, block
+    boundaries and jumps over whole blocks come up often at small sizes."""
+    size = draw(st.integers(1, 6))
+    n = draw(st.integers(size + 1, 6 * size + 8))
+    d = draw(st.sampled_from((1, 2)))
+    v = np.asarray(draw(st.lists(MIXED, min_size=n * d, max_size=n * d)),
+                   dtype=float).reshape(n, d)
+    if d == 1 and draw(st.booleans()):
+        v = v[:, 0]
+    steps = draw(st.lists(st.integers(0, 3 * size), min_size=1, max_size=12))
+    return v, size, [min(n - 1, size + s) for s in accumulate(steps)]
+
+
+class TestSlidingPairMax:
+    @settings(max_examples=500, deadline=None)
+    @given(case=history_queries(), h=st.sampled_from(MESHES),
+           exponent=st.sampled_from(EXPONENTS), data=st.data())
+    def test_matches_full_history_scan(self, case, h, exponent, data):
+        v, size, queries = case
+        garbage = data.draw(st.sampled_from((np.nan, 1e300)))
+        block_pairs = data.draw(st.sampled_from((1, 500, 1 << 14)))
+        with mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
+            got = answers(v, queries, size, h, exponent, garbage)
+        want = [full_history_scan(v, a, size, h, exponent) for a in queries]
+        assert hexed(got) == hexed(want)
+
+    @pytest.mark.parametrize("block_pairs", [1, 500])
+    def test_blocks_and_boundaries(self, monkeypatch, block_pairs):
+        v = random_path(3, n=600, mesh=1 / 600, dim=2).values
+        # the first history, repeats, both ends of blocks, a jump over two
+        queries = [64, 64, 65, 127, 127, 128, 191, 192, 383, 448, 511, 600]
+        want = [full_history_scan(v, a, 64, 1 / 600, 0.55) for a in queries]
+        monkeypatch.setattr("ydde.paths._BLOCK_PAIRS", block_pairs)
+        got = answers(v, queries, 64, 1 / 600, 0.55, np.nan)
+        assert hexed(got) == hexed(want)
 
 
 class TestHolderSeminorm:

@@ -13,7 +13,8 @@ from ydde.coefficients import (CoefficientSet, accepts_stacks,
 from ydde.drivers import DriverSpec, gen_deterministic, gen_fbm
 from ydde.errors import ConvergenceError, DomainError, PartitionError
 from ydde.paths import (GridPath, Segment, SegmentView, _node_stack,
-                        _pair_max, holder_norm, holder_seminorm, segment)
+                        _pair_max, _row_norms, holder_norm, holder_seminorm,
+                        segment)
 from ydde.sensitivity import LinearizedProblem, linearized_solve
 from ydde.solver import (_INIT_KINDS, GreedyPartition, ProbeReport,
                          SolverConfig, _left_sums, _solve_grid,
@@ -727,6 +728,63 @@ class TestPicardSolve:
         short = gen_deterministic(DriverSpec(kind="zero", T=0.5, mesh=MESH))
         with pytest.raises(DomainError):
             picard_solve(workhorse["coeffs"], workhorse["eta"], short, cfg)
+
+
+def full_scan_history_parts(self, values, ia):
+    """The former history norm, kept as an oracle: a full scan of the
+    history nodes ``[ia - m_r, ia]`` at every window."""
+    hist = values[ia - self.m_r:ia + 1]
+    return (float(_row_norms(hist).max()),
+            _pair_max(hist, self.h, self.exponent))
+
+
+class TestHistoryNorm:
+    def test_split_windows_match_full_scan(self, monkeypatch, workhorse):
+        # three iterations to 1e-8 leave some windows unconverged, and
+        # their halves query the history at the window start again
+        config = replace(workhorse["config"], picard_max_iters=3,
+                         picard_tol=1e-8)
+        omega = gen_fbm(replace(workhorse["spec"], seed=1))
+        args = (workhorse["coeffs"], workhorse["eta"], omega, config)
+        got = picard_solve(*args)
+        assert any(w.split for w in got.windows)
+        monkeypatch.setattr(solver._WindowedPicard, "history_parts",
+                            full_scan_history_parts)
+        want = picard_solve(*args)
+        assert got.solution.values.tobytes() == want.solution.values.tobytes()
+        assert repr(got.windows) == repr(want.windows)
+
+    def test_linearized_matches_full_scan(self, monkeypatch, linear_scenario):
+        sc = linear_scenario
+        coeffs = make_builtin("linear_delay", A=-0.15, B=0.05, Sigma=0.05,
+                              c=0.02, delta=0.8)   # exponent 0.44, not beta
+        base = picard_solve(coeffs, sc["eta"], sc["omega"], sc["config"])
+        problem = LinearizedProblem(coeffs=coeffs,
+                                    base_solution=base.solution,
+                                    direction=sc["direction"],
+                                    omega=sc["omega"], config=sc["config"])
+        run_window = solver._WindowedPicard.run_window
+
+        def solve_and_records():
+            # linearized_solve drops its window records, which carry the
+            # history norm (in max_iterate_norm): catch them on the way
+            records = []
+
+            def spy(self, *args, **kwargs):
+                recs = run_window(self, *args, **kwargs)
+                records.extend(recs)
+                return recs
+
+            with monkeypatch.context() as m:
+                m.setattr(solver._WindowedPicard, "run_window", spy)
+                y = linearized_solve(problem)
+            return y.values.tobytes(), repr(records)
+
+        got = solve_and_records()
+        monkeypatch.setattr(solver._WindowedPicard, "history_parts",
+                            full_scan_history_parts)
+        assert got == solve_and_records()
+        assert got[1].count("WindowRecord") > 1
 
 
 class TestEulerSolve:
