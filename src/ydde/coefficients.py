@@ -104,30 +104,37 @@ def node_values(funcs, arrays, ka, kb, delay, mesh):
     """Each functional of ``funcs`` at the nodes k in ``[ka, kb)``, applied
     to the delay segments of ``arrays`` cut at k (rows ``k - delay/mesh ..
     k``): one ``(kb - ka, d)`` array per functional, d the width of
-    ``arrays[-1]``.  A functional marked by :func:`accepts_stacks` is called
-    once, on the stacks of these segments; any other once per node, on
-    Segments."""
+    ``arrays[-1]`` (see :func:`_stack_values`)."""
     m = _snap_index(delay, mesh, "delay")
-    shape = (kb - ka, arrays[-1].shape[1])
-    stacks = segs = None
+    return _stack_values(funcs, [_node_stack(a, ka, kb, m) for a in arrays],
+                         delay, mesh)
+
+
+def _stack_values(funcs, stacks, delay, mesh):
+    """Each functional of ``funcs`` on the w segments of the node-major
+    stacks ``stacks`` (shape ``(m+1, w, d)``, the i-th segment of each stack
+    as its arguments): one ``(w, d)`` array per functional, d the width of
+    ``stacks[-1]``.  A functional marked by :func:`accepts_stacks` is called
+    once, on the stacks; any other once per segment, on Segments."""
+    shape = stacks[-1].shape[1:]
+    views = segs = None
     out = []
     for func in funcs:
         if _marked(func):
-            if stacks is None:
-                stacks = [SegmentView(delay, mesh, _node_stack(a, ka, kb, m))
-                          for a in arrays]
-            vals = func(*stacks)
+            if views is None:
+                views = [SegmentView(delay, mesh, s) for s in stacks]
+            vals = func(*views)
             if np.shape(vals) != shape:
                 raise DomainError(f"a functional marked accepts_stacks gave "
                                   f"shape {np.shape(vals)} for {shape[0]} "
                                   f"segments of dimension {shape[1]}")
         else:
             if segs is None:
-                segs = [_segments_at(arrays, k, m, delay, mesh, False)
-                        for k in range(ka, kb)]
+                segs = [[Segment(delay, mesh, s[:, i]) for s in stacks]
+                        for i in range(shape[0])]
             vals = np.empty(shape)
-            for i, node_segs in enumerate(segs):
-                vals[i] = func(*node_segs)
+            for i, col in enumerate(segs):
+                vals[i] = func(*col)
         out.append(vals)
     return out
 
@@ -293,23 +300,67 @@ def zero_segment(r, mesh, dim):
 
 
 def bounded_segment_sampler(r, mesh, dim, bound):
-    """Random segments with sup-norm at most ``bound`` (low-order Fourier mix)."""
+    """Random segments with sup-norm at most ``bound`` (low-order Fourier mix).
+
+    ``sample(rng)`` draws one Segment; ``sample.stack(rng, count)`` draws
+    ``count`` in succession, with the same draws and values, as one
+    node-major :class:`SegmentView` of shape ``(m+1, count, dim)``."""
     n = int(round(r / mesh))
     u = np.linspace(0.0, 1.0, n + 1)
-    sin1, cos1, sin2 = (np.sin(math.pi * u), np.cos(math.pi * u),
-                        np.sin(2 * math.pi * u))
+    basis = [x[:, None, None] for x in (np.sin(math.pi * u),
+                                        np.cos(math.pi * u),
+                                        np.sin(2 * math.pi * u), u)]
+
+    def stack(rng, count):
+        coef = np.empty((count, dim, 5))
+        spread = []
+        for sample in coef:
+            for column in sample:
+                rng.standard_normal(out=column)
+            spread.append(rng.uniform(0.05, 1.0))
+        vals = coef[..., 0]
+        for k, x in enumerate(basis, 1):
+            vals = vals + coef[..., k] * x
+        peak = np.abs(vals).max(axis=(0, 2))
+        scale = bound * np.array(spread) / np.maximum(peak, 1e-12)
+        return SegmentView(r, mesh, scale[:, None] * vals)
 
     def sample(rng):
-        vals = np.zeros((n + 1, dim))
-        for j in range(dim):
-            coef = rng.standard_normal(5)
-            vals[:, j] = (coef[0] + coef[1] * sin1 + coef[2] * cos1
-                          + coef[3] * sin2 + coef[4] * u)
-        peak = np.abs(vals).max()
-        scale = bound * rng.uniform(0.05, 1.0) / max(peak, 1e-12)
-        return Segment(r, mesh, scale * vals)
+        return Segment(r, mesh, stack(rng, 1).values[:, 0])
 
+    sample.stack = stack
     return sample
+
+
+def _draw(sampler, rng, count):
+    """``count`` successive draws of ``sampler`` as one node-major
+    :class:`SegmentView`: its stacked draw if it has one, else its Segments
+    stacked."""
+    if hasattr(sampler, "stack"):
+        return sampler.stack(rng, count)
+    segs = [sampler(rng) for _ in range(count)]
+    return SegmentView(segs[0].delay, segs[0].mesh,
+                       np.stack([seg.values for seg in segs], axis=1))
+
+
+def _columns(stack):
+    """The node-major stack ``(m+1, ..., d)`` with its segments in one axis,
+    in C order."""
+    return stack.reshape(stack.shape[0], -1, stack.shape[-1])
+
+
+def _norms(vecs):
+    """``np.linalg.norm`` of each vector along the last axis, bitwise: the
+    same dot product per vector (a plain sum of squares rounds differently
+    for d >= 2)."""
+    vecs = np.ascontiguousarray(vecs)
+    return np.sqrt(np.vecdot(vecs, vecs))
+
+
+# Values of the segments one chunk of verify_regularity draws, so its stacks
+# stay bounded at fine meshes; the stacks built from them hold about five
+# times as many at 8 directions.
+_SAMPLE_VALUES = 1 << 14
 
 
 def _ratio(num, den):
@@ -332,31 +383,53 @@ class RegularityReport:
 def verify_regularity(coeffs, sampler, M, trials, seed=0, n_directions=8):
     """Empirical check of the declared constants on sampled segment pairs.
 
-    Ratios are worst observed value / declared bound; anything above
-    1 + 1e-9 marks the CoefficientSet invalid.
+    Each trial draws xi, eta and ``n_directions`` directions from
+    ``sampler``, in that order; ratios are worst observed value / declared
+    bound, and anything above 1 + 1e-9 marks the CoefficientSet invalid.
+    The trials are drawn and evaluated in chunks: each functional is called
+    once per chunk on stacks of the samples (see :func:`_stack_values`).
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
+    if n_directions < 1:
+        raise DomainError("n_directions must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     worst_f = worst_db = worst_dh = 0.0
     lm = coeffs.L_M(M)
-    for _ in range(trials):
-        xi, eta = sampler(rng), sampler(rng)
-        gap = float(np.abs(xi.values - eta.values).max())
-        worst_f = max(worst_f, _ratio(
-            float(np.linalg.norm(coeffs.f(xi) - coeffs.f(eta))),
-            coeffs.L_f * gap))
-        dir_gap = 0.0
-        for _ in range(n_directions):
-            direction = sampler(rng)
-            unit = direction.with_values(
-                direction.values / max(np.abs(direction.values).max(), 1e-12))
-            dg_xi = coeffs.Dg(xi, unit)
-            worst_db = max(worst_db, _ratio(float(np.linalg.norm(dg_xi)),
-                                            coeffs.L_g))
-            dir_gap = max(dir_gap, float(np.linalg.norm(
-                dg_xi - coeffs.Dg(eta, unit))))
-        worst_dh = max(worst_dh, _ratio(dir_gap, lm * gap ** coeffs.delta))
+    per_trial = 2 + n_directions
+    done, count = 0, 1          # the first trial sizes the chunks after it
+    while done < trials:
+        count = min(count, trials - done)
+        drawn = _draw(sampler, rng, count * per_trial)
+        nodes, _, dim = drawn.values.shape
+        vals = drawn.values.reshape(nodes, count, per_trial, dim)
+        pairs = vals[:, :, :2]          # xi and eta of each trial
+        dirs = vals[:, :, 2:]
+        units = dirs / np.maximum(np.abs(dirs).max(axis=(0, 3)),
+                                  1e-12)[:, :, None]
+        # xi and eta each against every unit direction of their trial
+        expand = (nodes, count, 2, n_directions, dim)
+        f_vals, = _stack_values((coeffs.f,), [_columns(pairs)],
+                                drawn.delay, drawn.mesh)
+        dg_vals, = _stack_values((coeffs.Dg,), [
+            _columns(np.broadcast_to(pairs[:, :, :, None], expand)),
+            _columns(np.broadcast_to(units[:, :, None], expand))],
+            drawn.delay, drawn.mesh)
+        f_vals = f_vals.reshape(count, 2, dim)
+        dg_vals = dg_vals.reshape(count, 2, n_directions, dim)
+        gaps = np.abs(pairs[:, :, 0] - pairs[:, :, 1]).max(axis=(0, 2))
+        f_gaps = _norms(f_vals[:, 0] - f_vals[:, 1])
+        dir_gaps = _norms(dg_vals[:, 0] - dg_vals[:, 1]).max(axis=1)
+        # _ratio grows with its numerator: the largest norm gives its max
+        worst_db = max(worst_db, _ratio(float(_norms(dg_vals[:, 0]).max()),
+                                        coeffs.L_g))
+        for gap, f_gap, dir_gap in zip(gaps.tolist(), f_gaps.tolist(),
+                                       dir_gaps.tolist()):
+            worst_f = max(worst_f, _ratio(f_gap, coeffs.L_f * gap))
+            worst_dh = max(worst_dh, _ratio(dir_gap,
+                                            lm * gap ** coeffs.delta))
+        done += count
+        count = max(1, _SAMPLE_VALUES // (nodes * per_trial * dim))
     passed = max(worst_f, worst_db, worst_dh) <= 1.0 + 1e-9
     return RegularityReport(worst_f, worst_db, worst_dh, trials, passed)
 

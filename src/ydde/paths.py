@@ -278,6 +278,30 @@ def _pair_scan(v, h, exponent, max_gap=None, start=1):
     return float(best), k, g
 
 
+def _window_pair_max(v, h, exponent, windows):
+    """``_pair_max(v[i:j+1], h, exponent)`` for each window ``(i, j)``,
+    ``i < j``, of the ``(N, 2)`` node indices ``windows``, from one pass of
+    :func:`_pair_blocks` over ``v``.  Per block, the suffix max by lower node
+    of each upper node's pairs, then a running max down the upper nodes: a
+    window reads it at its last upper node and its first node, as the
+    pairs ``(k, l)`` with ``k >= i`` and ``l <= j``.  Upper nodes ``l <= i``
+    read 0 there, as their pairs with ``k >= i`` do.  The same ratios as
+    :func:`_pair_max`, so bitwise its maxima; the upper nodes scanned are
+    those of the windows, and the weights those of one scan size."""
+    lo, hi = np.asarray(windows, dtype=np.intp).reshape(-1, 2).T
+    out = np.zeros(lo.shape[0])
+    if not out.size:
+        return out
+    for j0, ratio in _pair_blocks(v, h, exponent, int(lo.min()) + 1,
+                                  stop=int(hi.max()) + 1):
+        rows, cols = ratio.shape
+        best = np.maximum.accumulate(_suffix_max(ratio), axis=0)
+        sel = (hi >= j0) & (lo < cols)
+        got = best[np.minimum(hi[sel], j0 + rows - 1) - j0, lo[sel]]
+        out[sel] = np.maximum(out[sel], got)
+    return out
+
+
 def _suffix_max(x):
     """Maxima of the suffixes of ``x`` along its last axis."""
     return np.maximum.accumulate(x[..., ::-1], axis=-1)[..., ::-1]
@@ -436,15 +460,15 @@ def pvar_seminorm_exhaustive(path, p, window=None):
     m = ib - ia
     if m + 1 > 16:
         raise DomainError("exhaustive enumeration limited to 16 nodes")
+    # the term of each node pair (a, b), a < b, computed once
+    term = {(a, b): float(np.linalg.norm(v[b] - v[a])) ** p
+            for a, b in combinations(range(m + 1), 2)}
     interior = range(1, m)
     best = 0.0
     for size in range(0, m):
         for mid in combinations(interior, size):
             nodes = (0,) + mid + (m,)
-            s = sum(
-                float(np.linalg.norm(v[b] - v[a])) ** p
-                for a, b in zip(nodes[:-1], nodes[1:])
-            )
+            s = sum(term[pair] for pair in zip(nodes[:-1], nodes[1:]))
             best = max(best, s)
     return best ** (1.0 / p)
 

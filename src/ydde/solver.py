@@ -394,12 +394,16 @@ class _WindowedPicard:
         Iterates change only the window nodes, so the ball diagnostic joins
         the fixed history parts with a scan of the pairs that touch the
         window: the Holder norm of ``[ia - m_r, ib]`` at O(w * (m_r + w)).
+        An infinite ``ball_radius`` asks for no ball: the diagnostic is
+        skipped and ``max_iterate_norm`` is nan.
         """
-        hist_sup, hist_scan = hist or self.history_parts(values, ia)
+        ball = math.isfinite(ball_radius)
+        if ball:
+            hist_sup, hist_scan = hist or self.history_parts(values, ia)
         self._init_window(values, ia, ib, init_kind)
         residuals = []
         ratios = []
-        max_norm = 0.0
+        max_norm = 0.0 if ball else math.nan
         converged = False
         for it in range(1, self.max_iters + 1):
             new_slice = self._step(_left_sums, values, ia, ib)
@@ -415,11 +419,13 @@ class _WindowedPicard:
             if residuals and residuals[-1] > 100.0 * self.tol and res > 0:
                 ratios.append(res / residuals[-1])
             residuals.append(res)
-            sup = max(hist_sup, float(_row_norms(values[ia + 1:ib + 1]).max()))
-            scan = max(hist_scan, _pair_max(values[ia - self.m_r:ib + 1],
-                                            self.h, self.exponent,
-                                            self.m_r + 1))
-            max_norm = max(max_norm, sup + scan)
+            if ball:
+                sup = max(hist_sup,
+                          float(_row_norms(values[ia + 1:ib + 1]).max()))
+                scan = max(hist_scan, _pair_max(values[ia - self.m_r:ib + 1],
+                                                self.h, self.exponent,
+                                                self.m_r + 1))
+                max_norm = max(max_norm, sup + scan)
             if res <= self.stop_tol:
                 converged = True
                 break

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .paths import holder_seminorm
+from .paths import _window_pair_max, holder_seminorm
 
 MAX_MESH_MISMATCH = 1e-9
 
@@ -60,9 +60,11 @@ def _check_alignment(x, omega, window):
 
 def young_integral(x, omega, window=None):
     """Left-point sum of x against the driver increments over the window."""
-    ia, ib, ja, jb = _check_alignment(x, omega, window)
-    dw = np.diff(omega.values[ja:jb + 1, 0])
-    return x.values[ia:ib].T @ dw
+    return _left_sum(x, omega, *_check_alignment(x, omega, window))
+
+
+def _left_sum(x, omega, ia, ib, ja, jb):
+    return x.values[ia:ib].T @ np.diff(omega.values[ja:jb + 1, 0])
 
 
 def young_integral_cumulative(x, omega, window=None):
@@ -87,19 +89,30 @@ def young_loeve_gap(x, omega, window, consts, refine=1):
     always uses the native grid seminorms of both paths on the window.
     """
     a, b = window
-    ia, ib, ja, jb = _check_alignment(x, omega, window)
+    nodes = _check_alignment(x, omega, window)
+    integral = None
     if refine > 1:
         xr = x.restrict(a, b).refine_linear(refine)
         wr = omega.restrict(a, b).refine_linear(refine)
         integral = young_integral(xr, wr)
-    else:
-        integral = young_integral(x, omega, window)
+    return _gap_report(x, omega, nodes, b - a, consts,
+                       holder_seminorm(omega, consts.nu, window).seminorm,
+                       holder_seminorm(x, consts.beta, window).seminorm,
+                       integral)
+
+
+def _gap_report(x, omega, nodes, span, consts, omega_semi, x_semi,
+                integral=None):
+    """The certificate on the window of ``nodes = (ia, ib, ja, jb)`` of x
+    and omega, given both seminorms there; ``integral`` defaults to the
+    left-point sum on the window."""
+    if integral is None:
+        integral = _left_sum(x, omega, *nodes)
+    ia, _, ja, jb = nodes
     increment = x.values[ia] * (omega.values[jb, 0] - omega.values[ja, 0])
     gap = float(np.linalg.norm(integral - increment))
-    span = b - a
     bound = (consts.K * span ** (consts.beta + consts.nu)
-             * holder_seminorm(omega, consts.nu, window).seminorm
-             * holder_seminorm(x, consts.beta, window).seminorm)
+             * omega_semi * x_semi)
     return GapReport(gap, float(bound))
 
 
@@ -134,28 +147,46 @@ def certificate_sweep(integrands, omega, span, consts, n_windows, seed=0,
     Windows shorter than ``min_cells`` mesh cells are not drawn.  The
     comparison carries an absolute floor at the rounding error of the
     left-point sum, so a constant integrand (bound exactly zero) does not
-    trip on float summation noise.
+    trip on float summation noise.  Each row is :func:`young_loeve_gap` of
+    its window; the seminorms of all windows on a path come from one pass
+    over its node pairs.
     """
+    if n_windows < 1:
+        raise DomainError("n_windows must be >= 1")
+    if min_cells < 1:
+        raise DomainError("min_cells must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     lo, hi = span
     ilo = omega.index_of(lo, "span start")
     ihi = omega.index_of(hi, "span end")
     if ihi - ilo < min_cells:
         raise DomainError("sweep span shorter than min_cells")
-    worst = 0.0
-    violations = 0
-    rows = []
-    for idx, x in enumerate(integrands):
-        ix0 = x.index_of(omega.t0 + ilo * omega.mesh)
+    drawn = []        # per integrand: (i, j, window, its nodes) per window
+    for x in integrands:
+        ix0 = x.index_of(omega.t0 + ilo * omega.mesh) - ilo
+        wins = []
         for _ in range(n_windows):
             i = int(rng.integers(ilo, ihi - min_cells + 1))
             j = int(rng.integers(i + min_cells, ihi + 1))
             window = (omega.t0 + i * omega.mesh, omega.t0 + j * omega.mesh)
-            gap, bound = young_loeve_gap(x, omega, window, consts)
-            sup_x = float(np.abs(x.values[ix0 + i - ilo:ix0 + j - ilo + 1]).max())
+            wins.append((i, j, window, _check_alignment(x, omega, window)))
+        drawn.append((x, ix0, wins))
+    omega_semi = iter(_window_pair_max(
+        omega.values, omega.mesh, consts.nu,
+        [nodes[2:] for *_, wins in drawn for *_, nodes in wins]).tolist())
+    worst = 0.0
+    violations = 0
+    rows = []
+    for idx, (x, ix0, wins) in enumerate(drawn):
+        x_semi = _window_pair_max(x.values, x.mesh, consts.beta,
+                                  [nodes[:2] for *_, nodes in wins]).tolist()
+        for (i, j, (a, b), nodes), semi in zip(wins, x_semi):
+            gap, bound = _gap_report(x, omega, nodes, b - a, consts,
+                                     next(omega_semi), semi)
+            sup_x = float(np.abs(x.values[ix0 + i:ix0 + j + 1]).max())
             sum_dw = float(np.abs(np.diff(omega.values[i:j + 1, 0])).sum())
             atol = 1e-13 * (1.0 + sup_x * sum_dw)
-            rows.append((idx, window[0], window[1], gap, bound))
+            rows.append((idx, a, b, gap, bound))
             if gap > bound * (1.0 + 1e-9) + atol:
                 violations += 1
             if bound > atol:

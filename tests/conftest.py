@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ydde.coefficients import make_builtin
 from ydde.drivers import DriverSpec, gen_driver, gen_fbm
@@ -7,6 +8,11 @@ from ydde.paths import GridPath, Segment
 from ydde.solver import SolverConfig
 
 MESH = 1.0 / 256
+
+# The property tests run oracles whose time per example varies widely; each
+# sets its own max_examples and inherits the rest from this profile.
+settings.register_profile("ydde", deadline=None)
+settings.load_profile("ydde")
 
 
 def rng(seed):

@@ -1,8 +1,15 @@
+import math
+from dataclasses import astuple, replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_path, rng
-from ydde.coefficients import (CoefficientSet, bounded_segment_sampler,
+from ydde.coefficients import (CoefficientSet, _ratio, accepts_stacks,
+                               bounded_segment_sampler,
                                coefficients_from_json, composition_holder,
                                composition_holder_diff, composition_path,
                                make_builtin, verify_regularity, zero_segment)
@@ -135,6 +142,157 @@ class TestDerivatives:
             assert all(1.5 <= r <= 2.5 for r in ratios)
 
 
+def former_sampler(r, mesh, dim, bound):
+    """The sampler as it drew one Segment at a time."""
+    n = int(round(r / mesh))
+    u = np.linspace(0.0, 1.0, n + 1)
+    sin1, cos1, sin2 = (np.sin(math.pi * u), np.cos(math.pi * u),
+                        np.sin(2 * math.pi * u))
+
+    def sample(rng):
+        vals = np.zeros((n + 1, dim))
+        for j in range(dim):
+            coef = rng.standard_normal(5)
+            vals[:, j] = (coef[0] + coef[1] * sin1 + coef[2] * cos1
+                          + coef[3] * sin2 + coef[4] * u)
+        peak = np.abs(vals).max()
+        scale = bound * rng.uniform(0.05, 1.0) / max(peak, 1e-12)
+        return Segment(r, mesh, scale * vals)
+
+    return sample
+
+
+def per_segment_regularity(coeffs, sampler, M, trials, seed=0,
+                           n_directions=8):
+    """The former verify_regularity: every functional called on one
+    sampled Segment at a time."""
+    g = np.random.Generator(np.random.Philox(key=int(seed)))
+    worst_f = worst_db = worst_dh = 0.0
+    lm = coeffs.L_M(M)
+    for _ in range(trials):
+        xi, eta = sampler(g), sampler(g)
+        gap = float(np.abs(xi.values - eta.values).max())
+        worst_f = max(worst_f, _ratio(
+            float(np.linalg.norm(coeffs.f(xi) - coeffs.f(eta))),
+            coeffs.L_f * gap))
+        dir_gap = 0.0
+        for _ in range(n_directions):
+            direction = sampler(g)
+            unit = direction.with_values(
+                direction.values / max(np.abs(direction.values).max(), 1e-12))
+            dg_xi = coeffs.Dg(xi, unit)
+            worst_db = max(worst_db, _ratio(float(np.linalg.norm(dg_xi)),
+                                            coeffs.L_g))
+            dir_gap = max(dir_gap, float(np.linalg.norm(
+                dg_xi - coeffs.Dg(eta, unit))))
+        worst_dh = max(worst_dh, _ratio(dir_gap, lm * gap ** coeffs.delta))
+    passed = max(worst_f, worst_db, worst_dh) <= 1.0 + 1e-9
+    return worst_f, worst_db, worst_dh, trials, passed
+
+
+def hexed_report(rep):
+    return tuple(x.hex() if isinstance(x, float) else x for x in rep)
+
+
+def regularity_families(dim):
+    """Built-ins of dimension ``dim``, with matrices mixing components."""
+    mix = np.array([[-0.3, 0.2, 0.1], [0.05, -0.2, 0.3], [0.1, 0.0, 0.25]])
+    A, B, S = mix[:dim, :dim], mix[:dim, :dim].T, 0.5 * mix[:dim, :dim]
+    sin = make_builtin("sin_delay", dim=dim, A=A, B=B, sigma=0.8)
+    out = [make_builtin("linear_delay", dim=dim, A=A, B=B, Sigma=S, c=0.1,
+                        delta=0.7),
+           sin,
+           # a Holder exponent below 1 with a nonzero modulus: gap ** delta
+           replace(sin, delta=0.6, L_M=lambda M: 0.5 * M)]
+    if dim == 1:
+        out.append(make_builtin("scalar_logistic_bounded", a=-0.4, sigma=0.3))
+    return out
+
+
+def unmarked(coeffs):
+    """The same set with its f and Dg unmarked, plus a Dg of its own that
+    reads a node the built-ins do not."""
+    def Dg(seg, direction):
+        return (coeffs.Dg(seg, direction)
+                + 0.1 * np.tanh(seg.values[len(seg.values) // 2])
+                * direction.values[-1])
+    return replace(coeffs, f=lambda seg: coeffs.f(seg), Dg=Dg)
+
+
+class TestStackedRegularity:
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from((1, 2, 3)),
+           count=st.integers(1, 9), bound=st.sampled_from((0.5, 2.0, 10.0)),
+           mesh=st.sampled_from((1 / 64, 1 / 16, 0.25)))
+    def test_stacked_draw_matches_successive_samples(self, seed, dim, count,
+                                                     bound, mesh):
+        sample = bounded_segment_sampler(R, mesh, dim, bound)
+        stacked, singles, g = rng(seed), rng(seed), rng(seed)
+        stack = sample.stack(stacked, count).values
+        former = former_sampler(R, mesh, dim, bound)
+        for i in range(count):
+            want = former(g).values
+            assert stack[:, i].tobytes() == want.tobytes()
+            assert sample(singles).values.tobytes() == want.tobytes()
+        # the same draws: every generator is left at the same point
+        after = g.integers(1 << 62)
+        assert stacked.integers(1 << 62) == singles.integers(1 << 62) == after
+
+    @settings(max_examples=150)
+    @given(dim=st.sampled_from((1, 2, 3)), data=st.data(),
+           trials=st.integers(1, 12), n_directions=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 16), bound=st.sampled_from((0.5, 3.0)),
+           sample_values=st.sampled_from((1, 150, 1 << 14)))
+    def test_matches_per_segment_loop(self, dim, data, trials, n_directions,
+                                      seed, bound, sample_values):
+        coeffs = data.draw(st.sampled_from(regularity_families(dim)))
+        if data.draw(st.booleans()):    # declared constants too small
+            coeffs = replace(coeffs, L_f=0.5 * coeffs.L_f, L_g=0.0)
+        if data.draw(st.booleans()):
+            coeffs = unmarked(coeffs)
+        stacked = bounded_segment_sampler(R, MESH, dim, bound)
+        plain = former_sampler(R, MESH, dim, bound)
+        sampler = data.draw(st.sampled_from((stacked, plain)))
+        with mock.patch("ydde.coefficients._SAMPLE_VALUES", sample_values):
+            got = verify_regularity(coeffs, sampler, bound, trials, seed,
+                                    n_directions)
+        want = per_segment_regularity(coeffs, plain, bound, trials, seed,
+                                      n_directions)
+        assert hexed_report(astuple(got)) == hexed_report(want)
+
+    @settings(max_examples=300)
+    @given(seed=st.integers(0, 2 ** 32 - 1), trials=st.integers(1, 2),
+           delta=st.sampled_from((0.3, 0.55, 0.6, 0.8)))
+    def test_holder_ratio_per_trial(self, seed, trials, delta):
+        # one or two trials, so the worst ratio is each trial's own:
+        # numpy's power rounds some gap ** delta differently
+        coeffs = replace(make_builtin("sin_delay", sigma=0.8), delta=delta,
+                         L_M=lambda M: 0.5 * M)
+        got = verify_regularity(coeffs, sampler(bound=3.0), 3.0, trials,
+                                seed, 2)
+        want = per_segment_regularity(coeffs, former_sampler(R, MESH, 1, 3.0),
+                                      3.0, trials, seed, 2)
+        assert got.dg_holder.hex() == want[2].hex()
+
+    def test_calls_each_marked_functional_once_per_chunk(self, monkeypatch):
+        co = make_builtin("sin_delay", sigma=1.0)
+        calls = []
+
+        def counted(func):
+            @accepts_stacks
+            def wrapped(*args):
+                calls.append(args[0].values.shape)
+                return func(*args)
+            return wrapped
+
+        co = replace(co, f=counted(co.f), Dg=counted(co.Dg))
+        monkeypatch.setattr("ydde.coefficients._SAMPLE_VALUES", 17 * 10 * 5)
+        verify_regularity(co, sampler(), M=1.0, trials=12, seed=0)
+        # the first trial alone sizes the chunks: then 5, 5 and 1 trials
+        assert calls == [(17, 2, 1), (17, 16, 1), (17, 10, 1), (17, 80, 1),
+                         (17, 10, 1), (17, 80, 1), (17, 2, 1), (17, 16, 1)]
+
+
 class TestVerifyRegularity:
     def test_linear_family_within_constants(self):
         co = make_builtin("linear_delay", A=-0.3, B=0.2, Sigma=0.4, c=0.1)
@@ -172,6 +330,14 @@ class TestVerifyRegularity:
         co = make_builtin("linear_delay")
         with pytest.raises(DomainError):
             verify_regularity(co, sampler(), M=1.0, trials=0)
+
+    @pytest.mark.parametrize("n_directions", [0, -2])
+    def test_directions_validated(self, n_directions):
+        # no direction would skip every Dg check and pass
+        co = make_builtin("sin_delay", sigma=1.0)
+        with pytest.raises(DomainError, match="n_directions"):
+            verify_regularity(co, sampler(), M=1.0, trials=5,
+                              n_directions=n_directions)
 
 
 class TestComposition:

@@ -153,7 +153,7 @@ class TestFbm:
         w = np.linalg.eigvalsh(cov)
         assert w.min() > 0
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(n=st.integers(1, 300), hurst=st.floats(0.5, 0.999),
            seed=st.integers(0, 2 ** 64 - 1))
     def test_levinson_matches_cholesky_oracle(self, n, hurst, seed):

@@ -1,5 +1,5 @@
 import io
-from itertools import accumulate
+from itertools import accumulate, combinations
 from unittest import mock
 
 import numpy as np
@@ -12,7 +12,7 @@ from conftest import random_path, rng
 from ydde.errors import DomainError
 from ydde.paths import (GridPath, Segment, _gap_weights, _pair_blocks,
                         _pair_max, _pair_scan, _row_norms, _sliding_max,
-                        _SlidingPairMax, counterexample_growth, holder_norm,
+                        _SlidingPairMax, _window_pair_max, counterexample_growth, holder_norm,
                         holder_seminorm, pvar_seminorm,
                         pvar_seminorm_exhaustive, read_csv, read_json, segment,
                         segment_holder_seminorm, segment_norm,
@@ -129,7 +129,7 @@ def node_arrays(draw, min_nodes=2, max_nodes=12, elems=st.integers(-3, 3)):
 
 
 class TestPairScan:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(v=node_arrays(), h=st.sampled_from(MESHES),
            exponent=st.sampled_from(EXPONENTS), data=st.data())
     def test_matches_double_loop(self, v, h, exponent, data):
@@ -162,7 +162,7 @@ class TestPairScan:
         # the cache holds a bounded number of scan sizes
         assert _gap_weights.cache_info().maxsize is not None
 
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(v=node_arrays(max_nodes=30, elems=st.floats(
                -8.0, 8.0, allow_nan=False, allow_infinity=False)),
            h=st.sampled_from(MESHES), exponent=st.sampled_from(EXPONENTS),
@@ -176,7 +176,7 @@ class TestPairScan:
         if max_gap is None:
             assert _pair_max(v, h, exponent, start) == got[0]
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(v=node_arrays(min_nodes=3, max_nodes=20, elems=st.integers(-3, 3)
                          | st.floats(-8.0, 8.0, allow_nan=False,
                                      allow_infinity=False)),
@@ -201,7 +201,7 @@ MIXED = st.integers(-3, 3) | st.floats(-8.0, 8.0, allow_nan=False,
 
 
 class TestTailScan:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(v=node_arrays(max_nodes=20, elems=MIXED), h=st.sampled_from(MESHES),
            exponent=st.sampled_from(EXPONENTS))
     def test_splits_pair_scan_bitwise(self, v, h, exponent):
@@ -227,7 +227,7 @@ class TestTailScan:
 
 
 class TestSlidingMax:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(x=st.lists(MIXED, min_size=1, max_size=40), data=st.data())
     def test_matches_sliding_window_view(self, x, data):
         x = np.asarray(x, dtype=float)
@@ -277,7 +277,7 @@ def history_queries(draw):
 
 
 class TestSlidingPairMax:
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(case=history_queries(), h=st.sampled_from(MESHES),
            exponent=st.sampled_from(EXPONENTS), data=st.data())
     def test_matches_full_history_scan(self, case, h, exponent, data):
@@ -298,6 +298,46 @@ class TestSlidingPairMax:
         monkeypatch.setattr("ydde.paths._BLOCK_PAIRS", block_pairs)
         got = answers(v, queries, 64, 1 / 600, 0.55, np.nan)
         assert hexed(got) == hexed(want)
+
+
+@st.composite
+def path_windows(draw):
+    """A path of n nodes (d in {1, 2, 3}; d = 1 maybe flat) and windows
+    ``(i, j)``, i < j, among them one-cell and whole-path ones."""
+    v = draw(node_arrays(max_nodes=40, elems=MIXED))
+    n = v.shape[0]
+    cells = st.integers(0, n - 2).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(i + 1, n - 1)))
+    wins = draw(st.lists(cells, min_size=1, max_size=12))
+    last = draw(st.integers(0, n - 2))
+    return v, wins + [(last, last + 1), (0, n - 1)]
+
+
+class TestWindowPairMax:
+    @settings(max_examples=500)
+    @given(case=path_windows(), h=st.sampled_from(MESHES),
+           exponent=st.sampled_from(EXPONENTS),
+           block_pairs=st.sampled_from((1, 7, 1 << 14)))
+    def test_matches_pair_max_per_window(self, case, h, exponent,
+                                         block_pairs):
+        v, wins = case
+        with mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
+            got = _window_pair_max(v, h, exponent, wins)
+        want = [_pair_max(v[i:j + 1], h, exponent) for i, j in wins]
+        assert [float(x).hex() for x in got] == [x.hex() for x in want]
+
+    def test_no_windows(self):
+        v = random_path(1, n=20).values
+        assert _window_pair_max(v, 0.05, 0.5, []).shape == (0,)
+
+    def test_scans_only_the_windows_upper_nodes(self, monkeypatch):
+        v = random_path(2, n=60, mesh=1 / 60, dim=2).values
+        want = [_pair_max(v[i:j + 1], 1 / 60, 0.55) for i, j in
+                ((10, 12), (11, 30))]
+        v = np.array(v)
+        v[31:] = np.nan
+        got = _window_pair_max(v, 1 / 60, 0.55, [(10, 12), (11, 30)])
+        assert [float(x).hex() for x in got] == [x.hex() for x in want]
 
 
 class TestHolderSeminorm:
@@ -358,6 +398,19 @@ class TestHolderSeminorm:
             holder_seminorm(p, 0.0)
 
 
+def per_partition_pvar(v, p):
+    """The former exhaustive p-variation: every term of every partition
+    recomputed from its increment."""
+    m = v.shape[0] - 1
+    best = 0.0
+    for size in range(0, m):
+        for mid in combinations(range(1, m), size):
+            nodes = (0,) + mid + (m,)
+            best = max(best, sum(float(np.linalg.norm(v[b] - v[a])) ** p
+                                 for a, b in zip(nodes[:-1], nodes[1:])))
+    return best ** (1.0 / p)
+
+
 class TestPvarSeminorm:
     def test_monotone_p1_telescopes(self):
         g = rng(7)
@@ -383,6 +436,14 @@ class TestPvarSeminorm:
         dp = pvar_seminorm(path, p_exp).seminorm
         ex = pvar_seminorm_exhaustive(path, p_exp)
         assert dp == pytest.approx(ex, rel=1e-12)
+
+    @settings(max_examples=100)
+    @given(v=node_arrays(max_nodes=9, elems=MIXED),
+           p_exp=st.sampled_from((1.0, 1.5, 2.0, 3.0)))
+    def test_exhaustive_matches_per_partition_norms(self, v, p_exp):
+        path = GridPath(0.0, 0.125, v)
+        got = pvar_seminorm_exhaustive(path, p_exp)
+        assert got.hex() == per_partition_pvar(path.values, p_exp).hex()
 
     def test_witness_reproduces_value(self):
         path = random_path(9, n=30)
@@ -497,7 +558,7 @@ class TestSegmentNormProfile:
             seg = segment(path, t, r)
             assert val == pytest.approx(segment_norm(seg, beta), rel=1e-12)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(v=node_arrays(min_nodes=3, max_nodes=30, elems=MIXED),
            h=st.sampled_from(MESHES), beta=st.sampled_from(EXPONENTS),
            data=st.data())

@@ -234,7 +234,7 @@ class TestGreedyPartition:
         with pytest.raises(DomainError):
             greedy_partition(zero_omega(mesh=1 / 64), cfg, C=0.2)  # mu >= C
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(case=partition_cases())
     # a flat driver whose residual meets mu / C = 1/4 exactly at 4 cells
     @example(case=(zero_omega(mesh=1 / 64),
@@ -456,7 +456,7 @@ def kernel_cases(draw):
 class TestStepKernelOracle:
     h = 1 / 16
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(case=kernel_cases(), data=st.data())
     def test_map_F_matches_loop(self, case, data):
         coeffs, m_r, n_h, g = case
@@ -470,7 +470,7 @@ class TestStepKernelOracle:
         assert np.array_equal(map_F(x, coeffs, omega, window, history).values,
                               loop_map_F(x, coeffs, omega, window, history))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(case=kernel_cases())
     def test_euler_matches_loop(self, case):
         coeffs, m_r, n_h, g = case
@@ -481,7 +481,7 @@ class TestStepKernelOracle:
         assert np.array_equal(euler_solve(coeffs, eta, omega, cfg).values,
                               loop_euler(coeffs, eta, omega, cfg))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(case=kernel_cases(), data=st.data())
     def test_composition_matches_loop(self, case, data):
         coeffs, m_r, n_h, g = case
@@ -496,7 +496,7 @@ class TestStepKernelOracle:
             assert np.array_equal(comp.values, loop_composition(
                 func, path, m_r * self.h, ja, jb))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(case=kernel_cases(), data=st.data())
     def test_linearized_map_matches_loop(self, case, data):
         coeffs, m_r, n_h, g = case
@@ -515,7 +515,7 @@ class TestStepKernelOracle:
         assert np.array_equal(kernel, loop_linearized_map(
             coeffs, base, values, ia, ib, m_r, self.h, dw))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(case=kernel_cases(), data=st.data())
     def test_stacked_call_matches_segment_loop(self, case, data):
         # each built-in functional called once on the node-major stacks of
@@ -537,7 +537,7 @@ class TestStepKernelOracle:
             got, = node_values((func,), arrays[2 - n_args:], ka, kb, r, self.h)
             assert np.array_equal(got, looped)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(case=kernel_cases())
     def test_segment_form_matches_former_products(self, case):
         # the matrix parts equal the former per-row ``A @ v`` products
@@ -754,37 +754,53 @@ class TestHistoryNorm:
         assert got.solution.values.tobytes() == want.solution.values.tobytes()
         assert repr(got.windows) == repr(want.windows)
 
-    def test_linearized_matches_full_scan(self, monkeypatch, linear_scenario):
-        sc = linear_scenario
+    @staticmethod
+    def linearized_problem(sc):
         coeffs = make_builtin("linear_delay", A=-0.15, B=0.05, Sigma=0.05,
                               c=0.02, delta=0.8)   # exponent 0.44, not beta
         base = picard_solve(coeffs, sc["eta"], sc["omega"], sc["config"])
-        problem = LinearizedProblem(coeffs=coeffs,
-                                    base_solution=base.solution,
-                                    direction=sc["direction"],
-                                    omega=sc["omega"], config=sc["config"])
-        run_window = solver._WindowedPicard.run_window
+        return LinearizedProblem(coeffs=coeffs, base_solution=base.solution,
+                                 direction=sc["direction"], omega=sc["omega"],
+                                 config=sc["config"])
 
-        def solve_and_records():
-            # linearized_solve drops its window records, which carry the
-            # history norm (in max_iterate_norm): catch them on the way
-            records = []
-
-            def spy(self, *args, **kwargs):
-                recs = run_window(self, *args, **kwargs)
-                records.extend(recs)
-                return recs
-
-            with monkeypatch.context() as m:
-                m.setattr(solver._WindowedPicard, "run_window", spy)
-                y = linearized_solve(problem)
-            return y.values.tobytes(), repr(records)
-
-        got = solve_and_records()
+    def test_linearized_skips_history_norm(self, monkeypatch,
+                                           linear_scenario):
+        # linearized_solve asks for no ball (radius inf): no window reads
+        # the history norm, and no record carries an iterate norm
+        problem = self.linearized_problem(linear_scenario)
+        queried = []
         monkeypatch.setattr(solver._WindowedPicard, "history_parts",
-                            full_scan_history_parts)
-        assert got == solve_and_records()
-        assert got[1].count("WindowRecord") > 1
+                            lambda *args: queried.append(args))
+        run_window = solver._WindowedPicard.run_window
+        records = []
+
+        def spy(self, *args, **kwargs):
+            recs = run_window(self, *args, **kwargs)
+            records.extend(recs)
+            return recs
+
+        monkeypatch.setattr(solver._WindowedPicard, "run_window", spy)
+        linearized_solve(problem)
+        assert queried == []
+        assert len(records) > 1
+        assert all(math.isnan(r.max_iterate_norm) for r in records)
+
+    def test_linearized_solution_unchanged_without_ball(self, monkeypatch,
+                                                        linear_scenario):
+        # the same solve with a finite radius, which runs the history norm
+        # and every iterate's ball scan, gives the same bytes
+        problem = self.linearized_problem(linear_scenario)
+        got = linearized_solve(problem).values.tobytes()
+        run_window = solver._WindowedPicard.run_window
+        radii = []
+
+        def with_ball(self, values, ia, ib, init_kind, ball_radius, *args):
+            radii.append(ball_radius)
+            return run_window(self, values, ia, ib, init_kind, 1e300, *args)
+
+        monkeypatch.setattr(solver._WindowedPicard, "run_window", with_ball)
+        assert linearized_solve(problem).values.tobytes() == got
+        assert len(radii) > 1 and all(r == math.inf for r in radii)
 
 
 class TestEulerSolve:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_path
 from ydde.coefficients import composition_path
@@ -140,6 +142,88 @@ class TestQuadratureConvergence:
                      * holder_seminorm(finer_w, nu).seminorm
                      * holder_seminorm(finer_x, beta).seminorm)
             assert gap <= bound * (1 + 1e-9)
+
+
+def per_window_sweep(integrands, omega, span, consts, n_windows, seed=0,
+                     min_cells=2):
+    """The former certificate sweep: two seminorm scans per window, through
+    young_loeve_gap."""
+    g = np.random.Generator(np.random.Philox(key=int(seed)))
+    lo, hi = span
+    ilo = omega.index_of(lo, "span start")
+    ihi = omega.index_of(hi, "span end")
+    worst = 0.0
+    violations = 0
+    rows = []
+    for idx, x in enumerate(integrands):
+        ix0 = x.index_of(omega.t0 + ilo * omega.mesh)
+        for _ in range(n_windows):
+            i = int(g.integers(ilo, ihi - min_cells + 1))
+            j = int(g.integers(i + min_cells, ihi + 1))
+            window = (omega.t0 + i * omega.mesh, omega.t0 + j * omega.mesh)
+            gap, bound = young_loeve_gap(x, omega, window, consts)
+            sup_x = float(np.abs(x.values[ix0 + i - ilo:ix0 + j - ilo + 1]).max())
+            sum_dw = float(np.abs(np.diff(omega.values[i:j + 1, 0])).sum())
+            atol = 1e-13 * (1.0 + sup_x * sum_dw)
+            rows.append((idx, window[0], window[1], gap, bound))
+            if gap > bound * (1.0 + 1e-9) + atol:
+                violations += 1
+            if bound > atol:
+                worst = max(worst, gap / bound)
+    return len(rows), violations, worst, tuple(rows)
+
+
+def hexed_sweep(n_windows, violations, worst, rows):
+    return (n_windows, violations, worst.hex(),
+            [tuple(x.hex() if isinstance(x, float) else x for x in row)
+             for row in rows])
+
+
+class TestCertificateSweep:
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2 ** 16), n_windows=st.integers(1, 8),
+           min_cells=st.integers(1, 4), dims=st.lists(
+               st.sampled_from((1, 2)), min_size=1, max_size=3),
+           cut=st.integers(0, 20), exps=st.sampled_from(
+               ((0.55, 0.7), (0.3, 0.8), (1.0, 1.0))))
+    def test_matches_per_window_loop(self, seed, n_windows, min_cells, dims,
+                                     cut, exps):
+        h = 1 / 64
+        omega = random_path(seed, n=64, mesh=h)
+        # integrands from -r, so their nodes sit off the driver's
+        integrands = [random_path(seed + 1 + k, n=80, mesh=h, t0=-0.25,
+                                  dim=d) for k, d in enumerate(dims)]
+        span = (cut * h, 1.0 - (cut // 2) * h)
+        consts = YoungConstants(*exps)
+        got = certificate_sweep(integrands, omega, span, consts, n_windows,
+                                seed, min_cells)
+        want = per_window_sweep(integrands, omega, span, consts, n_windows,
+                                seed, min_cells)
+        assert hexed_sweep(got.n_windows, got.violations, got.worst_ratio,
+                           got.rows) == hexed_sweep(*want)
+
+    def test_fbm_iterates_match_per_window_loop(self, workhorse):
+        report = picard_solve(workhorse["coeffs"], workhorse["eta"],
+                              workhorse["omega"], workhorse["config"],
+                              collect_first_iterate=True)
+        integrands = [report.solution.restrict(0.0, 1.0),
+                      report.first_iterate.restrict(0.0, 1.0),
+                      report.solution]
+        consts = workhorse["config"].young(1.0)
+        args = (integrands, workhorse["omega"], (0.0, 1.0), consts, 34, 2)
+        got = certificate_sweep(*args)
+        assert hexed_sweep(got.n_windows, got.violations, got.worst_ratio,
+                           got.rows) == hexed_sweep(*per_window_sweep(*args))
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"n_windows": -3}, "n_windows"), ({"n_windows": 0}, "n_windows"),
+        ({"min_cells": 0}, "min_cells"), ({"min_cells": -1}, "min_cells")])
+    def test_bad_counts_rejected(self, workhorse, kwargs, match):
+        args = {"n_windows": 5, "min_cells": 2, **kwargs}
+        x = random_path(3, n=256, mesh=1 / 256)
+        with pytest.raises(DomainError, match=match):
+            certificate_sweep([x], workhorse["omega"], (0.0, 1.0),
+                              YoungConstants(0.55, 0.7), **args)
 
 
 class TestYoungLoeveGap:
