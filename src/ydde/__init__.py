@@ -10,28 +10,26 @@ bounds, and sensitivity of the solution to its initial segment.
 from .coefficients import (CoefficientSet, accepts_stacks,
                            bounded_segment_sampler, coefficients_from_json,
                            composition_holder, composition_holder_diff,
-                           composition_path, make_builtin, verify_regularity,
-                           zero_segment)
-from .drivers import (RNG_ALGORITHM, DriverSpec, empirical_holder_exponent,
+                           composition_path, make_builtin, verify_regularity)
+from .drivers import (DriverSpec, empirical_holder_exponent,
                       gen_deterministic, gen_driver, gen_fbm)
 from .errors import (ConvergenceError, DomainError, GenerationError,
                      PartitionError)
 from .paths import (GridPath, NormReport, Segment, counterexample_growth,
                     holder_norm, holder_seminorm, pvar_seminorm,
-                    pvar_seminorm_exhaustive, read_csv, read_json, segment,
+                    pvar_seminorm_exhaustive, read_csv, segment,
                     segment_norm, segment_norm_profile, segment_path_holder,
-                    sup_norm, write_csv, write_json)
+                    sup_norm, write_csv)
 from .sensitivity import (ContinuityReport, DifferentiabilityReport,
                           LinearizedProblem, continuity_check,
                           differentiability_check, linearized_solve)
 from .solver import (ContractionConstants, GreedyPartition, GronwallReport,
                      GrowthReport, ProbeReport, SolveReport, SolverConfig,
                      WindowRecord, compute_contraction_constants,
-                     contraction_constants, euler_solve, greedy_partition,
-                     gronwall_check, growth_bound_check, map_F, picard_solve,
+                     euler_solve, greedy_partition, gronwall_check,
+                     growth_bound_check, map_F, picard_solve,
                      stopping_count_bound, uniqueness_probe, window_residual)
 from .young import (GapReport, YoungConstants, certificate_sweep,
-                    young_constant, young_integral,
-                    young_integral_cumulative, young_loeve_gap)
+                    young_constant, young_integral, young_loeve_gap)
 
 __version__ = "0.1.0"

@@ -306,6 +306,8 @@ def cmd_converge(args, scenario, out, say):
     levels = int(args.levels)
     if levels < 2:
         raise DomainError("converge needs at least 2 levels")
+    if not args.rtol >= 0:
+        raise DomainError(f"converge needs --rtol >= 0, got {args.rtol!r}")
     spec = scenario.driver
     fine = replace(spec, mesh=spec.mesh / 2 ** (levels - 1))
     omega_fine = drivers.gen_driver(fine)

@@ -17,8 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .paths import (GridPath, Segment, SegmentView, _node_stack,
-                    _snap_index, holder_norm, holder_seminorm, sup_norm)
+from .paths import (GridPath, Segment, SegmentView, _delay_window,
+                    _node_stack, _snap_index, holder_norm, holder_seminorm,
+                    sup_norm)
 
 _FAMILIES = ("linear_delay", "sin_delay", "scalar_logistic_bounded")
 
@@ -294,11 +295,6 @@ def coefficients_from_json(d):
     return make_builtin(family, **params)
 
 
-def zero_segment(r, mesh, dim):
-    n = int(round(r / mesh))
-    return Segment(r, mesh, np.zeros((n + 1, dim)))
-
-
 def bounded_segment_sampler(r, mesh, dim, bound):
     """Random segments with sup-norm at most ``bound`` (low-order Fourier mix).
 
@@ -405,8 +401,9 @@ def verify_regularity(coeffs, sampler, M, trials, seed=0, n_directions=8):
         vals = drawn.values.reshape(nodes, count, per_trial, dim)
         pairs = vals[:, :, :2]          # xi and eta of each trial
         dirs = vals[:, :, 2:]
-        units = dirs / np.maximum(np.abs(dirs).max(axis=(0, 3)),
-                                  1e-12)[:, :, None]
+        # gaps and directions in the solver's segment sup norm: the max over
+        # nodes of the Euclidean node norm
+        units = dirs / np.maximum(_norms(dirs).max(axis=0), 1e-12)[:, :, None]
         # xi and eta each against every unit direction of their trial
         expand = (nodes, count, 2, n_directions, dim)
         f_vals, = _stack_values((coeffs.f,), [_columns(pairs)],
@@ -417,7 +414,7 @@ def verify_regularity(coeffs, sampler, M, trials, seed=0, n_directions=8):
             drawn.delay, drawn.mesh)
         f_vals = f_vals.reshape(count, 2, dim)
         dg_vals = dg_vals.reshape(count, 2, n_directions, dim)
-        gaps = np.abs(pairs[:, :, 0] - pairs[:, :, 1]).max(axis=(0, 2))
+        gaps = _norms(pairs[:, :, 0] - pairs[:, :, 1]).max(axis=0)
         f_gaps = _norms(f_vals[:, 0] - f_vals[:, 1])
         dir_gaps = _norms(dg_vals[:, 0] - dg_vals[:, 1]).max(axis=1)
         # _ratio grows with its numerator: the largest norm gives its max
@@ -436,14 +433,7 @@ def verify_regularity(coeffs, sampler, M, trials, seed=0, n_directions=8):
 
 def composition_path(func, path, r, window=None):
     """The path ``t -> func(x_t)`` on grid nodes of the window."""
-    mr = _snap_index(r, path.mesh, "delay")
-    if window is None:
-        ja, jb = mr, path.n_intervals
-    else:
-        ja = path.index_of(window[0], "window start")
-        jb = path.index_of(window[1], "window end")
-    if ja < mr:
-        raise DomainError("composition window starts before t0 + r")
+    _, ja, jb = _delay_window(path, r, window, "composition")
     out, = node_values((func,), (path.values,), ja, jb + 1, r, path.mesh)
     return GridPath(path.t0 + ja * path.mesh, path.mesh, out)
 

@@ -4,8 +4,8 @@ fBm sampling is exact in distribution: the Durbin-Levinson recursion
 (Hosking 1984; Dieker 2004) applies the lower Cholesky factor of the
 increment covariance (fractional Gaussian noise) to standard normals,
 built from the autocovariance vector alone in O(n^2) time and O(n)
-memory.  The normals come from a counter-based generator, so a given spec
-reproduces bit-identical paths.
+memory.  The normals come from a counter-based generator (Philox), so a
+given spec reproduces bit-identical paths.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ import numpy as np
 
 from .errors import DomainError, GenerationError
 from .paths import GridPath, holder_seminorm, _snap_index
-
-# Counter-based PRNG backing all random generation, recorded in metadata.
-RNG_ALGORITHM = "philox4x64"
 
 # Durbin-Levinson sampling is O(n^2) time, O(n) memory; hard desk-scale cap.
 MAX_FBM_INTERVALS = 2 ** 14
@@ -69,20 +66,6 @@ def spec_from_json(d):
     if "samples" in d and d["samples"] is not None:
         d["samples"] = tuple(tuple(np.atleast_1d(row)) for row in d["samples"])
     return DriverSpec(**d)
-
-
-def spec_to_json(spec):
-    d = {
-        "kind": spec.kind, "T": spec.T, "mesh": spec.mesh, "seed": int(spec.seed),
-        "amplitude": spec.amplitude, "frequency": spec.frequency,
-    }
-    if spec.hurst is not None:
-        d["hurst"] = spec.hurst
-    if spec.exponent is not None:
-        d["exponent"] = spec.exponent
-    if spec.samples is not None:
-        d["samples"] = [list(row) for row in spec.samples]
-    return d
 
 
 def fgn_autocovariance(hurst, n, mesh):
@@ -166,14 +149,6 @@ def gen_driver(spec, allow_h_half=False):
             raise DomainError("samples length does not match T/mesh + 1")
         return GridPath(0.0, spec.mesh, spec.amplitude * values)
     return gen_deterministic(spec)
-
-
-def driver_metadata(spec):
-    """Provenance recorded alongside emitted paths."""
-    meta = {"kind": spec.kind}
-    if spec.kind == "fbm":
-        meta.update(rng=RNG_ALGORITHM, seed=int(spec.seed), hurst=spec.hurst)
-    return meta
 
 
 def empirical_holder_exponent(path, betas):

@@ -11,7 +11,6 @@ continuum quantities while every inequality between them remains valid.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -402,8 +401,27 @@ class _SlidingPairMax:
 
 def sup_norm(path, window=None):
     """Max Euclidean node norm over the window."""
-    ia, ib = path.window_indices(window) if window is not None else (0, path.n_intervals)
+    ia, ib = path.window_indices(window)
     return float(_row_norms(path.values[ia:ib + 1]).max())
+
+
+def _check_holder_exponent(beta):
+    if not 0.0 < beta <= 1.0:
+        raise DomainError(f"Holder exponent must lie in (0, 1], got {beta!r}")
+
+
+def _delay_window(path, r, window, what):
+    """Node indices ``(m_r, ja, jb)`` of the delay r and of the window of
+    segment times (default: every t with t - r inside the path)."""
+    mr = _snap_index(r, path.mesh, "delay")
+    if window is None:
+        ja, jb = mr, path.n_intervals
+    else:
+        ja = path.index_of(window[0], "window start")
+        jb = path.index_of(window[1], "window end")
+    if ja < mr:
+        raise DomainError(f"{what} window starts before t0 + r")
+    return mr, ja, jb
 
 
 def holder_seminorm(path, beta, window=None):
@@ -411,8 +429,7 @@ def holder_seminorm(path, beta, window=None):
 
     Full O(n^2) pair scan; returns the attaining pair as witness.
     """
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"Holder exponent must lie in (0, 1], got {beta!r}")
+    _check_holder_exponent(beta)
     ia, ib = path.window_indices(window)
     value, k, g = _pair_scan(path.values[ia:ib + 1], path.mesh, beta)
     s = path.t0 + (ia + k) * path.mesh
@@ -431,7 +448,7 @@ def pvar_seminorm(path, p, window=None):
     Returns the p-th root of the optimal sum; the witness is the optimal
     partition (as times, endpoints included).
     """
-    if p < 1.0:
+    if not p >= 1.0:
         raise DomainError(f"p-variation needs p >= 1, got {p!r}")
     ia, ib = path.window_indices(window)
     v = path.values[ia:ib + 1]
@@ -453,7 +470,7 @@ def pvar_seminorm(path, p, window=None):
 
 def pvar_seminorm_exhaustive(path, p, window=None):
     """Brute-force p-variation over all node partitions (oracle, <= ~14 nodes)."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise DomainError(f"p-variation needs p >= 1, got {p!r}")
     ia, ib = path.window_indices(window)
     v = path.values[ia:ib + 1]
@@ -494,13 +511,8 @@ def segment_path_holder(path, beta, r, window):
     b-a; the witness is the first segment pair whose window holds the
     attaining node pair.
     """
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"Holder exponent must lie in (0, 1], got {beta!r}")
-    a, b = window
-    ia = path.index_of(a, "window start")
-    ib = path.index_of(b, "window end")
-    if ib <= ia:
-        raise DomainError(f"window [{a!r}, {b!r}] is empty")
+    _check_holder_exponent(beta)
+    ia, ib = path.window_indices(window)
     mr = _snap_index(r, path.mesh, "delay")
     if ia - mr < 0:
         raise DomainError("segment precedes history: window start - r is before path start")
@@ -511,19 +523,11 @@ def segment_path_holder(path, beta, r, window):
     return NormReport(value, (path.t0 + j * h, path.t0 + (j + g) * h), beta)
 
 
-def segment_sup(seg):
-    return float(_row_norms(seg.values).max())
-
-
-def segment_holder_seminorm(seg, beta):
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"Holder exponent must lie in (0, 1], got {beta!r}")
-    return _pair_max(seg.values, seg.mesh, beta)
-
-
 def segment_norm(seg, beta):
     """Full norm of a segment: sup over [-r, 0] plus beta-seminorm."""
-    return segment_sup(seg) + segment_holder_seminorm(seg, beta)
+    _check_holder_exponent(beta)
+    return (float(_row_norms(seg.values).max())
+            + _pair_max(seg.values, seg.mesh, beta))
 
 
 def segment_norm_profile(path, beta, r, window=None):
@@ -534,17 +538,9 @@ def segment_norm_profile(path, beta, r, window=None):
     sliding max (:func:`_sliding_max`) of the gap-g ratios over the segment's
     pairs, so the profile costs O(n * r/mesh) instead of a pair scan per node.
     """
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"Holder exponent must lie in (0, 1], got {beta!r}")
-    mr = _snap_index(r, path.mesh, "delay")
+    _check_holder_exponent(beta)
+    mr, ja, jb = _delay_window(path, r, window, "profile")
     n = path.n_intervals
-    if window is None:
-        ja, jb = mr, n
-    else:
-        ja = path.index_of(window[0], "window start")
-        jb = path.index_of(window[1], "window end")
-    if ja < mr:
-        raise DomainError("profile window starts before t0 + r")
     h = path.mesh
     v = path.values
     sup_part = _sliding_max(_row_norms(v), mr + 1)  # index j-mr
@@ -566,9 +562,8 @@ def counterexample_growth(beta, p, n):
     sup-norms over the mesh-1/n grid of [-1, 0].  Grows like
     ``n^((1 - beta*p)/p)``, hence is unbounded in n when beta*p < 1.
     """
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"beta must lie in (0, 1], got {beta!r}")
-    if p < 1.0:
+    _check_holder_exponent(beta)
+    if not p >= 1.0:
         raise DomainError(f"p must be >= 1, got {p!r}")
     if beta * p >= 1.0:
         raise DomainError(f"counterexample needs beta*p < 1, got {beta * p!r}")
@@ -583,7 +578,7 @@ def counterexample_growth(beta, p, n):
 
 
 # ---------------------------------------------------------------------------
-# Serialization: CSV rows (t, x_1..x_d) and a JSON envelope with grid metadata.
+# Serialization: CSV rows (t, x_1..x_d).
 
 def _fmt(x):
     return f"{float(x):.17g}"
@@ -612,30 +607,3 @@ def read_csv(fileobj):
         raise DomainError("path CSV times are not uniformly spaced")
     return GridPath(t[0], mesh, arr[:, 1:])
 
-
-def to_json_dict(path, meta=None):
-    d = {
-        "t0": path.t0,
-        "mesh": path.mesh,
-        "dim": path.dim,
-        "values": path.values.tolist(),
-    }
-    if meta:
-        d["meta"] = dict(meta)
-    return d
-
-
-def from_json_dict(d):
-    path = GridPath(d["t0"], d["mesh"], np.asarray(d["values"], dtype=float))
-    if path.dim != int(d["dim"]):
-        raise DomainError("JSON envelope dim does not match values")
-    return path
-
-
-def write_json(path, fileobj, meta=None):
-    json.dump(to_json_dict(path, meta), fileobj, sort_keys=True, indent=1)
-    fileobj.write("\n")
-
-
-def read_json(fileobj):
-    return from_json_dict(json.load(fileobj))

@@ -83,44 +83,33 @@ class ContractionConstants:
     """Constants of the window construction for one coefficient set."""
 
     C: float                 # stopping-time constant 2(|g(0)| + L' + L_g (K+1))
-    Lprime: float            # max(L_f, |f(0)|)
     young: YoungConstants
-    L_g: float
-    L_f: float
-    L_M: object
-    delta: float
-    g0_norm: float
+    coeffs: object           # the CoefficientSet: L' = max(L_f, |f(0)|), L_g, ...
 
     def Cprime(self, span):
         """Window-wise constant (1 + span^beta)(|g0| + L_g + L_g K span^beta + L')."""
-        b = self.young.beta
-        return (1.0 + span ** b) * (self.g0_norm + self.L_g
-                                    + self.L_g * self.young.K * span ** b
-                                    + self.Lprime)
+        b, co = self.young.beta, self.coeffs
+        return (1.0 + span ** b) * (co.g0_norm + co.L_g
+                                    + co.L_g * self.young.K * span ** b
+                                    + co.Lprime)
 
     def L(self, span, M):
         """Contraction constant L(span, M) of the difference estimate."""
-        b, d = self.young.beta, self.delta
-        return (self.L_f + self.L_g
-                + self.L_g * self.young.Kprime * span ** b
-                + self.young.Kprime * self.L_M(M) * M ** d * span ** (d * b))
-
-
-def contraction_constants(coeffs, young):
-    """C, C'(span) and L(span, M) for given Young constants."""
-    C = 2.0 * (coeffs.g0_norm + coeffs.Lprime + coeffs.L_g * (young.K + 1.0))
-    if C <= 0.0:
-        raise DomainError("C must be positive to fix mu < C "
-                          "(coefficients are identically zero)")
-    return ContractionConstants(C=C, Lprime=coeffs.Lprime, young=young,
-                                L_g=coeffs.L_g, L_f=coeffs.L_f,
-                                L_M=coeffs.L_M, delta=coeffs.delta,
-                                g0_norm=coeffs.g0_norm)
+        co = self.coeffs
+        b, d = self.young.beta, co.delta
+        return (co.L_f + co.L_g
+                + co.L_g * self.young.Kprime * span ** b
+                + self.young.Kprime * co.L_M(M) * M ** d * span ** (d * b))
 
 
 def compute_contraction_constants(coeffs, config):
     """C, C'(span) and L(span, M) per the window construction."""
-    return contraction_constants(coeffs, config.young(coeffs.delta))
+    young = config.young(coeffs.delta)
+    C = 2.0 * (coeffs.g0_norm + coeffs.Lprime + coeffs.L_g * (young.K + 1.0))
+    if C <= 0.0:
+        raise DomainError("C must be positive to fix mu < C "
+                          "(coefficients are identically zero)")
+    return ContractionConstants(C=C, young=young, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +117,7 @@ def compute_contraction_constants(coeffs, config):
 
 def window_residual(omega, beta, nu, s, t):
     """(t-s)^(1-beta) + (t-s)^(nu-beta) |||omega|||_{nu, [s, t]} on the grid."""
-    i0 = omega.index_of(s, "window start")
-    i1 = omega.index_of(t, "window end")
-    if i1 <= i0:
-        raise DomainError("window is empty")
+    i0, i1 = omega.window_indices((s, t))
     span = (i1 - i0) * omega.mesh
     om = _pair_max(omega.values[i0:i1 + 1, 0], omega.mesh, nu)
     return span ** (1.0 - beta) + span ** (nu - beta) * om
@@ -165,13 +151,11 @@ class GreedyPartition:
         return len(self.stopping_times)
 
     def n_at(self, t):
-        """N(t, omega): number of stopping times in (0, t]."""
-        return int(np.sum(self.stopping_times <= t + 1e-9 * max(1.0, abs(t))))
-
-    def n_profile(self, ts):
-        st = self.stopping_times
-        slack = 1e-9 * np.maximum(1.0, np.abs(ts))
-        return np.searchsorted(st, ts + slack, side="right")
+        """N(t, omega): number of stopping times in (0, t]; an int for a
+        time, an array of counts for an array of times."""
+        slack = 1e-9 * np.maximum(1.0, np.abs(t))
+        n = np.searchsorted(self.stopping_times, t + slack, side="right")
+        return n if np.ndim(n) else int(n)
 
     def windows(self):
         return list(zip(self.times[:-1], self.times[1:]))
@@ -189,8 +173,8 @@ def greedy_partition(omega, config, C):
     scan never looks past ``j_cap``, the first j where that term alone
     exceeds the threshold.
     """
-    if C <= 0.0:
-        raise DomainError("greedy partition needs C > 0")
+    if not 0.0 < C < math.inf:
+        raise DomainError(f"greedy partition needs 0 < C < inf, got {C!r}")
     if not config.mu < min(1.0, C):
         raise DomainError(f"need mu < min(1, C) = {min(1.0, C)!r}, got {config.mu!r}")
     i_end = omega.index_of(config.T, "horizon T")
@@ -603,7 +587,7 @@ def growth_bound_check(report, eta):
     config = report.config
     ts, profile = segment_norm_profile(report.solution, config.beta, config.r,
                                        (0.0, config.T))
-    n_of_t = report.partition.n_profile(ts)
+    n_of_t = report.partition.n_at(ts)
     eta_norm = segment_norm(eta, config.beta)
     log_factor = -math.log(1.0 - config.mu)
     rhs = np.exp((n_of_t + 1) * log_factor) * (eta_norm + 1.0)
@@ -673,7 +657,7 @@ def _gronwall_conclusion(z, A, partition, config):
     ts, profile = segment_norm_profile(z, config.beta, config.r, (0.0, config.T))
     z0 = segment_norm(segment(z, 0.0, config.r), config.beta)
     log_factor = -math.log(1.0 - 2.0 * config.mu)
-    rhs = np.exp((partition.n_profile(ts) + 1) * log_factor) * (A / config.mu + z0)
+    rhs = np.exp((partition.n_at(ts) + 1) * log_factor) * (A / config.mu + z0)
     scale = max(z0, A / config.mu, 1e-300)
     ok = bool(np.all(profile <= rhs + 1e-12 * scale))
     margins = np.log(np.maximum(rhs, 1e-300)) - np.log(np.maximum(profile, 1e-300))

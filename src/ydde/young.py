@@ -67,15 +67,6 @@ def _left_sum(x, omega, ia, ib, ja, jb):
     return x.values[ia:ib].T @ np.diff(omega.values[ja:jb + 1, 0])
 
 
-def young_integral_cumulative(x, omega, window=None):
-    """Running left-point sums at every node of the window (starts at zero)."""
-    ia, ib, ja, jb = _check_alignment(x, omega, window)
-    dw = np.diff(omega.values[ja:jb + 1, 0])
-    out = np.zeros((ib - ia + 1, x.dim))
-    np.cumsum(x.values[ia:ib] * dw[:, None], axis=0, out=out[1:])
-    return out
-
-
 class GapReport(NamedTuple):
     gap: float
     bound: float

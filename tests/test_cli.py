@@ -334,9 +334,15 @@ class TestErrorHandling:
         (["ensemble", "--workers", "0"], "--workers >= 1"),
         (["ensemble", "--workers", "-3"], "--workers >= 1"),
         (["converge", "--levels", "1"], "at least 2 levels"),
+        # NaN fails every comparison, so each guard is written negated
+        (["partition", "--C", "nan"], "0 < C < inf"),
+        (["partition", "--C", "inf"], "0 < C < inf"),
+        (["counterexample", "--p", "nan"], "p must be >= 1"),
+        (["converge", "--rtol", "nan"], "--rtol >= 0"),
     ], ids=["ensemble_zero_seeds", "ensemble_negative_seeds",
             "ensemble_zero_workers", "ensemble_negative_workers",
-            "converge_one_level"])
+            "converge_one_level", "partition_nan_C", "partition_inf_C",
+            "counterexample_nan_p", "converge_nan_rtol"])
     def test_bad_flag_writes_error_json(self, tmp_path, capsys, argv,
                                         message):
         sc = write_scenario(tmp_path, zero_scenario())

@@ -12,7 +12,7 @@ from ydde.coefficients import (CoefficientSet, _ratio, accepts_stacks,
                                bounded_segment_sampler,
                                coefficients_from_json, composition_holder,
                                composition_holder_diff, composition_path,
-                               make_builtin, verify_regularity, zero_segment)
+                               make_builtin, verify_regularity)
 from ydde.errors import DomainError
 from ydde.paths import GridPath, Segment, holder_seminorm
 
@@ -162,6 +162,12 @@ def former_sampler(r, mesh, dim, bound):
     return sample
 
 
+def node_norm_sup(values):
+    """The solver's segment sup norm: max over nodes of the Euclidean node
+    norm, each node's ``np.linalg.norm``."""
+    return max(float(np.linalg.norm(row)) for row in values)
+
+
 def per_segment_regularity(coeffs, sampler, M, trials, seed=0,
                            n_directions=8):
     """The former verify_regularity: every functional called on one
@@ -171,7 +177,7 @@ def per_segment_regularity(coeffs, sampler, M, trials, seed=0,
     lm = coeffs.L_M(M)
     for _ in range(trials):
         xi, eta = sampler(g), sampler(g)
-        gap = float(np.abs(xi.values - eta.values).max())
+        gap = node_norm_sup(xi.values - eta.values)
         worst_f = max(worst_f, _ratio(
             float(np.linalg.norm(coeffs.f(xi) - coeffs.f(eta))),
             coeffs.L_f * gap))
@@ -179,7 +185,7 @@ def per_segment_regularity(coeffs, sampler, M, trials, seed=0,
         for _ in range(n_directions):
             direction = sampler(g)
             unit = direction.with_values(
-                direction.values / max(np.abs(direction.values).max(), 1e-12))
+                direction.values / max(node_norm_sup(direction.values), 1e-12))
             dg_xi = coeffs.Dg(xi, unit)
             worst_db = max(worst_db, _ratio(float(np.linalg.norm(dg_xi)),
                                             coeffs.L_g))
@@ -301,6 +307,37 @@ class TestVerifyRegularity:
         assert rep.passed
         assert max(rep.f_lipschitz, rep.dg_bound, rep.dg_holder) <= 1.0
 
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from((2, 3)),
+           family=st.sampled_from(("linear_delay", "sin_delay")),
+           drift_b=st.booleans(), scale=st.floats(-2.0, 2.0),
+           bound=st.sampled_from((0.5, 2.0, 10.0)))
+    def test_exact_constants_hold_at_higher_dim(self, seed, dim, family,
+                                                drift_b, scale, bound):
+        # orthogonal A (and B) and a scalar Sigma make the declared L_f and
+        # L_g exact in the segment sup norm the solver uses
+        g = rng(seed % 2 ** 16)
+        A = np.linalg.qr(g.standard_normal((dim, dim)))[0]
+        B = np.linalg.qr(g.standard_normal((dim, dim)))[0] if drift_b else 0.0
+        noise = {"Sigma": scale} if family == "linear_delay" \
+            else {"sigma": scale}
+        co = make_builtin(family, dim=dim, A=A, B=B, **noise)
+        rep = verify_regularity(co, sampler(bound=bound, dim=dim), M=bound,
+                                trials=20, seed=seed)
+        assert rep.passed
+        assert max(rep.f_lipschitz, rep.dg_bound,
+                   rep.dg_holder) <= 1.0 + 1e-9
+
+    def test_coupled_linear_system_within_constants(self):
+        # L_f = 1 and L_g = 1/2 are exact in the segment sup norm, not in
+        # the max-abs norm of the components
+        co = make_builtin("linear_delay", dim=2, A=[[0.0, 1.0], [1.0, 0.0]],
+                          Sigma=0.5)
+        rep = verify_regularity(co, sampler(bound=2.0, dim=2), M=2.0,
+                                trials=200, seed=1)
+        assert rep.passed
+        assert max(rep.f_lipschitz, rep.dg_bound) <= 1.0 + 1e-9
+
     def test_sin_family_within_constants(self):
         co = make_builtin("sin_delay", sigma=1.0)
         rep = verify_regularity(co, sampler(bound=10.0), M=10.0, trials=1000,
@@ -411,8 +448,3 @@ class TestComposition:
         p = random_path(0, n=64, mesh=1 / 64)
         with pytest.raises(DomainError):
             composition_path(co.g, p, R, (0.1, 1.0))   # starts before t0 + r
-
-    def test_zero_segment_helper(self):
-        s = zero_segment(R, MESH, 3)
-        assert s.values.shape == (round(R / MESH) + 1, 3)
-        assert np.all(s.values == 0.0)

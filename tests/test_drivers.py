@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 
 import ydde
 from ydde import drivers
-from ydde.drivers import (MAX_FBM_INTERVALS, RNG_ALGORITHM, DriverSpec,
-                          driver_metadata, empirical_holder_exponent,
-                          fgn_autocovariance, fgn_levinson, gen_deterministic,
-                          gen_driver, gen_fbm, spec_from_json, spec_to_json)
+from ydde.drivers import (MAX_FBM_INTERVALS, DriverSpec,
+                          empirical_holder_exponent, fgn_autocovariance,
+                          fgn_levinson, gen_deterministic, gen_driver, gen_fbm,
+                          spec_from_json)
 from ydde.errors import DomainError, GenerationError
 from ydde.paths import holder_seminorm
 
@@ -55,16 +56,23 @@ class TestDriverSpec:
             DriverSpec(kind="power", T=1.0, mesh=1 / 64)          # no exponent
 
     def test_json_roundtrip(self):
-        spec = DriverSpec(kind="fbm", T=1.0, mesh=1 / 128, hurst=0.75,
-                          seed=99, amplitude=0.1)
-        back = spec_from_json(spec_to_json(spec))
-        assert back == spec
+        d = {"kind": "fbm", "T": 1.0, "mesh": 1 / 128, "hurst": 0.75,
+             "seed": 99, "amplitude": 0.1}
+        assert spec_from_json(json.loads(json.dumps(d))) == DriverSpec(**d)
 
-    def test_metadata_names_generator(self):
-        spec = DriverSpec(kind="fbm", T=1.0, mesh=1 / 64, hurst=0.75, seed=3)
-        meta = driver_metadata(spec)
-        assert meta["rng"] == RNG_ALGORITHM == "philox4x64"
-        assert meta["seed"] == 3
+    def test_json_samples_become_tuples(self):
+        # JSON lists of scalars or of rows become a hashable tuple of tuples
+        d = {"kind": "samples", "T": 1.0, "mesh": 0.5,
+             "samples": [0.0, 1.5, -2.0]}
+        spec = spec_from_json(json.loads(json.dumps(d)))
+        assert spec.samples == ((0.0,), (1.5,), (-2.0,))
+        assert all(type(row) is tuple for row in spec.samples)
+        hash(spec)
+        assert d["samples"] == [0.0, 1.5, -2.0]      # the input is not changed
+        d["samples"] = [[0.0, 1.0], [1.5, 2.0], [-2.0, 0.5]]
+        spec = spec_from_json(d)
+        assert spec.samples == ((0.0, 1.0), (1.5, 2.0), (-2.0, 0.5))
+        assert np.array_equal(gen_driver(spec).values, d["samples"])
 
 
 class TestFbm:

@@ -14,10 +14,9 @@ from ydde.paths import (GridPath, Segment, _gap_weights, _pair_blocks,
                         _pair_max, _pair_scan, _row_norms, _sliding_max,
                         _SlidingPairMax, _window_pair_max, counterexample_growth, holder_norm,
                         holder_seminorm, pvar_seminorm,
-                        pvar_seminorm_exhaustive, read_csv, read_json, segment,
-                        segment_holder_seminorm, segment_norm,
-                        segment_norm_profile, segment_path_holder, segment_sup,
-                        sup_norm, write_csv, write_json)
+                        pvar_seminorm_exhaustive, read_csv, segment,
+                        segment_norm, segment_norm_profile,
+                        segment_path_holder, sup_norm, write_csv)
 
 
 def brute_holder(path, beta, window=None):
@@ -542,7 +541,7 @@ class TestSegmentPathHolder:
         ts, profile = segment_norm_profile(path, beta, r, window)
         semi = segment_path_holder(path, beta, r, window).seminorm
         sup_part = max(
-            segment_sup(segment(path, t, r)) for t in ts)
+            _row_norms(segment(path, t, r).values).max() for t in ts)
         lhs = sup_part + semi
         rhs = holder_norm(path, beta, (0.0, 1.0))
         assert lhs <= rhs * (1 + 1e-12)
@@ -579,8 +578,11 @@ class TestSegmentNormProfile:
     def test_segment_norm_parts(self):
         path = random_path(11, n=32, mesh=1 / 32)
         seg = segment(path, 0.5, 0.25)
-        assert segment_norm(seg, 0.5) == pytest.approx(
-            segment_sup(seg) + segment_holder_seminorm(seg, 0.5), rel=1e-15)
+        assert segment_norm(seg, 0.5) == (
+            _row_norms(seg.values).max() + _pair_max(seg.values, seg.mesh, 0.5))
+        for beta in (0.0, 1.5, float("nan")):
+            with pytest.raises(DomainError, match="Holder exponent"):
+                segment_norm(seg, beta)
 
 
 def brute_counterexample(beta, p, n):
@@ -674,15 +676,6 @@ class TestSerialization:
         back = read_csv(buf)
         assert np.array_equal(back.values, path.values)
         assert back.mesh == pytest.approx(path.mesh, rel=1e-12)
-
-    def test_json_roundtrip(self):
-        path = random_path(3, n=8, mesh=0.125, dim=2)
-        buf = io.StringIO()
-        write_json(path, buf, meta={"kind": "test"})
-        buf.seek(0)
-        back = read_json(buf)
-        assert np.array_equal(back.values, path.values)
-        assert back.t0 == path.t0 and back.dim == 2
 
     def test_nonuniform_csv_rejected(self):
         buf = io.StringIO("t,x_1\n0,1\n0.1,2\n0.3,3\n")

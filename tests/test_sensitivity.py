@@ -49,7 +49,7 @@ def two_solve_continuity_check(coeffs, eta1, eta2, omega, config):
     ts, profile = segment_norm_profile(diff, config.beta, config.r,
                                        (0.0, config.T))
     log_factor = -math.log(1.0 - 2.0 * config.mu)
-    rhs = np.exp((partition.n_profile(ts) + 1) * log_factor) * eta_gap
+    rhs = np.exp((partition.n_at(ts) + 1) * log_factor) * eta_gap
     scale = max(eta_gap, 1e-300)
     pointwise_ok = bool(np.all(profile <= rhs + 1e-12 * scale))
     margins = np.log(np.maximum(rhs, 1e-300)) - np.log(np.maximum(profile, 1e-300))

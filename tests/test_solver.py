@@ -18,12 +18,10 @@ from ydde.paths import (GridPath, Segment, SegmentView, _node_stack,
 from ydde.sensitivity import LinearizedProblem, linearized_solve
 from ydde.solver import (_INIT_KINDS, GreedyPartition, ProbeReport,
                          SolverConfig, _left_sums, _solve_grid,
-                         compute_contraction_constants, contraction_constants,
-                         euler_solve, greedy_partition, gronwall_check,
+                         compute_contraction_constants, euler_solve, greedy_partition, gronwall_check,
                          growth_bound_check, map_F, picard_solve,
                          stopping_count_bound, trivial_partition,
                          uniqueness_probe, window_residual)
-from ydde.young import YoungConstants
 
 
 def const_eta(value=1.0, r=0.25, mesh=MESH, dim=1):
@@ -157,11 +155,14 @@ class TestSolverConfig:
 
 class TestContractionConstants:
     def test_eqcmax_substitution(self):
-        # |g(0)| = 0, L' = 1, L_g = 1 and K = 2 give C = 2 (0 + 1 + 3) = 8
-        co = make_builtin("linear_delay", A=1.0, B=0.0, Sigma=1.0, c=0.0)
-        cc = contraction_constants(co, YoungConstants(1.0, 1.0))
-        assert cc.young.K == pytest.approx(2.0, rel=1e-15)
-        assert cc.C == pytest.approx(8.0, rel=1e-12)
+        # |g(0)| = 1/2, L' = 1, L_g = 1 and K = 1 / (1 - 2^(-1/2)) = 2 + sqrt 2
+        # give C = 2 (|g0| + L' + L_g (K + 1)) = 9 + 2 sqrt 2
+        co = make_builtin("linear_delay", A=1.0, B=0.0, Sigma=1.0, c=0.5)
+        cfg = SolverConfig(beta=0.5, nu=1.0, mesh=1 / 64, T=1.0, r=0.25)
+        cc = compute_contraction_constants(co, cfg)
+        assert cc.young.K == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-15)
+        assert cc.C == pytest.approx(9.0 + 2.0 * math.sqrt(2.0), rel=1e-15)
+        assert cc.coeffs is co
 
     def test_zero_coefficients_rejected(self):
         co = make_builtin("linear_delay")
@@ -280,12 +281,16 @@ class TestGreedyPartition:
     def test_stopping_time_counter(self):
         cfg = SolverConfig(beta=0.55, nu=0.7, mesh=1 / 64, T=1.0, r=0.25)
         part = greedy_partition(zero_omega(mesh=1 / 64), cfg, C=1.0)
-        ts = np.array([0.0, 0.5, 1.0])
-        counts = part.n_profile(ts)
+        st = part.stopping_times
+        ts = np.concatenate(([0.0, 0.5, 1.0], st, st - 1e-3, st + 1e-12))
+        counts = part.n_at(ts)
         assert counts[0] == 0
-        assert counts[-1] == part.N
-        for t, c in zip(ts, counts):
-            assert c == part.n_at(t)
+        assert counts[2] == part.N
+        for t, c in zip(ts.tolist(), counts.tolist()):
+            n = part.n_at(t)
+            assert type(n) is int and n == c
+            # N(t) counts the stopping times up to t, with a relative slack
+            assert n == int(np.sum(st <= t + 1e-9 * max(1.0, abs(t))))
 
 
 def constant_drift_coeffs(value=1.0, stacks=False):

@@ -12,8 +12,7 @@ from ydde.errors import DomainError
 from ydde.paths import GridPath, holder_seminorm
 from ydde.solver import picard_solve
 from ydde.young import (YoungConstants, certificate_sweep, young_bound,
-                        young_constant, young_integral,
-                        young_integral_cumulative, young_loeve_gap)
+                        young_constant, young_integral, young_loeve_gap)
 
 
 class TestYoungConstant:
@@ -84,15 +83,6 @@ class TestYoungIntegral:
         split = (young_integral(x, omega, (0.0, 0.375))
                  + young_integral(x, omega, (0.375, 1.0)))
         assert np.allclose(whole, split, atol=1e-13)
-
-    def test_cumulative_endpoints(self):
-        omega = gen_fbm(DriverSpec(kind="fbm", T=0.5, mesh=1 / 64, hurst=0.75,
-                                   seed=11))
-        x = random_path(4, n=32, mesh=1 / 64)
-        cum = young_integral_cumulative(x, omega, (0.0, 0.5))
-        assert np.all(cum[0] == 0.0)
-        assert np.allclose(cum[-1], young_integral(x, omega, (0.0, 0.5)),
-                           atol=1e-14)
 
     def test_mesh_mismatch_rejected(self):
         x = linear_path(1 / 64)
