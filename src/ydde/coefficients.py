@@ -348,9 +348,17 @@ def _columns(stack):
 def _norms(vecs):
     """``np.linalg.norm`` of each vector along the last axis, bitwise: the
     same dot product per vector (a plain sum of squares rounds differently
-    for d >= 2)."""
+    for d >= 2).  A vector whose sum of squares underflows the normal range
+    is scaled by a power of two first, exactly, so a tiny vector keeps a
+    norm accurate to rounding rather than to the few bits of a subnormal."""
     vecs = np.ascontiguousarray(vecs)
-    return np.sqrt(np.vecdot(vecs, vecs))
+    squares = np.vecdot(vecs, vecs)
+    norms = np.sqrt(squares)
+    tiny = squares < np.finfo(float).tiny
+    if tiny.any():
+        scaled = vecs[tiny] * 2.0 ** 600
+        norms[tiny] = np.sqrt(np.vecdot(scaled, scaled)) * 2.0 ** -600
+    return norms
 
 
 # Values of the segments one chunk of verify_regularity draws, so its stacks

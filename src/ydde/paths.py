@@ -30,6 +30,8 @@ _BLOCK_PAIRS = 1 << 14
 
 def _snap_index(offset, mesh, what="time"):
     k = offset / mesh
+    if not math.isfinite(k):
+        raise DomainError(f"{what} {offset!r} over mesh {mesh!r} is not finite")
     ki = int(round(k))
     if abs(k - ki) > _INDEX_TOL:
         raise DomainError(f"{what} {offset!r} is not a multiple of mesh {mesh!r}")
@@ -185,11 +187,14 @@ class SegmentView:
 def _node_stack(a, ka, kb, m):
     """Zero-copy, read-only ``s[i, j] = a[ka + j - m + i]`` of the
     C-contiguous ``(n, d)`` array ``a``: node i of the m-cell delay segment
-    cut at node ``ka + j``, for ``ka <= ka + j < kb``.  A view, so it sees
-    rows written after it was made."""
-    step, col = a.strides
-    stack = np.ndarray((m + 1, kb - ka, a.shape[1]), a.dtype, a,
-                       (ka - m) * step, (step, step, col))
+    cut at node ``ka + j``, for ``ka <= ka + j < kb``.  For the K columns of
+    a C-contiguous ``(n, K, d)`` array, the columns of each node side by
+    side: ``s[i, j*K + c] = a[ka + j - m + i, c]``.  A view, so it sees rows
+    written after it was made."""
+    step = a.strides[0]
+    width = a.shape[1] if a.ndim == 3 else 1
+    stack = np.ndarray((m + 1, (kb - ka) * width, a.shape[-1]), a.dtype, a,
+                       (ka - m) * step, (step, step // width, a.strides[-1]))
     stack.flags.writeable = False
     return stack
 
@@ -204,9 +209,14 @@ class NormReport:
 
 
 def _row_norms(arr):
-    """Euclidean norm of each row; ``|x|`` for a scalar (1-D) array."""
+    """Euclidean norm along the last axis: of each row of an ``(n, d)``
+    array, of each column of each row of ``(n, K, d)``; ``|x|`` for a scalar
+    (1-D) array.  Every vector takes the same dot product, so a column's
+    norms are bitwise those of the column alone."""
     if arr.ndim == 1:
         return np.abs(arr)
+    if arr.ndim > 2:
+        return _row_norms(arr.reshape(-1, arr.shape[-1])).reshape(arr.shape[:-1])
     return np.sqrt(np.einsum("ij,ij->i", arr, arr))
 
 
@@ -232,7 +242,9 @@ def _pair_blocks(v, h, exponent, start=1, max_gap=None, stop=None):
     ``max_gap`` (default: all).  No node from ``stop`` on is read.  A block
     holds at most ``_BLOCK_PAIRS`` pairs.  The weights are Python's ``(g*h)
     ** exponent`` (numpy's ``power`` rounds some differently), so the ratios
-    and their maxima are bitwise those of a loop over gaps.
+    and their maxima are bitwise those of a loop over gaps.  For K paths
+    side by side, ``v`` of shape ``(n, K, d)``, ``ratio[j - j0, k, c]`` is
+    bitwise the ratio of the scan of column c alone.
     """
     n = v.shape[0]
     m = n - 1 if max_gap is None else min(max_gap, n - 1)
@@ -244,16 +256,23 @@ def _pair_blocks(v, h, exponent, start=1, max_gap=None, stop=None):
         a = j0 - 1
         j1 = min(stop, max(j0 + 1, (a + math.isqrt(a * a + 4 * _BLOCK_PAIRS)) // 2 + 1))
         diff = v[j0:j1, None] - v[None, :j1 - 1]
-        dist = _row_norms(diff.reshape(-1, *v.shape[1:])).reshape(diff.shape[:2])
-        yield j0, dist / weight[j0:j1, :j1 - 1]
+        dist = np.abs(diff) if v.ndim == 1 else _row_norms(diff)
+        w = weight[j0:j1, :j1 - 1]
+        yield j0, dist / (w[:, :, None] if v.ndim > 2 else w)
         j0 = j1
 
 
 def _pair_max(v, h, exponent, start=1):
     """Value of the pair scan over the upper nodes ``j >= start``: max over
-    ``k < j`` of ``|v[j] - v[k]| / ((j-k)*h)^exponent``; 0 without pairs."""
-    return float(max((ratio.max() for _, ratio in
-                      _pair_blocks(v, h, exponent, start)), default=0.0))
+    ``k < j`` of ``|v[j] - v[k]| / ((j-k)*h)^exponent``; 0 without pairs.
+    For K paths side by side, ``v`` of shape ``(n, K, d)``, the K values."""
+    blocks = _pair_blocks(v, h, exponent, start)
+    if v.ndim > 2:
+        best = np.zeros(v.shape[1])
+        for _, ratio in blocks:
+            best = np.maximum(best, ratio.max(axis=(0, 1)))
+        return best
+    return float(max((ratio.max() for _, ratio in blocks), default=0.0))
 
 
 def _pair_scan(v, h, exponent, max_gap=None, start=1):

@@ -24,7 +24,7 @@ from .paths import (GridPath, Segment, holder_norm, segment, segment_norm,
                     segment_norm_profile)
 from .solver import (_gronwall_conclusion, _solve_grid, _WindowedPicard,
                      compute_contraction_constants, greedy_partition,
-                     picard_solve, trivial_partition)
+                     picard_solve, resolve, trivial_partition)
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,6 @@ def linearized_solve(problem):
     omega, base = problem.omega, problem.base_solution
     exponent = coeffs.delta * cfg.beta
     cfg.young(coeffs.delta)   # validates delta*beta + nu > 1
-    m_r, h = cfg.n_history, cfg.mesh
 
     base_norm = holder_norm(base, cfg.beta)
     c_lin = linearized_contraction_constant(coeffs, cfg, base_norm)
@@ -76,12 +75,9 @@ def linearized_solve(problem):
         partition = greedy_partition(omega, replace(cfg, beta=exponent), c_lin)
 
     values, dw = _solve_grid(cfg, problem.direction, omega)
-    engine = _WindowedPicard(coeffs.Df, coeffs.Dg, (base.values,), cfg,
-                             exponent, dw)
-    for (ta, tb) in partition.windows():
-        ia, ib = m_r + omega.index_of(ta), m_r + omega.index_of(tb)
-        engine.run_window(values, ia, ib, "constant", math.inf)
-    return GridPath(-cfg.r, h, values)
+    _WindowedPicard(coeffs.Df, coeffs.Dg, (base.values,), cfg, exponent,
+                    values, dw).solve(partition, omega, ("constant",))
+    return GridPath(-cfg.r, cfg.mesh, values)
 
 
 @dataclass(frozen=True)
@@ -161,7 +157,8 @@ def differentiability_check(coeffs, base, direction, omega,
     """Remainder table rho(eps) = sup_t |x_t(eta + eps xi) - x_t(eta) - eps y_t| / eps.
 
     ``base`` is the :class:`SolveReport` of the solve from ``eta``; only the
-    ladder and the linearized equation are solved here.  The ladder must
+    ladder, as one batch (:func:`~ydde.solver.resolve`), and the linearized
+    equation are solved here.  The ladder must
     start at the 1e-1 scale and decrease; for C^1 coefficients rho vanishes
     with eps (superlinear remainder), and for linear coefficients it sits at
     quadrature/fixed-point noise level.
@@ -177,10 +174,11 @@ def differentiability_check(coeffs, base, direction, omega,
     y = linearized_solve(LinearizedProblem(
         coeffs=coeffs, base_solution=x, direction=direction,
         omega=omega, config=config))
+    ladder = resolve(coeffs, base, omega, [
+        (eta.with_values(eta.values + eps * direction.values), "constant")
+        for eps in eps_ladder])
     rows = []
-    for eps in eps_ladder:
-        eta_eps = eta.with_values(eta.values + eps * direction.values)
-        x_eps = picard_solve(coeffs, eta_eps, omega, config).solution
+    for eps, x_eps in zip(eps_ladder, ladder):
         z = GridPath(x.t0, x.mesh, x_eps.values - x.values - eps * y.values)
         _, profile = segment_norm_profile(z, config.beta, config.r,
                                           (0.0, config.T))

@@ -56,12 +56,19 @@ class SolverConfig:
         # mu < 1/2 keeps every solve usable by the Gronwall-type estimates.
         if not 0.0 < self.mu < 0.5:
             raise DomainError(f"need mu in (0, 1/2), got {self.mu!r}")
-        if self.mesh <= 0 or self.T <= 0 or self.r <= 0:
-            raise DomainError("mesh, T and r must be positive")
+        # NaN fails every comparison, so each guard is written negated
+        if not all(0.0 < x < math.inf for x in (self.mesh, self.T, self.r)):
+            raise DomainError("mesh, T and r must be positive and finite")
         _snap_index(self.r, self.mesh, "delay r")
         _snap_index(self.T, self.mesh, "horizon T")
-        if self.picard_tol <= 0 or self.picard_max_iters < 1:
-            raise DomainError("picard_tol must be > 0 and max_iters >= 1")
+        if not 0.0 < self.picard_tol < math.inf:
+            raise DomainError(f"picard_tol must be positive and finite, "
+                              f"got {self.picard_tol!r}")
+        iters = self.picard_max_iters
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) \
+                or iters < 1:
+            raise DomainError(f"picard_max_iters must be an integer >= 1, "
+                              f"got {iters!r}")
 
     @property
     def n_history(self):
@@ -299,10 +306,15 @@ def _left_sums(f, g, arrays, ia, ib, delay, h, dw):
     arrays[-1]``: ``x[ia] + cumsum(f h + g dw)``, with ``f`` and ``g`` applied
     to the delay segments of ``arrays`` at nodes ``ia .. ib-1``
     (:func:`~ydde.coefficients.node_values`: one call each for marked
-    functionals)."""
+    functionals).  ``x`` may hold K paths side by side, shape ``(n+1, K,
+    d)``; each column's sums are those of the column alone."""
     f_vals, g_vals = node_values((f, g), arrays, ia, ib, delay, h)
-    return arrays[-1][ia] + np.cumsum(f_vals * h + g_vals * dw[ia:ib, None],
-                                      axis=0)
+    x = arrays[-1]
+    if x.ndim > 2:      # row j*K + c of the values is node j of column c
+        f_vals = f_vals.reshape(ib - ia, *x.shape[1:])
+        g_vals = g_vals.reshape(f_vals.shape)
+        dw = dw[:, None]
+    return x[ia] + np.cumsum(f_vals * h + g_vals * dw[ia:ib, None], axis=0)
 
 
 def _euler_steps(f, g, arrays, ia, ib, delay, h, dw):
@@ -319,21 +331,31 @@ def _euler_steps(f, g, arrays, ia, ib, delay, h, dw):
 
 
 class _WindowedPicard:
-    """Shared machinery: iterate the integral map window by window.
+    """Shared machinery: iterate the integral map window by window on the K
+    columns of the solve grid ``values``, shape ``(n+1, K, d)``, at once;
+    a single column may come as ``(n+1, d)``, and is then iterated on
+    exactly as a path of its own.
 
     ``f`` and ``g`` take the delay segments of the ``base`` arrays, then of
     the iterate: the coefficients with no base, ``Df``/``Dg`` along a base
-    solution for the linearized equation."""
+    solution for the linearized equation (one column).  An iterate stacks
+    the segments of all K columns node-major, so a functional marked
+    ``accepts_stacks`` is called once for all of them, and one pair scan
+    gives every column's residual."""
 
-    def __init__(self, f, g, base, config, exponent, dw, first_iter_sink=None):
+    def __init__(self, f, g, base, config, exponent, values, dw,
+                 first_iter_sink=None):
         self.f = f
         self.g = g
         self.base = base
+        self.config = config
         self.m_r = config.n_history
         self.h = config.mesh
         self.exponent = exponent
         self.tol = config.picard_tol
         self.max_iters = config.picard_max_iters
+        self.values = values
+        self.columns = values if values.ndim == 3 else values[:, None]
         self.dw = dw
         self.first_iter_sink = first_iter_sink
         self.history = None
@@ -345,35 +367,54 @@ class _WindowedPicard:
         return kernel(self.f, self.g, self.base + (values,), ia, ib,
                       self.m_r * self.h, self.h, self.dw)
 
-    def _init_window(self, values, ia, ib, kind):
+    def _init_window(self, column, ia, ib, kind):
         w = ib - ia
         if kind == "constant":
-            values[ia + 1:ib + 1] = values[ia]
+            column[ia + 1:ib + 1] = column[ia]
         elif kind == "linear":
-            slope = (values[ia] - values[ia - 1]) / self.h
-            values[ia + 1:ib + 1] = (values[ia]
+            slope = (column[ia] - column[ia - 1]) / self.h
+            column[ia + 1:ib + 1] = (column[ia]
                                      + np.outer(np.arange(1, w + 1) * self.h, slope))
         elif kind == "euler_perturbed":
-            self._step(_euler_steps, values, ia, ib)
-            amp = 0.05 * (1.0 + float(np.linalg.norm(values[ia])))
+            self._step(_euler_steps, column, ia, ib)
+            amp = 0.05 * (1.0 + float(np.linalg.norm(column[ia])))
             bump = amp * np.sin(math.pi * np.arange(1, w + 1) / w)
-            values[ia + 1:ib + 1] += bump[:, None]
+            column[ia + 1:ib + 1] += bump[:, None]
         else:
             raise DomainError(f"unknown init kind {kind!r}; one of {_INIT_KINDS}")
 
-    def history_parts(self, values, ia):
-        """Sup and pair scan of the history nodes ``[ia - m_r, ia]``, kept up
-        to date over the solve grid ``values`` as its windows are solved
+    def history_parts(self, ia):
+        """Sup and pair scan of the history nodes ``[ia - m_r, ia]`` of the
+        first column, kept up to date as its windows are solved
         (:class:`~ydde.paths._SlidingPairMax`)."""
-        if self.history is None or self.history.v is not values:
-            self.history = _SlidingPairMax(values, self.m_r, self.h,
-                                           self.exponent)
+        if self.history is None:
+            self.history = _SlidingPairMax(self.columns[:, 0], self.m_r,
+                                           self.h, self.exponent)
         return self.history.query(ia)
 
-    def run_window(self, values, ia, ib, init_kind, ball_radius, hist=None,
-                   depth=0):
-        """Iterate F on nodes (ia, ib]; returns a list of WindowRecords.
+    def _stops(self, res, residuals, ratios):
+        """Record a column's iterate residual ``res``; whether it stops."""
+        if residuals and residuals[-1] > 100.0 * self.tol and res > 0:
+            ratios.append(res / residuals[-1])
+        residuals.append(res)
+        # the polish floor, or tol met at the rounding floor
+        return res <= self.stop_tol or (
+            len(residuals) >= 3 and res <= self.tol
+            and res >= 0.9 * residuals[-2])
 
+    def run_window(self, ia, ib, kinds, ball_radius=math.inf, hist=None,
+                   depth=0):
+        """Iterate F on nodes (ia, ib] of every column, column c from the
+        initial iterate ``kinds[c]``; returns one list of WindowRecords per
+        column.
+
+        Each column keeps its own residuals and stopping test.  A column
+        that stops is frozen (its nodes are no longer written), so its
+        iterates and records are those of a run of its own.  A column that
+        does not converge is run again on its own: one column splits the
+        window once or raises.
+
+        ``ball_radius`` asks for the ball diagnostic of a single column, and
         ``hist`` is :meth:`history_parts` of the window (computed if None).
         Iterates change only the window nodes, so the ball diagnostic joins
         the fixed history parts with a scan of the pairs that touch the
@@ -381,61 +422,101 @@ class _WindowedPicard:
         An infinite ``ball_radius`` asks for no ball: the diagnostic is
         skipped and ``max_iterate_norm`` is nan.
         """
+        values, columns = self.values, self.columns
         ball = math.isfinite(ball_radius)
         if ball:
-            hist_sup, hist_scan = hist or self.history_parts(values, ia)
-        self._init_window(values, ia, ib, init_kind)
-        residuals = []
-        ratios = []
+            hist_sup, hist_scan = hist or self.history_parts(ia)
+            column = columns[:, 0]
+        for c, kind in enumerate(kinds):
+            self._init_window(columns[:, c], ia, ib, kind)
+        window = values[ia + 1:ib + 1]
+        residuals = [[] for _ in kinds]
+        ratios = [[] for _ in kinds]
+        running = list(range(len(kinds)))
         max_norm = 0.0 if ball else math.nan
-        converged = False
         for it in range(1, self.max_iters + 1):
-            new_slice = self._step(_left_sums, values, ia, ib)
-            diff = new_slice - values[ia + 1:ib + 1]
+            new = self._step(_left_sums, values, ia, ib)
+            diff = new - window
             # the difference vanishes up to the window start, so pairs into
             # the history are dominated by pairs with the (zero) start node
-            padded = np.vstack([np.zeros((1, diff.shape[1])), diff])
-            res = (float(_row_norms(diff).max())
+            padded = np.concatenate((np.zeros((1,) + diff.shape[1:]), diff))
+            res = (_row_norms(diff).max(axis=0)
                    + _pair_max(padded, self.h, self.exponent))
-            values[ia + 1:ib + 1] = new_slice
+            res = res.tolist() if values.ndim > 2 else [float(res)]
+            if len(running) == len(kinds):
+                window[...] = new
+            else:
+                window[:, running] = new[:, running]
             if it == 1 and self.first_iter_sink is not None:
-                self.first_iter_sink[ia + 1:ib + 1] = new_slice
-            if residuals and residuals[-1] > 100.0 * self.tol and res > 0:
-                ratios.append(res / residuals[-1])
-            residuals.append(res)
+                self.first_iter_sink[ia + 1:ib + 1] = new
             if ball:
                 sup = max(hist_sup,
-                          float(_row_norms(values[ia + 1:ib + 1]).max()))
-                scan = max(hist_scan, _pair_max(values[ia - self.m_r:ib + 1],
+                          float(_row_norms(column[ia + 1:ib + 1]).max()))
+                scan = max(hist_scan, _pair_max(column[ia - self.m_r:ib + 1],
                                                 self.h, self.exponent,
                                                 self.m_r + 1))
                 max_norm = max(max_norm, sup + scan)
-            if res <= self.stop_tol:
-                converged = True
+            running = [c for c in running
+                       if not self._stops(res[c], residuals[c], ratios[c])]
+            if not running:
                 break
-            if len(residuals) >= 3 and res <= self.tol \
-                    and res >= 0.9 * residuals[-2]:
-                converged = True      # met tol but hit the rounding floor
-                break
-        if not converged and residuals[-1] > self.tol:
-            if depth == 0 and ib - ia >= 2:
-                # grid snapping can leave a window a hair too long; one
-                # bisection restores the contraction, then give up
-                mid = (ia + ib) // 2
-                rec1 = self.run_window(values, ia, mid, init_kind,
-                                       ball_radius, depth=1)
-                rec2 = self.run_window(values, mid, ib, init_kind,
-                                       ball_radius, depth=1)
-                return [replace(r, split=True) for r in rec1 + rec2]
-            raise ConvergenceError(
-                f"Picard did not reach tol={self.tol} on window nodes "
-                f"[{ia}, {ib}] (best residual {min(residuals):.3e})",
-                residual_history=residuals)
         t0 = -self.m_r * self.h
-        return [WindowRecord(t_start=t0 + ia * self.h, t_end=t0 + ib * self.h,
-                             iterations=len(residuals), residual=residuals[-1],
-                             ball_radius=ball_radius, max_iterate_norm=max_norm,
-                             contraction_ratios=tuple(ratios))]
+        out = []
+        for c, kind in enumerate(kinds):
+            if c in running and residuals[c][-1] > self.tol:
+                out.append(self._unconverged(ia, ib, c, kind, ball_radius,
+                                             depth, residuals[c]))
+                continue
+            out.append([WindowRecord(
+                t_start=t0 + ia * self.h, t_end=t0 + ib * self.h,
+                iterations=len(residuals[c]), residual=residuals[c][-1],
+                ball_radius=ball_radius, max_iterate_norm=max_norm,
+                contraction_ratios=tuple(ratios[c]))])
+        return out
+
+    def _unconverged(self, ia, ib, c, kind, ball_radius, depth, residuals):
+        """The records of column c, which did not converge on (ia, ib]."""
+        if self.columns.shape[1] > 1:
+            solo = _WindowedPicard(self.f, self.g, self.base, self.config,
+                                   self.exponent, self.columns[:, c].copy(),
+                                   self.dw)
+            records, = solo.run_window(ia, ib, (kind,), ball_radius,
+                                       depth=depth)
+            self.columns[:, c] = solo.values
+            return records
+        if depth == 0 and ib - ia >= 2:
+            # grid snapping can leave a window a hair too long; one
+            # bisection restores the contraction, then give up
+            mid = (ia + ib) // 2
+            rec1, = self.run_window(ia, mid, (kind,), ball_radius, depth=1)
+            rec2, = self.run_window(mid, ib, (kind,), ball_radius, depth=1)
+            return [replace(r, split=True) for r in rec1 + rec2]
+        raise ConvergenceError(
+            f"Picard did not reach tol={self.tol} on window nodes "
+            f"[{ia}, {ib}] (best residual {min(residuals):.3e})",
+            residual_history=residuals)
+
+    def solve(self, partition, omega, kinds, ball=False):
+        """Run every window of ``partition`` (times on the grid of the
+        driver ``omega``), column c from ``kinds[c]``: the WindowRecords of
+        each column, and whether every iterate stayed in its window's ball
+        (with ``ball``, one column only; else True)."""
+        records = [[] for _ in kinds]
+        ball_ok = True
+        mu = self.config.mu
+        for (ta, tb) in partition.windows():
+            ia, ib = self.m_r + omega.index_of(ta), self.m_r + omega.index_of(tb)
+            radius, hist = math.inf, None
+            if ball:
+                hist = self.history_parts(ia)
+                radius = (hist[0] + hist[1] + mu) / (1.0 - mu)
+            for column, recs in zip(records, self.run_window(ia, ib, kinds,
+                                                             radius, hist)):
+                if any(rec.max_iterate_norm > radius * (1.0 + 1e-9)
+                       for rec in recs):
+                    ball_ok = False
+                column.extend(recs)
+        return records, ball_ok
 
 
 def _validate_solve_inputs(coeffs, eta, omega, config):
@@ -491,24 +572,12 @@ def picard_solve(coeffs, eta, omega, config, init="constant",
         constants = compute_contraction_constants(coeffs, config)
         partition = greedy_partition(omega, config, constants.C)
 
-    m_r, h = config.n_history, config.mesh
+    h = config.mesh
     values, dw = _solve_grid(config, eta, omega)
     first_iter = np.array(values) if collect_first_iterate else None
-    engine = _WindowedPicard(coeffs.f, coeffs.g, (), config, config.beta, dw,
-                             first_iter)
-
-    records = []
-    ball_ok = True
-    mu = config.mu
-    for (ta, tb) in partition.windows():
-        ia, ib = m_r + omega.index_of(ta), m_r + omega.index_of(tb)
-        hist = engine.history_parts(values, ia)
-        radius = (hist[0] + hist[1] + mu) / (1.0 - mu)
-        recs = engine.run_window(values, ia, ib, init, radius, hist)
-        for rec in recs:
-            if rec.max_iterate_norm > radius * (1.0 + 1e-9):
-                ball_ok = False
-        records.extend(recs)
+    engine = _WindowedPicard(coeffs.f, coeffs.g, (), config, config.beta,
+                             values, dw, first_iter)
+    (records,), ball_ok = engine.solve(partition, omega, (init,), ball=True)
 
     solution = GridPath(-config.r, h, values)
     return SolveReport(
@@ -517,6 +586,37 @@ def picard_solve(coeffs, eta, omega, config, init="constant",
         ball_ok=ball_ok,
         first_iterate=GridPath(-config.r, h, first_iter)
         if first_iter is not None else None)
+
+
+def resolve(coeffs, base, omega, starts):
+    """Solve again from each ``(eta, init_kind)`` of ``starts``: the
+    solution paths, each bitwise the solution of ``picard_solve(coeffs,
+    eta, omega, base.config, init=init_kind)``.
+
+    ``base`` is a :class:`SolveReport` of ``coeffs`` on ``omega``.  Its
+    partition depends only on omega, the config and C, so it is reused, and
+    the K starts are iterated as K columns in lockstep
+    (:class:`_WindowedPicard`), without the ball diagnostic, which no
+    re-solve reads.  If a start does not converge, the starts are solved one
+    by one in order, so the error raised is the first solo solve's.
+    """
+    if not starts:
+        raise DomainError("resolve needs at least one start")
+    config = base.config
+    for eta, _ in starts:
+        _validate_solve_inputs(coeffs, eta, omega, config)
+    grids = [_solve_grid(config, eta, omega) for eta, _ in starts]
+    values = np.stack([grid for grid, _ in grids], axis=1)
+    engine = _WindowedPicard(coeffs.f, coeffs.g, (), config, config.beta,
+                             values, grids[0][1])
+    try:
+        engine.solve(base.partition, omega, [kind for _, kind in starts])
+    except ConvergenceError:
+        if len(starts) == 1:
+            raise
+        return [resolve(coeffs, base, omega, [start])[0] for start in starts]
+    return [GridPath(-config.r, config.mesh, values[:, c])
+            for c in range(len(starts))]
 
 
 def euler_solve(coeffs, eta, omega, config):
@@ -548,16 +648,15 @@ def uniqueness_probe(coeffs, base, omega, n_inits=3):
 
     ``base`` is the :class:`SolveReport` of :func:`picard_solve` with its
     default (constant) init; only the other inits are solved here, from the
-    base's segment on ``[-r, 0]``.
+    base's segment on ``[-r, 0]``, as one batch (:func:`resolve`).
     """
     if not 2 <= n_inits <= len(_INIT_KINDS):
         raise DomainError(f"n_inits must be in [2, {len(_INIT_KINDS)}]")
     config = base.config
     eta = segment(base.solution, 0.0, config.r)
     kinds = _INIT_KINDS[:n_inits]
-    solutions = [base.solution] + [
-        picard_solve(coeffs, eta, omega, config, init=k).solution
-        for k in kinds[1:]]
+    solutions = [base.solution] + resolve(coeffs, base, omega,
+                                          [(eta, k) for k in kinds[1:]])
     worst = max(holder_norm(GridPath(a.t0, a.mesh, a.values - b.values),
                             config.beta)
                 for a, b in combinations(solutions, 2))

@@ -84,21 +84,50 @@ class TestVerify:
 
     def test_full_verify_solves_each_scenario_once(self, tmp_path,
                                                    monkeypatch):
-        # base 1, uniqueness 2 more inits, continuity 2 sizes, ladder 3
-        calls = []
+        # picard_solve: the base and the 2 continuity sizes; one batched
+        # re-solve each for the 2 other uniqueness inits and the 3-step ladder
+        calls, batches = [], []
         picard_solve = ydde.solver.picard_solve
+        resolve = ydde.solver.resolve
 
         def counting(*args, **kwargs):
             calls.append(1)
             return picard_solve(*args, **kwargs)
 
+        def counting_batches(coeffs, base, omega, starts):
+            batches.append([kind for _, kind in starts])
+            return resolve(coeffs, base, omega, starts)
+
         monkeypatch.setattr(ydde.solver, "picard_solve", counting)
         monkeypatch.setattr(ydde.sensitivity, "picard_solve", counting)
+        monkeypatch.setattr(ydde.solver, "resolve", counting_batches)
+        monkeypatch.setattr(ydde.sensitivity, "resolve", counting_batches)
         sc = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
                           "scenarios", "sin_fbm.json")
         assert main(["verify", "--scenario", sc, "--out",
                      str(tmp_path / "o"), "--quiet"]) == EXIT_OK
-        assert len(calls) == 8
+        assert len(calls) == 3
+        assert batches == [["linear", "euler_perturbed"],
+                           ["constant"] * 3]
+
+    @pytest.mark.parametrize("command", ["verify", "sensitivity"])
+    @pytest.mark.parametrize("name", ["sin_fbm", "linear_fbm"])
+    def test_batched_resolves_match_solo_solves(self, tmp_path, monkeypatch,
+                                                command, name):
+        # the former re-solves, one picard_solve per start, as the oracle
+        def solo_loop(coeffs, base, omega, starts):
+            return [ydde.solver.picard_solve(coeffs, eta, omega, base.config,
+                                             init=kind).solution
+                    for eta, kind in starts]
+
+        sc = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                          "scenarios", f"{name}.json")
+        argv = [command, "--scenario", sc, "--quiet", "--out"]
+        assert main(argv + [str(tmp_path / "batched")]) == EXIT_OK
+        monkeypatch.setattr(ydde.solver, "resolve", solo_loop)
+        monkeypatch.setattr(ydde.sensitivity, "resolve", solo_loop)
+        assert main(argv + [str(tmp_path / "solo")]) == EXIT_OK
+        assert read_all(tmp_path / "batched") == read_all(tmp_path / "solo")
 
 
 class TestSolve:
@@ -175,6 +204,30 @@ class TestConvergeCommand:
         rels = [float(r.split(",")[3]) for r in rows[1:]]
         assert all(b < a for a, b in zip(rels, rels[1:]))
         assert rels[-1] <= 1e-3
+
+
+    @pytest.mark.parametrize("driver, rtol", [
+        ({"kind": "zero", "T": 1.0, "mesh": MESH}, "1e-3"),
+        ({"kind": "sine", "amplitude": 1.0, "frequency": 1.0, "T": 1.0,
+          "mesh": MESH}, "0.05"),
+    ], ids=["zero_driver", "whole_sine_period"])
+    def test_vanishing_target_judged_on_scale(self, tmp_path, driver, rtol):
+        # the target is 0 (or 3e-32 by cancellation): relative errors are
+        # inf (or 1e29), so the ladder is judged against max |omega|^2 / 2
+        d = zero_scenario()
+        d["driver"] = driver
+        sc = write_scenario(tmp_path, d)
+        out = tmp_path / "o"
+        assert main(["converge", "--scenario", sc, "--levels", "4",
+                     "--rtol", rtol, "--out", str(out), "--quiet"]) == EXIT_OK
+        rows = [r.split(",") for r in
+                (out / "converge.csv").read_text().splitlines()[1:]]
+        assert float(rows[-1][3]) > 1e20
+        if driver["kind"] == "sine":
+            # 0.0096 of the scale 0.5: it fails a tighter rtol
+            assert main(["converge", "--scenario", sc, "--levels", "4",
+                         "--rtol", "0.01", "--out", str(out), "--quiet"]) \
+                == cli.EXIT_CHECK_FAILED
 
 
 class TestCounterexampleCommand:
@@ -327,6 +380,29 @@ class TestErrorHandling:
             assert f"scenario {section}" in err
         assert json.loads((out / "error.json").read_text())["error"]["type"] \
             == exc_type
+
+    @pytest.mark.parametrize("key, value", [
+        ("picard_tol", float("nan")), ("picard_tol", float("inf")),
+        ("T", float("inf")), ("T", float("nan")), ("mesh", float("nan")),
+        ("mesh", float("inf")), ("r", float("nan")),
+        ("picard_max_iters", 2.5), ("picard_max_iters", 80.0),
+        ("picard_max_iters", True), ("picard_max_iters", 0),
+    ])
+    def test_non_finite_or_fractional_config(self, tmp_path, capsys, key,
+                                             value):
+        d = scenario_dict()
+        d["config"][key] = value
+        if key == "mesh":
+            d["driver"]["mesh"] = value
+        sc = write_scenario(tmp_path, d)
+        out = tmp_path / "o"
+        assert main(["solve", "--scenario", sc, "--out", str(out)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "convert" not in err
+        assert json.loads((out / "error.json").read_text())["error"]["type"] \
+            == "DomainError"
+        assert not os.path.exists(out / "solution.csv")
 
     @pytest.mark.parametrize("argv, message", [
         (["ensemble", "--seeds", "0"], "--seeds >= 1"),

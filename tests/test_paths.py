@@ -1,4 +1,5 @@
 import io
+import math
 from itertools import accumulate, combinations
 from unittest import mock
 
@@ -223,6 +224,36 @@ class TestTailScan:
                        if start > 1 else 0.0,
                        _pair_max(v, 1 / 120, 0.55, start)) == full
             assert _pair_scan(v, 1 / 120, 0.55, start=start) == scan
+
+
+class TestColumnScans:
+    """K paths side by side, nodes of shape (K, d): every column's ratios,
+    row norms and pair maxima are bitwise those of the column alone."""
+
+    @settings(max_examples=300)
+    @given(n=st.integers(2, 40), k=st.integers(1, 8),
+           d=st.sampled_from((1, 2, 3)), seed=st.integers(0, 2 ** 32 - 1),
+           h=st.sampled_from(MESHES), exponent=st.sampled_from(EXPONENTS),
+           block_pairs=st.sampled_from((1, 7, 1 << 14)), data=st.data())
+    def test_match_each_column_alone(self, n, k, d, seed, h, exponent,
+                                     block_pairs, data):
+        g = rng(seed)
+        v = g.normal(size=(n, k, d)) * g.uniform(0.01, 100.0, size=(1, k, 1))
+        start = data.draw(st.integers(1, n - 1))
+        columns = [np.ascontiguousarray(v[:, c]) for c in range(k)]
+        with mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
+            maxima = _pair_max(v, h, exponent, start)
+            blocks = list(_pair_blocks(v, h, exponent, start))
+            for c, col in enumerate(columns):
+                assert maxima[c].hex() == _pair_max(col, h, exponent,
+                                                    start).hex()
+                alone = list(_pair_blocks(col, h, exponent, start))
+                assert [j0 for j0, _ in blocks] == [j0 for j0, _ in alone]
+                for (_, ratio), (_, want) in zip(blocks, alone):
+                    assert ratio[:, :, c].tobytes() == want.tobytes()
+        norms = _row_norms(v)
+        for c, col in enumerate(columns):
+            assert norms[:, c].tobytes() == _row_norms(col).tobytes()
 
 
 class TestSlidingMax:
@@ -646,6 +677,10 @@ class TestGridPath:
         assert p.index_of(0.30000000000000004) == 3
         with pytest.raises(DomainError):
             p.index_of(0.35)
+        # a non-finite time has no index: not a ValueError or OverflowError
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="not finite"):
+                p.index_of(t)
 
     def test_restrict_subsample_refine(self):
         p = GridPath(0.0, 0.125, np.arange(9.0))

@@ -138,7 +138,12 @@ class TestSolverConfig:
         SolverConfig(**good)
         for bad in (dict(nu=0.5), dict(beta=0.7), dict(beta=0.75),
                     dict(mu=0.5), dict(mu=0.0), dict(mesh=0.3),
-                    dict(r=0.33), dict(T=-1.0), dict(picard_tol=0.0)):
+                    dict(r=0.33), dict(T=-1.0), dict(picard_tol=0.0),
+                    # NaN fails every comparison; inf has no grid index
+                    dict(picard_tol=float("nan")), dict(picard_tol=math.inf),
+                    dict(T=math.inf), dict(mesh=float("nan")),
+                    dict(r=math.inf), dict(picard_max_iters=2.5),
+                    dict(picard_max_iters=True), dict(picard_max_iters=0)):
             with pytest.raises(DomainError):
                 SolverConfig(**{**good, **bad})
 
@@ -735,10 +740,10 @@ class TestPicardSolve:
             picard_solve(workhorse["coeffs"], workhorse["eta"], short, cfg)
 
 
-def full_scan_history_parts(self, values, ia):
+def full_scan_history_parts(self, ia):
     """The former history norm, kept as an oracle: a full scan of the
     history nodes ``[ia - m_r, ia]`` at every window."""
-    hist = values[ia - self.m_r:ia + 1]
+    hist = self.columns[ia - self.m_r:ia + 1, 0]
     return (float(_row_norms(hist).max()),
             _pair_max(hist, self.h, self.exponent))
 
@@ -780,9 +785,10 @@ class TestHistoryNorm:
         records = []
 
         def spy(self, *args, **kwargs):
-            recs = run_window(self, *args, **kwargs)
-            records.extend(recs)
-            return recs
+            columns = run_window(self, *args, **kwargs)
+            for recs in columns:
+                records.extend(recs)
+            return columns
 
         monkeypatch.setattr(solver._WindowedPicard, "run_window", spy)
         linearized_solve(problem)
@@ -799,9 +805,9 @@ class TestHistoryNorm:
         run_window = solver._WindowedPicard.run_window
         radii = []
 
-        def with_ball(self, values, ia, ib, init_kind, ball_radius, *args):
+        def with_ball(self, ia, ib, kinds, ball_radius, *args):
             radii.append(ball_radius)
-            return run_window(self, values, ia, ib, init_kind, 1e300, *args)
+            return run_window(self, ia, ib, kinds, 1e300, *args)
 
         monkeypatch.setattr(solver._WindowedPicard, "run_window", with_ball)
         assert linearized_solve(problem).values.tobytes() == got
