@@ -23,10 +23,11 @@ from .paths import (GridPath, NormReport, Segment, counterexample_growth,
 from .sensitivity import (ContinuityReport, DifferentiabilityReport,
                           LinearizedProblem, continuity_check,
                           differentiability_check, linearized_solve)
-from .solver import (ContractionConstants, GreedyPartition, GronwallReport,
-                     GrowthReport, ProbeReport, SolveReport, SolverConfig,
-                     WindowRecord, compute_contraction_constants,
-                     euler_solve, greedy_partition, gronwall_check,
+from .solver import (BallReport, ContractionConstants, GreedyPartition,
+                     GronwallReport, GrowthReport, ProbeReport, SolveReport,
+                     SolverConfig, WindowRecord, ball_check,
+                     compute_contraction_constants, euler_solve,
+                     greedy_partition, gronwall_check,
                      growth_bound_check, map_F, picard_solve,
                      stopping_count_bound, uniqueness_probe, window_residual)
 from .young import (GapReport, YoungConstants, certificate_sweep,

@@ -185,6 +185,7 @@ def partition_rows(partition):
 
 
 def solve_diagnostics(report, partition_bound=None):
+    ball = solver.ball_check(report)
     d = {
         "n_windows": report.partition.n_windows,
         "N": report.partition.N,
@@ -192,16 +193,16 @@ def solve_diagnostics(report, partition_bound=None):
         "C": report.partition.C,
         "mu": report.partition.mu,
         "eta_norm": report.eta_norm,
-        "ball_ok": report.ball_ok,
+        "ball_ok": ball.passed,
         "nu_seminorm": report.nu_seminorm,
         "max_residual": max(report.window_residuals),
         "total_iterations": int(sum(report.window_iterations)),
         "windows": [
             {"t_start": w.t_start, "t_end": w.t_end,
              "iterations": w.iterations, "residual": w.residual,
-             "ball_radius": w.ball_radius,
-             "max_iterate_norm": w.max_iterate_norm, "split": w.split}
-            for w in report.windows],
+             "ball_radius": radius, "max_iterate_norm": norm,
+             "split": w.split}
+            for w, (radius, norm) in zip(report.windows, ball.rows)],
     }
     if partition_bound is not None:
         d["stopping_count_bound"] = partition_bound
@@ -396,16 +397,15 @@ def _verify_checks(scenario):
 
     run("regularity", chk_regularity)
 
-    report = solver.picard_solve(coeffs, scenario.eta, omega, config,
-                                 collect_first_iterate=True)
+    report = solver.picard_solve(coeffs, scenario.eta, omega, config)
 
     def chk_solve():
-        ok = max(report.window_residuals) <= config.picard_tol
-        ok = ok and report.ball_ok
+        ball_ok = report.ball_ok
+        ok = max(report.window_residuals) <= config.picard_tol and ball_ok
         ok = ok and np.array_equal(
             report.solution.values[:config.n_history + 1], scenario.eta.values)
         return ok, (f"max residual {max(report.window_residuals):.3e}, "
-                    f"ball_ok {report.ball_ok}")
+                    f"ball_ok {ball_ok}")
 
     run("solve", chk_solve)
 
@@ -438,9 +438,8 @@ def _verify_checks(scenario):
         consts = config.young(coeffs.delta)
         integrands = [report.solution.restrict(0.0, config.T),
                       co.composition_path(coeffs.g, report.solution, config.r,
-                                          (0.0, config.T))]
-        if report.first_iterate is not None:
-            integrands.append(report.first_iterate.restrict(0.0, config.T))
+                                          (0.0, config.T)),
+                      report.first_iterate.restrict(0.0, config.T)]
         sweep = young.certificate_sweep(integrands, omega, (0.0, config.T),
                                         consts, n_windows=34, seed=2)
         tables.append(("young_certificate",

@@ -19,7 +19,8 @@ the estimates the window construction guarantees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -255,23 +256,21 @@ class WindowRecord:
     t_end: float
     iterations: int
     residual: float
-    ball_radius: float
-    max_iterate_norm: float
     contraction_ratios: tuple
     split: bool = False
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solution path plus the diagnostics of the windowed fixed-point solve."""
+    """Solution path plus the diagnostics of the windowed fixed-point solve;
+    ``iterates`` are the engine's (:class:`_WindowedPicard`)."""
 
     solution: GridPath
     partition: GreedyPartition
     windows: tuple
     config: SolverConfig
     eta_norm: float
-    ball_ok: bool
-    first_iterate: GridPath | None
+    iterates: dict = field(repr=False, compare=False)
 
     @property
     def nu_seminorm(self):
@@ -286,6 +285,19 @@ class SolveReport:
     @property
     def window_residuals(self):
         return [w.residual for w in self.windows]
+
+    @cached_property
+    def ball_ok(self):
+        """Whether every Picard iterate stayed in its window's ball."""
+        return ball_check(self).passed
+
+    @property
+    def first_iterate(self):
+        """Every window's first Picard iterate, on the solution's history."""
+        values = np.array(self.solution.values)
+        for ia, iterates in self.iterates.items():
+            values[ia + 1:ia + 1 + len(iterates[0])] = iterates[0]
+        return GridPath(self.solution.t0, self.solution.mesh, values)
 
 
 def _solve_grid(config, start, omega):
@@ -341,10 +353,11 @@ class _WindowedPicard:
     solution for the linearized equation (one column).  An iterate stacks
     the segments of all K columns node-major, so a functional marked
     ``accepts_stacks`` is called once for all of them, and one pair scan
-    gives every column's residual."""
+    gives every column's residual.  ``iterates`` maps each window's start
+    node to the iterates on its nodes; a split window's halves replace the
+    failed attempt (a batch column run alone keeps them in its own engine)."""
 
-    def __init__(self, f, g, base, config, exponent, values, dw,
-                 first_iter_sink=None):
+    def __init__(self, f, g, base, config, exponent, values, dw):
         self.f = f
         self.g = g
         self.base = base
@@ -357,8 +370,7 @@ class _WindowedPicard:
         self.values = values
         self.columns = values if values.ndim == 3 else values[:, None]
         self.dw = dw
-        self.first_iter_sink = first_iter_sink
-        self.history = None
+        self.iterates = {}
         # iterate beyond tol down to a polish floor so that distinct
         # initializations land on numerically identical fixed points
         self.stop_tol = max(self.tol * 1e-2, 1e-15)
@@ -383,15 +395,6 @@ class _WindowedPicard:
         else:
             raise DomainError(f"unknown init kind {kind!r}; one of {_INIT_KINDS}")
 
-    def history_parts(self, ia):
-        """Sup and pair scan of the history nodes ``[ia - m_r, ia]`` of the
-        first column, kept up to date as its windows are solved
-        (:class:`~ydde.paths._SlidingPairMax`)."""
-        if self.history is None:
-            self.history = _SlidingPairMax(self.columns[:, 0], self.m_r,
-                                           self.h, self.exponent)
-        return self.history.query(ia)
-
     def _stops(self, res, residuals, ratios):
         """Record a column's iterate residual ``res``; whether it stops."""
         if residuals and residuals[-1] > 100.0 * self.tol and res > 0:
@@ -402,8 +405,7 @@ class _WindowedPicard:
             len(residuals) >= 3 and res <= self.tol
             and res >= 0.9 * residuals[-2])
 
-    def run_window(self, ia, ib, kinds, ball_radius=math.inf, hist=None,
-                   depth=0):
+    def run_window(self, ia, ib, kinds, depth=0):
         """Iterate F on nodes (ia, ib] of every column, column c from the
         initial iterate ``kinds[c]``; returns one list of WindowRecords per
         column.
@@ -413,28 +415,16 @@ class _WindowedPicard:
         iterates and records are those of a run of its own.  A column that
         does not converge is run again on its own: one column splits the
         window once or raises.
-
-        ``ball_radius`` asks for the ball diagnostic of a single column, and
-        ``hist`` is :meth:`history_parts` of the window (computed if None).
-        Iterates change only the window nodes, so the ball diagnostic joins
-        the fixed history parts with a scan of the pairs that touch the
-        window: the Holder norm of ``[ia - m_r, ib]`` at O(w * (m_r + w)).
-        An infinite ``ball_radius`` asks for no ball: the diagnostic is
-        skipped and ``max_iterate_norm`` is nan.
         """
-        values, columns = self.values, self.columns
-        ball = math.isfinite(ball_radius)
-        if ball:
-            hist_sup, hist_scan = hist or self.history_parts(ia)
-            column = columns[:, 0]
+        values = self.values
         for c, kind in enumerate(kinds):
-            self._init_window(columns[:, c], ia, ib, kind)
+            self._init_window(self.columns[:, c], ia, ib, kind)
         window = values[ia + 1:ib + 1]
         residuals = [[] for _ in kinds]
         ratios = [[] for _ in kinds]
         running = list(range(len(kinds)))
-        max_norm = 0.0 if ball else math.nan
-        for it in range(1, self.max_iters + 1):
+        iterates = self.iterates[ia] = []
+        for _ in range(self.max_iters):
             new = self._step(_left_sums, values, ia, ib)
             diff = new - window
             # the difference vanishes up to the window start, so pairs into
@@ -447,15 +437,7 @@ class _WindowedPicard:
                 window[...] = new
             else:
                 window[:, running] = new[:, running]
-            if it == 1 and self.first_iter_sink is not None:
-                self.first_iter_sink[ia + 1:ib + 1] = new
-            if ball:
-                sup = max(hist_sup,
-                          float(_row_norms(column[ia + 1:ib + 1]).max()))
-                scan = max(hist_scan, _pair_max(column[ia - self.m_r:ib + 1],
-                                                self.h, self.exponent,
-                                                self.m_r + 1))
-                max_norm = max(max_norm, sup + scan)
+            iterates.append(new)
             running = [c for c in running
                        if not self._stops(res[c], residuals[c], ratios[c])]
             if not running:
@@ -464,59 +446,46 @@ class _WindowedPicard:
         out = []
         for c, kind in enumerate(kinds):
             if c in running and residuals[c][-1] > self.tol:
-                out.append(self._unconverged(ia, ib, c, kind, ball_radius,
-                                             depth, residuals[c]))
+                out.append(self._unconverged(ia, ib, c, kind, depth,
+                                             residuals[c]))
                 continue
             out.append([WindowRecord(
                 t_start=t0 + ia * self.h, t_end=t0 + ib * self.h,
                 iterations=len(residuals[c]), residual=residuals[c][-1],
-                ball_radius=ball_radius, max_iterate_norm=max_norm,
                 contraction_ratios=tuple(ratios[c]))])
         return out
 
-    def _unconverged(self, ia, ib, c, kind, ball_radius, depth, residuals):
+    def _unconverged(self, ia, ib, c, kind, depth, residuals):
         """The records of column c, which did not converge on (ia, ib]."""
         if self.columns.shape[1] > 1:
             solo = _WindowedPicard(self.f, self.g, self.base, self.config,
                                    self.exponent, self.columns[:, c].copy(),
                                    self.dw)
-            records, = solo.run_window(ia, ib, (kind,), ball_radius,
-                                       depth=depth)
+            records, = solo.run_window(ia, ib, (kind,), depth)
             self.columns[:, c] = solo.values
             return records
         if depth == 0 and ib - ia >= 2:
             # grid snapping can leave a window a hair too long; one
             # bisection restores the contraction, then give up
             mid = (ia + ib) // 2
-            rec1, = self.run_window(ia, mid, (kind,), ball_radius, depth=1)
-            rec2, = self.run_window(mid, ib, (kind,), ball_radius, depth=1)
+            rec1, = self.run_window(ia, mid, (kind,), depth=1)
+            rec2, = self.run_window(mid, ib, (kind,), depth=1)
             return [replace(r, split=True) for r in rec1 + rec2]
         raise ConvergenceError(
             f"Picard did not reach tol={self.tol} on window nodes "
             f"[{ia}, {ib}] (best residual {min(residuals):.3e})",
             residual_history=residuals)
 
-    def solve(self, partition, omega, kinds, ball=False):
+    def solve(self, partition, omega, kinds):
         """Run every window of ``partition`` (times on the grid of the
         driver ``omega``), column c from ``kinds[c]``: the WindowRecords of
-        each column, and whether every iterate stayed in its window's ball
-        (with ``ball``, one column only; else True)."""
+        each column, and :attr:`iterates`."""
         records = [[] for _ in kinds]
-        ball_ok = True
-        mu = self.config.mu
         for (ta, tb) in partition.windows():
             ia, ib = self.m_r + omega.index_of(ta), self.m_r + omega.index_of(tb)
-            radius, hist = math.inf, None
-            if ball:
-                hist = self.history_parts(ia)
-                radius = (hist[0] + hist[1] + mu) / (1.0 - mu)
-            for column, recs in zip(records, self.run_window(ia, ib, kinds,
-                                                             radius, hist)):
-                if any(rec.max_iterate_norm > radius * (1.0 + 1e-9)
-                       for rec in recs):
-                    ball_ok = False
+            for column, recs in zip(records, self.run_window(ia, ib, kinds)):
                 column.extend(recs)
-        return records, ball_ok
+        return records, self.iterates
 
 
 def _validate_solve_inputs(coeffs, eta, omega, config):
@@ -558,8 +527,7 @@ def map_F(x, coeffs, omega, window, history):
     return GridPath(x.t0, x.mesh, values)
 
 
-def picard_solve(coeffs, eta, omega, config, init="constant",
-                 collect_first_iterate=False):
+def picard_solve(coeffs, eta, omega, config, init="constant"):
     """Solve the delay equation by windowed Picard iteration.
 
     Returns a :class:`SolveReport`; the solution equals ``eta`` exactly on
@@ -572,20 +540,14 @@ def picard_solve(coeffs, eta, omega, config, init="constant",
         constants = compute_contraction_constants(coeffs, config)
         partition = greedy_partition(omega, config, constants.C)
 
-    h = config.mesh
     values, dw = _solve_grid(config, eta, omega)
-    first_iter = np.array(values) if collect_first_iterate else None
     engine = _WindowedPicard(coeffs.f, coeffs.g, (), config, config.beta,
-                             values, dw, first_iter)
-    (records,), ball_ok = engine.solve(partition, omega, (init,), ball=True)
-
-    solution = GridPath(-config.r, h, values)
+                             values, dw)
+    (records,), iterates = engine.solve(partition, omega, (init,))
     return SolveReport(
-        solution=solution, partition=partition, windows=tuple(records),
-        config=config, eta_norm=segment_norm(eta, config.beta),
-        ball_ok=ball_ok,
-        first_iterate=GridPath(-config.r, h, first_iter)
-        if first_iter is not None else None)
+        solution=GridPath(-config.r, config.mesh, values), partition=partition,
+        windows=tuple(records), config=config,
+        eta_norm=segment_norm(eta, config.beta), iterates=iterates)
 
 
 def resolve(coeffs, base, omega, starts):
@@ -596,9 +558,9 @@ def resolve(coeffs, base, omega, starts):
     ``base`` is a :class:`SolveReport` of ``coeffs`` on ``omega``.  Its
     partition depends only on omega, the config and C, so it is reused, and
     the K starts are iterated as K columns in lockstep
-    (:class:`_WindowedPicard`), without the ball diagnostic, which no
-    re-solve reads.  If a start does not converge, the starts are solved one
-    by one in order, so the error raised is the first solo solve's.
+    (:class:`_WindowedPicard`).  If a start does not converge, the starts
+    are solved one by one in order, so the error raised is the first solo
+    solve's.
     """
     if not starts:
         raise DomainError("resolve needs at least one start")
@@ -700,6 +662,43 @@ def growth_bound_check(report, eta):
                          float(margins[sel].min())))
     return GrowthReport(rows=tuple(rows), min_margin=float(margins.min()),
                         passed=passed)
+
+
+@dataclass(frozen=True)
+class BallReport:
+    """The ball diagnostic of a solve's Picard iterates."""
+
+    rows: tuple               # (ball radius, max iterate norm) per record
+    passed: bool
+
+
+def ball_check(report):
+    """Check that every Picard iterate x of ``report`` stays in its window's
+    ball ``||x||_{beta, [t_i - r, t_{i+1}]} <= (|x_{t_i}| + mu) / (1 - mu)``,
+    ``t_i`` the start of the partition window (a split window's halves share
+    its ball).  The history parts come from one
+    :class:`~ydde.paths._SlidingPairMax` over the solution; each iterate
+    adds a scan of the pairs that touch its window."""
+    config = report.config
+    h, m_r, beta, mu = config.mesh, config.n_history, config.beta, config.mu
+    path = report.solution
+    history = _SlidingPairMax(path.values, m_r, h, beta)
+    starts = {path.index_of(t) for t in report.partition.times[:-1]}
+    rows = []
+    for record in report.windows:
+        ia = path.index_of(record.t_start)
+        hist_sup, hist_scan = history.query(ia)
+        if ia in starts:
+            radius = (hist_sup + hist_scan + mu) / (1.0 - mu)
+        nodes = path.values[ia - m_r:path.index_of(record.t_end) + 1].copy()
+        max_norm = 0.0
+        for x in report.iterates[ia]:
+            nodes[m_r + 1:] = x
+            max_norm = max(max_norm, max(hist_sup, float(_row_norms(x).max()))
+                           + max(hist_scan, _pair_max(nodes, h, beta, m_r + 1)))
+        rows.append((radius, max_norm))
+    return BallReport(rows=tuple(rows), passed=all(
+        norm <= radius * (1.0 + 1e-9) for radius, norm in rows))
 
 
 @dataclass(frozen=True)

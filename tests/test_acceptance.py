@@ -64,8 +64,7 @@ def test_criterion_1_young_loeve_certificate(workhorse, linear_scenario):
     t0 = time.perf_counter()
     worst = 0.0
     for sc in (workhorse, linear_scenario):
-        rep = picard_solve(sc["coeffs"], sc["eta"], sc["omega"], sc["config"],
-                           collect_first_iterate=True)
+        rep = picard_solve(sc["coeffs"], sc["eta"], sc["omega"], sc["config"])
         consts = sc["config"].young(sc["coeffs"].delta)
         integrands = [
             rep.solution.restrict(0.0, 1.0),

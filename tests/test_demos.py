@@ -1,5 +1,7 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script runs to completion, and every demo
+scenario verifies and solves."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,12 +9,16 @@ from pathlib import Path
 
 import pytest
 
+from ydde.cli import EXIT_OK, main
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+SCENARIOS = sorted((ROOT / "demos" / "scenarios").glob("*.json"))
 
 
 def test_demos_found():
     assert len(DEMOS) >= 6
+    assert len(SCENARIOS) >= 9
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
@@ -21,3 +27,12 @@ def test_demo_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda p: p.stem)
+def test_scenario_verifies_and_solves(scenario, tmp_path):
+    for command in ("verify", "solve"):
+        assert main([command, "--scenario", str(scenario), "--out",
+                     str(tmp_path), "--quiet"]) == EXIT_OK, command
+    with open(tmp_path / "diagnostics.json") as f:
+        assert json.load(f)["ball_ok"] is True

@@ -17,7 +17,7 @@ from ydde.paths import (GridPath, Segment, SegmentView, _node_stack,
                         segment)
 from ydde.sensitivity import LinearizedProblem, linearized_solve
 from ydde.solver import (_INIT_KINDS, GreedyPartition, ProbeReport,
-                         SolverConfig, _left_sums, _solve_grid,
+                         SolverConfig, _left_sums, _solve_grid, ball_check,
                          compute_contraction_constants, euler_solve, greedy_partition, gronwall_check,
                          growth_bound_check, map_F, picard_solve,
                          stopping_count_bound, trivial_partition,
@@ -664,16 +664,11 @@ class TestPicardSolve:
     def test_trivial_partition_ball_diagnostic(self):
         # zero coefficients: one window over the whole horizon, scanned in
         # many blocks of upper nodes; the ball norm is the solution's norm
-        mesh = 1 / 1024
-        cfg = SolverConfig(beta=0.55, nu=0.7, mesh=mesh, T=1.0, r=0.25)
-        u = np.linspace(-0.25, 0.0, cfg.n_history + 1)
-        eta = Segment(0.25, mesh, np.column_stack([np.cos(8 * u), u]))
-        rep = picard_solve(make_builtin("linear_delay", dim=2), eta,
-                           zero_omega(mesh=mesh), cfg)
+        rep = zero_coefficient_solve()
         assert rep.partition.n_windows == 1 and not rep.windows[0].split
         assert rep.ball_ok
-        assert rep.windows[0].max_iterate_norm == \
-            holder_norm(rep.solution, cfg.beta)
+        (_, max_norm), = ball_check(rep).rows
+        assert max_norm == holder_norm(rep.solution, rep.config.beta)
 
     def test_exponential_decay_oracle(self):
         cfg = SolverConfig(beta=0.55, nu=0.7, mesh=1 / 1024, T=1.0, r=0.25)
@@ -705,8 +700,8 @@ class TestPicardSolve:
                            workhorse["omega"], workhorse["config"])
         assert max(rep.window_residuals) <= workhorse["config"].picard_tol
         assert rep.ball_ok
-        for w in rep.windows:
-            assert w.max_iterate_norm <= w.ball_radius * (1 + 1e-9)
+        for radius, max_norm in ball_check(rep).rows:
+            assert max_norm <= radius * (1 + 1e-9)
 
     def test_contraction_ratio_observed(self, workhorse):
         rep = picard_solve(workhorse["coeffs"], workhorse["eta"],
@@ -740,78 +735,132 @@ class TestPicardSolve:
             picard_solve(workhorse["coeffs"], workhorse["eta"], short, cfg)
 
 
-def full_scan_history_parts(self, ia):
-    """The former history norm, kept as an oracle: a full scan of the
-    history nodes ``[ia - m_r, ia]`` at every window."""
-    hist = self.columns[ia - self.m_r:ia + 1, 0]
-    return (float(_row_norms(hist).max()),
-            _pair_max(hist, self.h, self.exponent))
+def zero_coefficient_solve():
+    """d = 2, zero coefficients: one window over the horizon, m_r = 256."""
+    mesh = 1 / 1024
+    cfg = SolverConfig(beta=0.55, nu=0.7, mesh=mesh, T=1.0, r=0.25)
+    u = np.linspace(-0.25, 0.0, cfg.n_history + 1)
+    eta = Segment(0.25, mesh, np.column_stack([np.cos(8 * u), u]))
+    return picard_solve(make_builtin("linear_delay", dim=2), eta,
+                        zero_omega(mesh=mesh), cfg)
+
+
+def inline_ball(report):
+    """The former inline ball diagnostic, kept as an oracle: per record, the
+    radius from a full scan of the history at its partition window's start
+    (the halves of a split window share it), and the max over its iterates
+    of the full scan of the nodes ``[t_i - r, t_{i+1}]`` holding the
+    iterate; and whether every norm is within its radius."""
+    cfg = report.config
+    h, m_r, beta, mu = cfg.mesh, cfg.n_history, cfg.beta, cfg.mu
+    path = report.solution
+    starts = [path.index_of(t) for t in report.partition.times[:-1]]
+    rows = []
+    for record in report.windows:
+        ia, ib = path.index_of(record.t_start), path.index_of(record.t_end)
+        i0 = max(start for start in starts if start <= ia)
+        hist = path.values[i0 - m_r:i0 + 1]
+        radius = (float(_row_norms(hist).max()) + _pair_max(hist, h, beta)
+                  + mu) / (1.0 - mu)
+        max_norm = 0.0
+        for x in report.iterates[ia]:
+            nodes = np.array(path.values[ia - m_r:ib + 1])
+            nodes[m_r + 1:] = x
+            max_norm = max(max_norm, float(_row_norms(nodes).max())
+                           + _pair_max(nodes, h, beta))
+        rows.append((radius, max_norm))
+    return rows, all(norm <= radius * (1 + 1e-9) for radius, norm in rows)
+
+
+def assert_ball_matches_inline(report):
+    rows, ok = inline_ball(report)
+    got = ball_check(report)
+    assert [(a.hex(), b.hex()) for a, b in got.rows] \
+        == [(a.hex(), b.hex()) for a, b in rows]
+    assert got.passed == ok == report.ball_ok
 
 
 class TestHistoryNorm:
-    def test_split_windows_match_full_scan(self, monkeypatch, workhorse):
+    def test_split_windows_match_full_scan(self, workhorse):
         # three iterations to 1e-8 leave some windows unconverged, and
         # their halves query the history at the window start again
         config = replace(workhorse["config"], picard_max_iters=3,
                          picard_tol=1e-8)
         omega = gen_fbm(replace(workhorse["spec"], seed=1))
-        args = (workhorse["coeffs"], workhorse["eta"], omega, config)
-        got = picard_solve(*args)
-        assert any(w.split for w in got.windows)
-        monkeypatch.setattr(solver._WindowedPicard, "history_parts",
-                            full_scan_history_parts)
-        want = picard_solve(*args)
-        assert got.solution.values.tobytes() == want.solution.values.tobytes()
-        assert repr(got.windows) == repr(want.windows)
+        rep = picard_solve(workhorse["coeffs"], workhorse["eta"], omega,
+                           config)
+        assert sum(w.split for w in rep.windows) == 12
+        assert_ball_matches_inline(rep)
 
-    @staticmethod
-    def linearized_problem(sc):
+    def test_zero_coefficients_match_full_scan(self):
+        assert_ball_matches_inline(zero_coefficient_solve())
+
+    def test_two_dimensional_solve_matches_full_scan(self, workhorse):
+        g = rng(5)
+        mats = {k: g.normal(size=(2, 2)) for k in ("A", "B")}
+        mats = {k: 0.15 * m / np.linalg.norm(m, 2) for k, m in mats.items()}
+        coeffs = make_builtin("sin_delay", dim=2, sigma=0.05, **mats)
+        u = np.linspace(-0.25, 0.0, workhorse["config"].n_history + 1)
+        eta = Segment(0.25, MESH, np.column_stack([1.0 + 0.2 * u,
+                                                   np.sin(6 * u)]))
+        rep = picard_solve(coeffs, eta, workhorse["omega"],
+                           workhorse["config"])
+        assert rep.partition.n_windows > 1
+        assert_ball_matches_inline(rep)
+
+    def test_first_iterate_stitched_from_records(self, workhorse):
+        # a split window's halves replace its first attempt's iterates
+        config = replace(workhorse["config"], picard_max_iters=3,
+                         picard_tol=1e-8)
+        omega = gen_fbm(replace(workhorse["spec"], seed=1))
+        rep = picard_solve(workhorse["coeffs"], workhorse["eta"], omega,
+                           config)
+        first = rep.first_iterate.values
+        m_r = config.n_history
+        assert np.array_equal(first[:m_r + 1], workhorse["eta"].values)
+        for record in rep.windows:
+            ia = rep.solution.index_of(record.t_start)
+            ib = rep.solution.index_of(record.t_end)
+            x = rep.iterates[ia]
+            assert len(x) == record.iterations
+            assert np.array_equal(x[-1], rep.solution.values[ia + 1:ib + 1])
+            assert np.array_equal(first[ia + 1:ib + 1], x[0])
+
+    @pytest.mark.parametrize("solve", ["picard_solve", "linearized_solve"])
+    def test_unread_ball_costs_one_scan_per_iterate(self, solve, monkeypatch,
+                                                    linear_scenario):
+        # a solve whose ball is never read builds no history norm, and
+        # scans pairs once per Picard iterate: for its residual
+        sc = linear_scenario
         coeffs = make_builtin("linear_delay", A=-0.15, B=0.05, Sigma=0.05,
                               c=0.02, delta=0.8)   # exponent 0.44, not beta
         base = picard_solve(coeffs, sc["eta"], sc["omega"], sc["config"])
-        return LinearizedProblem(coeffs=coeffs, base_solution=base.solution,
-                                 direction=sc["direction"], omega=sc["omega"],
-                                 config=sc["config"])
+        scans, iterates = [], []
+        pair_max, stops = solver._pair_max, solver._WindowedPicard._stops
 
-    def test_linearized_skips_history_norm(self, monkeypatch,
-                                           linear_scenario):
-        # linearized_solve asks for no ball (radius inf): no window reads
-        # the history norm, and no record carries an iterate norm
-        problem = self.linearized_problem(linear_scenario)
-        queried = []
-        monkeypatch.setattr(solver._WindowedPicard, "history_parts",
-                            lambda *args: queried.append(args))
-        run_window = solver._WindowedPicard.run_window
-        records = []
+        def count_scan(*args):
+            scans.append(args)
+            return pair_max(*args)
 
-        def spy(self, *args, **kwargs):
-            columns = run_window(self, *args, **kwargs)
-            for recs in columns:
-                records.extend(recs)
-            return columns
+        def count_iterate(self, *args):
+            iterates.append(args)
+            return stops(self, *args)
 
-        monkeypatch.setattr(solver._WindowedPicard, "run_window", spy)
-        linearized_solve(problem)
-        assert queried == []
-        assert len(records) > 1
-        assert all(math.isnan(r.max_iterate_norm) for r in records)
+        def no_history(*args):
+            raise AssertionError("history norm built")
 
-    def test_linearized_solution_unchanged_without_ball(self, monkeypatch,
-                                                        linear_scenario):
-        # the same solve with a finite radius, which runs the history norm
-        # and every iterate's ball scan, gives the same bytes
-        problem = self.linearized_problem(linear_scenario)
-        got = linearized_solve(problem).values.tobytes()
-        run_window = solver._WindowedPicard.run_window
-        radii = []
-
-        def with_ball(self, ia, ib, kinds, ball_radius, *args):
-            radii.append(ball_radius)
-            return run_window(self, ia, ib, kinds, 1e300, *args)
-
-        monkeypatch.setattr(solver._WindowedPicard, "run_window", with_ball)
-        assert linearized_solve(problem).values.tobytes() == got
-        assert len(radii) > 1 and all(r == math.inf for r in radii)
+        monkeypatch.setattr(solver, "_pair_max", count_scan)
+        monkeypatch.setattr(solver._WindowedPicard, "_stops", count_iterate)
+        monkeypatch.setattr(solver, "_SlidingPairMax", no_history)
+        if solve == "picard_solve":
+            rep = picard_solve(coeffs, sc["eta"], sc["omega"], sc["config"])
+            assert len(iterates) == sum(rep.window_iterations)
+        else:
+            linearized_solve(LinearizedProblem(
+                coeffs=coeffs, base_solution=base.solution,
+                direction=sc["direction"], omega=sc["omega"],
+                config=sc["config"]))
+        assert len(iterates) > 1 and len(scans) == len(iterates)
 
 
 class TestEulerSolve:

@@ -194,8 +194,7 @@ class TestCertificateSweep:
 
     def test_fbm_iterates_match_per_window_loop(self, workhorse):
         report = picard_solve(workhorse["coeffs"], workhorse["eta"],
-                              workhorse["omega"], workhorse["config"],
-                              collect_first_iterate=True)
+                              workhorse["omega"], workhorse["config"])
         integrands = [report.solution.restrict(0.0, 1.0),
                       report.first_iterate.restrict(0.0, 1.0),
                       report.solution]
@@ -245,8 +244,7 @@ class TestYoungLoeveGap:
 
     def test_certificate_on_fbm_iterates(self, workhorse):
         report = picard_solve(workhorse["coeffs"], workhorse["eta"],
-                              workhorse["omega"], workhorse["config"],
-                              collect_first_iterate=True)
+                              workhorse["omega"], workhorse["config"])
         consts = workhorse["config"].young(workhorse["coeffs"].delta)
         integrands = [
             report.solution.restrict(0.0, 1.0),
