@@ -367,7 +367,16 @@ def _norms(vecs):
 _SAMPLE_VALUES = 1 << 14
 
 
+# Below the normal range a float is a multiple of 2**-1074, so a value
+# computed there can be off by whole spacings however exact its formula (a
+# subnormal Sigma times a unit vector): no relative slack covers that, and
+# _ratio forgives up to 2**10 spacings.  It leaves every numerator above
+# 2**-1010 bitwise as it is.
+_UNDERFLOW_SLACK = 2.0 ** -1064
+
+
 def _ratio(num, den):
+    num = max(num - _UNDERFLOW_SLACK, 0.0)
     if den <= 0.0:
         return 0.0 if num <= 1e-14 else math.inf
     return num / den

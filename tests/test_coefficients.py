@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_path, rng
@@ -312,6 +312,9 @@ class TestVerifyRegularity:
            family=st.sampled_from(("linear_delay", "sin_delay")),
            drift_b=st.booleans(), scale=st.floats(-2.0, 2.0),
            bound=st.sampled_from((0.5, 2.0, 10.0)))
+    # a subnormal Sigma rounds Sigma * unit to whole subnormal spacings
+    @example(seed=2, dim=3, family="linear_delay", drift_b=False,
+             scale=5e-324, bound=0.5)
     def test_exact_constants_hold_at_higher_dim(self, seed, dim, family,
                                                 drift_b, scale, bound):
         # orthogonal A (and B) and a scalar Sigma make the declared L_f and
