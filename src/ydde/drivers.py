@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GenerationError
-from .paths import GridPath, holder_seminorm, _snap_index
+from .paths import GridPath, _check_grid_size, _snap_index, holder_seminorm
 
 # Durbin-Levinson sampling is O(n^2) time, O(n) memory; hard desk-scale cap.
 MAX_FBM_INTERVALS = 2 ** 14
@@ -44,7 +44,7 @@ class DriverSpec:
                               f"expected one of {_KINDS}")
         if not self.T > 0 or not self.mesh > 0:
             raise DomainError("driver needs T > 0 and mesh > 0")
-        _snap_index(self.T, self.mesh, "horizon T")
+        _check_grid_size(self.n_intervals, "driver")
         if self.kind == "fbm":
             if self.hurst is None or not 0.5 <= self.hurst < 1.0:
                 raise DomainError("fbm driver needs hurst in (1/2, 1) "

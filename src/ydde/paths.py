@@ -27,6 +27,17 @@ _INDEX_TOL = 1e-6
 # scan spans the whole horizon.
 _BLOCK_PAIRS = 1 << 14
 
+# Intervals of the largest grid a path, solve or driver may have: a larger
+# one is refused before anything is allocated.
+MAX_GRID_INTERVALS = 2 ** 22
+
+
+def _check_grid_size(n, what):
+    """Refuse ``n`` grid intervals above :data:`MAX_GRID_INTERVALS`."""
+    if n > MAX_GRID_INTERVALS:
+        raise DomainError(f"{what} needs {n} grid intervals, more than the "
+                          f"{MAX_GRID_INTERVALS} allowed")
+
 
 def _snap_index(offset, mesh, what="time"):
     k = offset / mesh
@@ -340,84 +351,6 @@ def _sliding_max(x, size):
     return np.maximum(suffix[:n - size + 1], prefix[size - 1:n])
 
 
-class _SlidingPairMax:
-    """The sup and the pair scan of the history ``v[a - size : a + 1]`` of a
-    path whose nodes are solved in order: ``(_row_norms(hist).max(),
-    _pair_max(hist, h, exponent))``, kept up to date as ``a`` grows instead
-    of scanned afresh at every query -- the pair analogue of
-    :func:`_sliding_max`.
-
-    Cut the nodes into blocks of ``size`` from node 0.  The history of a
-    query ``a`` in block q is the suffix of block q-1 from ``a - size`` and
-    the nodes of block q up to ``a``.  Each node j of block q is taken in
-    once: a running max, by lower node k of blocks q-1 and q, of the pairs
-    ``(k, j)``.  The pair max of the history is the larger of the suffix
-    max of block q-1's own pairs, by lower node, and the max of the
-    running maxima from its first node on.  When the queries move on to
-    the next block, block q is taken in to its end and its running maxima
-    by lower node in block q are its own pairs'; after a jump over whole
-    blocks (or at the first query) block q-1's own pairs are scanned.  So a
-    solve costs O(n * size) pair ratios instead of O(size^2) per query; the
-    ratios come from :func:`_pair_blocks`, so the maxima are bitwise those
-    of :func:`_pair_max`.
-
-    ``a >= size`` must not decrease from one query to the next; the nodes
-    up to ``a`` must be final when ``a`` is queried, and later nodes are
-    never read.
-    """
-
-    def __init__(self, v, size, h, exponent):
-        self.v = v
-        self.size = size
-        self.h = h
-        self.exponent = exponent
-        self.block = 0      # block q of the last query; 0 before the first
-        self.next = 0       # first node not yet taken in
-        self.cols = np.zeros(2 * size)
-
-    def _take_in(self, lo, start, stop):
-        """Running max into ``cols[k - lo]`` of the ratios of the pairs
-        ``(k, j)``, ``lo <= k < j``, for the upper nodes ``start <= j <
-        stop``.  One scan size per block, so the cached gap weights serve
-        every query; pairs with a gap above ``size`` weigh inf, as no later
-        history holds them."""
-        m = self.size
-        for _, ratio in _pair_blocks(self.v[lo:lo + 2 * m], self.h,
-                                     self.exponent, start - lo, m, stop - lo):
-            cols = self.cols[:ratio.shape[1]]
-            np.maximum(cols, ratio.max(axis=0), out=cols)
-
-    def _enter(self, q):
-        m = self.size
-        lo = (q - 1) * m
-        if q == self.block + 1 > 1:
-            self._take_in(lo - m, self.next, lo + m)
-            own = self.cols[m:]
-        else:
-            self.cols[:] = 0.0
-            self._take_in(lo, lo + 1, lo + m)
-            own = self.cols[:m]
-        self.pair_suffix = _suffix_max(own)
-        self.sup_suffix = _suffix_max(_row_norms(self.v[lo:lo + m]))
-        self.cols[:] = 0.0
-        self.sup_in = 0.0
-        self.block, self.next = q, q * m
-
-    def query(self, a):
-        m = self.size
-        q = a // m
-        if q != self.block:
-            self._enter(q)
-        if a >= self.next:
-            self._take_in((q - 1) * m, self.next, a + 1)
-            self.sup_in = max(self.sup_in,
-                              _row_norms(self.v[self.next:a + 1]).max())
-            self.next = a + 1
-        s = a - q * m       # the history's first node, in block q-1
-        return (float(max(self.sup_suffix[s], self.sup_in)),
-                float(max(self.pair_suffix[s], self.cols[s:].max())))
-
-
 def sup_norm(path, window=None):
     """Max Euclidean node norm over the window."""
     ia, ib = path.window_indices(window)
@@ -549,28 +482,33 @@ def segment_norm(seg, beta):
             + _pair_max(seg.values, seg.mesh, beta))
 
 
+def _segment_norm_parts(v, h, beta, mr):
+    """The two parts of the segment norm of the path with nodes (rows) ``v``
+    on mesh ``h``, at every node j >= mr (index j - mr): the max node norm
+    ``sups`` and the beta pair scan ``scans`` of the history ``v[j - mr :
+    j + 1]``, bitwise ``_row_norms(hist).max()`` and :func:`_pair_max`.  Per
+    gap g <= mr, one O(n) sliding max (:func:`_sliding_max`) of the gap-g
+    ratios over the segment's pairs, so both cost O(n * mr) instead of a
+    pair scan per node."""
+    sups = _sliding_max(_row_norms(v), mr + 1)
+    scans = np.zeros(v.shape[0] - mr)
+    for g in range(1, mr + 1):
+        diff = _row_norms(v[g:] - v[:-g]) / (g * h) ** beta
+        scans = np.maximum(scans, _sliding_max(diff, mr + 1 - g))
+    return sups, scans
+
+
 def segment_norm_profile(path, beta, r, window=None):
     """Per-node segment norms ``t -> |x_t| (sup + beta-seminorm on [-r,0])``.
 
     Returns ``(times, norms)`` for every grid node t in the window (default:
-    all t with t - r inside the path).  Per gap g <= r/mesh, one O(n)
-    sliding max (:func:`_sliding_max`) of the gap-g ratios over the segment's
-    pairs, so the profile costs O(n * r/mesh) instead of a pair scan per node.
+    all t with t - r inside the path), from :func:`_segment_norm_parts`.
     """
     _check_holder_exponent(beta)
     mr, ja, jb = _delay_window(path, r, window, "profile")
-    n = path.n_intervals
-    h = path.mesh
-    v = path.values
-    sup_part = _sliding_max(_row_norms(v), mr + 1)  # index j-mr
-    semi = np.zeros(n + 1 - mr)
-    for g in range(1, mr + 1):
-        diff = _row_norms(v[g:] - v[:-g]) / (g * h) ** beta
-        semi = np.maximum(semi, _sliding_max(diff, mr + 1 - g))
-    profile = sup_part + semi
-    times = path.t0 + h * np.arange(mr, n + 1)
+    sups, scans = _segment_norm_parts(path.values, path.mesh, beta, mr)
     sel = slice(ja - mr, jb - mr + 1)
-    return times[sel], profile[sel]
+    return path.times[ja:jb + 1], sups[sel] + scans[sel]
 
 
 def counterexample_growth(beta, p, n):
@@ -589,6 +527,7 @@ def counterexample_growth(beta, p, n):
     n = int(n)
     if n < 1:
         raise DomainError("n must be a positive integer")
+    _check_grid_size(2 * n, "counterexample")
     t = np.abs(-1.0 + np.arange(2 * n + 1) / n) ** beta
     inc = np.abs(np.diff(t))
     # consecutive segments differ by a one-cell shift; sup over u-window [i, i+n]

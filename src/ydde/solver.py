@@ -27,8 +27,8 @@ import numpy as np
 
 from .coefficients import _marked, _segments_at, node_values
 from .errors import ConvergenceError, DomainError, PartitionError
-from .paths import (GridPath, _pair_blocks, _pair_max, _row_norms,
-                    _SlidingPairMax, _snap_index, holder_norm,
+from .paths import (GridPath, _check_grid_size, _pair_blocks, _pair_max,
+                    _row_norms, _segment_norm_parts, _snap_index, holder_norm,
                     holder_seminorm, segment, segment_norm,
                     segment_norm_profile)
 from .young import YoungConstants
@@ -60,8 +60,7 @@ class SolverConfig:
         # NaN fails every comparison, so each guard is written negated
         if not all(0.0 < x < math.inf for x in (self.mesh, self.T, self.r)):
             raise DomainError("mesh, T and r must be positive and finite")
-        _snap_index(self.r, self.mesh, "delay r")
-        _snap_index(self.T, self.mesh, "horizon T")
+        _check_grid_size(self.n_history + self.n_horizon, "solve grid")
         if not 0.0 < self.picard_tol < math.inf:
             raise DomainError(f"picard_tol must be positive and finite, "
                               f"got {self.picard_tol!r}")
@@ -285,6 +284,15 @@ class SolveReport:
     @property
     def window_residuals(self):
         return [w.residual for w in self.windows]
+
+    @cached_property
+    def segment_norms(self):
+        """``(sups, scans)``: the two parts of the solution's segment norm
+        at every node from t = 0 on (:func:`~ydde.paths._segment_norm_parts`),
+        shared by the ball and the growth check."""
+        path = self.solution
+        return _segment_norm_parts(path.values, path.mesh, self.config.beta,
+                                   self.config.n_history)
 
     @cached_property
     def ball_ok(self):
@@ -646,8 +654,9 @@ def growth_bound_check(report, eta):
     N(t) counts the solver's stopping times in (0, t].
     """
     config = report.config
-    ts, profile = segment_norm_profile(report.solution, config.beta, config.r,
-                                       (0.0, config.T))
+    sups, scans = report.segment_norms
+    profile = sups + scans
+    ts = report.solution.times[config.n_history:]
     n_of_t = report.partition.n_at(ts)
     eta_norm = segment_norm(eta, config.beta)
     log_factor = -math.log(1.0 - config.mu)
@@ -676,18 +685,18 @@ def ball_check(report):
     """Check that every Picard iterate x of ``report`` stays in its window's
     ball ``||x||_{beta, [t_i - r, t_{i+1}]} <= (|x_{t_i}| + mu) / (1 - mu)``,
     ``t_i`` the start of the partition window (a split window's halves share
-    its ball).  The history parts come from one
-    :class:`~ydde.paths._SlidingPairMax` over the solution; each iterate
-    adds a scan of the pairs that touch its window."""
+    its ball).  The history parts are the solution's
+    :attr:`SolveReport.segment_norms`; each iterate adds a scan of the pairs
+    that touch its window."""
     config = report.config
     h, m_r, beta, mu = config.mesh, config.n_history, config.beta, config.mu
     path = report.solution
-    history = _SlidingPairMax(path.values, m_r, h, beta)
+    sups, scans = report.segment_norms
     starts = {path.index_of(t) for t in report.partition.times[:-1]}
     rows = []
     for record in report.windows:
         ia = path.index_of(record.t_start)
-        hist_sup, hist_scan = history.query(ia)
+        hist_sup, hist_scan = float(sups[ia - m_r]), float(scans[ia - m_r])
         if ia in starts:
             radius = (hist_sup + hist_scan + mu) / (1.0 - mu)
         nodes = path.values[ia - m_r:path.index_of(record.t_end) + 1].copy()
@@ -753,7 +762,7 @@ def _gronwall_conclusion(z, A, partition, config):
     """``(ok, min log-margin)`` of ``|z_t| <= (1-2mu)^-(N(t)+1) (A / mu +
     |z_0|)`` at every grid t of ``[0, T]``, N counted on ``partition``."""
     ts, profile = segment_norm_profile(z, config.beta, config.r, (0.0, config.T))
-    z0 = segment_norm(segment(z, 0.0, config.r), config.beta)
+    z0 = float(profile[0])
     log_factor = -math.log(1.0 - 2.0 * config.mu)
     rhs = np.exp((partition.n_at(ts) + 1) * log_factor) * (A / config.mu + z0)
     scale = max(z0, A / config.mu, 1e-300)

@@ -415,10 +415,15 @@ class TestErrorHandling:
         (["partition", "--C", "inf"], "0 < C < inf"),
         (["counterexample", "--p", "nan"], "p must be >= 1"),
         (["converge", "--rtol", "nan"], "--rtol >= 0"),
+        # grids too large to allocate are refused before any is built
+        (["solve", "--mesh", "1e-11"], "grid intervals"),
+        (["converge", "--levels", "60"], "grid intervals"),
+        (["counterexample", "--n", "100000000000"], "grid intervals"),
     ], ids=["ensemble_zero_seeds", "ensemble_negative_seeds",
             "ensemble_zero_workers", "ensemble_negative_workers",
             "converge_one_level", "partition_nan_C", "partition_inf_C",
-            "counterexample_nan_p", "converge_nan_rtol"])
+            "counterexample_nan_p", "converge_nan_rtol", "solve_huge_mesh",
+            "converge_huge_levels", "counterexample_huge_n"])
     def test_bad_flag_writes_error_json(self, tmp_path, capsys, argv,
                                         message):
         sc = write_scenario(tmp_path, zero_scenario())

@@ -826,6 +826,21 @@ class TestHistoryNorm:
             assert np.array_equal(x[-1], rep.solution.values[ia + 1:ib + 1])
             assert np.array_equal(first[ia + 1:ib + 1], x[0])
 
+    def test_ball_and_growth_share_one_segment_norm_scan(self, monkeypatch,
+                                                        workhorse):
+        parts, calls = solver._segment_norm_parts, []
+
+        def count_parts(*args):
+            calls.append(args)
+            return parts(*args)
+
+        monkeypatch.setattr(solver, "_segment_norm_parts", count_parts)
+        rep = picard_solve(workhorse["coeffs"], workhorse["eta"],
+                           workhorse["omega"], workhorse["config"])
+        assert rep.ball_ok
+        assert growth_bound_check(rep, workhorse["eta"]).passed
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("solve", ["picard_solve", "linearized_solve"])
     def test_unread_ball_costs_one_scan_per_iterate(self, solve, monkeypatch,
                                                     linear_scenario):
@@ -851,7 +866,7 @@ class TestHistoryNorm:
 
         monkeypatch.setattr(solver, "_pair_max", count_scan)
         monkeypatch.setattr(solver._WindowedPicard, "_stops", count_iterate)
-        monkeypatch.setattr(solver, "_SlidingPairMax", no_history)
+        monkeypatch.setattr(solver, "_segment_norm_parts", no_history)
         if solve == "picard_solve":
             rep = picard_solve(coeffs, sc["eta"], sc["omega"], sc["config"])
             assert len(iterates) == sum(rep.window_iterations)
