@@ -289,9 +289,12 @@ class TestSegmentNormParts:
                 for a in range(size, v.shape[0])]
         assert hexed(zip(sups.tolist(), scans.tolist())) == hexed(want)
 
-    def test_solver_sized_history(self):
+    @pytest.mark.parametrize("block_pairs", [1, 500])
+    def test_solver_sized_history(self, monkeypatch, block_pairs):
+        # bitwise equal to _pair_max however it blocks its pairs
         v = random_path(3, n=600, mesh=1 / 600, dim=2).values
         sups, scans = _segment_norm_parts(v, 1 / 600, 0.55, 64)
+        monkeypatch.setattr("ydde.paths._BLOCK_PAIRS", block_pairs)
         want = [full_history_scan(v, a, 64, 1 / 600, 0.55)
                 for a in range(64, 601)]
         assert hexed(zip(sups.tolist(), scans.tolist())) == hexed(want)
