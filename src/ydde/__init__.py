@@ -16,8 +16,7 @@ from .drivers import (DriverSpec, empirical_holder_exponent,
 from .errors import (ConvergenceError, DomainError, GenerationError,
                      PartitionError)
 from .paths import (GridPath, NormReport, Segment, counterexample_growth,
-                    holder_norm, holder_seminorm, pvar_seminorm,
-                    pvar_seminorm_exhaustive, read_csv, segment,
+                    holder_norm, holder_seminorm, pvar_seminorm, segment,
                     segment_norm, segment_norm_profile, segment_path_holder,
                     sup_norm, write_csv)
 from .sensitivity import (ContinuityReport, DifferentiabilityReport,
@@ -27,9 +26,9 @@ from .solver import (BallReport, ContractionConstants, GreedyPartition,
                      GronwallReport, GrowthReport, ProbeReport, SolveReport,
                      SolverConfig, WindowRecord, ball_check,
                      compute_contraction_constants, euler_solve,
-                     greedy_partition, gronwall_check,
-                     growth_bound_check, map_F, picard_solve,
-                     stopping_count_bound, uniqueness_probe, window_residual)
+                     greedy_partition, gronwall_check, growth_bound_check,
+                     picard_solve, stopping_count_bound, uniqueness_probe,
+                     window_residual)
 from .young import (GapReport, YoungConstants, certificate_sweep,
                     young_constant, young_integral, young_loeve_gap)
 

@@ -11,7 +11,7 @@ one family with a nonconstant Dg.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,7 +40,6 @@ class CoefficientSet:
     g0_norm: float
     dim: int
     family: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.L_f < 0 or self.L_g < 0:
@@ -155,6 +154,34 @@ def _segments_at(arrays, k, m, delay, mesh, views):
     return out
 
 
+def _linear_drift(params):
+    """Pop ``dim``, ``A`` and ``B`` from ``params``: the dimension, and the
+    drift ``f(s) = A s(0) + B s(-r)`` with its ``Df`` and ``L_f``."""
+    dim = int(params.pop("dim", 1))
+    A = _as_matrix(params.pop("A", 0.0), dim, "A")
+    B = _as_matrix(params.pop("B", 0.0), dim, "B")
+
+    @accepts_stacks
+    def f(seg):
+        return _apply(A, seg.values[-1]) + _apply(B, seg.values[0])
+
+    @accepts_stacks
+    def Df(seg, direction):
+        return (_apply(A, direction.values[-1])
+                + _apply(B, direction.values[0]))
+
+    return dim, f, Df, _opnorm(A) + _opnorm(B)
+
+
+def _sin_derivative(sigma):
+    """``Dg`` of ``g(s) = sigma sin(s(-r)) (+ c)``, componentwise."""
+    @accepts_stacks
+    def Dg(seg, direction):
+        return sigma * np.cos(seg.values[0]) * direction.values[0]
+
+    return Dg
+
+
 def make_builtin(family, **params):
     """Instantiate one of the built-in coefficient families.
 
@@ -168,9 +195,7 @@ def make_builtin(family, **params):
     of them, and marked :func:`accepts_stacks`.
     """
     if family == "linear_delay":
-        dim = int(params.pop("dim", 1))
-        A = _as_matrix(params.pop("A", 0.0), dim, "A")
-        B = _as_matrix(params.pop("B", 0.0), dim, "B")
+        dim, f, Df, L_f = _linear_drift(params)
         Sigma = _as_matrix(params.pop("Sigma", 0.0), dim, "Sigma")
         c = _as_vector(params.pop("c", 0.0), dim, "c")
         delta = float(params.pop("delta", 1.0))
@@ -178,65 +203,33 @@ def make_builtin(family, **params):
             raise DomainError(f"unknown linear_delay params {sorted(params)}")
 
         @accepts_stacks
-        def f(seg):
-            return _apply(A, seg.values[-1]) + _apply(B, seg.values[0])
-
-        @accepts_stacks
         def g(seg):
             return _apply(Sigma, seg.values[0]) + c
-
-        @accepts_stacks
-        def Df(seg, direction):
-            return (_apply(A, direction.values[-1])
-                    + _apply(B, direction.values[0]))
 
         @accepts_stacks
         def Dg(seg, direction):
             return _apply(Sigma, direction.values[0])
 
         return CoefficientSet(
-            f=f, g=g, Df=Df, Dg=Dg,
-            L_f=_opnorm(A) + _opnorm(B), L_g=_opnorm(Sigma),
+            f=f, g=g, Df=Df, Dg=Dg, L_f=L_f, L_g=_opnorm(Sigma),
             L_M=lambda M: 0.0, delta=delta,
             f0_norm=0.0, g0_norm=float(np.linalg.norm(c)), dim=dim,
-            family=family,
-            params={"A": A.tolist(), "B": B.tolist(), "Sigma": Sigma.tolist(),
-                    "c": c.tolist(), "delta": delta},
-        )
+            family=family)
 
     if family == "sin_delay":
-        dim = int(params.pop("dim", 1))
-        A = _as_matrix(params.pop("A", 0.0), dim, "A")
-        B = _as_matrix(params.pop("B", 0.0), dim, "B")
+        dim, f, Df, L_f = _linear_drift(params)
         sigma = float(params.pop("sigma", 1.0))
         if params:
             raise DomainError(f"unknown sin_delay params {sorted(params)}")
 
         @accepts_stacks
-        def f(seg):
-            return _apply(A, seg.values[-1]) + _apply(B, seg.values[0])
-
-        @accepts_stacks
         def g(seg):
             return sigma * np.sin(seg.values[0])
 
-        @accepts_stacks
-        def Df(seg, direction):
-            return (_apply(A, direction.values[-1])
-                    + _apply(B, direction.values[0]))
-
-        @accepts_stacks
-        def Dg(seg, direction):
-            return sigma * np.cos(seg.values[0]) * direction.values[0]
-
         return CoefficientSet(
-            f=f, g=g, Df=Df, Dg=Dg,
-            L_f=_opnorm(A) + _opnorm(B), L_g=abs(sigma),
-            L_M=lambda M: abs(sigma), delta=1.0,
-            f0_norm=0.0, g0_norm=0.0, dim=dim,
-            family=family,
-            params={"A": A.tolist(), "B": B.tolist(), "sigma": sigma},
-        )
+            f=f, g=g, Df=Df, Dg=_sin_derivative(sigma), L_f=L_f,
+            L_g=abs(sigma), L_M=lambda M: abs(sigma), delta=1.0,
+            f0_norm=0.0, g0_norm=0.0, dim=dim, family=family)
 
     if family == "scalar_logistic_bounded":
         a = float(params.pop("a", -0.05))
@@ -264,20 +257,12 @@ def make_builtin(family, **params):
             sech2 = 1.0 / np.cosh(v) ** 2
             return a * (du * (1.0 - np.tanh(v)) - u * sech2 * dv)
 
-        @accepts_stacks
-        def Dg(seg, direction):
-            return sigma * np.cos(seg.values[0]) * direction.values[0]
-
         # |df/du| <= 2|a| and |df/dv| <= |a| M on the stated ball.
         return CoefficientSet(
-            f=f, g=g, Df=Df, Dg=Dg,
+            f=f, g=g, Df=Df, Dg=_sin_derivative(sigma),
             L_f=abs(a) * (2.0 + domain_bound), L_g=abs(sigma),
             L_M=lambda M: abs(sigma), delta=1.0,
-            f0_norm=0.0, g0_norm=abs(c), dim=1,
-            family=family,
-            params={"a": a, "sigma": sigma, "c": c,
-                    "domain_bound": domain_bound},
-        )
+            f0_norm=0.0, g0_norm=abs(c), dim=1, family=family)
 
     raise DomainError(f"unknown coefficient family {family!r}; "
                       f"expected one of {_FAMILIES}")
@@ -289,9 +274,6 @@ def coefficients_from_json(d):
     params = d.pop("params", {})
     if d:
         raise DomainError(f"unknown coefficient keys {sorted(d)}")
-    for key in ("A", "B", "Sigma", "c"):
-        if key in params and isinstance(params[key], list):
-            params[key] = np.asarray(params[key], dtype=float)
     return make_builtin(family, **params)
 
 
@@ -361,6 +343,9 @@ def _norms(vecs):
     return norms
 
 
+# Directions verify_regularity draws per trial.
+_N_DIRECTIONS = 8
+
 # Values of the segments one chunk of verify_regularity draws, so its stacks
 # stay bounded at fine meshes; the stacks built from them hold about five
 # times as many at 8 directions.
@@ -393,10 +378,10 @@ class RegularityReport:
     passed: bool
 
 
-def verify_regularity(coeffs, sampler, M, trials, seed=0, n_directions=8):
+def verify_regularity(coeffs, sampler, M, trials, seed=0):
     """Empirical check of the declared constants on sampled segment pairs.
 
-    Each trial draws xi, eta and ``n_directions`` directions from
+    Each trial draws xi, eta and ``_N_DIRECTIONS`` directions from
     ``sampler``, in that order; ratios are worst observed value / declared
     bound, and anything above 1 + 1e-9 marks the CoefficientSet invalid.
     The trials are drawn and evaluated in chunks: each functional is called
@@ -404,11 +389,10 @@ def verify_regularity(coeffs, sampler, M, trials, seed=0, n_directions=8):
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    if n_directions < 1:
-        raise DomainError("n_directions must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     worst_f = worst_db = worst_dh = 0.0
     lm = coeffs.L_M(M)
+    n_directions = _N_DIRECTIONS
     per_trial = 2 + n_directions
     done, count = 0, 1          # the first trial sizes the chunks after it
     while done < trials:

@@ -45,12 +45,14 @@ class DriverSpec:
         if not self.T > 0 or not self.mesh > 0:
             raise DomainError("driver needs T > 0 and mesh > 0")
         _check_grid_size(self.n_intervals, "driver")
-        if self.kind == "fbm":
-            if self.hurst is None or not 0.5 <= self.hurst < 1.0:
-                raise DomainError("fbm driver needs hurst in (1/2, 1) "
-                                  "(1/2 only through the generator test bypass)")
-            if not 0 <= int(self.seed) < 2 ** 64:
-                raise DomainError("seed must be a 64-bit unsigned integer")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+                or not 0 <= seed < 2 ** 64:
+            raise DomainError(f"seed must be an integer in [0, 2**64), "
+                              f"got {seed!r}")
+        if self.kind == "fbm" and (self.hurst is None
+                                   or not 0.5 < self.hurst < 1.0):
+            raise DomainError("fbm driver needs hurst in (1/2, 1)")
         if self.kind == "power" and (self.exponent is None or not 0 < self.exponent <= 1):
             raise DomainError("power driver needs exponent in (0, 1]")
         if self.kind == "samples" and self.samples is None:
@@ -105,16 +107,10 @@ def fgn_levinson(hurst, z, mesh):
     return x
 
 
-def gen_fbm(spec, allow_h_half=False):
-    """Sample a scalar fBm path: omega(0) = 0, exact covariance, seeded.
-
-    ``allow_h_half`` unlocks the degenerate H = 1/2 boundary for generator
-    tests only; the solver requires a Holder exponent nu < H with nu > 1/2.
-    """
+def gen_fbm(spec):
+    """Sample a scalar fBm path: omega(0) = 0, exact covariance, seeded."""
     if spec.kind != "fbm":
         raise DomainError(f"gen_fbm needs kind='fbm', got {spec.kind!r}")
-    if spec.hurst == 0.5 and not allow_h_half:
-        raise DomainError("H = 1/2 is a test-only boundary; pass allow_h_half=True")
     n = spec.n_intervals
     if n > MAX_FBM_INTERVALS:
         raise DomainError(f"fbm capped at {MAX_FBM_INTERVALS} intervals (got {n})")
@@ -139,10 +135,10 @@ def gen_deterministic(spec):
     return GridPath(0.0, spec.mesh, values)
 
 
-def gen_driver(spec, allow_h_half=False):
+def gen_driver(spec):
     """Dispatch a DriverSpec to the matching generator."""
     if spec.kind == "fbm":
-        return gen_fbm(spec, allow_h_half=allow_h_half)
+        return gen_fbm(spec)
     if spec.kind == "samples":
         values = np.asarray(spec.samples, dtype=float)
         if values.shape[0] != spec.n_intervals + 1:

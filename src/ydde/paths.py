@@ -14,7 +14,6 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -122,19 +121,6 @@ class GridPath:
             raise DomainError("subsample factor must divide the interval count")
         return GridPath(self.t0, self.mesh * factor, self.values[::factor])
 
-    def refine_linear(self, factor):
-        """Piecewise-linear interpolation onto mesh/``factor``."""
-        factor = int(factor)
-        if factor < 1:
-            raise DomainError("refine factor must be >= 1")
-        n = self.n_intervals
-        idx = np.arange(n * factor + 1)
-        base = np.minimum(idx // factor, n - 1) if n > 0 else idx * 0
-        frac = (idx / factor - base)[:, None]
-        vals = self.values[base] * (1.0 - frac) + self.values[base + 1] * frac \
-            if n > 0 else self.values[base]
-        return GridPath(self.t0, self.mesh / factor, vals)
-
 
 @dataclass(frozen=True, eq=False)
 class Segment:
@@ -167,12 +153,6 @@ class Segment:
     @property
     def times(self):
         return -self.delay + self.mesh * np.arange(self.values.shape[0])
-
-    def value_at(self, u):
-        k = _snap_index(u + self.delay, self.mesh, "segment offset")
-        if k < 0 or k >= self.values.shape[0]:
-            raise DomainError(f"offset {u!r} outside [-{self.delay!r}, 0]")
-        return self.values[k]
 
     def with_values(self, values):
         return Segment(self.delay, self.mesh, values)
@@ -420,28 +400,6 @@ def pvar_seminorm(path, p, window=None):
     return NormReport(float(best[m] ** (1.0 / p)), times, p)
 
 
-def pvar_seminorm_exhaustive(path, p, window=None):
-    """Brute-force p-variation over all node partitions (oracle, <= ~14 nodes)."""
-    if not p >= 1.0:
-        raise DomainError(f"p-variation needs p >= 1, got {p!r}")
-    ia, ib = path.window_indices(window)
-    v = path.values[ia:ib + 1]
-    m = ib - ia
-    if m + 1 > 16:
-        raise DomainError("exhaustive enumeration limited to 16 nodes")
-    # the term of each node pair (a, b), a < b, computed once
-    term = {(a, b): float(np.linalg.norm(v[b] - v[a])) ** p
-            for a, b in combinations(range(m + 1), 2)}
-    interior = range(1, m)
-    best = 0.0
-    for size in range(0, m):
-        for mid in combinations(interior, size):
-            nodes = (0,) + mid + (m,)
-            s = sum(term[pair] for pair in zip(nodes[:-1], nodes[1:]))
-            best = max(best, s)
-    return best ** (1.0 / p)
-
-
 def segment(path, t, r):
     """The slice ``x_t`` on ``[-r, 0]``: segment(path, t, r)(u) = path(t + u)."""
     it = path.index_of(t, "segment time")
@@ -548,20 +506,4 @@ def write_csv(path, fileobj):
     writer.writerow(["t"] + [f"x_{i + 1}" for i in range(path.dim)])
     for k, t in enumerate(path.times):
         writer.writerow([_fmt(t)] + [_fmt(x) for x in path.values[k]])
-
-
-def read_csv(fileobj):
-    reader = csv.reader(fileobj)
-    header = next(reader)
-    if not header or header[0] != "t":
-        raise DomainError("path CSV must start with header 't, x_1..x_d'")
-    rows = [[float(x) for x in row] for row in reader if row]
-    if len(rows) < 2:
-        raise DomainError("path CSV needs at least two rows")
-    arr = np.asarray(rows)
-    t = arr[:, 0]
-    mesh = t[1] - t[0]
-    if not np.allclose(np.diff(t), mesh, rtol=0, atol=1e-9 * max(mesh, 1.0)):
-        raise DomainError("path CSV times are not uniformly spaced")
-    return GridPath(t[0], mesh, arr[:, 1:])
 

@@ -93,13 +93,6 @@ class ContractionConstants:
     young: YoungConstants
     coeffs: object           # the CoefficientSet: L' = max(L_f, |f(0)|), L_g, ...
 
-    def Cprime(self, span):
-        """Window-wise constant (1 + span^beta)(|g0| + L_g + L_g K span^beta + L')."""
-        b, co = self.young.beta, self.coeffs
-        return (1.0 + span ** b) * (co.g0_norm + co.L_g
-                                    + co.L_g * self.young.K * span ** b
-                                    + co.Lprime)
-
     def L(self, span, M):
         """Contraction constant L(span, M) of the difference estimate."""
         co = self.coeffs
@@ -110,7 +103,7 @@ class ContractionConstants:
 
 
 def compute_contraction_constants(coeffs, config):
-    """C, C'(span) and L(span, M) per the window construction."""
+    """C and L(span, M) per the window construction."""
     young = config.young(coeffs.delta)
     C = 2.0 * (coeffs.g0_norm + coeffs.Lprime + coeffs.L_g * (young.K + 1.0))
     if C <= 0.0:
@@ -512,29 +505,6 @@ def _validate_solve_inputs(coeffs, eta, omega, config):
         raise DomainError("driver does not cover [0, T]")
 
 
-def map_F(x, coeffs, omega, window, history):
-    """One application of the integral map on the window.
-
-    ``x`` must cover ``[t_a - r, t_b]`` and agree with ``history`` on
-    ``[t_a - r, t_a]``; the result is unchanged there and equals
-    ``x(t_a) + int f + int g domega`` (left sums) past ``t_a``.
-    """
-    ta, tb = window
-    m_r = _snap_index(history.delay, x.mesh, "delay")
-    ia, ib = x.index_of(ta, "window start"), x.index_of(tb, "window end")
-    if ia - m_r < 0:
-        raise DomainError("path does not cover the history of the window")
-    if not np.array_equal(x.values[ia - m_r:ia + 1], history.values):
-        raise DomainError("path disagrees with history on [t_a - r, t_a]")
-    j0 = omega.index_of(ta, "window start")
-    dw = np.zeros(x.values.shape[0])
-    dw[ia:ib] = np.diff(omega.values[j0:j0 + (ib - ia) + 1, 0])
-    values = np.array(x.values)
-    values[ia + 1:ib + 1] = _left_sums(coeffs.f, coeffs.g, (x.values,), ia, ib,
-                                       history.delay, x.mesh, dw)
-    return GridPath(x.t0, x.mesh, values)
-
-
 def picard_solve(coeffs, eta, omega, config, init="constant"):
     """Solve the delay equation by windowed Picard iteration.
 
@@ -612,26 +582,23 @@ class ProbeReport:
     passed: bool
 
 
-def uniqueness_probe(coeffs, base, omega, n_inits=3):
-    """Re-solve from distinct initial iterates; all runs must agree within
+def uniqueness_probe(coeffs, base, omega):
+    """Re-solve from every initial iterate kind; all runs must agree within
     ``10 * picard_tol`` in the grid Holder norm.
 
     ``base`` is the :class:`SolveReport` of :func:`picard_solve` with its
     default (constant) init; only the other inits are solved here, from the
     base's segment on ``[-r, 0]``, as one batch (:func:`resolve`).
     """
-    if not 2 <= n_inits <= len(_INIT_KINDS):
-        raise DomainError(f"n_inits must be in [2, {len(_INIT_KINDS)}]")
     config = base.config
     eta = segment(base.solution, 0.0, config.r)
-    kinds = _INIT_KINDS[:n_inits]
     solutions = [base.solution] + resolve(coeffs, base, omega,
-                                          [(eta, k) for k in kinds[1:]])
+                                          [(eta, k) for k in _INIT_KINDS[1:]])
     worst = max(holder_norm(GridPath(a.t0, a.mesh, a.values - b.values),
                             config.beta)
                 for a, b in combinations(solutions, 2))
     tol = 10.0 * config.picard_tol
-    return ProbeReport(init_kinds=kinds, max_pairwise=worst,
+    return ProbeReport(init_kinds=_INIT_KINDS, max_pairwise=worst,
                        tolerance=tol, passed=worst <= tol)
 
 

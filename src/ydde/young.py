@@ -19,6 +19,9 @@ from .paths import _window_pair_max, holder_seminorm
 
 MAX_MESH_MISMATCH = 1e-9
 
+# Mesh cells of the shortest window a certificate sweep draws.
+_MIN_CELLS = 2
+
 
 def young_constant(beta, nu):
     """K = 1 / (1 - 2^(1 - (beta+nu))); finite exactly when beta + nu > 1."""
@@ -58,9 +61,9 @@ def _check_alignment(x, omega, window):
     return ia, ib, ja, jb
 
 
-def young_integral(x, omega, window=None):
-    """Left-point sum of x against the driver increments over the window."""
-    return _left_sum(x, omega, *_check_alignment(x, omega, window))
+def young_integral(x, omega):
+    """Left-point sum of x against the driver increments over the grid."""
+    return _left_sum(x, omega, *_check_alignment(x, omega, None))
 
 
 def _left_sum(x, omega, ia, ib, ja, jb):
@@ -72,33 +75,19 @@ class GapReport(NamedTuple):
     bound: float
 
 
-def young_loeve_gap(x, omega, window, consts, refine=1):
-    """Certificate ``|integral - x(s)(omega(t)-omega(s))| <= K (t-s)^(b+n) ...``.
-
-    ``refine > 1`` evaluates the quadrature on a piecewise-linear
-    interpolation at mesh/refine (the refined-quadrature oracle); the bound
-    always uses the native grid seminorms of both paths on the window.
-    """
+def young_loeve_gap(x, omega, window, consts):
+    """Certificate ``|integral - x(s)(omega(t)-omega(s))| <= K (t-s)^(b+n) ...``
+    on the window, with the grid seminorms of both paths there."""
     a, b = window
-    nodes = _check_alignment(x, omega, window)
-    integral = None
-    if refine > 1:
-        xr = x.restrict(a, b).refine_linear(refine)
-        wr = omega.restrict(a, b).refine_linear(refine)
-        integral = young_integral(xr, wr)
-    return _gap_report(x, omega, nodes, b - a, consts,
-                       holder_seminorm(omega, consts.nu, window).seminorm,
-                       holder_seminorm(x, consts.beta, window).seminorm,
-                       integral)
+    return _gap_report(x, omega, _check_alignment(x, omega, window), b - a,
+                       consts, holder_seminorm(omega, consts.nu, window).seminorm,
+                       holder_seminorm(x, consts.beta, window).seminorm)
 
 
-def _gap_report(x, omega, nodes, span, consts, omega_semi, x_semi,
-                integral=None):
+def _gap_report(x, omega, nodes, span, consts, omega_semi, x_semi):
     """The certificate on the window of ``nodes = (ia, ib, ja, jb)`` of x
-    and omega, given both seminorms there; ``integral`` defaults to the
-    left-point sum on the window."""
-    if integral is None:
-        integral = _left_sum(x, omega, *nodes)
+    and omega, given both seminorms there."""
+    integral = _left_sum(x, omega, *nodes)
     ia, _, ja, jb = nodes
     increment = x.values[ia] * (omega.values[jb, 0] - omega.values[ja, 0])
     gap = float(np.linalg.norm(integral - increment))
@@ -130,12 +119,11 @@ class SweepReport:
     rows: tuple = ()          # (integrand index, s, t, gap, bound) per window
 
 
-def certificate_sweep(integrands, omega, span, consts, n_windows, seed=0,
-                      min_cells=2):
+def certificate_sweep(integrands, omega, span, consts, n_windows, seed=0):
     """Check gap <= bound on random windows for each integrand path.
 
     ``span = (lo, hi)`` restricts windows to that range of the shared grid.
-    Windows shorter than ``min_cells`` mesh cells are not drawn.  The
+    Windows shorter than ``_MIN_CELLS`` mesh cells are not drawn.  The
     comparison carries an absolute floor at the rounding error of the
     left-point sum, so a constant integrand (bound exactly zero) does not
     trip on float summation noise.  Each row is :func:`young_loeve_gap` of
@@ -144,21 +132,19 @@ def certificate_sweep(integrands, omega, span, consts, n_windows, seed=0,
     """
     if n_windows < 1:
         raise DomainError("n_windows must be >= 1")
-    if min_cells < 1:
-        raise DomainError("min_cells must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     lo, hi = span
     ilo = omega.index_of(lo, "span start")
     ihi = omega.index_of(hi, "span end")
-    if ihi - ilo < min_cells:
-        raise DomainError("sweep span shorter than min_cells")
+    if ihi - ilo < _MIN_CELLS:
+        raise DomainError(f"sweep span shorter than {_MIN_CELLS} cells")
     drawn = []        # per integrand: (i, j, window, its nodes) per window
     for x in integrands:
         ix0 = x.index_of(omega.t0 + ilo * omega.mesh) - ilo
         wins = []
         for _ in range(n_windows):
-            i = int(rng.integers(ilo, ihi - min_cells + 1))
-            j = int(rng.integers(i + min_cells, ihi + 1))
+            i = int(rng.integers(ilo, ihi - _MIN_CELLS + 1))
+            j = int(rng.integers(i + _MIN_CELLS, ihi + 1))
             window = (omega.t0 + i * omega.mesh, omega.t0 + j * omega.mesh)
             wins.append((i, j, window, _check_alignment(x, omega, window)))
         drawn.append((x, ix0, wins))

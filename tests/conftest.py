@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -31,6 +33,25 @@ def random_path(seed, n=64, mesh=1.0 / 64, t0=0.0, dim=1, roughness=1.0):
         walk = np.concatenate(([0.0], np.cumsum(g.standard_normal(n))))
         vals[:, j] += roughness * np.sqrt(mesh) * walk
     return GridPath(t0, mesh, vals)
+
+
+def pvar_seminorm_exhaustive(path, p, window=None):
+    """Brute-force grid p-variation over all node partitions of the window:
+    the oracle of the dynamic program in ``pvar_seminorm`` (<= ~14 nodes)."""
+    ia, ib = path.window_indices(window)
+    v = path.values[ia:ib + 1]
+    m = ib - ia
+    assert m + 1 <= 16, "exhaustive enumeration limited to 16 nodes"
+    # the term of each node pair (a, b), a < b, computed once
+    term = {(a, b): float(np.linalg.norm(v[b] - v[a])) ** p
+            for a, b in combinations(range(m + 1), 2)}
+    best = 0.0
+    for size in range(0, m):
+        for mid in combinations(range(1, m), size):
+            nodes = (0,) + mid + (m,)
+            best = max(best, sum(term[pair]
+                                 for pair in zip(nodes[:-1], nodes[1:])))
+    return best ** (1.0 / p)
 
 
 @pytest.fixture(scope="session")

@@ -11,15 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import MESH, random_path, rng
+from conftest import MESH, pvar_seminorm_exhaustive, random_path, rng
 from ydde.cli import main
 from ydde.coefficients import composition_holder_diff, composition_path, \
     make_builtin
 from ydde.drivers import DriverSpec, gen_deterministic, gen_fbm
 from ydde.paths import (Segment, counterexample_growth, holder_norm,
                         holder_seminorm, pvar_seminorm,
-                        pvar_seminorm_exhaustive, segment_norm_profile,
-                        segment_path_holder)
+                        segment_norm_profile, segment_path_holder)
 from ydde.sensitivity import continuity_check, differentiability_check
 from ydde.solver import (SolverConfig, compute_contraction_constants,
                          greedy_partition, growth_bound_check, picard_solve,

@@ -1,50 +1,144 @@
-"""Every public top-level function and class of the package is reached from
-package or demo code, not only from the tests: a name that nothing but its
-own definition (and the package exports) refers to is dead weight."""
+"""Everything public in the package is reached from code that is not a test.
+
+- A public top-level function or class is read, as a name or an attribute,
+  by package or demo code; an import, the package exports included, is not
+  a read.
+- A public method or property of a public class is read, as an attribute,
+  by package, demo or benchmark code.
+- A default-valued parameter of a public function or method is passed, by
+  keyword or by position, by some call in package, demo or benchmark code: a
+  knob that only tests turn is dead weight.
+
+Names are matched without their class or module, so a name read anywhere
+counts for every definition of it.  The benchmark files are only read here,
+never run."""
 
 import ast
-import io
-import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = [p for p in sorted((ROOT / "src" / "ydde").glob("*.py"))
            if p.name != "__init__.py"]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 
-# Kept although no package or demo code calls them.
+# Kept although no package, demo or benchmark code reaches them; an entry
+# covers a name and all of its parameters, or one parameter ``name(param)``.
 ALLOWED = {
-    "gronwall_check",   # the paper's Gronwall-type lemma, an estimate
-    "young_bound",      # the paper's displayed Young integral bound
-    "map_F",            # the integral map whose fixed point the tests check
-    "read_csv",         # reads back the CLI's own solution.csv
+    "gronwall_check",      # the paper's Gronwall-type lemma, an estimate
+    "young_bound",         # the paper's displayed Young integral bound
+    "picard_solve(init)",  # the solo reference that resolve is tested against
 }
 
 
-def _public_definitions(path):
-    """``(name, line)`` of each public top-level def and class."""
-    tree = ast.parse(path.read_text(), str(path))
-    return [(node.name, node.lineno) for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+def _tree(path):
+    return ast.parse(path.read_text(), str(path))
 
 
-def _name_tokens(path):
-    """``(name, line)`` of every name token in the code; comments and
-    strings, docstrings included, are not names."""
-    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
-    return [(tok.string, tok.start[0]) for tok in tokens
-            if tok.type == tokenize.NAME]
+def _public(nodes, kinds):
+    return [node for node in nodes
+            if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
+def _functions(path):
+    """``(def node, is_method)`` of each public top-level function and each
+    public method or property of a public top-level class."""
+    body = _tree(path).body
+    out = [(node, False) for node in _public(body, ast.FunctionDef)]
+    for cls in _public(body, ast.ClassDef):
+        out += [(node, True) for node in _public(cls.body, ast.FunctionDef)]
+    return out
+
+
+def _used_names(paths):
+    """Every name the code of ``paths`` reads, as a variable or as an
+    attribute, f-strings included; comments, strings and definitions are
+    not uses."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def _unreached(names, used):
+    return sorted(name for name in names
+                  if name not in used and name not in ALLOWED)
+
+
+def _defaulted(node, is_method):
+    """``(positional index or None, name)`` of each parameter with a
+    default; the index counts from the first argument a call passes."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if is_method else 0        # self
+    out = [(i - skip, arg.arg) for i, arg in enumerate(positional)
+           if i >= len(positional) - len(args.defaults)]
+    out += [(None, arg.arg) for arg, default
+            in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+    return out
+
+
+def _passed(paths):
+    """Per callee name: the positional indices and keyword names its calls
+    pass; ``*args`` passes every later index, ``**kwargs`` every name."""
+    passed = {}
+    for path in paths:
+        for call in ast.walk(_tree(path)):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            got = passed.setdefault(name, set())
+            for i, arg in enumerate(call.args):
+                got.add(("*", i) if isinstance(arg, ast.Starred) else i)
+            for kw in call.keywords:
+                got.add(kw.arg or "**")
+    return passed
+
+
+def _reaches(got, index, name):
+    return (name in got or "**" in got or index in got
+            or (index is not None
+                and any(isinstance(g, tuple) and g[1] <= index for g in got)))
 
 
 def test_every_public_name_is_reached():
-    uses = {}
-    for path in MODULES + sorted((ROOT / "demos").glob("*.py")):
-        for name, line in _name_tokens(path):
-            uses.setdefault(name, set()).add((path, line))
-    definitions = [(name, (path, line)) for path in MODULES
-                   for name, line in _public_definitions(path)]
-    assert ALLOWED <= {name for name, _ in definitions}
-    unreached = sorted(name for name, where in definitions
-                       if not uses.get(name, set()) - {where}
-                       and name not in ALLOWED)
+    names = [node.name for path in MODULES
+             for node in _public(_tree(path).body,
+                                 (ast.FunctionDef, ast.ClassDef))]
+    assert {a for a in ALLOWED if "(" not in a} <= set(names)
+    unreached = _unreached(names, _used_names(MODULES + DEMOS))
     assert not unreached, f"reached from no package or demo code: {unreached}"
+
+
+def test_every_public_method_is_reached():
+    names = [node.name for path in MODULES
+             for node, is_method in _functions(path) if is_method]
+    unreached = _unreached(names, _used_names(MODULES + DEMOS + BENCH))
+    assert not unreached, \
+        f"methods reached from no package, demo or bench code: {unreached}"
+
+
+def test_every_default_parameter_is_passed():
+    passed = _passed(MODULES + DEMOS + BENCH)
+    found = set()
+    unpassed = []
+    for path in MODULES:
+        for node, is_method in _functions(path):
+            for index, param in _defaulted(node, is_method):
+                label = f"{node.name}({param})"
+                found.add(label)
+                if node.name in ALLOWED or label in ALLOWED:
+                    continue
+                if not _reaches(passed.get(node.name, set()), index, param):
+                    unpassed.append(label)
+    assert {a for a in ALLOWED if "(" in a} <= found
+    assert not unpassed, \
+        f"parameters no package, demo or bench call passes: {sorted(unpassed)}"

@@ -404,6 +404,20 @@ class TestErrorHandling:
             == "DomainError"
         assert not os.path.exists(out / "solution.csv")
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "7", -1, 2 ** 64])
+    def test_non_integer_driver_seed(self, tmp_path, capsys, seed):
+        d = scenario_dict()
+        d["driver"]["seed"] = seed
+        sc = write_scenario(tmp_path, d)
+        out = tmp_path / "o"
+        assert main(["solve", "--scenario", sc, "--out", str(out)]) \
+            == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        error = json.loads((out / "error.json").read_text())["error"]
+        assert error["type"] == "DomainError"
+        assert "seed must be an integer" in error["message"]
+        assert not os.path.exists(out / "solution.csv")
+
     @pytest.mark.parametrize("argv, message", [
         (["ensemble", "--seeds", "0"], "--seeds >= 1"),
         (["ensemble", "--seeds", "-3"], "--seeds >= 1"),

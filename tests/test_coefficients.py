@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import astuple, replace
 from unittest import mock
@@ -94,13 +95,22 @@ class TestBuiltinFamilies:
             make_builtin("sin_delay", dim=2, A=np.ones((3, 3)))
 
     def test_json_roundtrip(self):
-        co = make_builtin("sin_delay", A=-0.15, B=0.1, sigma=0.05)
-        back = coefficients_from_json(
-            {"family": co.family, "params": co.params})
+        params = {"A": -0.15, "B": 0.1, "sigma": 0.05}
+        co = make_builtin("sin_delay", **params)
+        back = coefficients_from_json({"family": co.family, "params": params})
         s = sampler()(rng(4))
         assert np.allclose(co.f(s), back.f(s))
         assert np.allclose(co.g(s), back.g(s))
         assert back.L_g == co.L_g
+
+    def test_json_params_left_as_given(self):
+        # a scenario's dict is dumped again for the ensemble workers
+        d = {"family": "linear_delay",
+             "params": {"dim": 2, "A": [[-0.1, 0.0], [0.0, -0.2]],
+                        "c": [0.1, 0.0]}}
+        before = json.dumps(d)
+        coefficients_from_json(d)
+        assert json.dumps(d) == before
 
 
 class TestDerivatives:
@@ -259,9 +269,9 @@ class TestStackedRegularity:
         stacked = bounded_segment_sampler(R, MESH, dim, bound)
         plain = former_sampler(R, MESH, dim, bound)
         sampler = data.draw(st.sampled_from((stacked, plain)))
-        with mock.patch("ydde.coefficients._SAMPLE_VALUES", sample_values):
-            got = verify_regularity(coeffs, sampler, bound, trials, seed,
-                                    n_directions)
+        with mock.patch("ydde.coefficients._SAMPLE_VALUES", sample_values), \
+                mock.patch("ydde.coefficients._N_DIRECTIONS", n_directions):
+            got = verify_regularity(coeffs, sampler, bound, trials, seed)
         want = per_segment_regularity(coeffs, plain, bound, trials, seed,
                                       n_directions)
         assert hexed_report(astuple(got)) == hexed_report(want)
@@ -274,8 +284,9 @@ class TestStackedRegularity:
         # numpy's power rounds some gap ** delta differently
         coeffs = replace(make_builtin("sin_delay", sigma=0.8), delta=delta,
                          L_M=lambda M: 0.5 * M)
-        got = verify_regularity(coeffs, sampler(bound=3.0), 3.0, trials,
-                                seed, 2)
+        with mock.patch("ydde.coefficients._N_DIRECTIONS", 2):
+            got = verify_regularity(coeffs, sampler(bound=3.0), 3.0, trials,
+                                    seed)
         want = per_segment_regularity(coeffs, former_sampler(R, MESH, 1, 3.0),
                                       3.0, trials, seed, 2)
         assert got.dg_holder.hex() == want[2].hex()
@@ -370,14 +381,6 @@ class TestVerifyRegularity:
         co = make_builtin("linear_delay")
         with pytest.raises(DomainError):
             verify_regularity(co, sampler(), M=1.0, trials=0)
-
-    @pytest.mark.parametrize("n_directions", [0, -2])
-    def test_directions_validated(self, n_directions):
-        # no direction would skip every Dg check and pass
-        co = make_builtin("sin_delay", sigma=1.0)
-        with pytest.raises(DomainError, match="n_directions"):
-            verify_regularity(co, sampler(), M=1.0, trials=5,
-                              n_directions=n_directions)
 
 
 class TestComposition:

@@ -1,5 +1,5 @@
 """Smoke test: every demo script runs to completion, and every demo
-scenario verifies and solves."""
+scenario verifies, solves and runs as an ensemble."""
 
 import json
 import os
@@ -36,3 +36,8 @@ def test_scenario_verifies_and_solves(scenario, tmp_path):
                      str(tmp_path), "--quiet"]) == EXIT_OK, command
     with open(tmp_path / "diagnostics.json") as f:
         assert json.load(f)["ball_ok"] is True
+    assert main(["ensemble", "--scenario", str(scenario), "--seeds", "2",
+                 "--workers", "1", "--out", str(tmp_path), "--quiet"]) \
+        == EXIT_OK
+    with open(tmp_path / "ensemble.csv") as f:
+        assert len(f.read().splitlines()) == 3

@@ -47,6 +47,8 @@ class TestDriverSpec:
         with pytest.raises(DomainError):
             DriverSpec(kind="fbm", T=1.0, mesh=1 / 64, hurst=0.4)
         with pytest.raises(DomainError):
+            DriverSpec(kind="fbm", T=1.0, mesh=1 / 64, hurst=0.5)
+        with pytest.raises(DomainError):
             DriverSpec(kind="fbm", T=1.0, mesh=1 / 64, hurst=1.0)
         with pytest.raises(DomainError):
             DriverSpec(kind="brownian", T=1.0, mesh=1 / 64)
@@ -54,6 +56,13 @@ class TestDriverSpec:
             DriverSpec(kind="zero", T=1.0, mesh=0.3)              # mesh does not divide T
         with pytest.raises(DomainError):
             DriverSpec(kind="power", T=1.0, mesh=1 / 64)          # no exponent
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            DriverSpec(kind="zero", T=1.0, mesh=1 / 64, seed=1.5)  # any kind
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, np.uint64(2 ** 63)])
+    def test_integer_seeds_accepted(self, seed):
+        spec = DriverSpec(kind="fbm", T=1.0, mesh=1 / 64, hurst=0.75, seed=seed)
+        assert gen_driver(spec).values[0, 0] == 0.0
 
     def test_json_roundtrip(self):
         d = {"kind": "fbm", "T": 1.0, "mesh": 1 / 128, "hurst": 0.75,
@@ -90,22 +99,12 @@ class TestFbm:
                                seed=6))
         assert not np.array_equal(a.values, c.values)
 
-    def test_h_half_needs_bypass(self):
-        spec = DriverSpec(kind="fbm", T=1.0, mesh=1 / 64, hurst=0.5, seed=0)
-        with pytest.raises(DomainError):
-            gen_fbm(spec)
-        path = gen_fbm(spec, allow_h_half=True)
-        assert path.values[0, 0] == 0.0
-
     def test_h_half_increment_variance(self):
-        # pooled increment variance over 1e4 paths must match the step size
+        # pooled increment variance over 1e4 paths must match the step size;
+        # the sampler at H = 1/2 on the normals gen_fbm draws per seed
         n, n_paths, mesh = 16, 10_000, 1 / 64
-        incs = []
-        for seed in range(n_paths):
-            spec = DriverSpec(kind="fbm", T=n * mesh, mesh=mesh, hurst=0.5,
-                              seed=seed)
-            incs.append(np.diff(gen_fbm(spec, allow_h_half=True).values[:, 0]))
-        incs = np.concatenate(incs)
+        incs = np.concatenate([fgn_levinson(0.5, philox_normals(seed, n), mesh)
+                               for seed in range(n_paths)])
         sample_var = incs.var(ddof=1)
         se = mesh * math.sqrt(2.0 / (len(incs) - 1))
         assert abs(sample_var - mesh) <= 3 * se

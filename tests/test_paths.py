@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 from itertools import combinations
@@ -9,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import random_path, rng
+from conftest import pvar_seminorm_exhaustive, random_path, rng
 from ydde.errors import DomainError
-from ydde.paths import (GridPath, Segment, _gap_weights, _pair_blocks,
+from ydde.paths import (GridPath, _gap_weights, _pair_blocks,
                         _pair_max, _pair_scan, _row_norms,
                         _segment_norm_parts, _sliding_max, _window_pair_max,
                         counterexample_growth, holder_norm,
-                        holder_seminorm, pvar_seminorm,
-                        pvar_seminorm_exhaustive, read_csv, segment,
+                        holder_seminorm, pvar_seminorm, segment,
                         segment_norm, segment_norm_profile,
                         segment_path_holder, sup_norm, write_csv)
 
@@ -652,16 +652,12 @@ class TestGridPath:
             with pytest.raises(DomainError, match="not finite"):
                 p.index_of(t)
 
-    def test_restrict_subsample_refine(self):
+    def test_restrict_subsample(self):
         p = GridPath(0.0, 0.125, np.arange(9.0))
         q = p.restrict(0.25, 0.75)
         assert q.t0 == 0.25 and q.n_intervals == 4
         s = p.subsample(2)
         assert s.mesh == 0.25 and np.array_equal(s.values[:, 0], p.values[::2, 0])
-        f = p.refine_linear(2)
-        assert f.n_intervals == 16
-        assert np.allclose(f.values[::2], p.values)
-        assert f.values[1, 0] == pytest.approx(0.5)
 
     def test_subsample_requires_divisor(self):
         p = GridPath(0.0, 0.125, np.arange(9.0))
@@ -671,21 +667,15 @@ class TestGridPath:
 
 class TestSerialization:
     def test_csv_roundtrip(self):
+        # 17 significant digits give every float back exactly
         path = random_path(2, n=16, mesh=1 / 16, dim=3)
         buf = io.StringIO()
         write_csv(path, buf)
-        buf.seek(0)
-        header = buf.readline().strip()
-        assert header == "t,x_1,x_2,x_3"
-        buf.seek(0)
-        back = read_csv(buf)
-        assert np.array_equal(back.values, path.values)
-        assert back.mesh == pytest.approx(path.mesh, rel=1e-12)
-
-    def test_nonuniform_csv_rejected(self):
-        buf = io.StringIO("t,x_1\n0,1\n0.1,2\n0.3,3\n")
-        with pytest.raises(DomainError):
-            read_csv(buf)
+        header, *rows = csv.reader(io.StringIO(buf.getvalue()))
+        assert header == ["t", "x_1", "x_2", "x_3"]
+        back = np.array(rows, dtype=float)
+        assert np.array_equal(back[:, 0], path.times)
+        assert np.array_equal(back[:, 1:], path.values)
 
     def test_sup_norm_window(self):
         p = GridPath(0.0, 0.25, np.array([0.0, -3.0, 1.0, 2.0, 0.0]))

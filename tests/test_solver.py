@@ -13,13 +13,12 @@ from ydde.coefficients import (CoefficientSet, accepts_stacks,
 from ydde.drivers import DriverSpec, gen_deterministic, gen_fbm
 from ydde.errors import ConvergenceError, DomainError, PartitionError
 from ydde.paths import (GridPath, Segment, SegmentView, _node_stack,
-                        _pair_max, _row_norms, holder_norm, holder_seminorm,
-                        segment)
+                        _pair_max, _row_norms, holder_norm, holder_seminorm)
 from ydde.sensitivity import LinearizedProblem, linearized_solve
 from ydde.solver import (_INIT_KINDS, GreedyPartition, ProbeReport,
                          SolverConfig, _left_sums, _solve_grid, ball_check,
                          compute_contraction_constants, euler_solve, greedy_partition, gronwall_check,
-                         growth_bound_check, map_F, picard_solve,
+                         growth_bound_check, picard_solve,
                          stopping_count_bound, trivial_partition,
                          uniqueness_probe, window_residual)
 
@@ -185,13 +184,6 @@ class TestContractionConstants:
                         + co.L_g * cc.young.Kprime * span ** 0.55)
             assert cc.L(span, M=7.0) == pytest.approx(expected, rel=1e-12)
 
-    def test_cprime_below_C_on_short_windows(self):
-        co = make_builtin("sin_delay", A=-0.15, B=0.1, sigma=0.05)
-        cfg = SolverConfig(beta=0.55, nu=0.7, mesh=1 / 64, T=1.0, r=0.25)
-        cc = compute_contraction_constants(co, cfg)
-        for span in (0.01, 0.1, 0.9):
-            assert cc.Cprime(span) <= cc.C
-
 
 class TestGreedyPartition:
     def test_flat_driver_uniform_windows(self):
@@ -322,13 +314,34 @@ def constant_drift_coeffs(value=1.0, stacks=False):
                           dim=len(vec), family="custom")
 
 
+def window_increments(x, omega, window):
+    """Node indices ``(ia, ib)`` of the window on x, and the driver
+    increments ``dw[k]`` over ``[t_k, t_{k+1}]`` for k in ``[ia, ib)``, zero
+    elsewhere."""
+    ia, ib = x.index_of(window[0]), x.index_of(window[1])
+    j0 = omega.index_of(window[0])
+    dw = np.zeros(x.values.shape[0])
+    dw[ia:ib] = np.diff(omega.values[j0:j0 + (ib - ia) + 1, 0])
+    return ia, ib, dw
+
+
+def map_F(x, coeffs, omega, window, delay):
+    """One application of the integral map F on the window, by the solver's
+    step kernel: x unchanged up to t_a, then ``x(t_a) + int f + int g
+    domega`` (left sums)."""
+    ia, ib, dw = window_increments(x, omega, window)
+    values = np.array(x.values)
+    values[ia + 1:ib + 1] = _left_sums(coeffs.f, coeffs.g, (x.values,), ia, ib,
+                                       delay, x.mesh, dw)
+    return GridPath(x.t0, x.mesh, values)
+
+
 class TestMapF:
     def test_zero_dynamics_freezes_start(self):
         co = make_builtin("linear_delay")
         omega = zero_omega()
         x = GridPath(-0.25, MESH, np.linspace(0.0, 1.25, 321))
-        hist = segment(x, 0.25, 0.25)
-        out = map_F(x, co, omega, (0.25, 0.5), hist)
+        out = map_F(x, co, omega, (0.25, 0.5), 0.25)
         i = x.index_of(0.25)
         assert np.allclose(out.values[i:x.index_of(0.5) + 1],
                            x.value_at(0.25), atol=0)
@@ -338,19 +351,9 @@ class TestMapF:
         co = constant_drift_coeffs(1.0)
         omega = zero_omega()
         x = GridPath(-0.25, MESH, np.zeros(321))
-        hist = segment(x, 0.25, 0.25)
-        out = map_F(x, co, omega, (0.25, 0.75), hist)
+        out = map_F(x, co, omega, (0.25, 0.75), 0.25)
         for t in (0.25, 0.375, 0.5, 0.75):
             assert out.value_at(t)[0] == pytest.approx(t - 0.25, abs=1e-12)
-
-    def test_history_disagreement_rejected(self):
-        co = make_builtin("linear_delay")
-        omega = zero_omega()
-        x = GridPath(-0.25, MESH, np.linspace(0.0, 1.25, 321))
-        hist = segment(x, 0.25, 0.25)
-        bad = hist.with_values(hist.values + 1.0)
-        with pytest.raises(DomainError, match="disagrees with history"):
-            map_F(x, co, omega, (0.25, 0.5), bad)
 
     def test_true_solution_is_near_fixed_point(self):
         # solve on a fine mesh, subsample, apply F: the defect is O(mesh)
@@ -368,8 +371,7 @@ class TestMapF:
             x_fine = euler_solve(co, eta, omega_fine, cfg_fine)
             x = x_fine.subsample(8)
             omega = omega_fine.subsample(8)
-            hist = segment(x, 0.25, 0.25)
-            out = map_F(x, co, omega, (0.25, 0.5), hist)
+            out = map_F(x, co, omega, (0.25, 0.5), 0.25)
             i0, i1 = x.index_of(0.25), x.index_of(0.5)
             defects.append(np.abs(out.values[i0:i1 + 1]
                                   - x.values[i0:i1 + 1]).max())
@@ -379,19 +381,15 @@ class TestMapF:
 
 # The per-segment loops that the step kernel replaced, kept as its oracles.
 
-def loop_map_F(x, coeffs, omega, window, history):
+def loop_map_F(x, coeffs, omega, window, delay):
     """map_F as one loop over freshly built segments."""
-    ta, tb = window
-    m_r = round(history.delay / x.mesh)
-    ia, ib = x.index_of(ta), x.index_of(tb)
-    j0 = omega.index_of(ta)
-    dw = np.zeros(x.values.shape[0])
-    dw[ia:ib] = np.diff(omega.values[j0:j0 + (ib - ia) + 1, 0])
+    m_r = round(delay / x.mesh)
+    ia, ib, dw = window_increments(x, omega, window)
     values = np.array(x.values)
     drift_vals = np.empty((ib - ia, x.dim))
     diff_vals = np.empty((ib - ia, x.dim))
     for k in range(ia, ib):
-        seg = Segment(history.delay, x.mesh, values[k - m_r:k + 1])
+        seg = Segment(delay, x.mesh, values[k - m_r:k + 1])
         drift_vals[k - ia] = coeffs.f(seg)
         diff_vals[k - ia] = coeffs.g(seg)
     values[ia + 1:ib + 1] = values[ia] + np.cumsum(
@@ -444,23 +442,24 @@ def loop_linearized_map(coeffs, base, values, ia, ib, m_r, h, dw):
 @st.composite
 def kernel_cases(draw):
     """A built-in family (d in {1, 2}; the logistic family is scalar), a
-    history length m_r, a horizon of n_h cells and a seed for the data."""
+    history length m_r, a horizon of n_h cells, a generator for the data,
+    and the family's parameters."""
     family = draw(st.sampled_from(("linear_delay", "sin_delay",
                                    "scalar_logistic_bounded")))
     dim = 1 if family == "scalar_logistic_bounded" else \
         draw(st.sampled_from((1, 2)))
     g = rng(draw(st.integers(0, 2 ** 32 - 1)))
     if family == "scalar_logistic_bounded":
-        coeffs = make_builtin(family, a=g.normal(), sigma=g.normal(),
-                              c=g.normal())
+        params = dict(a=g.normal(), sigma=g.normal(), c=g.normal())
     else:
-        mats = {k: g.normal(size=(dim, dim)) for k in ("A", "B")}
-        extra = ({"Sigma": g.normal(size=(dim, dim)), "c": g.normal(size=dim)}
-                 if family == "linear_delay" else {"sigma": g.normal()})
-        coeffs = make_builtin(family, dim=dim, **mats, **extra)
+        params = {"dim": dim, "A": g.normal(size=(dim, dim)),
+                  "B": g.normal(size=(dim, dim))}
+        params.update({"Sigma": g.normal(size=(dim, dim)),
+                       "c": g.normal(size=dim)}
+                      if family == "linear_delay" else {"sigma": g.normal()})
     m_r = draw(st.integers(1, 5))
     n_h = draw(st.integers(1, 12))
-    return coeffs, m_r, n_h, g
+    return make_builtin(family, **params), m_r, n_h, g, params
 
 
 class TestStepKernelOracle:
@@ -469,21 +468,21 @@ class TestStepKernelOracle:
     @settings(max_examples=150)
     @given(case=kernel_cases(), data=st.data())
     def test_map_F_matches_loop(self, case, data):
-        coeffs, m_r, n_h, g = case
+        coeffs, m_r, n_h, g, _ = case
         n = m_r + n_h
         x = GridPath(-m_r * self.h, self.h, g.normal(size=(n + 1, coeffs.dim)))
         omega = GridPath(x.t0, self.h, g.normal(size=n + 1))
         ia = data.draw(st.integers(m_r, n - 1))
         ib = data.draw(st.integers(ia + 1, n))
         window = (x.t0 + ia * self.h, x.t0 + ib * self.h)
-        history = segment(x, window[0], m_r * self.h)
-        assert np.array_equal(map_F(x, coeffs, omega, window, history).values,
-                              loop_map_F(x, coeffs, omega, window, history))
+        delay = m_r * self.h
+        assert np.array_equal(map_F(x, coeffs, omega, window, delay).values,
+                              loop_map_F(x, coeffs, omega, window, delay))
 
     @settings(max_examples=150)
     @given(case=kernel_cases())
     def test_euler_matches_loop(self, case):
-        coeffs, m_r, n_h, g = case
+        coeffs, m_r, n_h, g, _ = case
         cfg = SolverConfig(beta=0.55, nu=0.7, mesh=self.h, T=n_h * self.h,
                            r=m_r * self.h)
         eta = Segment(cfg.r, self.h, g.normal(size=(m_r + 1, coeffs.dim)))
@@ -494,7 +493,7 @@ class TestStepKernelOracle:
     @settings(max_examples=150)
     @given(case=kernel_cases(), data=st.data())
     def test_composition_matches_loop(self, case, data):
-        coeffs, m_r, n_h, g = case
+        coeffs, m_r, n_h, g, _ = case
         n = m_r + n_h
         path = GridPath(-m_r * self.h, self.h,
                         g.normal(size=(n + 1, coeffs.dim)))
@@ -509,7 +508,7 @@ class TestStepKernelOracle:
     @settings(max_examples=150)
     @given(case=kernel_cases(), data=st.data())
     def test_linearized_map_matches_loop(self, case, data):
-        coeffs, m_r, n_h, g = case
+        coeffs, m_r, n_h, g, _ = case
         cfg = SolverConfig(beta=0.55, nu=0.7, mesh=self.h, T=n_h * self.h,
                            r=m_r * self.h)
         direction = Segment(cfg.r, self.h,
@@ -530,7 +529,7 @@ class TestStepKernelOracle:
     def test_stacked_call_matches_segment_loop(self, case, data):
         # each built-in functional called once on the node-major stacks of
         # the segments cut at nodes [ka, kb), against one call per Segment
-        coeffs, m_r, n_h, g = case
+        coeffs, m_r, n_h, g, _ = case
         n, r = m_r + n_h, m_r * self.h
         arrays = (g.normal(size=(n + 1, coeffs.dim)),
                   g.normal(size=(n + 1, coeffs.dim)))
@@ -551,10 +550,10 @@ class TestStepKernelOracle:
     @given(case=kernel_cases())
     def test_segment_form_matches_former_products(self, case):
         # the matrix parts equal the former per-row ``A @ v`` products
-        coeffs, m_r, _, g = case
+        coeffs, m_r, _, g, params = case
         if coeffs.family == "scalar_logistic_bounded":
             return
-        A, B = (np.asarray(coeffs.params[k]) for k in ("A", "B"))
+        A, B = params["A"], params["B"]
         seg, direction = (Segment(m_r * self.h, self.h,
                                   g.normal(size=(m_r + 1, coeffs.dim)))
                           for _ in range(2))
@@ -562,7 +561,7 @@ class TestStepKernelOracle:
         assert np.array_equal(coeffs.f(seg), A @ v[-1] + B @ v[0])
         assert np.array_equal(coeffs.Df(seg, direction), A @ u[-1] + B @ u[0])
         if coeffs.family == "linear_delay":
-            Sigma, c = (np.asarray(coeffs.params[k]) for k in ("Sigma", "c"))
+            Sigma, c = params["Sigma"], params["c"]
             assert np.array_equal(coeffs.g(seg), Sigma @ v[0] + c)
             assert np.array_equal(coeffs.Dg(seg, direction), Sigma @ u[0])
 
@@ -963,17 +962,14 @@ class TestUniquenessProbe:
         assert rep.init_kinds == ("constant", "linear", "euler_perturbed")
         assert rep.max_pairwise <= rep.tolerance
 
-    def test_init_count_validated(self, workhorse):
-        with pytest.raises(DomainError):
-            uniqueness_probe(workhorse["coeffs"], base_report(workhorse),
-                             workhorse["omega"], n_inits=5)
-
+    # two kinds re-solve one start alone, three re-solve two in lockstep
     @pytest.mark.parametrize("n_inits", [2, 3])
     @pytest.mark.parametrize("name", ["workhorse", "linear_scenario"])
-    def test_matches_all_init_probe(self, request, name, n_inits):
+    def test_matches_all_init_probe(self, monkeypatch, request, name,
+                                    n_inits):
         sc = request.getfixturevalue(name)
-        got = uniqueness_probe(sc["coeffs"], base_report(sc), sc["omega"],
-                               n_inits)
+        monkeypatch.setattr(solver, "_INIT_KINDS", _INIT_KINDS[:n_inits])
+        got = uniqueness_probe(sc["coeffs"], base_report(sc), sc["omega"])
         want = all_init_probe(sc["coeffs"], sc["eta"], sc["omega"],
                               sc["config"], n_inits)
         assert got == want

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,12 +48,17 @@ def linear_path(mesh, T=1.0):
     return GridPath(0.0, mesh, np.linspace(0.0, T, n + 1))
 
 
+def windowed_integral(x, omega, window):
+    """young_integral of both paths restricted to the window."""
+    return young_integral(x.restrict(*window), omega.restrict(*window))
+
+
 class TestYoungIntegral:
     def test_constant_integrand_telescopes(self):
         omega = gen_fbm(DriverSpec(kind="fbm", T=1.0, mesh=1 / 128, hurst=0.75,
                                    seed=3))
         x = GridPath(0.0, 1 / 128, np.full((129, 2), [2.0, -1.0]))
-        val = young_integral(x, omega, (0.25, 0.75))
+        val = windowed_integral(x, omega, (0.25, 0.75))
         inc = omega.value_at(0.75)[0] - omega.value_at(0.25)[0]
         assert np.allclose(val, [2.0 * inc, -1.0 * inc], atol=1e-14)
 
@@ -79,9 +85,9 @@ class TestYoungIntegral:
         omega = gen_fbm(DriverSpec(kind="fbm", T=1.0, mesh=1 / 64, hurst=0.75,
                                    seed=10))
         x = random_path(3, n=64, mesh=1 / 64)
-        whole = young_integral(x, omega, (0.0, 1.0))
-        split = (young_integral(x, omega, (0.0, 0.375))
-                 + young_integral(x, omega, (0.375, 1.0)))
+        whole = windowed_integral(x, omega, (0.0, 1.0))
+        split = (windowed_integral(x, omega, (0.0, 0.375))
+                 + windowed_integral(x, omega, (0.375, 1.0)))
         assert np.allclose(whole, split, atol=1e-13)
 
     def test_mesh_mismatch_rejected(self):
@@ -185,8 +191,9 @@ class TestCertificateSweep:
                                   dim=d) for k, d in enumerate(dims)]
         span = (cut * h, 1.0 - (cut // 2) * h)
         consts = YoungConstants(*exps)
-        got = certificate_sweep(integrands, omega, span, consts, n_windows,
-                                seed, min_cells)
+        with mock.patch("ydde.young._MIN_CELLS", min_cells):
+            got = certificate_sweep(integrands, omega, span, consts,
+                                    n_windows, seed)
         want = per_window_sweep(integrands, omega, span, consts, n_windows,
                                 seed, min_cells)
         assert hexed_sweep(got.n_windows, got.violations, got.worst_ratio,
@@ -206,13 +213,13 @@ class TestCertificateSweep:
 
     @pytest.mark.parametrize("kwargs,match", [
         ({"n_windows": -3}, "n_windows"), ({"n_windows": 0}, "n_windows"),
-        ({"min_cells": 0}, "min_cells"), ({"min_cells": -1}, "min_cells")])
+        ({"span": (0.5, 0.5 + 1 / 256)}, "shorter than 2 cells")])
     def test_bad_counts_rejected(self, workhorse, kwargs, match):
-        args = {"n_windows": 5, "min_cells": 2, **kwargs}
+        args = {"span": (0.0, 1.0), "n_windows": 5, **kwargs}
         x = random_path(3, n=256, mesh=1 / 256)
         with pytest.raises(DomainError, match=match):
-            certificate_sweep([x], workhorse["omega"], (0.0, 1.0),
-                              YoungConstants(0.55, 0.7), **args)
+            certificate_sweep([x], workhorse["omega"],
+                              consts=YoungConstants(0.55, 0.7), **args)
 
 
 class TestYoungLoeveGap:
@@ -233,14 +240,6 @@ class TestYoungLoeveGap:
         assert gap == pytest.approx((1.0 - h) / 2.0, rel=1e-9)
         assert bound == pytest.approx(2.0, rel=1e-12)
         assert gap <= bound
-
-    def test_refined_quadrature_oracle(self):
-        p = linear_path(1 / 256)
-        consts = YoungConstants(1.0, 1.0)
-        gap4 = young_loeve_gap(p, p, (0.0, 1.0), consts, refine=4).gap
-        # refined left sums approach the trapezoid value 1/2 of the
-        # piecewise-linear interpolant
-        assert gap4 == pytest.approx(0.5 - (1 / 1024) / 2.0, rel=1e-9)
 
     def test_certificate_on_fbm_iterates(self, workhorse):
         report = picard_solve(workhorse["coeffs"], workhorse["eta"],
@@ -267,6 +266,6 @@ class TestYoungLoeveGap:
             i = int(g.integers(0, 254))
             j = int(g.integers(i + 2, 257))
             window = (i / 256, j / 256)
-            val = np.linalg.norm(young_integral(x, omega, window))
+            val = np.linalg.norm(windowed_integral(x, omega, window))
             bound = young_bound(x, omega, window, consts)
             assert val <= bound * (1 + 1e-9) + 1e-13
