@@ -8,9 +8,9 @@ a superlinear remainder).
 
 import numpy as np
 
-from ydde import (DriverSpec, LinearizedProblem, Segment, SolverConfig,
-                  continuity_check, differentiability_check, gen_driver,
-                  linearized_solve, make_builtin, picard_solve)
+from ydde import (DriverSpec, Segment, SolverConfig, continuity_check,
+                  differentiability_check, gen_driver, linearized_solve,
+                  make_builtin, picard_solve)
 
 mesh = 1 / 256
 config = SolverConfig(beta=0.55, nu=0.7, mesh=mesh, T=1.0, r=0.25)
@@ -36,10 +36,7 @@ for size in (1e-1, 1e-2):
 # The linearized equation along the base solution: for linear coefficients
 # it reproduces the exact solution difference; in general it is the
 # derivative of the solution map in the direction xi.
-y = linearized_solve(LinearizedProblem(coeffs=coeffs,
-                                       base_solution=report.solution,
-                                       direction=xi, omega=omega,
-                                       config=config))
+y = linearized_solve(coeffs, report, xi, omega)
 print(f"\nlinearized solution: y(0) = {y.value_at(0.0)[0]:+.4f}, "
       f"y(T) = {y.value_at(1.0)[0]:+.4f}")
 

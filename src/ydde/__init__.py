@@ -20,8 +20,8 @@ from .paths import (GridPath, NormReport, Segment, counterexample_growth,
                     segment_norm, segment_norm_profile, segment_path_holder,
                     sup_norm, write_csv)
 from .sensitivity import (ContinuityReport, DifferentiabilityReport,
-                          LinearizedProblem, continuity_check,
-                          differentiability_check, linearized_solve)
+                          continuity_check, differentiability_check,
+                          linearized_solve)
 from .solver import (BallReport, ContractionConstants, GreedyPartition,
                      GronwallReport, GrowthReport, ProbeReport, SolveReport,
                      SolverConfig, WindowRecord, ball_check,

@@ -479,11 +479,17 @@ def _verify_checks(scenario):
         sol = report.solution
         n0 = sol.index_of(0.0)
         nT = sol.index_of(config.T)
-        ok = True
-        for _ in range(30):
+        if nT - n0 < 2:
+            raise DomainError("estimates need a horizon of at least 2 cells")
+
+        def window():       # a random window of at least 2 cells in [0, T]
             i = int(rng.integers(n0, nT - 1))
             j = int(rng.integers(i + 2, nT + 1))
-            a, b = sol.t0 + i * sol.mesh, sol.t0 + j * sol.mesh
+            return sol.t0 + i * sol.mesh, sol.t0 + j * sol.mesh
+
+        ok = True
+        for _ in range(30):
+            a, b = window()
             enl = paths.holder_seminorm(sol, config.beta,
                                         (a - config.r, b)).seminorm
             lem1 = paths.segment_path_holder(sol, config.beta, config.r,
@@ -495,9 +501,7 @@ def _verify_checks(scenario):
         bump = paths.GridPath(sol.t0, sol.mesh, sol.values + 0.05 * np.sin(
             2 * math.pi * np.linspace(0, 1, sol.values.shape[0]))[:, None])
         for _ in range(10):
-            i = int(rng.integers(n0, nT - 1))
-            j = int(rng.integers(i + 2, nT + 1))
-            a, b = sol.t0 + i * sol.mesh, sol.t0 + j * sol.mesh
+            a, b = window()
             rep = co.composition_holder_diff(coeffs, sol, bump, config.beta,
                                              config.r, (a, b))
             ok = ok and rep.lhs <= rep.bound_tight * (1 + 1e-9) + 1e-12

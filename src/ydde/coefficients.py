@@ -280,8 +280,7 @@ def coefficients_from_json(d):
 def bounded_segment_sampler(r, mesh, dim, bound):
     """Random segments with sup-norm at most ``bound`` (low-order Fourier mix).
 
-    ``sample(rng)`` draws one Segment; ``sample.stack(rng, count)`` draws
-    ``count`` in succession, with the same draws and values, as one
+    ``sample(rng, count)`` draws ``count`` segments in succession, as one
     node-major :class:`SegmentView` of shape ``(m+1, count, dim)``."""
     n = int(round(r / mesh))
     u = np.linspace(0.0, 1.0, n + 1)
@@ -289,11 +288,11 @@ def bounded_segment_sampler(r, mesh, dim, bound):
                                         np.cos(math.pi * u),
                                         np.sin(2 * math.pi * u), u)]
 
-    def stack(rng, count):
+    def sample(rng, count):
         coef = np.empty((count, dim, 5))
         spread = []
-        for sample in coef:
-            for column in sample:
+        for draw in coef:
+            for column in draw:
                 rng.standard_normal(out=column)
             spread.append(rng.uniform(0.05, 1.0))
         vals = coef[..., 0]
@@ -303,22 +302,7 @@ def bounded_segment_sampler(r, mesh, dim, bound):
         scale = bound * np.array(spread) / np.maximum(peak, 1e-12)
         return SegmentView(r, mesh, scale[:, None] * vals)
 
-    def sample(rng):
-        return Segment(r, mesh, stack(rng, 1).values[:, 0])
-
-    sample.stack = stack
     return sample
-
-
-def _draw(sampler, rng, count):
-    """``count`` successive draws of ``sampler`` as one node-major
-    :class:`SegmentView`: its stacked draw if it has one, else its Segments
-    stacked."""
-    if hasattr(sampler, "stack"):
-        return sampler.stack(rng, count)
-    segs = [sampler(rng) for _ in range(count)]
-    return SegmentView(segs[0].delay, segs[0].mesh,
-                       np.stack([seg.values for seg in segs], axis=1))
 
 
 def _columns(stack):
@@ -382,8 +366,9 @@ def verify_regularity(coeffs, sampler, M, trials, seed=0):
     """Empirical check of the declared constants on sampled segment pairs.
 
     Each trial draws xi, eta and ``_N_DIRECTIONS`` directions from
-    ``sampler``, in that order; ratios are worst observed value / declared
-    bound, and anything above 1 + 1e-9 marks the CoefficientSet invalid.
+    ``sampler`` (see :func:`bounded_segment_sampler`), in that order; ratios
+    are worst observed value / declared bound, and anything above 1 + 1e-9
+    marks the CoefficientSet invalid.
     The trials are drawn and evaluated in chunks: each functional is called
     once per chunk on stacks of the samples (see :func:`_stack_values`).
     """
@@ -397,7 +382,7 @@ def verify_regularity(coeffs, sampler, M, trials, seed=0):
     done, count = 0, 1          # the first trial sizes the chunks after it
     while done < trials:
         count = min(count, trials - done)
-        drawn = _draw(sampler, rng, count * per_trial)
+        drawn = sampler(rng, count * per_trial)
         nodes, _, dim = drawn.values.shape
         vals = drawn.values.reshape(nodes, count, per_trial, dim)
         pairs = vals[:, :, :2]          # xi and eta of each trial
@@ -454,7 +439,6 @@ class CompositionGapReport:
     bound_tight: float
     bound_weak: float
     M: float
-    exponent: float
 
 
 def composition_holder_diff(coeffs, x, y, beta, r, window):
@@ -474,11 +458,9 @@ def composition_holder_diff(coeffs, x, y, beta, r, window):
     enlarged = (a - r, b)
     M = max(holder_norm(x, beta, enlarged), holder_norm(y, beta, enlarged))
     diff = GridPath(x.t0, x.mesh, x.values - y.values)
-    lm = coeffs.L_M(M)
-    span = b - a
-    tight = (coeffs.L_g * span ** (beta - db)
-             * holder_seminorm(diff, beta, enlarged).seminorm
-             + lm * M ** coeffs.delta * sup_norm(diff, enlarged))
-    weak = ((coeffs.L_g * span ** (beta - db) + lm * M ** coeffs.delta)
-            * holder_norm(diff, beta, enlarged))
-    return CompositionGapReport(lhs, tight, weak, M, db)
+    semi = holder_seminorm(diff, beta, enlarged).seminorm
+    sup = sup_norm(diff, enlarged)
+    lip = coeffs.L_g * (b - a) ** (beta - db)
+    mod = coeffs.L_M(M) * M ** coeffs.delta
+    return CompositionGapReport(lhs, lip * semi + mod * sup,
+                                (lip + mod) * (sup + semi), M)

@@ -196,7 +196,6 @@ class NormReport:
 
     seminorm: float
     witness: tuple
-    exponent: float
 
 
 def _row_norms(arr):
@@ -266,13 +265,13 @@ def _pair_max(v, h, exponent, start=1):
     return float(max((ratio.max() for _, ratio in blocks), default=0.0))
 
 
-def _pair_scan(v, h, exponent, max_gap=None, start=1):
+def _pair_scan(v, h, exponent, max_gap=None):
     """The pair scan's value with the first pair attaining it, ``(value, k,
     g)`` for the pair ``(k, k + g)``: smallest g, then smallest k.  Only a
     block whose max ties or beats the best so far pays for locating it."""
     n = v.shape[0]
     best, key = -1.0, 0
-    for j0, ratio in _pair_blocks(v, h, exponent, start, max_gap):
+    for j0, ratio in _pair_blocks(v, h, exponent, max_gap=max_gap):
         top = ratio.max()
         if top < best:
             continue
@@ -366,7 +365,7 @@ def holder_seminorm(path, beta, window=None):
     value, k, g = _pair_scan(path.values[ia:ib + 1], path.mesh, beta)
     s = path.t0 + (ia + k) * path.mesh
     t = path.t0 + (ia + k + g) * path.mesh
-    return NormReport(value, (s, t), beta)
+    return NormReport(value, (s, t))
 
 
 def holder_norm(path, beta, window=None):
@@ -397,7 +396,7 @@ def pvar_seminorm(path, p, window=None):
         nodes.append(int(back[nodes[-1]]))
     nodes.reverse()
     times = tuple(path.t0 + (ia + k) * path.mesh for k in nodes)
-    return NormReport(float(best[m] ** (1.0 / p)), times, p)
+    return NormReport(float(best[m] ** (1.0 / p)), times)
 
 
 def segment(path, t, r):
@@ -430,7 +429,7 @@ def segment_path_holder(path, beta, r, window):
     value, k, g = _pair_scan(path.values[ia - mr:ib + 1], h, beta,
                              max_gap=ib - ia)
     j = max(ia, ia - mr + k)
-    return NormReport(value, (path.t0 + j * h, path.t0 + (j + g) * h), beta)
+    return NormReport(value, (path.t0 + j * h, path.t0 + (j + g) * h))
 
 
 def segment_norm(seg, beta):

@@ -20,35 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .paths import (GridPath, Segment, holder_norm, segment, segment_norm,
+from .paths import (GridPath, holder_norm, segment, segment_norm,
                     segment_norm_profile)
 from .solver import (_gronwall_conclusion, _solve_grid, _WindowedPicard,
                      compute_contraction_constants, greedy_partition,
                      picard_solve, resolve, trivial_partition)
-
-
-@dataclass(frozen=True)
-class LinearizedProblem:
-    """Data of the linearized equation along a solved base path."""
-
-    coeffs: object
-    base_solution: GridPath
-    direction: Segment        # xi = eta^1 - eta, the initial perturbation
-    omega: GridPath
-    config: object
-
-    def __post_init__(self):
-        cfg = self.config
-        if abs(self.base_solution.t0 + cfg.r) > 1e-12 * max(1.0, cfg.r):
-            raise DomainError("base solution must start at -r")
-        if self.base_solution.t_end < cfg.T - 1e-12:
-            raise DomainError("base solution must cover [-r, T]")
-        if abs(self.direction.delay - cfg.r) > 1e-12 * max(1.0, cfg.r):
-            raise DomainError("direction delay != config r")
-        if abs(self.direction.mesh - cfg.mesh) > 1e-12 * cfg.mesh:
-            raise DomainError("direction mesh != config mesh")
-        if self.direction.dim != self.coeffs.dim:
-            raise DomainError("direction dim != coefficient dim")
 
 
 def linearized_contraction_constant(coeffs, config, base_norm):
@@ -60,22 +36,29 @@ def linearized_contraction_constant(coeffs, config, base_norm):
                            + coeffs.L_M(base_norm) * base_norm ** coeffs.delta))
 
 
-def linearized_solve(problem):
-    """Solve the linearized equation; y equals the direction on [-r, 0]."""
-    coeffs, cfg = problem.coeffs, problem.config
-    omega, base = problem.omega, problem.base_solution
+def linearized_solve(coeffs, base, direction, omega):
+    """Solve the linearized equation along the solution of the
+    :class:`SolveReport` ``base``; y equals ``direction`` on [-r, 0]."""
+    cfg = base.config
+    if abs(direction.delay - cfg.r) > 1e-12 * max(1.0, cfg.r):
+        raise DomainError("direction delay != config r")
+    if abs(direction.mesh - cfg.mesh) > 1e-12 * cfg.mesh:
+        raise DomainError("direction mesh != config mesh")
+    if direction.dim != coeffs.dim:
+        raise DomainError("direction dim != coefficient dim")
+    x = base.solution
     exponent = coeffs.delta * cfg.beta
     cfg.young(coeffs.delta)   # validates delta*beta + nu > 1
 
-    base_norm = holder_norm(base, cfg.beta)
+    base_norm = holder_norm(x, cfg.beta)
     c_lin = linearized_contraction_constant(coeffs, cfg, base_norm)
     if c_lin <= 0.0:
         partition = trivial_partition(cfg)
     else:
         partition = greedy_partition(omega, replace(cfg, beta=exponent), c_lin)
 
-    values, dw = _solve_grid(cfg, problem.direction, omega)
-    _WindowedPicard(coeffs.Df, coeffs.Dg, (base.values,), cfg, exponent,
+    values, dw = _solve_grid(cfg, direction, omega)
+    _WindowedPicard(coeffs.Df, coeffs.Dg, (x.values,), cfg, exponent,
                     values, dw).solve(partition, omega, ("constant",))
     return GridPath(-cfg.r, cfg.mesh, values)
 
@@ -171,9 +154,7 @@ def differentiability_check(coeffs, base, direction, omega,
     config = base.config
     x = base.solution
     eta = segment(x, 0.0, config.r)
-    y = linearized_solve(LinearizedProblem(
-        coeffs=coeffs, base_solution=x, direction=direction,
-        omega=omega, config=config))
+    y = linearized_solve(coeffs, base, direction, omega)
     ladder = resolve(coeffs, base, omega, [
         (eta.with_values(eta.values + eps * direction.values), "constant")
         for eps in eps_ladder])

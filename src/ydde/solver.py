@@ -132,8 +132,6 @@ class GreedyPartition:
     threshold: float          # mu / C
     C: float
     mu: float
-    beta: float
-    nu: float
     clamped_final: bool       # final point is the horizon clamp, not eq. residual
 
     @property
@@ -213,7 +211,7 @@ def greedy_partition(omega, config, C):
     times = omega.t0 + h * np.asarray(cuts, dtype=float)
     return GreedyPartition(times=times, residuals=np.asarray(residuals),
                            threshold=threshold, C=C, mu=config.mu,
-                           beta=beta, nu=nu, clamped_final=clamped)
+                           clamped_final=clamped)
 
 
 def trivial_partition(config):
@@ -221,7 +219,7 @@ def trivial_partition(config):
     return GreedyPartition(times=np.array([0.0, config.T]),
                            residuals=np.array([0.0]),
                            threshold=math.inf, C=0.0, mu=config.mu,
-                           beta=config.beta, nu=config.nu, clamped_final=True)
+                           clamped_final=True)
 
 
 def stopping_count_bound(omega, config, C):
@@ -414,8 +412,7 @@ class _WindowedPicard:
         Each column keeps its own residuals and stopping test.  A column
         that stops is frozen (its nodes are no longer written), so its
         iterates and records are those of a run of its own.  A column that
-        does not converge is run again on its own: one column splits the
-        window once or raises.
+        does not converge splits the window once on its own, or raises.
         """
         values = self.values
         for c, kind in enumerate(kinds):
@@ -459,10 +456,12 @@ class _WindowedPicard:
     def _unconverged(self, ia, ib, c, kind, depth, residuals):
         """The records of column c, which did not converge on (ia, ib]."""
         if self.columns.shape[1] > 1:
+            # the column is bitwise its solo run, which fails the same way:
+            # split it on its own at once
             solo = _WindowedPicard(self.f, self.g, self.base, self.config,
                                    self.exponent, self.columns[:, c].copy(),
                                    self.dw)
-            records, = solo.run_window(ia, ib, (kind,), depth)
+            records = solo._unconverged(ia, ib, 0, kind, depth, residuals)
             self.columns[:, c] = solo.values
             return records
         if depth == 0 and ib - ia >= 2:

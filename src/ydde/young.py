@@ -9,7 +9,7 @@ both sides, where ``K = 1 / (1 - 2^(1 - (beta+nu)))``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -38,8 +38,8 @@ class YoungConstants:
     beta: float
     nu: float
     delta: float = 1.0
-    K: float = None
-    Kprime: float = None
+    K: float = field(init=False)
+    Kprime: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0 or not 0.0 < self.nu <= 1.0:
@@ -94,19 +94,6 @@ def _gap_report(x, omega, nodes, span, consts, omega_semi, x_semi):
     bound = (consts.K * span ** (consts.beta + consts.nu)
              * omega_semi * x_semi)
     return GapReport(gap, float(bound))
-
-
-def young_bound(x, omega, window, consts):
-    """Right side of the displayed integral bound:
-    ``(t-s)^nu |||omega|||_nu (|x(s)| + K (t-s)^beta |||x|||_beta)``.
-    """
-    a, b = window
-    ia, _, _, _ = _check_alignment(x, omega, window)
-    span = b - a
-    om = holder_seminorm(omega, consts.nu, window).seminorm
-    xs = float(np.linalg.norm(x.values[ia]))
-    xb = holder_seminorm(x, consts.beta, window).seminorm
-    return span ** consts.nu * om * (xs + consts.K * span ** consts.beta * xb)
 
 
 @dataclass(frozen=True)

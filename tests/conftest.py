@@ -35,6 +35,14 @@ def random_path(seed, n=64, mesh=1.0 / 64, t0=0.0, dim=1, roughness=1.0):
     return GridPath(t0, mesh, vals)
 
 
+def segments(sample, g, count=1):
+    """``count`` successive draws of the segment sampler ``sample`` (see
+    ``bounded_segment_sampler``) from the generator g, as Segments."""
+    view = sample(g, count)
+    return [Segment(view.delay, view.mesh, view.values[:, i])
+            for i in range(count)]
+
+
 def pvar_seminorm_exhaustive(path, p, window=None):
     """Brute-force grid p-variation over all node partitions of the window:
     the oracle of the dynamic program in ``pvar_seminorm`` (<= ~14 nodes)."""

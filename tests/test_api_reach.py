@@ -5,9 +5,9 @@
   a read.
 - A public method or property of a public class is read, as an attribute,
   by package, demo or benchmark code.
-- A default-valued parameter of a public function or method is passed, by
-  keyword or by position, by some call in package, demo or benchmark code: a
-  knob that only tests turn is dead weight.
+- A default-valued parameter of a function or method, public or private,
+  is passed, by keyword or by position, by some call in package, demo or
+  benchmark code: a knob that only tests turn is dead weight.
 
 Names are matched without their class or module, so a name read anywhere
 counts for every definition of it.  The benchmark files are only read here,
@@ -26,7 +26,6 @@ BENCH = sorted((ROOT / "bench").glob("*.py"))
 # covers a name and all of its parameters, or one parameter ``name(param)``.
 ALLOWED = {
     "gronwall_check",      # the paper's Gronwall-type lemma, an estimate
-    "young_bound",         # the paper's displayed Young integral bound
     "picard_solve(init)",  # the solo reference that resolve is tested against
 }
 
@@ -47,6 +46,20 @@ def _functions(path):
     out = [(node, False) for node in _public(body, ast.FunctionDef)]
     for cls in _public(body, ast.ClassDef):
         out += [(node, True) for node in _public(cls.body, ast.FunctionDef)]
+    return out
+
+
+def _callables(path):
+    """``(callee name, def node, is_method)`` of each top-level function and
+    each method of each top-level class, private ones included; a call of
+    a class runs its ``__init__``."""
+    out = []
+    for node in _tree(path).body:
+        if isinstance(node, ast.FunctionDef):
+            out.append((node.name, node, False))
+        elif isinstance(node, ast.ClassDef):
+            out += [(node.name if fn.name == "__init__" else fn.name, fn, True)
+                    for fn in node.body if isinstance(fn, ast.FunctionDef)]
     return out
 
 
@@ -131,13 +144,13 @@ def test_every_default_parameter_is_passed():
     found = set()
     unpassed = []
     for path in MODULES:
-        for node, is_method in _functions(path):
+        for name, node, is_method in _callables(path):
             for index, param in _defaulted(node, is_method):
-                label = f"{node.name}({param})"
+                label = f"{name}({param})"
                 found.add(label)
-                if node.name in ALLOWED or label in ALLOWED:
+                if name in ALLOWED or label in ALLOWED:
                     continue
-                if not _reaches(passed.get(node.name, set()), index, param):
+                if not _reaches(passed.get(name, set()), index, param):
                     unpassed.append(label)
     assert {a for a in ALLOWED if "(" in a} <= found
     assert not unpassed, \

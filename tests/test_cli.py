@@ -404,6 +404,24 @@ class TestErrorHandling:
             == "DomainError"
         assert not os.path.exists(out / "solution.csv")
 
+    @pytest.mark.parametrize("cells", [1, 2])
+    def test_estimates_on_the_shortest_horizons(self, tmp_path, capsys, cells):
+        # the estimates draw windows of 2 cells: a one-cell horizon has none
+        d = scenario_dict(checks=["estimates"])
+        d["driver"]["T"] = d["config"]["T"] = cells * MESH
+        sc = write_scenario(tmp_path, d)
+        out = tmp_path / "o"
+        code = main(["verify", "--scenario", sc, "--out", str(out)])
+        assert "Traceback" not in capsys.readouterr().err
+        if cells == 2:
+            assert code == EXIT_OK
+            assert not os.path.exists(out / "error.json")
+            return
+        assert code == EXIT_CONFIG
+        error = json.loads((out / "error.json").read_text())["error"]
+        assert error["type"] == "DomainError"
+        assert "at least 2 cells" in error["message"]
+
     @pytest.mark.parametrize("seed", [1.5, 1.0, True, "7", -1, 2 ** 64])
     def test_non_integer_driver_seed(self, tmp_path, capsys, seed):
         d = scenario_dict()

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_path, rng
+from conftest import random_path, rng, segments
 from ydde.coefficients import (CoefficientSet, _ratio, accepts_stacks,
                                bounded_segment_sampler,
                                coefficients_from_json, composition_holder,
                                composition_holder_diff, composition_path,
                                make_builtin, verify_regularity)
 from ydde.errors import DomainError
-from ydde.paths import GridPath, Segment, holder_seminorm
+from ydde.paths import (GridPath, Segment, holder_norm, holder_seminorm,
+                        sup_norm)
 
 R, MESH = 0.25, 1 / 64
 
@@ -34,7 +35,7 @@ class TestBuiltinFamilies:
         assert co.L_f == 0.0 and co.L_g == 1.0
         assert co.L_M(5.0) == 0.0
         assert co.f0_norm == 0.0 and co.g0_norm == 0.0
-        s = sampler()(rng(0))
+        s, = segments(sampler(), rng(0))
         assert np.allclose(co.f(s), 0.0)
         assert np.allclose(co.g(s), s.values[0])    # reads the -r node
 
@@ -51,7 +52,7 @@ class TestBuiltinFamilies:
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         co = make_builtin("linear_delay", dim=2, A=A, B=0.0, Sigma=0.0, c=0.0)
         assert co.L_f == pytest.approx(1.0)   # rotation has unit norm
-        s = sampler(dim=2)(rng(1))
+        s, = segments(sampler(dim=2), rng(1))
         assert np.allclose(co.f(s), A @ s.values[-1])
 
     def test_sin_delay_derivative_bound(self):
@@ -59,7 +60,7 @@ class TestBuiltinFamilies:
         g = rng(2)
         make = sampler(bound=4.0)
         for _ in range(200):
-            xi, direction = make(g), make(g)
+            xi, direction = segments(make, g, 2)
             unit = direction.with_values(
                 direction.values / np.abs(direction.values).max())
             assert np.linalg.norm(co.Dg(xi, unit)) <= 2.0 + 1e-12
@@ -70,7 +71,7 @@ class TestBuiltinFamilies:
         g = rng(3)
         make = sampler(bound=3.0)
         for _ in range(1000):
-            xi, eta, direction = make(g), make(g), make(g)
+            xi, eta, direction = segments(make, g, 3)
             unit = direction.with_values(
                 direction.values / np.abs(direction.values).max())
             gap = np.linalg.norm(co.Dg(xi, unit) - co.Dg(eta, unit))
@@ -98,7 +99,7 @@ class TestBuiltinFamilies:
         params = {"A": -0.15, "B": 0.1, "sigma": 0.05}
         co = make_builtin("sin_delay", **params)
         back = coefficients_from_json({"family": co.family, "params": params})
-        s = sampler()(rng(4))
+        s, = segments(sampler(), rng(4))
         assert np.allclose(co.f(s), back.f(s))
         assert np.allclose(co.g(s), back.g(s))
         assert back.L_g == co.L_g
@@ -123,7 +124,7 @@ class TestDerivatives:
         co = make_builtin(family, **params)
         g = rng(5)
         make = sampler(bound=2.0)
-        xi, d1, d2 = make(g), make(g), make(g)
+        xi, d1, d2 = segments(make, g, 3)
         combo = d1.with_values(1.7 * d1.values - 0.4 * d2.values)
         for D in (co.Df, co.Dg):
             lhs = D(xi, combo)
@@ -139,7 +140,7 @@ class TestDerivatives:
         co = make_builtin(family, **params)
         g = rng(6)
         make = sampler(bound=1.0)
-        xi, d = make(g), make(g)
+        xi, d = segments(make, g, 2)
         for func, deriv in ((co.f, co.Df), (co.g, co.Dg)):
             errs = []
             for eps in (1e-3, 5e-4, 2.5e-4):
@@ -206,6 +207,24 @@ def per_segment_regularity(coeffs, sampler, M, trials, seed=0,
     return worst_f, worst_db, worst_dh, trials, passed
 
 
+def former_difference_bounds(coeffs, x, y, beta, r, window):
+    """The two bounds of composition_holder_diff as it once wrote them, each
+    taking the difference path's norms itself: kept as their oracle."""
+    a, b = window
+    db = coeffs.delta * beta
+    enlarged = (a - r, b)
+    M = max(holder_norm(x, beta, enlarged), holder_norm(y, beta, enlarged))
+    diff = GridPath(x.t0, x.mesh, x.values - y.values)
+    lm = coeffs.L_M(M)
+    span = b - a
+    tight = (coeffs.L_g * span ** (beta - db)
+             * holder_seminorm(diff, beta, enlarged).seminorm
+             + lm * M ** coeffs.delta * sup_norm(diff, enlarged))
+    weak = ((coeffs.L_g * span ** (beta - db) + lm * M ** coeffs.delta)
+            * holder_norm(diff, beta, enlarged))
+    return tight, weak
+
+
 def hexed_report(rep):
     return tuple(x.hex() if isinstance(x, float) else x for x in rep)
 
@@ -244,12 +263,12 @@ class TestStackedRegularity:
                                                      bound, mesh):
         sample = bounded_segment_sampler(R, mesh, dim, bound)
         stacked, singles, g = rng(seed), rng(seed), rng(seed)
-        stack = sample.stack(stacked, count).values
+        stack = sample(stacked, count).values
         former = former_sampler(R, mesh, dim, bound)
         for i in range(count):
             want = former(g).values
             assert stack[:, i].tobytes() == want.tobytes()
-            assert sample(singles).values.tobytes() == want.tobytes()
+            assert sample(singles, 1).values[:, 0].tobytes() == want.tobytes()
         # the same draws: every generator is left at the same point
         after = g.integers(1 << 62)
         assert stacked.integers(1 << 62) == singles.integers(1 << 62) == after
@@ -266,14 +285,12 @@ class TestStackedRegularity:
             coeffs = replace(coeffs, L_f=0.5 * coeffs.L_f, L_g=0.0)
         if data.draw(st.booleans()):
             coeffs = unmarked(coeffs)
-        stacked = bounded_segment_sampler(R, MESH, dim, bound)
-        plain = former_sampler(R, MESH, dim, bound)
-        sampler = data.draw(st.sampled_from((stacked, plain)))
+        sample = bounded_segment_sampler(R, MESH, dim, bound)
         with mock.patch("ydde.coefficients._SAMPLE_VALUES", sample_values), \
                 mock.patch("ydde.coefficients._N_DIRECTIONS", n_directions):
-            got = verify_regularity(coeffs, sampler, bound, trials, seed)
-        want = per_segment_regularity(coeffs, plain, bound, trials, seed,
-                                      n_directions)
+            got = verify_regularity(coeffs, sample, bound, trials, seed)
+        want = per_segment_regularity(coeffs, former_sampler(R, MESH, dim, bound),
+                                      bound, trials, seed, n_directions)
         assert hexed_report(astuple(got)) == hexed_report(want)
 
     @settings(max_examples=300)
@@ -430,6 +447,22 @@ class TestComposition:
         rep = composition_holder_diff(co, x, y, 0.55, R, (i / 64, j / 64))
         assert rep.lhs <= rep.bound_tight * (1 + 1e-9) + 1e-12
         assert rep.bound_tight <= rep.bound_weak * (1 + 1e-9)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_difference_bounds_match_former_expression(self, dim):
+        # the difference path's norms, taken once, give the bounds bitwise
+        for k, co in enumerate(regularity_families(dim)):
+            x = random_path(k, n=64, mesh=1 / 64, dim=dim)
+            y = random_path(k + 300, n=64, mesh=1 / 64, dim=dim, roughness=3.0)
+            g = rng(k + 7)
+            for _ in range(20):
+                i = int(g.integers(16, 63))
+                j = int(g.integers(i + 1, 65))
+                window = (i / 64, j / 64)
+                rep = composition_holder_diff(co, x, y, 0.55, R, window)
+                want = former_difference_bounds(co, x, y, 0.55, R, window)
+                assert (rep.bound_tight.hex(), rep.bound_weak.hex()) \
+                    == tuple(w.hex() for w in want)
 
     def test_difference_bound_on_fbm_solutions(self, workhorse):
         # 50 random window pairs on two fBm-driven solutions, with M the

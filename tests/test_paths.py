@@ -139,8 +139,10 @@ class TestPairScan:
         # small blocks make ties across blocks
         block_pairs = data.draw(st.sampled_from((1, 5, 30, 1 << 14)))
         with mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
-            got = _pair_scan(v, h, exponent, max_gap, start)
-        assert got == brute_pair_scan(v, h, exponent, max_gap, start)
+            got = _pair_scan(v, h, exponent, max_gap)
+            tail = _pair_max(v, h, exponent, start)
+        assert got == brute_pair_scan(v, h, exponent, max_gap)
+        assert tail == brute_pair_scan(v, h, exponent, start=start)[0]
 
     def test_weights_are_python_pow(self):
         # on a ramp the distance is the gap, so each ratio shows its weight;
@@ -171,11 +173,10 @@ class TestPairScan:
     def test_matches_gap_loop_bitwise(self, v, h, exponent, data):
         max_gap = data.draw(st.none() | st.integers(1, v.shape[0] - 1))
         start = data.draw(st.integers(1, v.shape[0] - 1))
-        got = _pair_scan(v, h, exponent, max_gap, start)
-        want = gap_loop_pair_scan(v, h, exponent, max_gap, start)
-        assert got == want
-        if max_gap is None:
-            assert _pair_max(v, h, exponent, start) == got[0]
+        got = _pair_scan(v, h, exponent, max_gap)
+        assert got == gap_loop_pair_scan(v, h, exponent, max_gap)
+        assert _pair_max(v, h, exponent, start) \
+            == gap_loop_pair_scan(v, h, exponent, start=start)[0]
 
     @settings(max_examples=300)
     @given(v=node_arrays(min_nodes=3, max_nodes=20, elems=st.integers(-3, 3)
@@ -216,7 +217,7 @@ class TestTailScan:
     @pytest.mark.parametrize("block_pairs", [1, 500, 4000])
     def test_blocks_of_upper_nodes(self, monkeypatch, block_pairs):
         v = random_path(5, n=120, mesh=1 / 120, dim=2).values
-        want = {start: _pair_scan(v, 1 / 120, 0.55, start=start)
+        want = {start: _pair_max(v, 1 / 120, 0.55, start)
                 for start in (1, 2, 60, 113, 120)}
         monkeypatch.setattr("ydde.paths._BLOCK_PAIRS", block_pairs)
         full = _pair_scan(v, 1 / 120, 0.55)[0]
@@ -224,7 +225,7 @@ class TestTailScan:
             assert max(_pair_scan(v[:start], 1 / 120, 0.55)[0]
                        if start > 1 else 0.0,
                        _pair_max(v, 1 / 120, 0.55, start)) == full
-            assert _pair_scan(v, 1 / 120, 0.55, start=start) == scan
+            assert _pair_max(v, 1 / 120, 0.55, start) == scan
 
 
 class TestColumnScans:

@@ -163,6 +163,27 @@ class TestResolveMatchesSolo:
         assert [sum(w.split for w in rep.windows) for rep in reports] \
             == [0, 2, 0]
 
+    def test_failed_column_splits_at_once(self):
+        # the failed column is bitwise its solo run, so it is not run alone
+        # on the window again: every _stops call is an iterate of a record,
+        # or one of the batch's picard_max_iters on the failed window
+        coeffs, omega, config, starts = self.split_case(
+            _INIT_KINDS, (0.2, 1e4, 0.2), 4)
+        base = base_for(coeffs, omega, config)
+        calls = []
+        stops = solver._WindowedPicard._stops
+
+        def count(self, *args):
+            calls.append(args)
+            return stops(self, *args)
+
+        with mock.patch.object(solver._WindowedPicard, "_stops", count):
+            _, records = batched(coeffs, base, omega, starts)
+        iterates = sum(r.iterations for column in records for r in column)
+        failed = sum(r.split for column in records for r in column) // 2
+        assert failed == 1
+        assert len(calls) == iterates + failed * config.picard_max_iters
+
     def test_one_column_raises(self):
         # at 3 iterates the euler init fails a window's halves too, while
         # the other two columns split and go on

@@ -5,21 +5,17 @@ import pytest
 
 from ydde.coefficients import make_builtin
 from ydde.errors import DomainError
-from ydde.paths import (GridPath, holder_norm, segment_norm,
+from ydde.paths import (GridPath, Segment, holder_norm, segment_norm,
                         segment_norm_profile)
 from ydde.sensitivity import (ContinuityReport, DifferentiabilityReport,
-                              LinearizedProblem, continuity_check,
-                              differentiability_check, linearized_solve)
+                              continuity_check, differentiability_check,
+                              linearized_solve)
 from ydde.solver import (compute_contraction_constants, greedy_partition,
                          picard_solve, trivial_partition)
 
 
 def base_report(sc):
     return picard_solve(sc["coeffs"], sc["eta"], sc["omega"], sc["config"])
-
-
-def base_solution(sc):
-    return base_report(sc).solution
 
 
 def two_solve_continuity_check(coeffs, eta1, eta2, omega, config):
@@ -72,10 +68,9 @@ def resolving_differentiability_check(coeffs, eta, direction, omega, config,
                                       eps_ladder=(1e-1, 1e-2, 1e-3)):
     """The former differentiability check, kept as an oracle: it solves the
     base from ``eta`` itself."""
-    base = picard_solve(coeffs, eta, omega, config).solution
-    y = linearized_solve(LinearizedProblem(
-        coeffs=coeffs, base_solution=base, direction=direction,
-        omega=omega, config=config))
+    report = picard_solve(coeffs, eta, omega, config)
+    base = report.solution
+    y = linearized_solve(coeffs, report, direction, omega)
     rows = []
     for eps in eps_ladder:
         eta_eps = eta.with_values(eta.values + eps * direction.values)
@@ -101,69 +96,67 @@ def scenario(request, name):
     return request.getfixturevalue(name)
 
 
-def problem(sc, base, direction):
-    return LinearizedProblem(coeffs=sc["coeffs"], base_solution=base,
-                             direction=direction, omega=sc["omega"],
-                             config=sc["config"])
+def linearized(sc, base, direction):
+    return linearized_solve(sc["coeffs"], base, direction, sc["omega"])
 
 
 class TestLinearizedSolve:
     def test_zero_direction_zero_solution(self, workhorse):
-        base = base_solution(workhorse)
+        base = base_report(workhorse)
         zero = workhorse["direction"].with_values(
             np.zeros_like(workhorse["direction"].values))
-        y = linearized_solve(problem(workhorse, base, zero))
+        y = linearized(workhorse, base, zero)
         assert np.all(y.values == 0.0)
 
     def test_scaling_linearity(self, workhorse):
-        base = base_solution(workhorse)
+        base = base_report(workhorse)
         xi = workhorse["direction"]
-        y1 = linearized_solve(problem(workhorse, base, xi))
-        y2 = linearized_solve(problem(
-            workhorse, base, xi.with_values(2.0 * xi.values)))
+        y1 = linearized(workhorse, base, xi)
+        y2 = linearized(workhorse, base, xi.with_values(2.0 * xi.values))
         scale = np.abs(y2.values).max()
         assert np.abs(y2.values - 2.0 * y1.values).max() <= 1e-12 * scale
 
     def test_superposition(self, workhorse):
-        base = base_solution(workhorse)
+        base = base_report(workhorse)
         xi = workhorse["direction"]
         u = np.linspace(-0.25, 0.0, xi.values.shape[0])
         xi2 = xi.with_values((0.3 * np.sin(2 * math.pi * u))[:, None])
-        y1 = linearized_solve(problem(workhorse, base, xi))
-        y2 = linearized_solve(problem(workhorse, base, xi2))
+        y1 = linearized(workhorse, base, xi)
+        y2 = linearized(workhorse, base, xi2)
         combo = xi.with_values(xi.values + xi2.values)
-        y12 = linearized_solve(problem(workhorse, base, combo))
+        y12 = linearized(workhorse, base, combo)
         scale = max(np.abs(y12.values).max(), 1e-30)
         assert np.abs(y12.values - y1.values - y2.values).max() <= 1e-12 * scale
 
     def test_linear_coefficients_match_exact_difference(self, linear_scenario):
         # constant Df, Dg: the linearized path IS the solution difference
         sc = linear_scenario
-        base = base_solution(sc)
+        base = base_report(sc)
         xi = sc["direction"]
-        y = linearized_solve(problem(sc, base, xi))
+        y = linearized(sc, base, xi)
         eta2 = sc["eta"].with_values(sc["eta"].values + xi.values)
         x2 = picard_solve(sc["coeffs"], eta2, sc["omega"], sc["config"]).solution
-        assert np.abs((x2.values - base.values) - y.values).max() <= 1e-9
+        assert np.abs((x2.values - base.solution.values) - y.values).max() \
+            <= 1e-9
 
     def test_matches_direction_on_history(self, workhorse):
-        base = base_solution(workhorse)
+        base = base_report(workhorse)
         xi = workhorse["direction"]
-        y = linearized_solve(problem(workhorse, base, xi))
+        y = linearized(workhorse, base, xi)
         n_hist = workhorse["config"].n_history
         assert np.array_equal(y.values[:n_hist + 1], xi.values)
 
-    def test_base_coverage_validated(self, workhorse):
-        base = base_solution(workhorse)
-        with pytest.raises(DomainError):
-            LinearizedProblem(coeffs=workhorse["coeffs"],
-                              base_solution=base.restrict(-0.25, 0.5),
-                              direction=workhorse["direction"],
-                              omega=workhorse["omega"],
-                              config=workhorse["config"])
+    def test_direction_validated(self, workhorse):
+        base = base_report(workhorse)
         xi = workhorse["direction"]
         with pytest.raises(DomainError, match="dim"):
-            problem(workhorse, base, xi.with_values(np.hstack([xi.values] * 2)))
+            linearized(workhorse, base,
+                       xi.with_values(np.hstack([xi.values] * 2)))
+        with pytest.raises(DomainError, match="delay"):
+            linearized(workhorse, base, Segment(0.125, xi.mesh, xi.values[32:]))
+        with pytest.raises(DomainError, match="mesh"):
+            linearized(workhorse, base,
+                       Segment(xi.delay, 2 * xi.mesh, xi.values[::2]))
 
 
 class TestContinuityCheck:

@@ -14,7 +14,7 @@ from ydde.drivers import DriverSpec, gen_deterministic, gen_fbm
 from ydde.errors import ConvergenceError, DomainError, PartitionError
 from ydde.paths import (GridPath, Segment, SegmentView, _node_stack,
                         _pair_max, _row_norms, holder_norm, holder_seminorm)
-from ydde.sensitivity import LinearizedProblem, linearized_solve
+from ydde.sensitivity import linearized_solve
 from ydde.solver import (_INIT_KINDS, GreedyPartition, ProbeReport,
                          SolverConfig, _left_sums, _solve_grid, ball_check,
                          compute_contraction_constants, euler_solve, greedy_partition, gronwall_check,
@@ -81,7 +81,7 @@ def gallop_partition(omega, config, C):
     times = omega.t0 + h * np.asarray(cuts, dtype=float)
     return GreedyPartition(times=times, residuals=np.asarray(residuals),
                            threshold=threshold, C=C, mu=config.mu,
-                           beta=beta, nu=nu, clamped_final=clamped)
+                           clamped_final=clamped)
 
 
 def j_cap(config, C):
@@ -631,9 +631,7 @@ class TestBatchedCoefficients:
         for co in (marked, plain):
             del segment_count[:]
             rep = picard_solve(co, eta, omega, cfg)
-            lin = linearized_solve(LinearizedProblem(
-                coeffs=co, base_solution=rep.solution, direction=eta,
-                omega=omega, config=cfg))
+            lin = linearized_solve(co, rep, eta, omega)
             runs.append((rep.solution.values, lin.values,
                          euler_solve(co, eta, omega, cfg).values,
                          composition_path(co.g, rep.solution, cfg.r).values,
@@ -870,10 +868,7 @@ class TestHistoryNorm:
             rep = picard_solve(coeffs, sc["eta"], sc["omega"], sc["config"])
             assert len(iterates) == sum(rep.window_iterations)
         else:
-            linearized_solve(LinearizedProblem(
-                coeffs=coeffs, base_solution=base.solution,
-                direction=sc["direction"], omega=sc["omega"],
-                config=sc["config"]))
+            linearized_solve(coeffs, base, sc["direction"], sc["omega"])
         assert len(iterates) > 1 and len(scans) == len(iterates)
 
 

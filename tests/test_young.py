@@ -12,8 +12,8 @@ from ydde.drivers import DriverSpec, gen_deterministic, gen_fbm
 from ydde.errors import DomainError
 from ydde.paths import GridPath, holder_seminorm
 from ydde.solver import picard_solve
-from ydde.young import (YoungConstants, certificate_sweep, young_bound,
-                        young_constant, young_integral, young_loeve_gap)
+from ydde.young import (YoungConstants, certificate_sweep, young_constant,
+                        young_integral, young_loeve_gap)
 
 
 class TestYoungConstant:
@@ -41,6 +41,8 @@ class TestYoungConstant:
         assert yc.Kprime == pytest.approx(young_constant(0.495, 0.7), rel=1e-15)
         with pytest.raises(DomainError):
             YoungConstants(0.4, 0.7, delta=0.5)   # delta*beta + nu <= 1
+        with pytest.raises(TypeError):
+            YoungConstants(0.55, 0.7, K=1.0)      # derived, never given
 
 
 def linear_path(mesh, T=1.0):
@@ -256,16 +258,3 @@ class TestYoungLoeveGap:
         assert sweep.violations == 0
         assert sweep.worst_ratio <= 1.0
 
-    def test_displayed_integral_bound(self, workhorse):
-        # |int x domega| <= (t-s)^nu |||w||| (|x(s)| + K (t-s)^b |||x|||)
-        omega = workhorse["omega"]
-        consts = YoungConstants(0.55, 0.7)
-        g = np.random.Generator(np.random.Philox(key=21))
-        x = random_path(8, n=256, mesh=1 / 256)
-        for _ in range(50):
-            i = int(g.integers(0, 254))
-            j = int(g.integers(i + 2, 257))
-            window = (i / 256, j / 256)
-            val = np.linalg.norm(windowed_integral(x, omega, window))
-            bound = young_bound(x, omega, window, consts)
-            assert val <= bound * (1 + 1e-9) + 1e-13
