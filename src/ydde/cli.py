@@ -279,9 +279,14 @@ def cmd_partition(args, scenario, out, say):
     config = scenario.config
     if args.C is not None:
         C = float(args.C)
+        if not 0.0 < C < math.inf:
+            raise DomainError(f"greedy partition needs 0 < C < inf, got {C!r}")
     else:
         C = solver.compute_contraction_constants(scenario.coefficients,
                                                  config).C
+        if C <= 0.0:
+            raise DomainError("C must be positive to fix mu < C "
+                              "(coefficients are identically zero)")
     part = solver.greedy_partition(omega, config, C)
     bound = solver.stopping_count_bound(omega, config, C)
     with open(os.path.join(out, "partition.csv"), "w") as f:
@@ -475,21 +480,16 @@ def _verify_checks(scenario):
     run("differentiability", chk_differentiability)
 
     def chk_estimates():
-        rng = np.random.Generator(np.random.Philox(key=3))
         sol = report.solution
         n0 = sol.index_of(0.0)
         nT = sol.index_of(config.T)
         if nT - n0 < 2:
             raise DomainError("estimates need a horizon of at least 2 cells")
-
-        def window():       # a random window of at least 2 cells in [0, T]
-            i = int(rng.integers(n0, nT - 1))
-            j = int(rng.integers(i + 2, nT + 1))
-            return sol.t0 + i * sol.mesh, sol.t0 + j * sol.mesh
-
+        # 40 random windows of at least 2 cells in [0, T]
+        windows = [(sol.t0 + i * sol.mesh, sol.t0 + j * sol.mesh)
+                   for i, j in paths.random_windows(3, n0, nT, 2, 40)]
         ok = True
-        for _ in range(30):
-            a, b = window()
+        for a, b in windows[:30]:
             enl = paths.holder_seminorm(sol, config.beta,
                                         (a - config.r, b)).seminorm
             lem1 = paths.segment_path_holder(sol, config.beta, config.r,
@@ -500,8 +500,7 @@ def _verify_checks(scenario):
             ok = ok and comp <= coeffs.L_g * enl * (1 + 1e-9) + 1e-12
         bump = paths.GridPath(sol.t0, sol.mesh, sol.values + 0.05 * np.sin(
             2 * math.pi * np.linspace(0, 1, sol.values.shape[0]))[:, None])
-        for _ in range(10):
-            a, b = window()
+        for a, b in windows[30:]:
             rep = co.composition_holder_diff(coeffs, sol, bump, config.beta,
                                              config.r, (a, b))
             ok = ok and rep.lhs <= rep.bound_tight * (1 + 1e-9) + 1e-12
@@ -589,45 +588,47 @@ def cmd_ensemble(args, scenario, out, say):
 # Entry point.
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", help="scenario JSON file")
-    common.add_argument("--seed", type=int, help="override driver seed")
-    common.add_argument("--mesh", type=float, help="override grid mesh")
-    common.add_argument("--out", help="output directory (default $YDDE_OUT or .)")
-    common.add_argument("--quiet", action="store_true")
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", help="scenario JSON file")
+    scenario.add_argument("--seed", type=int, help="override driver seed")
+    scenario.add_argument("--mesh", type=float, help="override grid mesh")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="output directory (default $YDDE_OUT or .)")
+    output.add_argument("--quiet", action="store_true")
+    common = [scenario, output]
 
     parser = argparse.ArgumentParser(
         prog="ydde",
         description="Pathwise Young delay equation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("solve", parents=[common],
+    sub.add_parser("solve", parents=common,
                    help="solve the scenario; emit solution and partition")
-    p = sub.add_parser("partition", parents=[common],
+    p = sub.add_parser("partition", parents=common,
                        help="greedy stopping-time partition and count bound")
     p.add_argument("--C", type=float, help="override the partition constant C")
-    p = sub.add_parser("converge", parents=[common],
+    p = sub.add_parser("converge", parents=common,
                        help="mesh-halving ladder for the self-integral")
     p.add_argument("--levels", type=int, default=4)
     p.add_argument("--rtol", type=float, default=1e-3,
                    help="pass iff the errors do not grow and the final one "
                         "is 0 or at most rtol * max(|target|, "
                         "max |omega|^2 / 2)")
-    p = sub.add_parser("sensitivity", parents=[common],
+    p = sub.add_parser("sensitivity", parents=common,
                        help="continuity and differentiability tables")
     p.add_argument("--pert", type=float, action="append",
                    help="continuity perturbation size (repeatable)")
     p.add_argument("--eps", type=float, action="append",
                    help="differentiability ladder entry (repeatable)")
-    p = sub.add_parser("counterexample", parents=[common],
+    p = sub.add_parser("counterexample", parents=[output],
                        help="p-variation growth table for x(t) = |t|^beta")
     p.add_argument("--beta", type=float, default=0.4)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--n", type=int, action="append",
                    help="partition size (repeatable)")
-    sub.add_parser("verify", parents=[common],
+    sub.add_parser("verify", parents=common,
                    help="full property suite; exit 0 iff all checks pass")
-    p = sub.add_parser("ensemble", parents=[common],
+    p = sub.add_parser("ensemble", parents=common,
                        help="growth-bound margins across seeds")
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--workers", type=int, default=1)
@@ -655,10 +656,12 @@ def main(argv=None):
     say = (lambda *a: None) if args.quiet else (lambda *a: print(*a))
     try:
         os.makedirs(out, exist_ok=True)
-        if args.command in _NEEDS_SCENARIO and not args.scenario:
-            raise DomainError(f"{args.command} requires --scenario FILE")
-        scenario = (load_scenario(args.scenario, seed=args.seed, mesh=args.mesh)
-                    if args.scenario else None)
+        scenario = None
+        if args.command in _NEEDS_SCENARIO:
+            if not args.scenario:
+                raise DomainError(f"{args.command} requires --scenario FILE")
+            scenario = load_scenario(args.scenario, seed=args.seed,
+                                     mesh=args.mesh)
         return _COMMANDS[args.command](args, scenario, out, say)
     except (DomainError, OSError, KeyError, json.JSONDecodeError,
             ConvergenceError, GenerationError) as exc:

@@ -52,10 +52,6 @@ class CoefficientSet:
         """max(L_f, |f(0)|): the drift growth constant."""
         return max(self.L_f, self.f0_norm)
 
-    def is_zero(self):
-        return (self.L_f == 0 and self.L_g == 0
-                and self.f0_norm == 0 and self.g0_norm == 0)
-
 
 def _as_matrix(value, dim, name):
     arr = np.asarray(value, dtype=float)

@@ -205,9 +205,8 @@ def _row_norms(arr):
     norms are bitwise those of the column alone."""
     if arr.ndim == 1:
         return np.abs(arr)
-    if arr.ndim > 2:
-        return _row_norms(arr.reshape(-1, arr.shape[-1])).reshape(arr.shape[:-1])
-    return np.sqrt(np.einsum("ij,ij->i", arr, arr))
+    rows = arr.reshape(-1, arr.shape[-1])
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows)).reshape(arr.shape[:-1])
 
 
 @lru_cache(maxsize=64)
@@ -328,6 +327,18 @@ def _sliding_max(x, size):
     prefix = np.maximum.accumulate(blocks, axis=1).ravel()
     suffix = _suffix_max(blocks).ravel()
     return np.maximum(suffix[:n - size + 1], prefix[size - 1:n])
+
+
+def random_windows(seed, lo, hi, cells, count):
+    """``count`` random node windows ``(i, j)`` with ``lo <= i`` and ``i +
+    cells <= j <= hi``: i uniform, then j uniform given i, drawn in turn
+    from the Philox stream of ``seed``."""
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    windows = []
+    for _ in range(count):
+        i = int(rng.integers(lo, hi - cells + 1))
+        windows.append((i, int(rng.integers(i + cells, hi + 1))))
+    return windows
 
 
 def sup_norm(path, window=None):

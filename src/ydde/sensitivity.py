@@ -22,9 +22,9 @@ import numpy as np
 from .errors import DomainError
 from .paths import (GridPath, holder_norm, segment, segment_norm,
                     segment_norm_profile)
-from .solver import (_gronwall_conclusion, _solve_grid, _WindowedPicard,
+from .solver import (_gronwall_conclusion, _run_picard,
                      compute_contraction_constants, greedy_partition,
-                     picard_solve, resolve, trivial_partition)
+                     picard_solve, resolve)
 
 
 def linearized_contraction_constant(coeffs, config, base_norm):
@@ -40,27 +40,18 @@ def linearized_solve(coeffs, base, direction, omega):
     """Solve the linearized equation along the solution of the
     :class:`SolveReport` ``base``; y equals ``direction`` on [-r, 0]."""
     cfg = base.config
-    if abs(direction.delay - cfg.r) > 1e-12 * max(1.0, cfg.r):
-        raise DomainError("direction delay != config r")
-    if abs(direction.mesh - cfg.mesh) > 1e-12 * cfg.mesh:
-        raise DomainError("direction mesh != config mesh")
-    if direction.dim != coeffs.dim:
-        raise DomainError("direction dim != coefficient dim")
     x = base.solution
     exponent = coeffs.delta * cfg.beta
-    cfg.young(coeffs.delta)   # validates delta*beta + nu > 1
 
-    base_norm = holder_norm(x, cfg.beta)
-    c_lin = linearized_contraction_constant(coeffs, cfg, base_norm)
-    if c_lin <= 0.0:
-        partition = trivial_partition(cfg)
-    else:
-        partition = greedy_partition(omega, replace(cfg, beta=exponent), c_lin)
+    def partition():
+        c_lin = linearized_contraction_constant(coeffs, cfg,
+                                                holder_norm(x, cfg.beta))
+        return greedy_partition(omega, replace(cfg, beta=exponent), c_lin)
 
-    values, dw = _solve_grid(cfg, direction, omega)
-    _WindowedPicard(coeffs.Df, coeffs.Dg, (x.values,), cfg, exponent,
-                    values, dw).solve(partition, omega, ("constant",))
-    return GridPath(-cfg.r, cfg.mesh, values)
+    _, values, _, _ = _run_picard(
+        coeffs, omega, cfg, [(direction, "constant")], partition,
+        (coeffs.Df, coeffs.Dg, (x.values,), exponent))
+    return GridPath(-cfg.r, cfg.mesh, values[:, 0])
 
 
 @dataclass(frozen=True)
@@ -94,16 +85,10 @@ def continuity_check(coeffs, base, eta2, omega):
         raise DomainError("continuity estimate needs |eta2 - eta1| <= 1")
     x2 = picard_solve(coeffs, eta2, omega, config).solution
     M = max(holder_norm(x1, config.beta), holder_norm(x2, config.beta))
-    C = (0.0 if coeffs.is_zero()
-         else compute_contraction_constants(coeffs, config).L(config.T, M))
-    if C <= 0.0:
-        # difference dynamics are inert (L_f = L_g = 0): the difference
-        # path is constant past 0 and the single full window suffices
-        partition = trivial_partition(config)
-    else:
-        if not config.mu < min(0.5, C):
-            raise DomainError(f"need mu < min(1/2, L(T, M)) = {min(0.5, C)!r}")
-        partition = greedy_partition(omega, config, C)
+    # mu < 1/2, so greedy_partition's mu < min(1, C) is mu < min(1/2, C);
+    # inert difference dynamics (C = 0) keep the difference constant past 0
+    C = compute_contraction_constants(coeffs, config).L(config.T, M)
+    partition = greedy_partition(omega, config, C)
 
     # the Gronwall-type conclusion with A = 0 and z = x2 - x1
     diff = GridPath(x1.t0, x1.mesh, x2.values - x1.values)

@@ -29,7 +29,7 @@ from .coefficients import _marked, _segments_at, node_values
 from .errors import ConvergenceError, DomainError, PartitionError
 from .paths import (GridPath, _check_grid_size, _pair_blocks, _pair_max,
                     _row_norms, _segment_norm_parts, _snap_index, holder_norm,
-                    holder_seminorm, segment, segment_norm,
+                    holder_seminorm, random_windows, segment, segment_norm,
                     segment_norm_profile)
 from .young import YoungConstants
 
@@ -103,12 +103,11 @@ class ContractionConstants:
 
 
 def compute_contraction_constants(coeffs, config):
-    """C and L(span, M) per the window construction."""
+    """C and L(span, M) per the window construction; C is 0 exactly for
+    identically zero coefficients, whose partition is one window
+    (:func:`greedy_partition`)."""
     young = config.young(coeffs.delta)
     C = 2.0 * (coeffs.g0_norm + coeffs.Lprime + coeffs.L_g * (young.K + 1.0))
-    if C <= 0.0:
-        raise DomainError("C must be positive to fix mu < C "
-                          "(coefficients are identically zero)")
     return ContractionConstants(C=C, young=young, coeffs=coeffs)
 
 
@@ -169,14 +168,19 @@ def greedy_partition(omega, config, C):
     maxima (their running max is the driver seminorm) finds each end.  The
     residual is at least ``(j*h)^(1-beta)`` for a window of j cells, so the
     scan never looks past ``j_cap``, the first j where that term alone
-    exceeds the threshold.
+    exceeds the threshold.  Inert dynamics, C = 0, have no stopping time:
+    one window over ``[0, T]``, with threshold inf.
     """
-    if not 0.0 < C < math.inf:
-        raise DomainError(f"greedy partition needs 0 < C < inf, got {C!r}")
-    if not config.mu < min(1.0, C):
-        raise DomainError(f"need mu < min(1, C) = {min(1.0, C)!r}, got {config.mu!r}")
+    if not 0.0 <= C < math.inf:
+        raise DomainError(f"greedy partition needs 0 <= C < inf, got {C!r}")
     i_end = omega.index_of(config.T, "horizon T")
     i0 = omega.index_of(0.0, "origin")
+    if C == 0.0:
+        return GreedyPartition(times=np.array([0.0, config.T]),
+                               residuals=np.array([0.0]), threshold=math.inf,
+                               C=0.0, mu=config.mu, clamped_final=True)
+    if not config.mu < min(1.0, C):
+        raise DomainError(f"need mu < min(1, C) = {min(1.0, C)!r}, got {config.mu!r}")
     threshold = config.mu / C
     h = omega.mesh
     vals = omega.values[:, 0]
@@ -212,14 +216,6 @@ def greedy_partition(omega, config, C):
     return GreedyPartition(times=times, residuals=np.asarray(residuals),
                            threshold=threshold, C=C, mu=config.mu,
                            clamped_final=clamped)
-
-
-def trivial_partition(config):
-    """Single full window for identically zero dynamics (no stopping times)."""
-    return GreedyPartition(times=np.array([0.0, config.T]),
-                           residuals=np.array([0.0]),
-                           threshold=math.inf, C=0.0, mu=config.mu,
-                           clamped_final=True)
 
 
 def stopping_count_bound(omega, config, C):
@@ -299,13 +295,14 @@ class SolveReport:
         return GridPath(self.solution.t0, self.solution.mesh, values)
 
 
-def _solve_grid(config, start, omega):
-    """Node array on ``[-r, T]`` holding the segment ``start`` on ``[-r, 0]``
-    (zeros past 0), and the driver increments ``dw[k]`` over
-    ``[t_k, t_{k+1}]`` (zero on the history)."""
+def _solve_grid(config, starts, omega):
+    """Node array on ``[-r, T]`` of K paths side by side, shape ``(n+1, K,
+    d)``: column c holds the segment ``starts[c]`` on ``[-r, 0]`` (zeros
+    past 0).  With it, the driver increments ``dw[k]`` over ``[t_k,
+    t_{k+1}]`` (zero on the history)."""
     m_r, n = config.n_history, config.n_history + config.n_horizon
-    values = np.zeros((n + 1, start.dim))
-    values[:m_r + 1] = start.values
+    values = np.zeros((n + 1, len(starts), starts[0].dim))
+    values[:m_r + 1] = np.stack([start.values for start in starts], axis=1)
     j0 = omega.index_of(0.0)
     dw = np.zeros(n + 1)
     dw[m_r:n] = np.diff(omega.values[j0:j0 + config.n_horizon + 1, 0])
@@ -313,19 +310,18 @@ def _solve_grid(config, start, omega):
 
 
 def _left_sums(f, g, arrays, ia, ib, delay, h, dw):
-    """Left-point integral map on nodes ``(ia, ib]`` of the path ``x =
-    arrays[-1]``: ``x[ia] + cumsum(f h + g dw)``, with ``f`` and ``g`` applied
-    to the delay segments of ``arrays`` at nodes ``ia .. ib-1``
-    (:func:`~ydde.coefficients.node_values`: one call each for marked
-    functionals).  ``x`` may hold K paths side by side, shape ``(n+1, K,
-    d)``; each column's sums are those of the column alone."""
-    f_vals, g_vals = node_values((f, g), arrays, ia, ib, delay, h)
+    """Left-point integral map on nodes ``(ia, ib]`` of the K paths ``x =
+    arrays[-1]``, shape ``(n+1, K, d)``: ``x[ia] + cumsum(f h + g dw)``,
+    with ``f`` and ``g`` applied to the delay segments of ``arrays`` at
+    nodes ``ia .. ib-1`` (:func:`~ydde.coefficients.node_values`: one call
+    each for marked functionals, row ``j*K + c`` for node j of column c).
+    Each column's sums are those of the column alone."""
     x = arrays[-1]
-    if x.ndim > 2:      # row j*K + c of the values is node j of column c
-        f_vals = f_vals.reshape(ib - ia, *x.shape[1:])
-        g_vals = g_vals.reshape(f_vals.shape)
-        dw = dw[:, None]
-    return x[ia] + np.cumsum(f_vals * h + g_vals * dw[ia:ib, None], axis=0)
+    shape = (ib - ia,) + x.shape[1:]
+    f_vals, g_vals = node_values((f, g), arrays, ia, ib, delay, h)
+    return x[ia] + np.cumsum(f_vals.reshape(shape) * h
+                             + g_vals.reshape(shape) * dw[ia:ib, None, None],
+                             axis=0)
 
 
 def _euler_steps(f, g, arrays, ia, ib, delay, h, dw):
@@ -343,9 +339,7 @@ def _euler_steps(f, g, arrays, ia, ib, delay, h, dw):
 
 class _WindowedPicard:
     """Shared machinery: iterate the integral map window by window on the K
-    columns of the solve grid ``values``, shape ``(n+1, K, d)``, at once;
-    a single column may come as ``(n+1, d)``, and is then iterated on
-    exactly as a path of its own.
+    columns of the solve grid ``values``, shape ``(n+1, K, d)``, at once.
 
     ``f`` and ``g`` take the delay segments of the ``base`` arrays, then of
     the iterate: the coefficients with no base, ``Df``/``Dg`` along a base
@@ -367,7 +361,6 @@ class _WindowedPicard:
         self.tol = config.picard_tol
         self.max_iters = config.picard_max_iters
         self.values = values
-        self.columns = values if values.ndim == 3 else values[:, None]
         self.dw = dw
         self.iterates = {}
         # iterate beyond tol down to a polish floor so that distinct
@@ -416,7 +409,7 @@ class _WindowedPicard:
         """
         values = self.values
         for c, kind in enumerate(kinds):
-            self._init_window(self.columns[:, c], ia, ib, kind)
+            self._init_window(values[:, c], ia, ib, kind)
         window = values[ia + 1:ib + 1]
         residuals = [[] for _ in kinds]
         ratios = [[] for _ in kinds]
@@ -429,8 +422,7 @@ class _WindowedPicard:
             # the history are dominated by pairs with the (zero) start node
             padded = np.concatenate((np.zeros((1,) + diff.shape[1:]), diff))
             res = (_row_norms(diff).max(axis=0)
-                   + _pair_max(padded, self.h, self.exponent))
-            res = res.tolist() if values.ndim > 2 else [float(res)]
+                   + _pair_max(padded, self.h, self.exponent)).tolist()
             if len(running) == len(kinds):
                 window[...] = new
             else:
@@ -455,14 +447,14 @@ class _WindowedPicard:
 
     def _unconverged(self, ia, ib, c, kind, depth, residuals):
         """The records of column c, which did not converge on (ia, ib]."""
-        if self.columns.shape[1] > 1:
+        if self.values.shape[1] > 1:
             # the column is bitwise its solo run, which fails the same way:
             # split it on its own at once
             solo = _WindowedPicard(self.f, self.g, self.base, self.config,
-                                   self.exponent, self.columns[:, c].copy(),
-                                   self.dw)
+                                   self.exponent,
+                                   self.values[:, c:c + 1].copy(), self.dw)
             records = solo._unconverged(ia, ib, 0, kind, depth, residuals)
-            self.columns[:, c] = solo.values
+            self.values[:, c:c + 1] = solo.values
             return records
         if depth == 0 and ib - ia >= 2:
             # grid snapping can leave a window a hair too long; one
@@ -504,27 +496,42 @@ def _validate_solve_inputs(coeffs, eta, omega, config):
         raise DomainError("driver does not cover [0, T]")
 
 
+def _run_picard(coeffs, omega, config, starts, partition, maps=None):
+    """Windowed Picard iteration from the K starts ``(eta, init_kind)`` as
+    the K columns of one solve grid (:class:`_WindowedPicard`): the
+    partition, the ``(n+1, K, d)`` node array, the WindowRecords of each
+    column and the iterates.
+
+    Every start is validated before anything is computed; then
+    ``partition()`` gives the windows.  ``maps = (f, g, base, exponent)``
+    defaults to the equation's: ``coeffs.f``, ``coeffs.g``, no base
+    arrays, contracting in the beta-Holder norm.
+    """
+    for eta, _ in starts:
+        _validate_solve_inputs(coeffs, eta, omega, config)
+    partition = partition()
+    f, g, base, exponent = maps or (coeffs.f, coeffs.g, (), config.beta)
+    values, dw = _solve_grid(config, [eta for eta, _ in starts], omega)
+    engine = _WindowedPicard(f, g, base, config, exponent, values, dw)
+    records, iterates = engine.solve(partition, omega,
+                                     [kind for _, kind in starts])
+    return partition, values, records, iterates
+
+
 def picard_solve(coeffs, eta, omega, config, init="constant"):
     """Solve the delay equation by windowed Picard iteration.
 
     Returns a :class:`SolveReport`; the solution equals ``eta`` exactly on
     ``[-r, 0]`` and satisfies the per-window fixed-point residual bound.
     """
-    _validate_solve_inputs(coeffs, eta, omega, config)
-    if coeffs.is_zero():
-        partition = trivial_partition(config)
-    else:
-        constants = compute_contraction_constants(coeffs, config)
-        partition = greedy_partition(omega, config, constants.C)
-
-    values, dw = _solve_grid(config, eta, omega)
-    engine = _WindowedPicard(coeffs.f, coeffs.g, (), config, config.beta,
-                             values, dw)
-    (records,), iterates = engine.solve(partition, omega, (init,))
+    partition, values, (records,), iterates = _run_picard(
+        coeffs, omega, config, [(eta, init)], lambda: greedy_partition(
+            omega, config, compute_contraction_constants(coeffs, config).C))
     return SolveReport(
-        solution=GridPath(-config.r, config.mesh, values), partition=partition,
-        windows=tuple(records), config=config,
-        eta_norm=segment_norm(eta, config.beta), iterates=iterates)
+        solution=GridPath(-config.r, config.mesh, values[:, 0]),
+        partition=partition, windows=tuple(records), config=config,
+        eta_norm=segment_norm(eta, config.beta),
+        iterates={ia: [x[:, 0] for x in xs] for ia, xs in iterates.items()})
 
 
 def resolve(coeffs, base, omega, starts):
@@ -542,14 +549,9 @@ def resolve(coeffs, base, omega, starts):
     if not starts:
         raise DomainError("resolve needs at least one start")
     config = base.config
-    for eta, _ in starts:
-        _validate_solve_inputs(coeffs, eta, omega, config)
-    grids = [_solve_grid(config, eta, omega) for eta, _ in starts]
-    values = np.stack([grid for grid, _ in grids], axis=1)
-    engine = _WindowedPicard(coeffs.f, coeffs.g, (), config, config.beta,
-                             values, grids[0][1])
     try:
-        engine.solve(base.partition, omega, [kind for _, kind in starts])
+        _, values, _, _ = _run_picard(coeffs, omega, config, starts,
+                                      lambda: base.partition)
     except ConvergenceError:
         if len(starts) == 1:
             raise
@@ -565,10 +567,11 @@ def euler_solve(coeffs, eta, omega, config):
     Picard fixed point satisfies the same recursion.
     """
     _validate_solve_inputs(coeffs, eta, omega, config)
-    values, dw = _solve_grid(config, eta, omega)
-    _euler_steps(coeffs.f, coeffs.g, (values,), config.n_history,
+    values, dw = _solve_grid(config, [eta], omega)
+    path = values[:, 0]
+    _euler_steps(coeffs.f, coeffs.g, (path,), config.n_history,
                  values.shape[0] - 1, config.r, config.mesh, dw)
-    return GridPath(-config.r, config.mesh, values)
+    return GridPath(-config.r, config.mesh, path)
 
 
 @dataclass(frozen=True)
@@ -700,13 +703,9 @@ def gronwall_check(z, A, C, omega, config, n_window_samples=50, seed=0):
         raise DomainError("need A >= 0 and C > 0")
     if not config.mu < min(0.5, C):
         raise DomainError(f"need mu < min(1/2, C), got {config.mu!r}")
-    n_T = z.index_of(config.T)
-    i_origin = z.index_of(0.0)
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
     worst = 0.0
-    for _ in range(n_window_samples):
-        i = int(rng.integers(i_origin, n_T))
-        j = int(rng.integers(i + 1, n_T + 1))
+    for i, j in random_windows(seed, z.index_of(0.0), z.index_of(config.T), 1,
+                               n_window_samples):
         s, t = z.t0 + i * z.mesh, z.t0 + j * z.mesh
         lhs = holder_seminorm(z, config.beta, (s, t)).seminorm
         rhs = A + C * window_residual(omega, config.beta, config.nu, s, t) \

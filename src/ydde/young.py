@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .paths import _window_pair_max, holder_seminorm
+from .paths import _window_pair_max, holder_seminorm, random_windows
 
 MAX_MESH_MISMATCH = 1e-9
 
@@ -119,19 +119,18 @@ def certificate_sweep(integrands, omega, span, consts, n_windows, seed=0):
     """
     if n_windows < 1:
         raise DomainError("n_windows must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
     lo, hi = span
     ilo = omega.index_of(lo, "span start")
     ihi = omega.index_of(hi, "span end")
     if ihi - ilo < _MIN_CELLS:
         raise DomainError(f"sweep span shorter than {_MIN_CELLS} cells")
+    pairs = random_windows(seed, ilo, ihi, _MIN_CELLS,
+                           n_windows * len(integrands))
     drawn = []        # per integrand: (i, j, window, its nodes) per window
-    for x in integrands:
+    for idx, x in enumerate(integrands):
         ix0 = x.index_of(omega.t0 + ilo * omega.mesh) - ilo
         wins = []
-        for _ in range(n_windows):
-            i = int(rng.integers(ilo, ihi - _MIN_CELLS + 1))
-            j = int(rng.integers(i + _MIN_CELLS, ihi + 1))
+        for i, j in pairs[idx * n_windows:(idx + 1) * n_windows]:
             window = (omega.t0 + i * omega.mesh, omega.t0 + j * omega.mesh)
             wins.append((i, j, window, _check_alignment(x, omega, window)))
         drawn.append((x, ix0, wins))

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,6 +12,7 @@ import ydde
 from ydde import cli, drivers
 from ydde.cli import EXIT_CONFIG, EXIT_OK, build_scenario, main, write_table
 from ydde.errors import DomainError, GenerationError
+from ydde.paths import counterexample_growth
 
 MESH = 1.0 / 128
 
@@ -161,6 +163,28 @@ class TestSolve:
         rows = (out / "solution.csv").read_text().splitlines()
         assert len(rows) == round((1.0 + 0.25) * 64) + 2
 
+    @pytest.mark.parametrize("nodes", [65, 64])
+    def test_samples_history(self, tmp_path, capsys, nodes):
+        # r = 1/2 at mesh 1/128: the history segment has 64 cells, 65 nodes
+        samples = [1.0 + 0.1 * math.sin(0.3 * k) for k in range(nodes)]
+        d = scenario_dict(eta={"form": "samples", "samples": samples})
+        d["config"]["r"] = 0.5
+        sc = write_scenario(tmp_path, d)
+        out = tmp_path / "o"
+        code = main(["solve", "--scenario", sc, "--out", str(out), "--quiet"])
+        if nodes == 64:
+            assert code == EXIT_CONFIG
+            assert "Traceback" not in capsys.readouterr().err
+            assert os.listdir(out) == ["error.json"]
+            error = json.loads((out / "error.json").read_text())["error"]
+            assert error["type"] == "DomainError"
+            assert "segment needs 65 nodes" in error["message"]
+            return
+        assert code == EXIT_OK
+        rows = (out / "solution.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in rows[:65]] == samples
+        assert len(rows) == 65 + 128
+
 
 class TestPartitionCommand:
     def test_flat_driver_with_explicit_constant(self, tmp_path):
@@ -239,6 +263,32 @@ class TestCounterexampleCommand:
         text = capsys.readouterr().out
         match = re.search(r"lower bound ([0-9.]+)", text)
         assert match and float(match.group(1)) == pytest.approx(1.5849, abs=1e-4)
+
+    def test_table_is_the_growth_rows(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["counterexample", "--n", "100", "--n", "1000",
+                     "--out", str(out), "--quiet"]) == EXIT_OK
+        want = ["n,partition_sum,lower_bound"] + [
+            f"{n},{counterexample_growth(0.4, 2.0, n):.17g},"
+            f"{n ** ((1.0 - 0.4 * 2.0) / 2.0):.17g}" for n in (100, 1000)]
+        assert (out / "counterexample.csv").read_text().splitlines() == want
+
+    @pytest.mark.parametrize("flag", [["--seed", "5"], ["--mesh", "0.1"],
+                                      ["--scenario", "bad.json"]],
+                             ids=["seed", "mesh", "scenario"])
+    def test_refuses_scenario_flags(self, tmp_path, capsys, flag):
+        # the table reads no scenario: the flags that would change one are
+        # refused by the parser, before any file is read or written
+        (tmp_path / "bad.json").write_text("{")
+        out = tmp_path / "o"
+        argv = ["counterexample"] + flag + ["--out", str(out)]
+        if flag[0] == "--scenario":
+            argv[2] = str(tmp_path / "bad.json")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ladder_monotone(self, tmp_path):
         out = tmp_path / "o"
@@ -445,6 +495,8 @@ class TestErrorHandling:
         # NaN fails every comparison, so each guard is written negated
         (["partition", "--C", "nan"], "0 < C < inf"),
         (["partition", "--C", "inf"], "0 < C < inf"),
+        (["partition", "--C", "0"], "0 < C < inf"),
+        (["partition", "--C", "-1"], "0 < C < inf"),
         (["counterexample", "--p", "nan"], "p must be >= 1"),
         (["converge", "--rtol", "nan"], "--rtol >= 0"),
         # grids too large to allocate are refused before any is built
@@ -454,14 +506,15 @@ class TestErrorHandling:
     ], ids=["ensemble_zero_seeds", "ensemble_negative_seeds",
             "ensemble_zero_workers", "ensemble_negative_workers",
             "converge_one_level", "partition_nan_C", "partition_inf_C",
-            "counterexample_nan_p", "converge_nan_rtol", "solve_huge_mesh",
+            "partition_zero_C", "partition_negative_C", "counterexample_nan_p", "converge_nan_rtol", "solve_huge_mesh",
             "converge_huge_levels", "counterexample_huge_n"])
     def test_bad_flag_writes_error_json(self, tmp_path, capsys, argv,
                                         message):
-        sc = write_scenario(tmp_path, zero_scenario())
+        if argv[0] != "counterexample":     # it takes no scenario
+            argv = argv + ["--scenario", write_scenario(tmp_path,
+                                                        zero_scenario())]
         out = tmp_path / "o"
-        assert main(argv + ["--scenario", sc, "--out", str(out)]) \
-            == EXIT_CONFIG
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "Traceback" not in err and message in err
         assert os.listdir(out) == ["error.json"]

@@ -1,5 +1,6 @@
 """Smoke test: every demo script runs to completion, and every demo
-scenario verifies, solves and runs as an ensemble."""
+scenario verifies, solves, runs its sensitivity tables and runs as an
+ensemble."""
 
 import json
 import os
@@ -31,7 +32,7 @@ def test_demo_runs(script, tmp_path):
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda p: p.stem)
 def test_scenario_verifies_and_solves(scenario, tmp_path):
-    for command in ("verify", "solve"):
+    for command in ("verify", "solve", "sensitivity"):
         assert main([command, "--scenario", str(scenario), "--out",
                      str(tmp_path), "--quiet"]) == EXIT_OK, command
     with open(tmp_path / "diagnostics.json") as f:

@@ -269,6 +269,6 @@ class TestColumnKernels:
                          dw)
         for c in range(values.shape[1]):
             want = _left_sums(coeffs.f, coeffs.g,
-                              (np.ascontiguousarray(values[:, c]),), ia, ib,
-                              m_r * H, H, dw)
-            assert got[:, c].tobytes() == want.tobytes()
+                              (np.ascontiguousarray(values[:, c:c + 1]),),
+                              ia, ib, m_r * H, H, dw)
+            assert got[:, c:c + 1].tobytes() == want.tobytes()

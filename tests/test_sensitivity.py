@@ -11,7 +11,7 @@ from ydde.sensitivity import (ContinuityReport, DifferentiabilityReport,
                               continuity_check, differentiability_check,
                               linearized_solve)
 from ydde.solver import (compute_contraction_constants, greedy_partition,
-                         picard_solve, trivial_partition)
+                         picard_solve)
 
 
 def base_report(sc):
@@ -29,13 +29,14 @@ def two_solve_continuity_check(coeffs, eta1, eta2, omega, config):
     rep2 = picard_solve(coeffs, eta2, omega, config)
     x1, x2 = rep1.solution, rep2.solution
     M = max(holder_norm(x1, config.beta), holder_norm(x2, config.beta))
-    if coeffs.is_zero():
+    if (coeffs.L_f == 0 and coeffs.L_g == 0
+            and coeffs.f0_norm == 0 and coeffs.g0_norm == 0):
         C = 0.0
     else:
         constants = compute_contraction_constants(coeffs, config)
         C = constants.L(config.T, M)
     if C <= 0.0:
-        partition = trivial_partition(config)
+        partition = greedy_partition(omega, config, 0.0)
     else:
         if not config.mu < min(0.5, C):
             raise DomainError(f"need mu < min(1/2, L(T, M)) = {min(0.5, C)!r}")

@@ -19,7 +19,7 @@ from ydde.solver import (_INIT_KINDS, GreedyPartition, ProbeReport,
                          SolverConfig, _left_sums, _solve_grid, ball_check,
                          compute_contraction_constants, euler_solve, greedy_partition, gronwall_check,
                          growth_bound_check, picard_solve,
-                         stopping_count_bound, trivial_partition,
+                         stopping_count_bound,
                          uniqueness_probe, window_residual)
 
 
@@ -168,11 +168,11 @@ class TestContractionConstants:
         assert cc.C == pytest.approx(9.0 + 2.0 * math.sqrt(2.0), rel=1e-15)
         assert cc.coeffs is co
 
-    def test_zero_coefficients_rejected(self):
+    def test_zero_coefficients_give_zero_C(self):
+        # C = 0 selects greedy_partition's single window
         co = make_builtin("linear_delay")
         cfg = SolverConfig(beta=0.55, nu=0.7, mesh=1 / 64, T=1.0, r=0.25)
-        with pytest.raises(DomainError, match="C must be positive"):
-            compute_contraction_constants(co, cfg)
+        assert compute_contraction_constants(co, cfg).C == 0.0
 
     def test_L_reduces_without_holder_modulus(self):
         # L_M = 0 leaves L(span, M) = L_f + L_g + L_g K' span^beta
@@ -331,8 +331,8 @@ def map_F(x, coeffs, omega, window, delay):
     domega`` (left sums)."""
     ia, ib, dw = window_increments(x, omega, window)
     values = np.array(x.values)
-    values[ia + 1:ib + 1] = _left_sums(coeffs.f, coeffs.g, (x.values,), ia, ib,
-                                       delay, x.mesh, dw)
+    values[ia + 1:ib + 1] = _left_sums(coeffs.f, coeffs.g, (x.values[:, None],),
+                                       ia, ib, delay, x.mesh, dw)[:, 0]
     return GridPath(x.t0, x.mesh, values)
 
 
@@ -514,15 +514,16 @@ class TestStepKernelOracle:
         direction = Segment(cfg.r, self.h,
                             g.normal(size=(m_r + 1, coeffs.dim)))
         omega = GridPath(0.0, self.h, g.normal(size=n_h + 1))
-        values, dw = _solve_grid(cfg, direction, omega)
-        values[m_r + 1:] = g.normal(size=(n_h, coeffs.dim))
+        values, dw = _solve_grid(cfg, [direction], omega)
+        assert values.shape == (m_r + n_h + 1, 1, coeffs.dim)
+        values[m_r + 1:, 0] = g.normal(size=(n_h, coeffs.dim))
         base = g.normal(size=values.shape)
         ia = data.draw(st.integers(m_r, m_r + n_h - 1))
         ib = data.draw(st.integers(ia + 1, m_r + n_h))
         kernel = _left_sums(coeffs.Df, coeffs.Dg, (base, values), ia, ib,
                             m_r * self.h, self.h, dw)
-        assert np.array_equal(kernel, loop_linearized_map(
-            coeffs, base, values, ia, ib, m_r, self.h, dw))
+        assert np.array_equal(kernel[:, 0], loop_linearized_map(
+            coeffs, base[:, 0], values[:, 0], ia, ib, m_r, self.h, dw))
 
     @settings(max_examples=150)
     @given(case=kernel_cases(), data=st.data())
@@ -1044,9 +1045,34 @@ class TestGronwall:
 
 
 class TestTrivialPartition:
+    """greedy_partition at C = 0: the single full window of inert dynamics."""
+
     def test_shape(self):
         cfg = SolverConfig(beta=0.55, nu=0.7, mesh=1 / 64, T=1.0, r=0.25)
-        part = trivial_partition(cfg)
+        part = greedy_partition(zero_omega(), cfg, 0.0)
         assert part.N == 0
         assert part.n_windows == 1
         assert part.n_at(1.0) == 0
+
+    @pytest.mark.parametrize("mesh, T, r", [(1 / 64, 1.0, 0.25),
+                                            (0.1, 0.7, 0.3)])
+    def test_fields_are_the_former_trivial_partition(self, mesh, T, r):
+        cfg = SolverConfig(beta=0.55, nu=0.7, mesh=mesh, T=T, r=r)
+        omega = gen_fbm(DriverSpec(kind="fbm", hurst=0.75, T=T, mesh=mesh,
+                                   seed=4))
+        part = greedy_partition(omega, cfg, 0.0)
+        want = GreedyPartition(times=np.array([0.0, cfg.T]),
+                               residuals=np.array([0.0]), threshold=math.inf,
+                               C=0.0, mu=cfg.mu, clamped_final=True)
+        for name in ("times", "residuals"):
+            got = getattr(part, name)
+            assert got.dtype == np.float64 and got.shape == (len(got),)
+            assert got.tobytes() == getattr(want, name).tobytes(), name
+        for name in ("threshold", "C", "mu", "clamped_final"):
+            assert getattr(part, name) == getattr(want, name), name
+
+    @pytest.mark.parametrize("C", [-1.0, math.nan, math.inf])
+    def test_refuses_negative_or_non_finite_C(self, C):
+        cfg = SolverConfig(beta=0.55, nu=0.7, mesh=1 / 64, T=1.0, r=0.25)
+        with pytest.raises(DomainError, match="0 <= C < inf"):
+            greedy_partition(zero_omega(), cfg, C)
