@@ -17,9 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .paths import (GridPath, Segment, SegmentView, _delay_window,
-                    _node_stack, _snap_index, holder_norm, holder_seminorm,
-                    sup_norm)
+from .paths import (GridPath, Segment, SegmentView, _check_holder_exponent,
+                    _delay_window, _node_stack, _row_norms, _snap_index,
+                    _window_pair_max)
 
 _FAMILIES = ("linear_delay", "sin_delay", "scalar_logistic_bounded")
 
@@ -101,24 +101,31 @@ def node_values(funcs, arrays, ka, kb, delay, mesh):
     to the delay segments of ``arrays`` cut at k (rows ``k - delay/mesh ..
     k``): one ``(kb - ka, d)`` array per functional, d the width of
     ``arrays[-1]`` (see :func:`_stack_values`)."""
+    return _stack_values(funcs, _node_views(arrays, ka, kb, delay, mesh))
+
+
+def _node_views(arrays, ka, kb, delay, mesh):
+    """The delay segments of ``arrays`` cut at the nodes k in ``[ka, kb)``,
+    one node-major :class:`SegmentView` of zero-copy stacks per array
+    (:func:`~ydde.paths._node_stack`): they see rows written after they
+    were made."""
     m = _snap_index(delay, mesh, "delay")
-    return _stack_values(funcs, [_node_stack(a, ka, kb, m) for a in arrays],
-                         delay, mesh)
+    return [SegmentView(delay, mesh, _node_stack(a, ka, kb, m))
+            for a in arrays]
 
 
-def _stack_values(funcs, stacks, delay, mesh):
+def _stack_values(funcs, views):
     """Each functional of ``funcs`` on the w segments of the node-major
-    stacks ``stacks`` (shape ``(m+1, w, d)``, the i-th segment of each stack
-    as its arguments): one ``(w, d)`` array per functional, d the width of
-    ``stacks[-1]``.  A functional marked by :func:`accepts_stacks` is called
-    once, on the stacks; any other once per segment, on Segments."""
-    shape = stacks[-1].shape[1:]
-    views = segs = None
+    stacks ``views`` (SegmentViews of shape ``(m+1, w, d)``, the i-th
+    segment of each as its arguments): one ``(w, d)`` array per functional,
+    d the width of ``views[-1]``.  A functional marked by
+    :func:`accepts_stacks` is called once, on the views; any other once per
+    segment, on Segments copied from the views' current rows."""
+    shape = views[-1].values.shape[1:]
+    segs = None
     out = []
     for func in funcs:
         if _marked(func):
-            if views is None:
-                views = [SegmentView(delay, mesh, s) for s in stacks]
             vals = func(*views)
             if np.shape(vals) != shape:
                 raise DomainError(f"a functional marked accepts_stacks gave "
@@ -126,8 +133,8 @@ def _stack_values(funcs, stacks, delay, mesh):
                                   f"segments of dimension {shape[1]}")
         else:
             if segs is None:
-                segs = [[Segment(delay, mesh, s[:, i]) for s in stacks]
-                        for i in range(shape[0])]
+                segs = [[Segment(v.delay, v.mesh, v.values[:, i])
+                         for v in views] for i in range(shape[0])]
             vals = np.empty(shape)
             for i, col in enumerate(segs):
                 vals[i] = func(*col)
@@ -388,12 +395,12 @@ def verify_regularity(coeffs, sampler, M, trials, seed=0):
         units = dirs / np.maximum(_norms(dirs).max(axis=0), 1e-12)[:, :, None]
         # xi and eta each against every unit direction of their trial
         expand = (nodes, count, 2, n_directions, dim)
-        f_vals, = _stack_values((coeffs.f,), [_columns(pairs)],
-                                drawn.delay, drawn.mesh)
+        f_vals, = _stack_values((coeffs.f,), [
+            SegmentView(drawn.delay, drawn.mesh, _columns(pairs))])
         dg_vals, = _stack_values((coeffs.Dg,), [
-            _columns(np.broadcast_to(pairs[:, :, :, None], expand)),
-            _columns(np.broadcast_to(units[:, :, None], expand))],
-            drawn.delay, drawn.mesh)
+            SegmentView(drawn.delay, drawn.mesh, _columns(np.broadcast_to(
+                stack, expand)))
+            for stack in (pairs[:, :, :, None], units[:, :, None])])
         f_vals = f_vals.reshape(count, 2, dim)
         dg_vals = dg_vals.reshape(count, 2, n_directions, dim)
         gaps = _norms(pairs[:, :, 0] - pairs[:, :, 1]).max(axis=0)
@@ -420,11 +427,40 @@ def composition_path(func, path, r, window=None):
     return GridPath(path.t0 + ja * path.mesh, path.mesh, out)
 
 
-def composition_holder(coeffs, path, beta, r, window):
-    """Grid Holder seminorm of ``t -> g(x_t)``; the Lipschitz composition
-    bound keeps it below ``L_g |||x|||_{beta, [a-r, b]}``."""
-    comp = composition_path(coeffs.g, path, r, window)
-    return holder_seminorm(comp, beta)
+def _composition_windows(func, path, r, windows):
+    """``func(x_t)`` at the nodes of the span of ``windows`` (times ``(a,
+    b)``, each at least one cell), one row per node, and each window's
+    ``(first, last)`` row in it."""
+    if not windows:
+        raise DomainError("composition estimates need at least one window")
+    comp = composition_path(func, path, r, (min(a for a, _ in windows),
+                                            max(b for _, b in windows)))
+    return comp.values, [comp.window_indices(window) for window in windows]
+
+
+@dataclass(frozen=True)
+class CompositionReport:
+    """Both sides of the composition estimate on one window [a, b]."""
+
+    seminorm: float     # |||g(x_.)|||_{beta, [a,b]}
+    enlarged: float     # |||x|||_{beta, [a-r,b]}; L_g times it bounds seminorm
+
+
+def composition_holder(coeffs, path, beta, r, windows):
+    """Grid Holder seminorm of ``t -> g(x_t)`` on each window ``(a, b)`` of
+    ``windows``, with that of x on the enlarged window ``[a - r, b]``: the
+    Lipschitz composition bound keeps the first below ``L_g`` times the
+    second.  One :class:`CompositionReport` per window.  ``g(x_.)`` is
+    built once over the windows' span, and the seminorms of each path come
+    from one pass over its node pairs
+    (:func:`~ydde.paths._window_pair_max`)."""
+    _check_holder_exponent(beta)
+    comp, nodes = _composition_windows(coeffs.g, path, r, windows)
+    semis = _window_pair_max(comp, path.mesh, beta, nodes)
+    enlarged = _window_pair_max(path.values, path.mesh, beta, [
+        path.window_indices((a - r, b)) for a, b in windows])
+    return [CompositionReport(semi, enl)
+            for semi, enl in zip(semis.tolist(), enlarged.tolist())]
 
 
 @dataclass(frozen=True)
@@ -437,26 +473,38 @@ class CompositionGapReport:
     M: float
 
 
-def composition_holder_diff(coeffs, x, y, beta, r, window):
-    """Difference estimate in the (delta*beta)-Holder seminorm.
+def composition_holder_diff(coeffs, x, y, beta, r, windows):
+    """Difference estimate in the (delta*beta)-Holder seminorm, on each
+    window ``(a, b)`` of ``windows``: one :class:`CompositionGapReport`
+    per window.
 
     lhs = |||g(x_.) - g(y_.)|||_{delta beta, [a,b]} against
     ``L_g (b-a)^(beta - delta beta) |||x-y|||_beta + L_M M^delta |x-y|_inf``
-    on the enlarged window, with M the larger of the two path norms.
+    on the enlarged window, with M the larger of the two path norms.  As in
+    :func:`composition_holder`, each path's seminorms come from one pass:
+    ``g(x_.) - g(y_.)``, then x, y and x - y on the enlarged windows, whose
+    sups are read from one array of node norms per path.
     """
-    a, b = window
+    _check_holder_exponent(beta)
     if abs(x.mesh - y.mesh) > 1e-12 or abs(x.t0 - y.t0) > 1e-12:
         raise DomainError("paths must share grid for the difference estimate")
-    gx = composition_path(coeffs.g, x, r, window)
-    gy = composition_path(coeffs.g, y, r, window)
+    gx, nodes = _composition_windows(coeffs.g, x, r, windows)
+    gy, _ = _composition_windows(coeffs.g, y, r, windows)
     db = coeffs.delta * beta
-    lhs = holder_seminorm(GridPath(gx.t0, gx.mesh, gx.values - gy.values), db).seminorm
-    enlarged = (a - r, b)
-    M = max(holder_norm(x, beta, enlarged), holder_norm(y, beta, enlarged))
-    diff = GridPath(x.t0, x.mesh, x.values - y.values)
-    semi = holder_seminorm(diff, beta, enlarged).seminorm
-    sup = sup_norm(diff, enlarged)
-    lip = coeffs.L_g * (b - a) ** (beta - db)
-    mod = coeffs.L_M(M) * M ** coeffs.delta
-    return CompositionGapReport(lhs, lip * semi + mod * sup,
-                                (lip + mod) * (sup + semi), M)
+    lhs = _window_pair_max(gx - gy, x.mesh, db, nodes).tolist()
+    enlarged = [x.window_indices((a - r, b)) for a, b in windows]
+    parts = []          # per path x, y, x - y: (sups, seminorms) per window
+    for v in (x.values, y.values, x.values - y.values):
+        norms = _row_norms(v)
+        parts.append(([float(norms[i:j + 1].max()) for i, j in enlarged],
+                      _window_pair_max(v, x.mesh, beta, enlarged).tolist()))
+    (x_sup, x_semi), (y_sup, y_semi), (sups, semis) = parts
+    out = []
+    for k, (a, b) in enumerate(windows):
+        M = max(x_sup[k] + x_semi[k], y_sup[k] + y_semi[k])
+        lip = coeffs.L_g * (b - a) ** (beta - db)
+        mod = coeffs.L_M(M) * M ** coeffs.delta
+        out.append(CompositionGapReport(
+            lhs[k], lip * semis[k] + mod * sups[k],
+            (lip + mod) * (sups[k] + semis[k]), M))
+    return out

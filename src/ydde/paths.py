@@ -209,14 +209,27 @@ def _row_norms(arr):
     return np.sqrt(np.einsum("ij,ij->i", rows, rows)).reshape(arr.shape[:-1])
 
 
+@lru_cache(maxsize=128)
+def _gap_powers(h, exponent, size):
+    """Read-only ``(g*h) ** exponent`` for the gaps g = 1..size, by Python's
+    ``**`` (numpy's ``power`` rounds some differently).  Asked for in sizes
+    that are powers of two, so one mesh and exponent keeps a few vectors,
+    however many scan sizes it serves."""
+    powers = np.array([(gap * h) ** exponent for gap in range(1, size + 1)])
+    powers.flags.writeable = False
+    return powers
+
+
 @lru_cache(maxsize=64)
 def _gap_weights(n, m, h, exponent):
     """Read-only ``weight[j, k]`` of the node pair ``(k, j)`` in a scan of n
     nodes on mesh h: ``((j-k)*h) ** exponent`` for gaps 1..m, inf (ratio 0)
-    otherwise.  Cached, as scans of one size recur on every window."""
+    otherwise.  Cached, as scans of one size recur on every window; a miss
+    copies its weights from :func:`_gap_powers`."""
     # rw[n - 1 - g] weighs gap g; gaps g <= 0 or g > m weigh inf
     rw = np.full(2 * n - 2, np.inf)
-    rw[n - 1 - m:n - 1] = [(gap * h) ** exponent for gap in range(m, 0, -1)]
+    size = 1 << (m - 1).bit_length()
+    rw[n - 1 - m:n - 1] = _gap_powers(h, exponent, size)[:m][::-1]
     rw.flags.writeable = False
     # weight[j, k] = rw[n - 1 - j + k]
     step = rw.itemsize

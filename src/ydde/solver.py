@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .coefficients import _marked, _segments_at, node_values
+from .coefficients import _marked, _node_views, _segments_at, _stack_values
 from .errors import ConvergenceError, DomainError, PartitionError
 from .paths import (GridPath, _check_grid_size, _pair_blocks, _pair_max,
                     _row_norms, _segment_norm_parts, _snap_index, holder_norm,
@@ -114,12 +114,19 @@ def compute_contraction_constants(coeffs, config):
 # ---------------------------------------------------------------------------
 # Greedy stopping-time partition.
 
-def window_residual(omega, beta, nu, s, t):
-    """(t-s)^(1-beta) + (t-s)^(nu-beta) |||omega|||_{nu, [s, t]} on the grid."""
-    i0, i1 = omega.window_indices((s, t))
-    span = (i1 - i0) * omega.mesh
-    om = _pair_max(omega.values[i0:i1 + 1, 0], omega.mesh, nu)
-    return span ** (1.0 - beta) + span ** (nu - beta) * om
+def window_residual(omega, beta, nu, windows):
+    """``(t-s)^(1-beta) + (t-s)^(nu-beta) |||omega|||_{nu, [s, t]}`` on the
+    grid, for each window ``(s, t)`` of ``windows``.  Each window scans its
+    own node pairs: the windows checked (a partition's, each one cell
+    longer) are short and nearly disjoint, and one pass over their span
+    (:func:`~ydde.paths._window_pair_max`) would scan every pair of it."""
+    out = []
+    for window in windows:
+        i0, i1 = omega.window_indices(window)
+        span = (i1 - i0) * omega.mesh
+        om = _pair_max(omega.values[i0:i1 + 1, 0], omega.mesh, nu)
+        out.append(span ** (1.0 - beta) + span ** (nu - beta) * om)
+    return out
 
 
 @dataclass(frozen=True)
@@ -309,19 +316,27 @@ def _solve_grid(config, starts, omega):
     return values, dw
 
 
-def _left_sums(f, g, arrays, ia, ib, delay, h, dw):
-    """Left-point integral map on nodes ``(ia, ib]`` of the K paths ``x =
-    arrays[-1]``, shape ``(n+1, K, d)``: ``x[ia] + cumsum(f h + g dw)``,
-    with ``f`` and ``g`` applied to the delay segments of ``arrays`` at
-    nodes ``ia .. ib-1`` (:func:`~ydde.coefficients.node_values`: one call
-    each for marked functionals, row ``j*K + c`` for node j of column c).
-    Each column's sums are those of the column alone."""
+def _left_sum_map(f, g, arrays, ia, ib, delay, h, dw):
+    """The left-point integral map on nodes ``(ia, ib]`` of the K paths ``x
+    = arrays[-1]``, shape ``(n+1, K, d)``: a function of no arguments that
+    gives ``x[ia] + cumsum(f h + g dw)`` from the arrays' current rows, with
+    ``f`` and ``g`` applied to the delay segments of ``arrays`` at nodes
+    ``ia .. ib-1`` (:func:`~ydde.coefficients._stack_values`: one call each
+    for marked functionals, row ``j*K + c`` for node j of column c).  The
+    segment views and the increments are made here, once: the views see
+    rows written later.  Each column's sums are those of the column
+    alone."""
     x = arrays[-1]
     shape = (ib - ia,) + x.shape[1:]
-    f_vals, g_vals = node_values((f, g), arrays, ia, ib, delay, h)
-    return x[ia] + np.cumsum(f_vals.reshape(shape) * h
-                             + g_vals.reshape(shape) * dw[ia:ib, None, None],
-                             axis=0)
+    views = _node_views(arrays, ia, ib, delay, h)
+    x0, dws = x[ia], dw[ia:ib, None, None]
+
+    def apply():
+        f_vals, g_vals = _stack_values((f, g), views)
+        return x0 + np.cumsum(f_vals.reshape(shape) * h
+                              + g_vals.reshape(shape) * dws, axis=0)
+
+    return apply
 
 
 def _euler_steps(f, g, arrays, ia, ib, delay, h, dw):
@@ -415,12 +430,13 @@ class _WindowedPicard:
         ratios = [[] for _ in kinds]
         running = list(range(len(kinds)))
         iterates = self.iterates[ia] = []
+        step = self._step(_left_sum_map, values, ia, ib)
+        # the difference vanishes up to the window start, so pairs into the
+        # history are dominated by pairs with the (zero) start node
+        padded = np.zeros((ib - ia + 1,) + window.shape[1:])
         for _ in range(self.max_iters):
-            new = self._step(_left_sums, values, ia, ib)
-            diff = new - window
-            # the difference vanishes up to the window start, so pairs into
-            # the history are dominated by pairs with the (zero) start node
-            padded = np.concatenate((np.zeros((1,) + diff.shape[1:]), diff))
+            new = step()
+            diff = np.subtract(new, window, out=padded[1:])
             res = (_row_norms(diff).max(axis=0)
                    + _pair_max(padded, self.h, self.exponent)).tolist()
             if len(running) == len(kinds):
@@ -703,13 +719,13 @@ def gronwall_check(z, A, C, omega, config, n_window_samples=50, seed=0):
         raise DomainError("need A >= 0 and C > 0")
     if not config.mu < min(0.5, C):
         raise DomainError(f"need mu < min(1/2, C), got {config.mu!r}")
+    windows = [(z.t0 + i * z.mesh, z.t0 + j * z.mesh) for i, j in random_windows(
+        seed, z.index_of(0.0), z.index_of(config.T), 1, n_window_samples)]
+    residuals = window_residual(omega, config.beta, config.nu, windows)
     worst = 0.0
-    for i, j in random_windows(seed, z.index_of(0.0), z.index_of(config.T), 1,
-                               n_window_samples):
-        s, t = z.t0 + i * z.mesh, z.t0 + j * z.mesh
+    for (s, t), res in zip(windows, residuals):
         lhs = holder_seminorm(z, config.beta, (s, t)).seminorm
-        rhs = A + C * window_residual(omega, config.beta, config.nu, s, t) \
-            * holder_norm(z, config.beta, (s - config.r, t))
+        rhs = A + C * res * holder_norm(z, config.beta, (s - config.r, t))
         if lhs > 0:
             worst = max(worst, lhs / rhs if rhs > 0 else math.inf)
     if worst > 1.0 + 1e-9:

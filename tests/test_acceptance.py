@@ -149,8 +149,8 @@ def test_criterion_5_greedy_partition():
         for ta, tb in part.windows():
             nxt = tb + cfg.mesh
             if nxt <= cfg.T + 1e-12:
-                assert window_residual(omega, cfg.beta, cfg.nu, ta, nxt) \
-                    > part.threshold
+                assert window_residual(omega, cfg.beta, cfg.nu,
+                                       [(ta, nxt)])[0] > part.threshold
         bound = stopping_count_bound(omega, cfg, C)
         assert part.N <= bound
         margin = min(margin, bound - part.N)
@@ -250,12 +250,13 @@ def test_criterion_9_norm_estimate_suite():
         assert prof.max() <= holder_norm(path, beta, enlarged) * (1 + 1e-9)
         # Lipschitz composition bound for g
         from ydde.coefficients import composition_holder
-        comp = composition_holder(co, path, beta, r, window).seminorm
-        assert comp <= co.L_g * enl * (1 + 1e-9) + 1e-12
+        comp, = composition_holder(co, path, beta, r, [window])
+        assert comp.enlarged == enl
+        assert comp.seminorm <= co.L_g * enl * (1 + 1e-9) + 1e-12
         # difference estimate for g-composites in the (delta*beta)-seminorm
         other = random_path(int(g.integers(0, 10_000)) + 20_000, n=64,
                             mesh=1 / 64, dim=path.dim)
-        rep = composition_holder_diff(co, path, other, beta, r, window)
+        rep, = composition_holder_diff(co, path, other, beta, r, [window])
         assert rep.lhs <= rep.bound_tight * (1 + 1e-9) + 1e-12
         checked += 1
 

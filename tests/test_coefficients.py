@@ -16,7 +16,7 @@ from ydde.coefficients import (CoefficientSet, _ratio, accepts_stacks,
                                make_builtin, verify_regularity)
 from ydde.errors import DomainError
 from ydde.paths import (GridPath, Segment, holder_norm, holder_seminorm,
-                        sup_norm)
+                        random_windows, sup_norm)
 
 R, MESH = 0.25, 1 / 64
 
@@ -254,6 +254,125 @@ def unmarked(coeffs):
     return replace(coeffs, f=lambda seg: coeffs.f(seg), Dg=Dg)
 
 
+def former_composition_holder(coeffs, path, beta, r, window):
+    """composition_holder as it once was, one window at a time: ``g(x_.)``
+    built on the window alone, then a pair scan of it and one of x on the
+    enlarged window; kept as the oracle of the batched form."""
+    a, b = window
+    comp = composition_path(coeffs.g, path, r, window)
+    return (holder_seminorm(comp, beta).seminorm,
+            holder_seminorm(path, beta, (a - r, b)).seminorm)
+
+
+def former_composition_holder_diff(coeffs, x, y, beta, r, window):
+    """composition_holder_diff as it once was, one window at a time, with a
+    pair scan and a sup per path and window; the oracle of the batched
+    form."""
+    a, b = window
+    gx = composition_path(coeffs.g, x, r, window)
+    gy = composition_path(coeffs.g, y, r, window)
+    db = coeffs.delta * beta
+    lhs = holder_seminorm(GridPath(gx.t0, gx.mesh, gx.values - gy.values),
+                          db).seminorm
+    enlarged = (a - r, b)
+    M = max(holder_norm(x, beta, enlarged), holder_norm(y, beta, enlarged))
+    diff = GridPath(x.t0, x.mesh, x.values - y.values)
+    semi = holder_seminorm(diff, beta, enlarged).seminorm
+    sup = sup_norm(diff, enlarged)
+    lip = coeffs.L_g * (b - a) ** (beta - db)
+    mod = coeffs.L_M(M) * M ** coeffs.delta
+    return lhs, lip * semi + mod * sup, (lip + mod) * (sup + semi), M
+
+
+def custom_g(coeffs):
+    """The set with an unmarked g of its own, read at a middle node."""
+    return replace(coeffs, g=lambda seg: np.tanh(
+        seg.values[len(seg.values) // 2]) + coeffs.g(seg))
+
+
+def estimate_families(dim):
+    """The built-ins of dimension ``dim`` and a custom set with an unmarked
+    g."""
+    families = regularity_families(dim)
+    return families + [custom_g(families[1])]
+
+
+@st.composite
+def estimate_cases(draw):
+    """A coefficient set of dimension 1-3, two paths on [-R, n/64] and a
+    list of one-cell, short and whole-horizon windows in [0, n/64]."""
+    dim = draw(st.sampled_from((1, 2, 3)))
+    coeffs = draw(st.sampled_from(estimate_families(dim)))
+    seed = draw(st.integers(0, 2 ** 16))
+    n = draw(st.integers(1, 48))
+    m_r, h = round(R / MESH), MESH
+    x, y = (random_path(seed + k, n=m_r + n, mesh=h, t0=-R, dim=dim,
+                        roughness=1.0 + 2 * k) for k in (0, 1))
+    windows = []
+    for kind in draw(st.lists(st.sampled_from(("cell", "short", "whole")),
+                              min_size=1, max_size=6)):
+        if kind == "whole":
+            i, j = 0, n
+        else:
+            i = draw(st.integers(0, n - 1))
+            j = i + 1 if kind == "cell" else draw(st.integers(i + 1,
+                                                              min(n, i + 6)))
+        windows.append((i * h, j * h))
+    return coeffs, x, y, windows
+
+
+def hexes(values):
+    return [v.hex() for v in np.ravel(values).tolist()]
+
+
+class TestBatchedComposition:
+    """composition_holder and composition_holder_diff read every window
+    from one pass per path, float.hex-equal to one scan per window."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_whole_horizon_composition_sliced(self, dim):
+        # g(x_.) over [0, T] once, sliced, is the composition of each window
+        m_r, n = round(R / MESH), 128
+        for k, co in enumerate(estimate_families(dim)):
+            path = random_path(k + 10 * dim, n=m_r + n, mesh=MESH, t0=-R,
+                               dim=dim, roughness=2.0)
+            whole = composition_path(co.g, path, R, (0.0, n * MESH))
+            assert whole.values.shape == (n + 1, dim)
+            for i, j in random_windows(k, 0, n, 1, 30):
+                alone = composition_path(co.g, path, R, (i * MESH, j * MESH))
+                assert hexes(whole.values[i:j + 1]) == hexes(alone.values)
+
+    @settings(max_examples=150)
+    @given(case=estimate_cases(), beta=st.sampled_from((0.35, 0.55, 1.0)))
+    def test_composition_holder_matches_per_window(self, case, beta):
+        coeffs, x, _, windows = case
+        got = composition_holder(coeffs, x, beta, R, windows)
+        assert len(got) == len(windows)
+        for rep, window in zip(got, windows):
+            want = former_composition_holder(coeffs, x, beta, R, window)
+            assert hexes([rep.seminorm, rep.enlarged]) == hexes(want)
+
+    @settings(max_examples=150)
+    @given(case=estimate_cases(), beta=st.sampled_from((0.35, 0.55, 1.0)))
+    def test_composition_holder_diff_matches_per_window(self, case, beta):
+        coeffs, x, y, windows = case
+        got = composition_holder_diff(coeffs, x, y, beta, R, windows)
+        assert len(got) == len(windows)
+        for rep, window in zip(got, windows):
+            want = former_composition_holder_diff(coeffs, x, y, beta, R,
+                                                  window)
+            assert hexes(astuple(rep)) == hexes(want)
+
+    def test_windows_validated(self):
+        co = make_builtin("sin_delay", sigma=1.0)
+        p = random_path(0, n=64, mesh=1 / 64)
+        for windows in ([], [(0.5, 0.5)], [(0.5, 1.0), (0.1, 1.0)]):
+            with pytest.raises(DomainError):
+                composition_holder(co, p, 0.5, R, windows)
+            with pytest.raises(DomainError):
+                composition_holder_diff(co, p, p, 0.5, R, windows)
+
+
 class TestStackedRegularity:
     @settings(max_examples=100)
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from((1, 2, 3)),
@@ -404,7 +523,7 @@ class TestComposition:
     def test_constant_path_zero(self):
         co = make_builtin("sin_delay", sigma=1.0)
         p = GridPath(0.0, MESH, np.full(65, 1.3))
-        rep = composition_holder(co, p, 0.5, R, (0.5, 1.0))
+        rep, = composition_holder(co, p, 0.5, R, [(0.5, 1.0)])
         assert rep.seminorm == 0.0
 
     def test_linear_g_scaling_equality(self):
@@ -414,7 +533,7 @@ class TestComposition:
         vals[45:] = 1.0     # jump inside [a-r, b-r]
         p = GridPath(0.0, 1 / 64, vals)
         window = (1.0, 2.0)
-        comp = composition_holder(co, p, 0.5, R, window).seminorm
+        comp = composition_holder(co, p, 0.5, R, [window])[0].seminorm
         enlarged = holder_seminorm(p, 0.5, (0.75, 2.0)).seminorm
         assert comp == pytest.approx(0.5 * enlarged, rel=1e-12)
 
@@ -431,7 +550,7 @@ class TestComposition:
         i = int(g.integers(16, 56))
         j = int(g.integers(i + 4, 65))
         window = (i / 64, j / 64)
-        comp = composition_holder(co, path, 0.55, R, window).seminorm
+        comp = composition_holder(co, path, 0.55, R, [window])[0].seminorm
         enlarged = holder_seminorm(path, 0.55,
                                    (window[0] - R, window[1])).seminorm
         assert comp <= co.L_g * enlarged * (1 + 1e-9) + 1e-12
@@ -444,7 +563,7 @@ class TestComposition:
         g = rng(seed + 99)
         i = int(g.integers(16, 56))
         j = int(g.integers(i + 4, 65))
-        rep = composition_holder_diff(co, x, y, 0.55, R, (i / 64, j / 64))
+        rep, = composition_holder_diff(co, x, y, 0.55, R, [(i / 64, j / 64)])
         assert rep.lhs <= rep.bound_tight * (1 + 1e-9) + 1e-12
         assert rep.bound_tight <= rep.bound_weak * (1 + 1e-9)
 
@@ -459,7 +578,7 @@ class TestComposition:
                 i = int(g.integers(16, 63))
                 j = int(g.integers(i + 1, 65))
                 window = (i / 64, j / 64)
-                rep = composition_holder_diff(co, x, y, 0.55, R, window)
+                rep, = composition_holder_diff(co, x, y, 0.55, R, [window])
                 want = former_difference_bounds(co, x, y, 0.55, R, window)
                 assert (rep.bound_tight.hex(), rep.bound_weak.hex()) \
                     == tuple(w.hex() for w in want)
@@ -477,8 +596,8 @@ class TestComposition:
         for _ in range(50):
             i = int(g.integers(0, 250))
             j = int(g.integers(i + 4, 257))
-            rep = composition_holder_diff(co, x, y, cfg.beta, cfg.r,
-                                          (i * mesh, j * mesh))
+            rep, = composition_holder_diff(co, x, y, cfg.beta, cfg.r,
+                                           [(i * mesh, j * mesh)])
             assert rep.lhs <= rep.bound_tight * (1 + 1e-9) + 1e-12
             assert rep.M >= 1.0
 

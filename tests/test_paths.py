@@ -165,6 +165,17 @@ class TestPairScan:
         # the cache holds a bounded number of scan sizes
         assert _gap_weights.cache_info().maxsize is not None
 
+    @settings(max_examples=200)
+    @given(n=st.integers(1, 80), h=st.sampled_from(MESHES),
+           exponent=st.sampled_from(EXPONENTS), data=st.data())
+    def test_gap_weights_are_python_powers(self, n, h, exponent, data):
+        # a miss copies its weights from the shared power-of-two vectors
+        m = data.draw(st.integers(0, n - 1))
+        rows = _gap_weights(n, m, h, exponent).tolist()
+        for j, row in enumerate(rows):
+            assert row == [((j - k) * h) ** exponent if 1 <= j - k <= m
+                           else math.inf for k in range(n - 1)]
+
     @settings(max_examples=500)
     @given(v=node_arrays(max_nodes=30, elems=st.floats(
                -8.0, 8.0, allow_nan=False, allow_infinity=False)),

@@ -14,8 +14,8 @@ from ydde.coefficients import CoefficientSet, make_builtin, node_values
 from ydde.drivers import DriverSpec, gen_fbm
 from ydde.errors import ConvergenceError, DomainError
 from ydde.paths import Segment
-from ydde.solver import (_INIT_KINDS, SolverConfig, _left_sums, picard_solve,
-                         resolve)
+from ydde.solver import (_INIT_KINDS, SolverConfig, _left_sum_map,
+                         picard_solve, resolve)
 
 H = 1 / 256
 R = 16 * H
@@ -265,10 +265,10 @@ class TestColumnKernels:
     def test_left_sums_per_column(self, case):
         coeffs, values, m_r, ia, ib, g = case
         dw = g.normal(size=values.shape[0]) * H ** 0.75
-        got = _left_sums(coeffs.f, coeffs.g, (values,), ia, ib, m_r * H, H,
-                         dw)
+        got = _left_sum_map(coeffs.f, coeffs.g, (values,), ia, ib, m_r * H,
+                            H, dw)()
         for c in range(values.shape[1]):
-            want = _left_sums(coeffs.f, coeffs.g,
-                              (np.ascontiguousarray(values[:, c:c + 1]),),
-                              ia, ib, m_r * H, H, dw)
+            want = _left_sum_map(coeffs.f, coeffs.g,
+                                 (np.ascontiguousarray(values[:, c:c + 1]),),
+                                 ia, ib, m_r * H, H, dw)()
             assert got[:, c:c + 1].tobytes() == want.tobytes()

@@ -7,16 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MESH, rng
-from ydde import solver
+from ydde import coefficients, solver
 from ydde.coefficients import (CoefficientSet, accepts_stacks,
                                composition_path, make_builtin, node_values)
 from ydde.drivers import DriverSpec, gen_deterministic, gen_fbm
 from ydde.errors import ConvergenceError, DomainError, PartitionError
 from ydde.paths import (GridPath, Segment, SegmentView, _node_stack,
-                        _pair_max, _row_norms, holder_norm, holder_seminorm)
+                        _pair_max, _row_norms, holder_norm, holder_seminorm,
+                        random_windows)
 from ydde.sensitivity import linearized_solve
 from ydde.solver import (_INIT_KINDS, GreedyPartition, ProbeReport,
-                         SolverConfig, _left_sums, _solve_grid, ball_check,
+                         SolverConfig, _left_sum_map, _solve_grid, ball_check,
                          compute_contraction_constants, euler_solve, greedy_partition, gronwall_check,
                          growth_bound_check, picard_solve,
                          stopping_count_bound,
@@ -131,6 +132,15 @@ def partition_cases(draw):
     return omega, config, C
 
 
+def former_window_residual(omega, beta, nu, s, t):
+    """window_residual as it once was, one window and one pair scan at a
+    time; kept as the oracle of the batched form."""
+    i0, i1 = omega.window_indices((s, t))
+    span = (i1 - i0) * omega.mesh
+    om = _pair_max(omega.values[i0:i1 + 1, 0], omega.mesh, nu)
+    return span ** (1.0 - beta) + span ** (nu - beta) * om
+
+
 class TestSolverConfig:
     def test_validation(self):
         good = dict(beta=0.55, nu=0.7, mesh=1 / 64, T=1.0, r=0.25)
@@ -209,8 +219,23 @@ class TestGreedyPartition:
         for (ta, tb) in part.windows():
             nxt = tb + cfg.mesh
             if nxt <= cfg.T + 1e-12:
-                assert window_residual(omega, cfg.beta, cfg.nu, ta, nxt) \
-                    > part.threshold
+                assert window_residual(omega, cfg.beta, cfg.nu,
+                                       [(ta, nxt)])[0] > part.threshold
+
+    @settings(max_examples=100)
+    @given(case=partition_cases(), data=st.data())
+    def test_window_residual_matches_per_window(self, case, data):
+        # one-cell, short and whole-horizon windows, in one batch
+        omega, cfg, _ = case
+        n, h = omega.n_intervals, omega.mesh
+        nodes = [(0, n), (n - 1, n)] + random_windows(
+            data.draw(st.integers(0, 2 ** 16)), 0, n, 1,
+            data.draw(st.integers(0, 12)))
+        windows = [(i * h, j * h) for i, j in nodes]
+        got = window_residual(omega, cfg.beta, cfg.nu, windows)
+        want = [former_window_residual(omega, cfg.beta, cfg.nu, s, t)
+                for s, t in windows]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_count_bound_on_fbm(self, seed):
@@ -331,8 +356,9 @@ def map_F(x, coeffs, omega, window, delay):
     domega`` (left sums)."""
     ia, ib, dw = window_increments(x, omega, window)
     values = np.array(x.values)
-    values[ia + 1:ib + 1] = _left_sums(coeffs.f, coeffs.g, (x.values[:, None],),
-                                       ia, ib, delay, x.mesh, dw)[:, 0]
+    values[ia + 1:ib + 1] = _left_sum_map(coeffs.f, coeffs.g,
+                                          (x.values[:, None],), ia, ib, delay,
+                                          x.mesh, dw)()[:, 0]
     return GridPath(x.t0, x.mesh, values)
 
 
@@ -520,8 +546,8 @@ class TestStepKernelOracle:
         base = g.normal(size=values.shape)
         ia = data.draw(st.integers(m_r, m_r + n_h - 1))
         ib = data.draw(st.integers(ia + 1, m_r + n_h))
-        kernel = _left_sums(coeffs.Df, coeffs.Dg, (base, values), ia, ib,
-                            m_r * self.h, self.h, dw)
+        kernel = _left_sum_map(coeffs.Df, coeffs.Dg, (base, values), ia, ib,
+                               m_r * self.h, self.h, dw)()
         assert np.array_equal(kernel[:, 0], loop_linearized_map(
             coeffs, base[:, 0], values[:, 0], ia, ib, m_r, self.h, dw))
 
@@ -612,6 +638,29 @@ class TestBatchedCoefficients:
             round((rec.t_end - rec.t_start) / h)] * rec.iterations)
         assert sorted(widths["f"]) == sorted(widths["g"]) == want
         assert not segment_count
+
+    def test_segment_views_made_once_per_window(self, workhorse, monkeypatch):
+        # the node stacks of a window see the rows each iterate writes, so
+        # they are made once per window (per array), not once per iterate
+        stacked = []
+
+        def spy(*args):
+            stacked.append(args[1:3])
+            return node_stack(*args)
+
+        node_stack = coefficients._node_stack
+        monkeypatch.setattr(coefficients, "_node_stack", spy)
+        co, omega = workhorse["coeffs"], workhorse["omega"]
+        rep = picard_solve(co, workhorse["eta"], omega, workhorse["config"])
+        windows = [tuple(rep.solution.index_of(t)
+                         for t in (rec.t_start, rec.t_end))
+                   for rec in rep.windows]
+        assert not any(rec.split for rec in rep.windows)
+        assert stacked == windows
+        assert sum(rep.window_iterations) > 3 * len(windows)
+        del stacked[:]
+        uniqueness_probe(co, rep, omega)       # two columns in lockstep
+        assert stacked == windows
 
     @pytest.mark.parametrize("family", ["constant_drift", "sin_delay_d2"])
     def test_unmarked_set_takes_segment_loop_bitwise(self, workhorse, family,
