@@ -48,6 +48,14 @@ def _snap_index(offset, mesh, what="time"):
     return ki
 
 
+def _delay_cells(r, mesh):
+    """Cells ``m_r`` of the delay r on the mesh: a positive multiple of it."""
+    mr = _snap_index(r, mesh, "delay")
+    if mr < 1:
+        raise DomainError("delay must be a positive multiple of mesh")
+    return mr
+
+
 @dataclass(frozen=True, eq=False)
 class GridPath:
     """Vector-valued path on the uniform grid ``t0 + k*mesh``, k = 0..n."""
@@ -134,9 +142,7 @@ class Segment:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
-        m = _snap_index(self.delay, self.mesh, "delay")
-        if m < 1:
-            raise DomainError("delay must be a positive multiple of mesh")
+        m = _delay_cells(self.delay, self.mesh)
         if vals.shape[0] != m + 1:
             raise DomainError(f"segment needs {m + 1} nodes to cover "
                               f"[-{self.delay!r}, 0], got {vals.shape[0]}")
@@ -206,7 +212,8 @@ def _row_norms(arr):
     if arr.ndim == 1:
         return np.abs(arr)
     rows = arr.reshape(-1, arr.shape[-1])
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows)).reshape(arr.shape[:-1])
+    squares = np.einsum("ij,ij->i", rows, rows)
+    return np.sqrt(squares, out=squares).reshape(arr.shape[:-1])
 
 
 @lru_cache(maxsize=128)
@@ -239,14 +246,17 @@ def _gap_weights(n, m, h, exponent):
 def _pair_blocks(v, h, exponent, start=1, max_gap=None, stop=None):
     """The grid pair scan of the nodes (rows) ``v`` of a path on mesh ``h``,
     in blocks of upper nodes ``start <= j < stop`` (default: all nodes):
-    yields ``(j0, ratio)`` with ``ratio[j - j0, k] = |v[j] - v[k]| /
-    ((j-k)*h)^exponent``, 0 for pairs with ``k >= j`` or a gap above
-    ``max_gap`` (default: all).  No node from ``stop`` on is read.  A block
-    holds at most ``_BLOCK_PAIRS`` pairs.  The weights are Python's ``(g*h)
-    ** exponent`` (numpy's ``power`` rounds some differently), so the ratios
-    and their maxima are bitwise those of a loop over gaps.  For K paths
-    side by side, ``v`` of shape ``(n, K, d)``, ``ratio[j - j0, k, c]`` is
-    bitwise the ratio of the scan of column c alone.
+    yields ``(j0, k0, ratio)`` with ``ratio[j - j0, k - k0] = |v[j] - v[k]|
+    / ((j-k)*h)^exponent``, 0 for pairs with ``k >= j`` or a gap above
+    ``max_gap`` (default: all).  The only place a pair ratio is formed.  A
+    block of upper nodes ``[j0, j1)`` reads the lower nodes ``k0 = max(0,
+    j0 - max_gap) <= k < j1 - 1`` and no node from ``stop`` on, so a short
+    ``max_gap`` scans a band.  A block holds at most ``_BLOCK_PAIRS`` pairs.
+    The weights are Python's ``(g*h) ** exponent`` (numpy's ``power``
+    rounds some differently), so the ratios and their maxima are bitwise
+    those of a loop over gaps.  For K paths side by side, ``v`` of shape
+    ``(n, K, d)``, ``ratio[j - j0, k - k0, c]`` is bitwise the ratio of the
+    scan of column c alone.
     """
     n = v.shape[0]
     m = n - 1 if max_gap is None else min(max_gap, n - 1)
@@ -254,13 +264,20 @@ def _pair_blocks(v, h, exponent, start=1, max_gap=None, stop=None):
     stop = n if stop is None else stop
     j0 = start
     while j0 < stop:
-        # largest j1 with (j1 - j0) * (j1 - 1) <= _BLOCK_PAIRS, one row at least
-        a = j0 - 1
-        j1 = min(stop, max(j0 + 1, (a + math.isqrt(a * a + 4 * _BLOCK_PAIRS)) // 2 + 1))
-        diff = v[j0:j1, None] - v[None, :j1 - 1]
-        dist = np.abs(diff) if v.ndim == 1 else _row_norms(diff)
-        w = weight[j0:j1, :j1 - 1]
-        yield j0, dist / (w[:, :, None] if v.ndim > 2 else w)
+        k0 = max(0, j0 - m)
+        # largest j1 with (j1 - j0) * (j1 - 1 - k0) <= _BLOCK_PAIRS, one row
+        # at least
+        a = j0 - 1 - k0
+        rows = (math.isqrt(a * a + 4 * _BLOCK_PAIRS) - a) // 2
+        j1 = min(stop, j0 + max(1, rows))
+        # in place where it can be, so that a suspended block holds one
+        # array of its pairs
+        diff = v[j0:j1, None] - v[None, k0:j1 - 1]
+        ratio = np.abs(diff, out=diff) if v.ndim == 1 else _row_norms(diff)
+        del diff
+        w = weight[j0:j1, k0:j1 - 1]
+        ratio /= w[:, :, None] if v.ndim > 2 else w
+        yield j0, k0, ratio
         j0 = j1
 
 
@@ -271,23 +288,27 @@ def _pair_max(v, h, exponent, start=1):
     blocks = _pair_blocks(v, h, exponent, start)
     if v.ndim > 2:
         best = np.zeros(v.shape[1])
-        for _, ratio in blocks:
+        for _, _, ratio in blocks:
             best = np.maximum(best, ratio.max(axis=(0, 1)))
         return best
-    return float(max((ratio.max() for _, ratio in blocks), default=0.0))
+    return float(max((ratio.max() for _, _, ratio in blocks), default=0.0))
 
 
 def _pair_scan(v, h, exponent, max_gap=None):
     """The pair scan's value with the first pair attaining it, ``(value, k,
-    g)`` for the pair ``(k, k + g)``: smallest g, then smallest k.  Only a
-    block whose max ties or beats the best so far pays for locating it."""
+    g)`` for the pair ``(k, k + g)``: smallest g, then smallest k; ``(0.0,
+    0, 0)`` for one node, which has no pair.  Only a block whose max ties
+    or beats the best so far pays for locating it."""
     n = v.shape[0]
+    if n == 1:
+        return 0.0, 0, 0
     best, key = -1.0, 0
-    for j0, ratio in _pair_blocks(v, h, exponent, max_gap=max_gap):
+    for j0, k0, ratio in _pair_blocks(v, h, exponent, max_gap=max_gap):
         top = ratio.max()
         if top < best:
             continue
         rows, ks = np.nonzero(ratio == top)
+        ks += k0
         gs = rows + j0 - ks
         # a 0 max ties the pairs k >= j, which read 0 (pairs past max_gap
         # do too, but a gap-1 pair of the block ties first)
@@ -301,23 +322,41 @@ def _pair_scan(v, h, exponent, max_gap=None):
 def _window_pair_max(v, h, exponent, windows):
     """``_pair_max(v[i:j+1], h, exponent)`` for each window ``(i, j)``,
     ``i < j``, of the ``(N, 2)`` node indices ``windows``, from one pass of
-    :func:`_pair_blocks` over ``v``.  Per block, the suffix max by lower node
-    of each upper node's pairs, then a running max down the upper nodes: a
+    :func:`_pair_blocks` over ``v``, banded at the widest window: a wider
+    pair lies in no window.  Per block, the suffix max by lower node of
+    each upper node's pairs, then a running max down the upper nodes: a
     window reads it at its last upper node and its first node, as the
     pairs ``(k, l)`` with ``k >= i`` and ``l <= j``.  Upper nodes ``l <= i``
-    read 0 there, as their pairs with ``k >= i`` do.  The same ratios as
-    :func:`_pair_max`, so bitwise its maxima; the upper nodes scanned are
-    those of the windows, and the weights those of one scan size."""
+    read 0 there, as their pairs with ``k >= i`` do.  A block updates only
+    the windows that meet it, found among the windows sorted by last node.
+    The same ratios as :func:`_pair_max`, so bitwise its maxima; the upper
+    nodes scanned are those of the windows, and the weights those of one
+    scan size."""
     lo, hi = np.asarray(windows, dtype=np.intp).reshape(-1, 2).T
     out = np.zeros(lo.shape[0])
     if not out.size:
         return out
-    for j0, ratio in _pair_blocks(v, h, exponent, int(lo.min()) + 1,
-                                  stop=int(hi.max()) + 1):
-        rows, cols = ratio.shape
-        best = np.maximum.accumulate(_suffix_max(ratio), axis=0)
-        sel = (hi >= j0) & (lo < cols)
-        got = best[np.minimum(hi[sel], j0 + rows - 1) - j0, lo[sel]]
+    order = np.argsort(hi, kind="stable")
+    ends = hi[order]
+    width = int((hi - lo).max())
+    for j0, k0, ratio in _pair_blocks(v, h, exponent, int(lo.min()) + 1,
+                                      max_gap=width, stop=int(ends[-1]) + 1):
+        rows, cols = ratio.shape[:2]
+        # in place: the suffix max by lower node, then the running max down
+        # the upper nodes by doubling, in log2(rows) passes (an accumulate
+        # along this short axis loops once per column)
+        best, step = ratio, 1
+        flip = best[..., ::-1]
+        np.maximum.accumulate(flip, axis=-1, out=flip)
+        while step < rows:
+            best[step:] = np.maximum(best[step:], best[:-step])
+            step *= 2
+        # a window meeting the block ends at j0 or later and starts at one
+        # of its lower nodes, so it ends before k0 + cols + width; it starts
+        # at k0 or later, as wider pairs are in no window
+        sel = order[slice(*np.searchsorted(ends, (j0, k0 + cols + width)))]
+        sel = sel[lo[sel] < k0 + cols]
+        got = best[np.minimum(hi[sel], j0 + rows - 1) - j0, lo[sel] - k0]
         out[sel] = np.maximum(out[sel], got)
     return out
 
@@ -368,7 +407,7 @@ def _check_holder_exponent(beta):
 def _delay_window(path, r, window, what):
     """Node indices ``(m_r, ja, jb)`` of the delay r and of the window of
     segment times (default: every t with t - r inside the path)."""
-    mr = _snap_index(r, path.mesh, "delay")
+    mr = _delay_cells(r, path.mesh)
     if window is None:
         ja, jb = mr, path.n_intervals
     else:
@@ -426,9 +465,7 @@ def pvar_seminorm(path, p, window=None):
 def segment(path, t, r):
     """The slice ``x_t`` on ``[-r, 0]``: segment(path, t, r)(u) = path(t + u)."""
     it = path.index_of(t, "segment time")
-    mr = _snap_index(r, path.mesh, "delay")
-    if mr < 1:
-        raise DomainError("delay must be a positive multiple of mesh")
+    mr = _delay_cells(r, path.mesh)
     if it - mr < 0:
         raise DomainError("segment precedes history: t - r is before path start")
     return Segment(r, path.mesh, path.values[it - mr:it + 1])
@@ -446,7 +483,7 @@ def segment_path_holder(path, beta, r, window):
     """
     _check_holder_exponent(beta)
     ia, ib = path.window_indices(window)
-    mr = _snap_index(r, path.mesh, "delay")
+    mr = _delay_cells(r, path.mesh)
     if ia - mr < 0:
         raise DomainError("segment precedes history: window start - r is before path start")
     h = path.mesh
@@ -467,16 +504,14 @@ def _segment_norm_parts(v, h, beta, mr):
     """The two parts of the segment norm of the path with nodes (rows) ``v``
     on mesh ``h``, at every node j >= mr (index j - mr): the max node norm
     ``sups`` and the beta pair scan ``scans`` of the history ``v[j - mr :
-    j + 1]``, bitwise ``_row_norms(hist).max()`` and :func:`_pair_max`.  Per
-    gap g <= mr, one O(n) sliding max (:func:`_sliding_max`) of the gap-g
-    ratios over the segment's pairs, so both cost O(n * mr) instead of a
-    pair scan per node."""
+    j + 1]``, bitwise ``_row_norms(hist).max()`` and :func:`_pair_max`.
+    The sups are one O(1)-per-node sliding max (:func:`_sliding_max`), the
+    scans the histories' windows read from one pass over the band of pairs
+    with gaps up to mr (:func:`_window_pair_max`), so both cost O(n * mr)
+    instead of a pair scan per node."""
     sups = _sliding_max(_row_norms(v), mr + 1)
-    scans = np.zeros(v.shape[0] - mr)
-    for g in range(1, mr + 1):
-        diff = _row_norms(v[g:] - v[:-g]) / (g * h) ** beta
-        scans = np.maximum(scans, _sliding_max(diff, mr + 1 - g))
-    return sups, scans
+    ends = np.arange(mr, v.shape[0])
+    return sups, _window_pair_max(v, h, beta, np.stack((ends - mr, ends), 1))
 
 
 def segment_norm_profile(path, beta, r, window=None):

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import pvar_seminorm_exhaustive, random_path, rng
+from ydde.coefficients import (composition_holder, composition_holder_diff,
+                               composition_path, make_builtin)
 from ydde.errors import DomainError
-from ydde.paths import (GridPath, _gap_weights, _pair_blocks,
+from ydde.paths import (GridPath, NormReport, _gap_weights, _pair_blocks,
                         _pair_max, _pair_scan, _row_norms,
                         _segment_norm_parts, _sliding_max, _window_pair_max,
                         counterexample_growth, holder_norm,
@@ -150,7 +152,7 @@ class TestPairScan:
         v = np.arange(150.0)
         for h in MESHES:
             for exponent in EXPONENTS:
-                for j0, ratio in _pair_blocks(v, h, exponent):
+                for j0, _, ratio in _pair_blocks(v, h, exponent):
                     for j, row in enumerate(ratio.tolist(), j0):
                         want = [(j - k) / ((j - k) * h) ** exponent
                                 for k in range(j)]
@@ -261,12 +263,50 @@ class TestColumnScans:
                 assert maxima[c].hex() == _pair_max(col, h, exponent,
                                                     start).hex()
                 alone = list(_pair_blocks(col, h, exponent, start))
-                assert [j0 for j0, _ in blocks] == [j0 for j0, _ in alone]
-                for (_, ratio), (_, want) in zip(blocks, alone):
+                assert ([j0 for j0, _, _ in blocks]
+                        == [j0 for j0, _, _ in alone])
+                for (_, _, ratio), (_, _, want) in zip(blocks, alone):
                     assert ratio[:, :, c].tobytes() == want.tobytes()
         norms = _row_norms(v)
         for c, col in enumerate(columns):
             assert norms[:, c].tobytes() == _row_norms(col).tobytes()
+
+
+class TestBandedBlocks:
+    @settings(max_examples=300)
+    @given(v=node_arrays(max_nodes=30, elems=MIXED), h=st.sampled_from(MESHES),
+           exponent=st.sampled_from(EXPONENTS),
+           block_pairs=st.sampled_from((1, 7, 1 << 14)), data=st.data())
+    def test_reads_only_the_band(self, v, h, exponent, block_pairs, data):
+        n = v.shape[0]
+        m = data.draw(st.integers(1, n - 1))
+        start = data.draw(st.integers(1, n - 1))
+        stop = data.draw(st.integers(start, n))
+        # the unbanded scan: one block of every upper node and every column
+        (j0, k0, full), = _pair_blocks(v, h, exponent, max_gap=m)
+        assert (j0, k0, full.shape[:2]) == (1, 0, (n - 1, n - 1))
+        # nodes below j0 - m, and from stop on, are NaN when a block reads
+        # them: NaN would reach its ratios
+        poisoned = np.array(v)
+        poisoned[stop:] = np.nan
+        poisoned[:max(0, start - m)] = np.nan
+        seen = start
+        with mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
+            for j0, k0, ratio in _pair_blocks(poisoned, h, exponent, start,
+                                              m, stop):
+                rows, cols = ratio.shape[:2]
+                assert (j0, k0, k0 + cols) == (seen, max(0, j0 - m),
+                                               j0 + rows - 1)
+                assert rows == 1 or rows * cols <= block_pairs
+                # the band's ratios are the unbanded block's columns; those
+                # left of it hold only gaps above m, those right of it only
+                # pairs k >= j, and both read 0
+                band = full[j0 - 1:j0 - 1 + rows]
+                assert ratio.tobytes() == band[:, k0:k0 + cols].tobytes()
+                assert not band[:, :k0].any() and not band[:, k0 + cols:].any()
+                seen = j0 + rows
+                poisoned[:max(0, seen - m)] = np.nan
+        assert seen == stop
 
 
 class TestSlidingMax:
@@ -286,6 +326,18 @@ def full_history_scan(v, a, size, h, exponent):
     return float(_row_norms(hist).max()), _pair_max(hist, h, exponent)
 
 
+def gap_loop_segment_norm_parts(v, h, beta, mr):
+    """The former segment-norm kernel, kept as an oracle: the sliding max of
+    the node norms, and per gap g <= mr one sliding max of the gap-g ratios
+    over the segment's pairs."""
+    sups = _sliding_max(_row_norms(v), mr + 1)
+    scans = np.zeros(v.shape[0] - mr)
+    for g in range(1, mr + 1):
+        diff = _row_norms(v[g:] - v[:-g]) / (g * h) ** beta
+        scans = np.maximum(scans, _sliding_max(diff, mr + 1 - g))
+    return sups, scans
+
+
 def hexed(pairs):
     return [tuple(float.hex(x) for x in pair) for pair in pairs]
 
@@ -300,6 +352,30 @@ class TestSegmentNormParts:
         want = [full_history_scan(v, a, size, h, exponent)
                 for a in range(size, v.shape[0])]
         assert hexed(zip(sups.tolist(), scans.tolist())) == hexed(want)
+
+    @settings(max_examples=500)
+    @given(v=node_arrays(max_nodes=40, elems=MIXED), h=st.sampled_from(MESHES),
+           exponent=st.sampled_from(EXPONENTS),
+           block_pairs=st.sampled_from((1, 7, 1 << 14)), data=st.data())
+    def test_matches_per_gap_loop(self, v, h, exponent, block_pairs, data):
+        size = data.draw(st.integers(1, v.shape[0] - 1))
+        with mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
+            got = _segment_norm_parts(v, h, exponent, size)
+        want = gap_loop_segment_norm_parts(v, h, exponent, size)
+        for part, oracle in zip(got, want):
+            assert part.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("block_pairs", [7, 1 << 14])
+    @pytest.mark.parametrize("size", [1, 64, 599])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_per_gap_loop_on_long_paths(self, monkeypatch, dim, size,
+                                        block_pairs):
+        v = random_path(dim, n=600, mesh=1 / 600, dim=dim).values
+        want = gap_loop_segment_norm_parts(v, 1 / 600, 0.55, size)
+        monkeypatch.setattr("ydde.paths._BLOCK_PAIRS", block_pairs)
+        got = _segment_norm_parts(v, 1 / 600, 0.55, size)
+        for part, oracle in zip(got, want):
+            assert part.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("block_pairs", [1, 500])
     def test_solver_sized_history(self, monkeypatch, block_pairs):
@@ -325,6 +401,21 @@ def path_windows(draw):
     return v, wins + [(last, last + 1), (0, n - 1)]
 
 
+@st.composite
+def short_windows(draw):
+    """A path of n nodes and windows ``(i, j)`` no wider than a drawn width,
+    unsorted, some repeated, so that a scan banded at the widest one skips
+    the lower nodes of later blocks."""
+    v = draw(node_arrays(min_nodes=3, max_nodes=40, elems=MIXED))
+    n = v.shape[0]
+    width = draw(st.integers(1, n - 2))
+    cells = st.integers(0, n - 2).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(i + 1,
+                                                    min(n - 1, i + width))))
+    wins = draw(st.lists(cells, min_size=1, max_size=12))
+    return v, wins + wins[:draw(st.integers(0, len(wins)))]
+
+
 class TestWindowPairMax:
     @settings(max_examples=500)
     @given(case=path_windows(), h=st.sampled_from(MESHES),
@@ -336,6 +427,33 @@ class TestWindowPairMax:
         with mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
             got = _window_pair_max(v, h, exponent, wins)
         want = [_pair_max(v[i:j + 1], h, exponent) for i, j in wins]
+        assert [float(x).hex() for x in got] == [x.hex() for x in want]
+
+    @settings(max_examples=500)
+    @given(case=short_windows(), h=st.sampled_from(MESHES),
+           exponent=st.sampled_from(EXPONENTS),
+           block_pairs=st.sampled_from((1, 7, 1 << 14)))
+    def test_banded_at_the_widest_window(self, case, h, exponent,
+                                         block_pairs):
+        v, wins = case
+        with mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
+            got = _window_pair_max(v, h, exponent, wins)
+        want = [_pair_max(v[i:j + 1], h, exponent) for i, j in wins]
+        assert [float(x).hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("block_pairs", [1, 7, 60])
+    @pytest.mark.parametrize("wins", [
+        [(40, 59), (3, 4), (10, 30), (3, 4), (0, 59), (55, 56), (10, 30),
+         (20, 22), (0, 1), (58, 59), (30, 31), (5, 45)],
+        [(40, 43), (3, 4), (10, 13), (3, 4), (55, 56), (20, 22), (57, 59),
+         (0, 1), (41, 42)],
+    ], ids=["wide", "short"])
+    def test_unsorted_duplicated_mixed_widths(self, monkeypatch, wins,
+                                              block_pairs):
+        v = random_path(4, n=60, mesh=1 / 60, dim=2).values
+        want = [_pair_max(v[i:j + 1], 1 / 60, 0.55) for i, j in wins]
+        monkeypatch.setattr("ydde.paths._BLOCK_PAIRS", block_pairs)
+        got = _window_pair_max(v, 1 / 60, 0.55, wins)
         assert [float(x).hex() for x in got] == [x.hex() for x in want]
 
     def test_no_windows(self):
@@ -356,6 +474,15 @@ class TestHolderSeminorm:
     def test_constant_is_zero(self):
         p = GridPath(0.0, 0.125, np.full((9, 2), 3.7))
         assert holder_seminorm(p, 0.5).seminorm == 0.0
+
+    def test_one_node_has_no_pair(self):
+        p = GridPath(2.0, 0.5, [[1.0]])
+        assert _pair_scan(p.values, 0.5, 0.5) == (0.0, 0, 0)
+        assert holder_seminorm(p, 0.5) == NormReport(0.0, (2.0, 2.0))
+        assert holder_norm(p, 0.5) == 1.0
+        # a constant path keeps its first gap-1 pair as witness
+        flat = GridPath(2.0, 0.5, np.full(4, 1.0))
+        assert holder_seminorm(flat, 0.5) == NormReport(0.0, (2.0, 2.5))
 
     def test_linear_beta_half(self):
         p = GridPath(0.0, 1 / 64, np.linspace(0, 1, 65))
@@ -558,6 +685,28 @@ class TestSegmentPathHolder:
         lhs = sup_part + semi
         rhs = holder_norm(path, beta, (0.0, 1.0))
         assert lhs <= rhs * (1 + 1e-12)
+
+
+_SIN = make_builtin("sin_delay", A=-0.15, B=0.1, sigma=0.05)
+_WINDOW = (0.5, 1.0)
+_DELAY_USERS = {
+    "segment_norm_profile": lambda p, r: segment_norm_profile(p, 0.5, r),
+    "composition_path": lambda p, r: composition_path(_SIN.g, p, r, _WINDOW),
+    "composition_holder": lambda p, r: composition_holder(
+        _SIN, p, 0.5, r, [_WINDOW]),
+    "composition_holder_diff": lambda p, r: composition_holder_diff(
+        _SIN, p, p, 0.5, r, [_WINDOW]),
+    "segment_path_holder": lambda p, r: segment_path_holder(p, 0.5, r,
+                                                            _WINDOW),
+}
+
+
+@pytest.mark.parametrize("r", [-0.25, 0.0, -0.0, 0.1])
+@pytest.mark.parametrize("name", sorted(_DELAY_USERS))
+def test_refuses_delay_off_positive_multiples(name, r):
+    path = random_path(6, n=32, mesh=1 / 32)
+    with pytest.raises(DomainError, match="delay"):
+        _DELAY_USERS[name](path, r)
 
 
 class TestSegmentNormProfile:

@@ -1,0 +1,79 @@
+"""Write every command-line output of this checkout into one directory.
+
+    python tools/snapshot.py OUT
+
+Runs ``python -m ydde`` from this checkout's ``src/`` for every subcommand
+on every ``demos/scenarios/*.json`` and keeps, per run, the artifacts, the
+stdout and the exit code under ``OUT/<scenario>/<subcommand>/``; then the
+solves of ``sin_fbm`` at the fine meshes 2^-12 and 2^-14 under
+``OUT/fine/``; then the stdout and exit code of each demo script under
+``OUT/demos/<script>/``.
+Two snapshots of the same outputs are byte-identical, so ``diff -r`` of
+the snapshots of two commits shows every output a change alters.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Arguments per subcommand, beside --scenario and --out: small enough that
+# the whole snapshot runs in minutes.
+SUBCOMMANDS = {
+    "verify": [],
+    "solve": [],
+    "sensitivity": [],
+    "partition": [],
+    "converge": [],
+    "ensemble": ["--seeds", "2"],
+}
+
+# Fine-mesh solves, as (scenario, mesh): the sizes where the segment norms
+# and the Picard diagnostics cost most.
+FINE = [("sin_fbm", 2.0 ** -12), ("sin_fbm", 2.0 ** -14)]
+
+
+def _run(argv, cwd, dest):
+    """Run ``argv`` in ``cwd`` with this checkout's package on the path;
+    keep its stdout and exit code in ``dest``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True)
+    (dest / "stdout.txt").write_bytes(proc.stdout)
+    (dest / "exit_code.txt").write_text(f"{proc.returncode}\n")
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    out = Path(args[0]).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    for scenario in sorted((ROOT / "demos" / "scenarios").glob("*.json")):
+        for command, extra in SUBCOMMANDS.items():
+            dest = out / scenario.stem / command
+            (dest / "artifacts").mkdir(parents=True, exist_ok=True)
+            _run([sys.executable, "-m", "ydde", command, "--scenario",
+                  str(scenario.relative_to(ROOT)), "--out",
+                  str(dest / "artifacts"), *extra], ROOT, dest)
+    for name, mesh in FINE:
+        dest = out / "fine" / f"{name}_{mesh.hex()}"
+        (dest / "artifacts").mkdir(parents=True, exist_ok=True)
+        _run([sys.executable, "-m", "ydde", "solve", "--scenario",
+              f"demos/scenarios/{name}.json", "--mesh", repr(mesh), "--out",
+              str(dest / "artifacts")], ROOT, dest)
+    dest = out / "counterexample"
+    (dest / "artifacts").mkdir(parents=True, exist_ok=True)
+    _run([sys.executable, "-m", "ydde", "counterexample", "--out",
+          str(dest / "artifacts")], ROOT, dest)
+    for script in sorted((ROOT / "demos").glob("*.py")):
+        dest = out / "demos" / script.stem
+        dest.mkdir(parents=True, exist_ok=True)
+        _run([sys.executable, str(script)], dest, dest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
