@@ -26,6 +26,15 @@ _INDEX_TOL = 1e-6
 # scan spans the whole horizon.
 _BLOCK_PAIRS = 1 << 14
 
+# Widest gap of the band a pruned pair scan reads in full, and the nodes of
+# one block of its bounds: farther pairs are read a block pair at a time, and
+# only the block pairs whose bound can win (:func:`_pruned_blocks`).
+_BAND = 64
+
+# The unit roundoff of a float and its smallest normal value.
+_ROUNDOFF = 2.0 ** -53
+_TINY = np.finfo(float).tiny
+
 # Intervals of the largest grid a path, solve or driver may have: a larger
 # one is refused before anything is allocated.
 MAX_GRID_INTERVALS = 2 ** 22
@@ -207,13 +216,24 @@ class NormReport:
 def _row_norms(arr):
     """Euclidean norm along the last axis: of each row of an ``(n, d)``
     array, of each column of each row of ``(n, K, d)``; ``|x|`` for a scalar
-    (1-D) array.  Every vector takes the same dot product, so a column's
-    norms are bitwise those of the column alone."""
+    (1-D) array and for d = 1, exactly.  For d >= 2 every vector takes the
+    same dot product, so a column's norms are bitwise those of the column
+    alone; a vector whose sum of squares leaves the normal range is scaled by
+    a power of two first, as ``coefficients._norms`` does, so that its norm
+    is accurate to rounding instead of 0 or inf."""
     if arr.ndim == 1:
         return np.abs(arr)
+    if arr.shape[-1] == 1:
+        return np.abs(arr[..., 0])
     rows = arr.reshape(-1, arr.shape[-1])
     squares = np.einsum("ij,ij->i", rows, rows)
-    return np.sqrt(squares, out=squares).reshape(arr.shape[:-1])
+    off = np.flatnonzero((squares < _TINY) | (squares == np.inf))
+    norms = np.sqrt(squares, out=squares)
+    if off.size:
+        scale = np.where(norms[off] < 1.0, 2.0 ** 600, 2.0 ** -600)
+        scaled = rows[off] * scale[:, None]
+        norms[off] = np.sqrt(np.einsum("ij,ij->i", scaled, scaled)) / scale
+    return norms.reshape(arr.shape[:-1])
 
 
 @lru_cache(maxsize=128)
@@ -243,20 +263,35 @@ def _gap_weights(n, m, h, exponent):
     return np.ndarray((n, n - 1), rw.dtype, rw, (n - 1) * step, (-step, step))
 
 
+def _ratios(v, j0, j1, k0, k1, w):
+    """``ratio[j - j0, k - k0] = |v[j] - v[k]| / w[j - j0, k - k0]`` for the
+    upper nodes ``j0 <= j < j1`` and the lower nodes ``k0 <= k < k1`` of the
+    nodes (rows) ``v``, with the weights ``w`` of those pairs; with ``(n, K,
+    d)`` nodes, ``ratio[j - j0, k - k0, c]`` of column c.  The only place a
+    pair ratio is formed."""
+    # in place where it can be, so that a suspended block holds one array of
+    # its pairs
+    diff = v[j0:j1, None] - v[None, k0:k1]
+    ratio = np.abs(diff, out=diff) if v.ndim == 1 else _row_norms(diff)
+    del diff
+    ratio /= w[:, :, None] if v.ndim > 2 else w
+    return ratio
+
+
 def _pair_blocks(v, h, exponent, start=1, max_gap=None, stop=None):
     """The grid pair scan of the nodes (rows) ``v`` of a path on mesh ``h``,
     in blocks of upper nodes ``start <= j < stop`` (default: all nodes):
     yields ``(j0, k0, ratio)`` with ``ratio[j - j0, k - k0] = |v[j] - v[k]|
     / ((j-k)*h)^exponent``, 0 for pairs with ``k >= j`` or a gap above
-    ``max_gap`` (default: all).  The only place a pair ratio is formed.  A
-    block of upper nodes ``[j0, j1)`` reads the lower nodes ``k0 = max(0,
-    j0 - max_gap) <= k < j1 - 1`` and no node from ``stop`` on, so a short
-    ``max_gap`` scans a band.  A block holds at most ``_BLOCK_PAIRS`` pairs.
-    The weights are Python's ``(g*h) ** exponent`` (numpy's ``power``
-    rounds some differently), so the ratios and their maxima are bitwise
-    those of a loop over gaps.  For K paths side by side, ``v`` of shape
-    ``(n, K, d)``, ``ratio[j - j0, k - k0, c]`` is bitwise the ratio of the
-    scan of column c alone.
+    ``max_gap`` (default: all), from :func:`_ratios`.  A block of upper
+    nodes ``[j0, j1)`` reads the lower nodes ``k0 = max(0, j0 - max_gap) <=
+    k < j1 - 1`` and no node from ``stop`` on, so a short ``max_gap`` scans
+    a band.  A block holds at most ``_BLOCK_PAIRS`` pairs.  The weights are
+    Python's ``(g*h) ** exponent`` (numpy's ``power`` rounds some
+    differently), so the ratios and their maxima are bitwise those of a loop
+    over gaps.  For K paths side by side, ``v`` of shape ``(n, K, d)``,
+    ``ratio[j - j0, k - k0, c]`` is bitwise the ratio of the scan of column
+    c alone.
     """
     n = v.shape[0]
     m = n - 1 if max_gap is None else min(max_gap, n - 1)
@@ -270,40 +305,147 @@ def _pair_blocks(v, h, exponent, start=1, max_gap=None, stop=None):
         a = j0 - 1 - k0
         rows = (math.isqrt(a * a + 4 * _BLOCK_PAIRS) - a) // 2
         j1 = min(stop, j0 + max(1, rows))
-        # in place where it can be, so that a suspended block holds one
-        # array of its pairs
-        diff = v[j0:j1, None] - v[None, k0:j1 - 1]
-        ratio = np.abs(diff, out=diff) if v.ndim == 1 else _row_norms(diff)
-        del diff
-        w = weight[j0:j1, k0:j1 - 1]
-        ratio /= w[:, :, None] if v.ndim > 2 else w
-        yield j0, k0, ratio
+        yield j0, k0, _ratios(v, j0, j1, k0, j1 - 1,
+                              weight[j0:j1, k0:j1 - 1])
         j0 = j1
 
 
-def _pair_max(v, h, exponent, start=1):
+def _block_boxes(lo, hi=None):
+    """Per-coordinate min of each block of ``_BAND`` consecutive nodes (rows)
+    of ``lo``, and max of each of ``hi`` (default: ``lo``), the last block
+    the remainder."""
+    firsts = np.arange(0, lo.shape[0], _BAND)
+    return (np.minimum.reduceat(lo, firsts, axis=0),
+            np.maximum.reduceat(lo if hi is None else hi, firsts, axis=0))
+
+
+def _far_bounds(lo, hi, b0, b1, floors):
+    """Bounds on the ratios of the pairs ``(k, j)`` farther apart than
+    ``_BAND``, with k in node block a and j in node block b, for the blocks
+    ``b0 <= b < b1`` and ``a < b`` of the boxes ``(lo, hi)``: ``(bound,
+    gaps)``, ``bound[b - b0, a]`` (per column for K columns; 0 for ``a >=
+    b``) and the smallest gap ``gaps[b - b0, a] = i * _BAND + 1`` of such a
+    pair, ``i = max(1, b - a - 1)``.
+
+    In d = 1 the ratio's distance ``|fl(v[j] - v[k])|`` is at most ``D =
+    max(fl(hi_b - lo_a), fl(hi_a - lo_b))``, and its weight at least
+    ``floors[i - 1]``, the least weight of a gap ``i * _BAND + 1`` or wider,
+    as subtraction and division round monotonically: ``fl(D / floors[i -
+    1])`` bounds every computed ratio, with no need for the weights to grow
+    with the gap.  In d >= 2 D holds per coordinate, and the computed norm
+    of a difference exceeds the exact norm of D by at most the roundings of
+    its d squares, d - 1 sums and square root, and D's computed norm falls
+    below it by at most as many, a factor ``(1 + u)^(4d + 2)`` with u the
+    unit roundoff: ``1 + (4d + 8) u`` covers that and the rounding of the
+    product, and ``2^-1072`` the subnormal rounding of a rescaled tiny
+    norm."""
+    num = np.maximum(hi[b0:b1, None] - lo[None, :b1],
+                     hi[None, :b1] - lo[b0:b1, None])
+    if num.ndim > 2:
+        d = num.shape[-1]
+        num = _row_norms(num)
+        if d > 1:
+            num = num * (1.0 + (4 * d + 8) * _ROUNDOFF) + 2.0 ** -1072
+    # a gap past the widest one has no finite weight and no pair to bound
+    apart = np.arange(b0, b1)[:, None] - np.arange(b1)
+    i = np.maximum(apart - 1, 1)
+    w = floors[i - 1]
+    valid = (apart >= 1) & (w < np.inf)
+    if num.ndim > 2:
+        w, valid = w[..., None], valid[..., None]
+    return (np.divide(num, w, out=np.zeros(num.shape), where=valid),
+            i * _BAND + 1)
+
+
+def _pruned_blocks(v, h, exponent, start, beats, max_gap=None, boxes=None):
+    """Blocks ``(j0, k0, ratio)`` of :func:`_pair_blocks`'s form that hold
+    every pair ratio of the scan over the upper nodes ``j >= start`` (gaps up
+    to ``max_gap``) that can beat its caller's best so far: the band of gaps
+    up to ``_BAND``, in full, then the pairs of node blocks farther apart,
+    one block pair at a time, read only while ``beats(bound, gaps)`` holds
+    for its bound (:func:`_far_bounds`).  ``beats`` maps bounds and smallest
+    gaps to booleans (over the columns too, for K columns) from the
+    caller's running best, which it updates between blocks; a block pair it
+    rejects holds no pair it would take.  So a max over the blocks, or a
+    first attaining pair, is bitwise the full scan's.
+
+    The block pairs are read in decreasing bound (per column, the largest)
+    per chunk of about ``_BLOCK_PAIRS`` bounds, so no more than a chunk of
+    bounds is held at once.  ``boxes`` are per-block bounds of ``v``'s nodes
+    to use in place of :func:`_block_boxes` (any that hold the nodes are
+    valid).  A scan that fits one block of :func:`_pair_blocks` is read in
+    full, as bounds cannot save on it."""
+    n = v.shape[0]
+    m = n - 1 if max_gap is None else min(max_gap, n - 1)
+    band = m if (n - start) * m <= _BLOCK_PAIRS else min(m, _BAND)
+    yield from _pair_blocks(v, h, exponent, start, band)
+    if band == m or start >= n:
+        return
+    # the weight of gap g at g - 1, inf past m; the least weight of a gap
+    # i * _BAND + 1 or wider at i - 1, from O(n / _BAND) block minima
+    weights = _gap_powers(h, exponent, 1 << (n - 2).bit_length())
+    if m < n - 1:
+        weights = np.concatenate((weights[:m], np.full(n - 1 - m, np.inf)))
+    floors = np.minimum.reduceat(weights[:n - 1], np.arange(_BAND, n - 1,
+                                                            _BAND))
+    floors = np.minimum.accumulate(floors[::-1])[::-1]
+    step = weights.strides[0]
+    lo, hi = _block_boxes(v) if boxes is None else boxes
+    nb = lo.shape[0]
+    rows = max(1, _BLOCK_PAIRS // nb)
+    for b0 in range(start // _BAND, nb, rows):
+        b1 = min(nb, b0 + rows)
+        bound, gaps = _far_bounds(lo, hi, b0, b1, floors)
+        top = bound if bound.ndim == 2 else bound.max(axis=-1)
+        picks = np.flatnonzero(beats(bound, gaps))
+        for i in picks[np.argsort(-top.ravel()[picks])]:
+            b, a = divmod(int(i), b1)
+            if not beats(bound[b, a], gaps[b, a]):
+                continue
+            j0, k0 = max((b0 + b) * _BAND, start), a * _BAND
+            j1 = min(n, (b0 + b + 1) * _BAND)
+            # w[j - j0, k - k0] = weights[j - k - 1], a view
+            w = np.ndarray((j1 - j0, _BAND), weights.dtype, weights,
+                           (j0 - k0 - 1) * step, (step, -step))
+            yield j0, k0, _ratios(v, j0, j1, k0, k0 + _BAND, w)
+
+
+def _pair_max(v, h, exponent, start=1, floor=0.0, boxes=None):
     """Value of the pair scan over the upper nodes ``j >= start``: max over
-    ``k < j`` of ``|v[j] - v[k]| / ((j-k)*h)^exponent``; 0 without pairs.
-    For K paths side by side, ``v`` of shape ``(n, K, d)``, the K values."""
-    blocks = _pair_blocks(v, h, exponent, start)
-    if v.ndim > 2:
-        best = np.zeros(v.shape[1])
-        for _, _, ratio in blocks:
-            best = np.maximum(best, ratio.max(axis=(0, 1)))
-        return best
-    return float(max((ratio.max() for _, _, ratio in blocks), default=0.0))
+    ``k < j`` of ``|v[j] - v[k]| / ((j-k)*h)^exponent`` and ``floor``; 0
+    without pairs.  For K paths side by side, ``v`` of shape ``(n, K, d)``,
+    the K values.  Read by :func:`_pruned_blocks`, which skips only block
+    pairs that cannot beat the best so far, so bitwise the full scan's
+    maximum; ``boxes`` as there."""
+    best = np.full(v.shape[1] if v.ndim > 2 else 1, float(floor))
+
+    def beats(bound, gaps):
+        over = bound > best
+        return over.any(axis=-1) if v.ndim > 2 else over
+
+    for _, _, ratio in _pruned_blocks(v, h, exponent, start, beats,
+                                      boxes=boxes):
+        np.maximum(best, ratio.max(axis=(0, 1)), out=best)
+    return best if v.ndim > 2 else float(best[0])
 
 
 def _pair_scan(v, h, exponent, max_gap=None):
     """The pair scan's value with the first pair attaining it, ``(value, k,
     g)`` for the pair ``(k, k + g)``: smallest g, then smallest k; ``(0.0,
-    0, 0)`` for one node, which has no pair.  Only a block whose max ties
-    or beats the best so far pays for locating it."""
+    0, 0)`` for one node, which has no pair.  Read by
+    :func:`_pruned_blocks`, which also reads the far block pairs whose bound
+    ties the best and whose gaps may be smaller than the first attaining
+    pair's.  Only a block whose max ties or beats the best so far pays for
+    locating it."""
     n = v.shape[0]
     if n == 1:
         return 0.0, 0, 0
     best, key = -1.0, 0
-    for j0, k0, ratio in _pair_blocks(v, h, exponent, max_gap=max_gap):
+
+    def beats(bound, gaps):
+        return (bound > best) | ((bound == best) & (gaps * n <= key))
+
+    for j0, k0, ratio in _pruned_blocks(v, h, exponent, 1, beats, max_gap):
         top = ratio.max()
         if top < best:
             continue
@@ -311,7 +453,7 @@ def _pair_scan(v, h, exponent, max_gap=None):
         ks += k0
         gs = rows + j0 - ks
         # a 0 max ties the pairs k >= j, which read 0 (pairs past max_gap
-        # do too, but a gap-1 pair of the block ties first)
+        # do too, but a gap-1 pair of the band ties first)
         block_key = int((gs * n + ks)[gs >= 1].min())
         if top > best or block_key < key:
             best, key = top, block_key
@@ -421,7 +563,8 @@ def _delay_window(path, r, window, what):
 def holder_seminorm(path, beta, window=None):
     """Grid beta-Holder seminorm: max over node pairs of |x(t)-x(s)| / (t-s)^beta.
 
-    Full O(n^2) pair scan; returns the attaining pair as witness.
+    The pruned pair scan (:func:`_pair_scan`), bitwise the full O(n^2) one;
+    returns the first attaining pair as witness.
     """
     _check_holder_exponent(beta)
     ia, ib = path.window_indices(window)
@@ -432,8 +575,13 @@ def holder_seminorm(path, beta, window=None):
 
 
 def holder_norm(path, beta, window=None):
-    """Full Holder norm: sup norm plus beta-seminorm over the window."""
-    return sup_norm(path, window) + holder_seminorm(path, beta, window).seminorm
+    """Full Holder norm: sup norm plus beta-seminorm over the window, the
+    seminorm by value only (:func:`_pair_max`), bitwise
+    :func:`holder_seminorm`'s."""
+    _check_holder_exponent(beta)
+    ia, ib = path.window_indices(window)
+    return sup_norm(path, window) + _pair_max(path.values[ia:ib + 1],
+                                              path.mesh, beta)
 
 
 def pvar_seminorm(path, p, window=None):

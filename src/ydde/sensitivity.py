@@ -44,8 +44,7 @@ def linearized_solve(coeffs, base, direction, omega):
     exponent = coeffs.delta * cfg.beta
 
     def partition():
-        c_lin = linearized_contraction_constant(coeffs, cfg,
-                                                holder_norm(x, cfg.beta))
+        c_lin = linearized_contraction_constant(coeffs, cfg, base.holder_norm)
         return greedy_partition(omega, replace(cfg, beta=exponent), c_lin)
 
     _, values, _, _ = _run_picard(
@@ -84,7 +83,7 @@ def continuity_check(coeffs, base, eta2, omega):
     if eta_gap > 1.0 + 1e-12:
         raise DomainError("continuity estimate needs |eta2 - eta1| <= 1")
     x2 = picard_solve(coeffs, eta2, omega, config).solution
-    M = max(holder_norm(x1, config.beta), holder_norm(x2, config.beta))
+    M = max(base.holder_norm, holder_norm(x2, config.beta))
     # mu < 1/2, so greedy_partition's mu < min(1, C) is mu < min(1/2, C);
     # inert difference dynamics (C = 0) keep the difference constant past 0
     C = compute_contraction_constants(coeffs, config).L(config.T, M)

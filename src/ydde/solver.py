@@ -27,10 +27,10 @@ import numpy as np
 
 from .coefficients import _marked, _node_views, _segments_at, _stack_values
 from .errors import ConvergenceError, DomainError, PartitionError
-from .paths import (GridPath, _check_grid_size, _pair_blocks, _pair_max,
-                    _row_norms, _segment_norm_parts, _snap_index, holder_norm,
-                    holder_seminorm, random_windows, segment, segment_norm,
-                    segment_norm_profile)
+from .paths import (GridPath, _block_boxes, _check_grid_size, _pair_blocks,
+                    _pair_max, _row_norms, _segment_norm_parts, _snap_index,
+                    holder_norm, holder_seminorm, random_windows, segment,
+                    segment_norm, segment_norm_profile)
 from .young import YoungConstants
 
 _INIT_KINDS = ("constant", "linear", "euler_perturbed")
@@ -289,6 +289,12 @@ class SolveReport:
         path = self.solution
         return _segment_norm_parts(path.values, path.mesh, self.config.beta,
                                    self.config.n_history)
+
+    @cached_property
+    def holder_norm(self):
+        """The solution's beta-Holder norm on ``[-r, T]``, shared by the
+        continuity check and the linearized solve."""
+        return holder_norm(self.solution, self.config.beta)
 
     @cached_property
     def ball_ok(self):
@@ -673,8 +679,11 @@ def ball_check(report):
     ball ``||x||_{beta, [t_i - r, t_{i+1}]} <= (|x_{t_i}| + mu) / (1 - mu)``,
     ``t_i`` the start of the partition window (a split window's halves share
     its ball).  The history parts are the solution's
-    :attr:`SolveReport.segment_norms`; each iterate adds a scan of the pairs
-    that touch its window."""
+    :attr:`SolveReport.segment_norms`; each iterate adds a pruned scan of the
+    pairs that touch its window (:func:`~ydde.paths._pair_max`), with the
+    history's scan as its floor.  The node-block bounds are set up once per
+    record: the history's blocks, and the window's from the min and max of
+    all its iterates, which bound each of them."""
     config = report.config
     h, m_r, beta, mu = config.mesh, config.n_history, config.beta, config.mu
     path = report.solution
@@ -687,11 +696,16 @@ def ball_check(report):
         if ia in starts:
             radius = (hist_sup + hist_scan + mu) / (1.0 - mu)
         nodes = path.values[ia - m_r:path.index_of(record.t_end) + 1].copy()
+        iterates = np.stack(report.iterates[ia])
+        lo, hi = nodes.copy(), nodes.copy()
+        lo[m_r + 1:], hi[m_r + 1:] = iterates.min(axis=0), iterates.max(axis=0)
+        boxes = _block_boxes(lo, hi)
         max_norm = 0.0
-        for x in report.iterates[ia]:
+        for x in iterates:
             nodes[m_r + 1:] = x
             max_norm = max(max_norm, max(hist_sup, float(_row_norms(x).max()))
-                           + max(hist_scan, _pair_max(nodes, h, beta, m_r + 1)))
+                           + _pair_max(nodes, h, beta, m_r + 1, hist_scan,
+                                       boxes))
         rows.append((radius, max_norm))
     return BallReport(rows=tuple(rows), passed=all(
         norm <= radius * (1.0 + 1e-9) for radius, norm in rows))

@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from ydde.coefficients import make_builtin
 from ydde.drivers import DriverSpec, gen_driver, gen_fbm
-from ydde.paths import GridPath, Segment
+from ydde.paths import GridPath, Segment, _pair_blocks
 from ydde.solver import SolverConfig
 
 MESH = 1.0 / 256
@@ -33,6 +33,41 @@ def random_path(seed, n=64, mesh=1.0 / 64, t0=0.0, dim=1, roughness=1.0):
         walk = np.concatenate(([0.0], np.cumsum(g.standard_normal(n))))
         vals[:, j] += roughness * np.sqrt(mesh) * walk
     return GridPath(t0, mesh, vals)
+
+
+def full_pair_max(v, h, exponent, start=1):
+    """The unpruned pair scan's value over the upper nodes ``j >= start``,
+    the max of every block of ``_pair_blocks`` (per column for K columns):
+    what ``_pair_max`` read before it pruned, kept as its oracle."""
+    if v.ndim > 2:
+        best = np.zeros(v.shape[1])
+        for _, _, ratio in _pair_blocks(v, h, exponent, start):
+            best = np.maximum(best, ratio.max(axis=(0, 1)))
+        return best
+    return float(max((ratio.max() for _, _, ratio
+                      in _pair_blocks(v, h, exponent, start)), default=0.0))
+
+
+def full_pair_scan(v, h, exponent, max_gap=None):
+    """The unpruned pair scan's value and first attaining pair ``(value, k,
+    g)``, from every block of ``_pair_blocks``: what ``_pair_scan`` read
+    before it pruned, kept as its oracle."""
+    n = v.shape[0]
+    if n == 1:
+        return 0.0, 0, 0
+    best, key = -1.0, 0
+    for j0, k0, ratio in _pair_blocks(v, h, exponent, max_gap=max_gap):
+        top = ratio.max()
+        if top < best:
+            continue
+        rows, ks = np.nonzero(ratio == top)
+        ks += k0
+        gs = rows + j0 - ks
+        block_key = int((gs * n + ks)[gs >= 1].min())
+        if top > best or block_key < key:
+            best, key = top, block_key
+    g, k = divmod(key, n)
+    return float(best), k, g
 
 
 def segments(sample, g, count=1):

@@ -6,16 +6,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import pvar_seminorm_exhaustive, random_path, rng
+from conftest import (full_pair_max, full_pair_scan, pvar_seminorm_exhaustive,
+                      random_path, rng)
 from ydde.coefficients import (composition_holder, composition_holder_diff,
                                composition_path, make_builtin)
 from ydde.errors import DomainError
-from ydde.paths import (GridPath, NormReport, _gap_weights, _pair_blocks,
-                        _pair_max, _pair_scan, _row_norms,
+from ydde.paths import (GridPath, NormReport, _block_boxes, _gap_weights,
+                        _pair_blocks, _pair_max, _pair_scan, _row_norms,
                         _segment_norm_parts, _sliding_max, _window_pair_max,
                         counterexample_growth, holder_norm,
                         holder_seminorm, pvar_seminorm, segment,
@@ -90,8 +91,7 @@ def sliding_segment_holder(path, beta, r, window):
     for g in range(1, ib - ia + 1):
         lo, hi = ia - mr, ib - g
         inc = v[lo + g:hi + g + 1] - v[lo:hi + 1]
-        seg_sup = sliding_window_view(np.sqrt(np.einsum("ij,ij->i", inc, inc)),
-                                      mr + 1).max(axis=1)
+        seg_sup = sliding_window_view(_row_norms(inc), mr + 1).max(axis=1)
         j = int(np.argmax(seg_sup))
         val = seg_sup[j] / (g * h) ** beta
         if val > best:
@@ -105,12 +105,12 @@ def sliding_norm_profile(path, beta, r):
     mr = round(r / path.mesh)
     n = path.n_intervals
     v, h = path.values, path.mesh
-    node_norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+    node_norms = _row_norms(v)
     sup_part = sliding_window_view(node_norms, mr + 1).max(axis=1)
     semi = np.zeros(n + 1 - mr)
     for g in range(1, mr + 1):
         inc = v[g:] - v[:-g]
-        diff = np.sqrt(np.einsum("ij,ij->i", inc, inc)) / (g * h) ** beta
+        diff = _row_norms(inc) / (g * h) ** beta
         semi = np.maximum(semi, sliding_window_view(diff, mr + 1 - g).max(axis=1))
     return path.t0 + h * np.arange(mr, n + 1), sup_part + semi
 
@@ -309,6 +309,199 @@ class TestBandedBlocks:
         assert seen == stop
 
 
+# Node values near the ends of the range where a square neither underflows
+# nor overflows, 2^-511 <= |x| <= 2^511.
+EDGES = (2.0 ** -540, 2.0 ** -511, 2.0 ** -500, 2.0 ** 505, 2.0 ** 511,
+         2.0 ** 520)
+
+
+@st.composite
+def adversarial_nodes(draw, columns=True, max_nodes=48):
+    """Node arrays that make the pruning bounds tight or tie: shape ``(n,)``,
+    ``(n, d)`` or, with ``columns``, ``(n, K, d)``, d in {1, 2, 3}; a random
+    walk, a ramp, constant runs, a pattern that repeats across blocks, one
+    spike or alternating signs, scaled near the under/overflow range or
+    not."""
+    n = draw(st.integers(2, max_nodes))
+    shapes = [(n,), (n, draw(st.sampled_from((1, 2, 3))))]
+    if columns:
+        shapes.append((n, draw(st.integers(1, 4)),
+                       draw(st.sampled_from((1, 2, 3)))))
+    shape = draw(st.sampled_from(shapes))
+    g = rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("walk", "ramp", "runs", "repeat", "spike",
+                                 "alternate")))
+    k = np.arange(n, dtype=float).reshape((n,) + (1,) * (len(shape) - 1))
+    if kind == "walk":
+        v = np.cumsum(g.normal(size=shape), axis=0)
+    elif kind == "ramp":
+        v = k * g.uniform(-2.0, 2.0, size=shape[1:]) + g.normal(
+            size=shape) * draw(st.sampled_from((0.0, 1e-12, 0.1)))
+    elif kind == "runs":
+        v = np.repeat(g.integers(-2, 3, size=(-(-n // 5),) + shape[1:]),
+                      5, axis=0)[:n].astype(float)
+    elif kind == "repeat":
+        v = (k % draw(st.integers(1, 9))) * np.ones(shape)
+    elif kind == "spike":
+        v = np.zeros(shape)
+        v[draw(st.integers(0, n - 1))] = draw(st.sampled_from((1.0, -3.0)))
+    else:
+        v = (-1.0) ** k * np.ones(shape) + k * draw(st.sampled_from((0, 0.25)))
+    return v * draw(st.sampled_from((1.0,) + EDGES)) + 0.0
+
+
+def hexes(x):
+    return [float(y).hex() for y in np.atleast_1d(x)]
+
+
+class TestPrunedScans:
+    """The pruned reader behind _pair_max and _pair_scan is float.hex-equal
+    to the full scan of _pair_blocks.  A narrow band and small blocks make
+    short paths take every branch: far block pairs and several chunks of
+    bounds."""
+
+    @settings(max_examples=600)
+    @given(v=adversarial_nodes(), h=st.sampled_from(MESHES),
+           exponent=st.sampled_from(EXPONENTS),
+           band=st.sampled_from((1, 2, 3, 5, 64)),
+           block_pairs=st.sampled_from((1, 6, 40, 1 << 14)), data=st.data())
+    def test_pair_max_matches_full_scan(self, v, h, exponent, band,
+                                        block_pairs, data):
+        start = data.draw(st.integers(1, v.shape[0]))
+        floor = data.draw(st.sampled_from((0.0, 0.5)))
+        want = np.maximum(full_pair_max(v, h, exponent, start), floor)
+        with mock.patch("ydde.paths._BAND", band), \
+                mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
+            got = _pair_max(v, h, exponent, start, floor)
+        assert hexes(got) == hexes(want)
+
+    @settings(max_examples=300)
+    @given(v=adversarial_nodes(), h=st.sampled_from(MESHES),
+           exponent=st.sampled_from(EXPONENTS),
+           band=st.sampled_from((1, 2, 5)), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_boxes_of_several_paths_bound_each(self, v, h, exponent, band,
+                                               seed, data):
+        # as for a Picard window's iterates: the boxes of their min and max
+        # serve every one of them
+        paths = [v, v + rng(seed).normal(size=v.shape)]
+        start = data.draw(st.integers(1, v.shape[0]))
+        with mock.patch("ydde.paths._BAND", band), \
+                mock.patch("ydde.paths._BLOCK_PAIRS", 1):
+            boxes = _block_boxes(np.minimum(*paths), np.maximum(*paths))
+            got = [_pair_max(p, h, exponent, start, boxes=boxes)
+                   for p in paths]
+        assert [hexes(x) for x in got] \
+            == [hexes(full_pair_max(p, h, exponent, start)) for p in paths]
+
+    @settings(max_examples=600)
+    @given(v=adversarial_nodes(columns=False), h=st.sampled_from(MESHES),
+           exponent=st.sampled_from(EXPONENTS),
+           band=st.sampled_from((1, 2, 3, 5, 64)),
+           block_pairs=st.sampled_from((1, 6, 40, 1 << 14)), data=st.data())
+    def test_pair_scan_matches_full_scan(self, v, h, exponent, band,
+                                         block_pairs, data):
+        max_gap = data.draw(st.none() | st.integers(1, v.shape[0] - 1))
+        value, k, g = full_pair_scan(v, h, exponent, max_gap)
+        with mock.patch("ydde.paths._BAND", band), \
+                mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
+            got = _pair_scan(v, h, exponent, max_gap)
+        assert (got[0].hex(),) + got[1:] == (value.hex(), k, g)
+
+    @settings(max_examples=300)
+    @given(v=adversarial_nodes(), exponent=st.sampled_from(EXPONENTS),
+           band=st.sampled_from((1, 2, 5)), data=st.data())
+    def test_weights_need_not_grow_with_the_gap(self, v, exponent, band,
+                                                data):
+        # the bounds divide by the least weight of the gaps from g on, so a
+        # weight table that is not monotone in the gap still prunes exactly
+        def table(h, exponent, size):
+            gaps = np.arange(1, size + 1)
+            return (gaps * h) ** exponent * (0.2 + (gaps * 37 % 11) / 5.0)
+
+        h = data.draw(st.sampled_from((0.7, 1.3)))   # in no other test
+        start = data.draw(st.integers(1, v.shape[0]))
+        _gap_weights.cache_clear()
+        try:
+            with mock.patch("ydde.paths._gap_powers", table):
+                want = full_pair_max(v, h, exponent, start)
+                with mock.patch("ydde.paths._BAND", band), \
+                        mock.patch("ydde.paths._BLOCK_PAIRS", 1):
+                    got = _pair_max(v, h, exponent, start)
+                    nodes = v.reshape(v.shape[0], -1)
+                    scan = _pair_scan(nodes, h, exponent)
+                assert scan == full_pair_scan(nodes, h, exponent)
+        finally:
+            _gap_weights.cache_clear()
+        assert hexes(got) == hexes(want)
+
+    def test_tied_block_pairs_keep_the_first_pair(self):
+        # past the band every weight is 1, so the pairs across the step all
+        # tie, and the block pairs of a row are read largest gap first: the
+        # first attaining pair, gap 2, is found only among the tied ones
+        def table(h, exponent, size):
+            return np.where(np.arange(1, size + 1) <= 1, 1e300, 1.0)
+
+        v = np.repeat([0.0, 1.0], [5, 7])
+        _gap_weights.cache_clear()
+        try:
+            with mock.patch("ydde.paths._gap_powers", table):
+                want = full_pair_scan(v, 0.7, 0.5)
+                with mock.patch("ydde.paths._BAND", 1), \
+                        mock.patch("ydde.paths._BLOCK_PAIRS", 1):
+                    got = _pair_scan(v, 0.7, 0.5)
+        finally:
+            _gap_weights.cache_clear()
+        assert got == want == (1.0, 3, 2)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_long_path_reads_far_block_pairs(self, dim):
+        # unpatched: a drift-dominated path of 2000 nodes peaks far past the
+        # band, and its witness too
+        p = random_path(8, n=1999, mesh=1 / 1999, dim=dim, roughness=0.02)
+        rep = holder_seminorm(p, 0.55)
+        value, k, g = full_pair_scan(p.values, p.mesh, 0.55)
+        assert g > 64
+        assert rep.seminorm.hex() == value.hex()
+        assert rep.witness == (p.t0 + k * p.mesh, p.t0 + (k + g) * p.mesh)
+        assert holder_norm(p, 0.55).hex() == (
+            sup_norm(p) + full_pair_max(p.values, p.mesh, 0.55)).hex()
+
+
+class TestRowNorms:
+    @settings(max_examples=300)
+    @given(x=st.floats(2.0 ** -540, 2.0 ** -500)
+           | st.floats(2.0 ** 505, 2.0 ** 520), k=st.integers(1, 3))
+    @example(x=2.0 ** -540, k=1)
+    @example(x=2.0 ** -511, k=2)
+    @example(x=2.0 ** -500, k=1)
+    @example(x=2.0 ** 505, k=3)
+    @example(x=2.0 ** 511, k=1)
+    @example(x=2.0 ** 520, k=2)
+    def test_one_coordinate_is_abs(self, x, k):
+        # |x| exactly, where sqrt(x * x) underflows or overflows
+        v = np.array([x, -x, x * 0.75])
+        for arr in (v[:, None], np.repeat(v[:, None, None], k, axis=1)):
+            got = _row_norms(arr)
+            assert got.tobytes() == np.abs(arr[..., 0]).tobytes()
+
+    @settings(max_examples=300)
+    @given(x=st.floats(2.0 ** -540, 2.0 ** -500)
+           | st.floats(2.0 ** 505, 2.0 ** 520),
+           ys=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=2))
+    @example(x=2.0 ** -540, ys=[1.0])
+    @example(x=2.0 ** -500, ys=[-0.5, 1e-300])
+    @example(x=2.0 ** 520, ys=[1.0, 1.0])
+    @example(x=2.0 ** 505, ys=[0.0])
+    def test_rescaled_outside_the_normal_squares(self, x, ys):
+        # d >= 2: a sum of squares outside the normal range is rescaled by a
+        # power of two, so the norm is accurate to rounding, not 0 or inf
+        vec = np.array([x] + [x * y for y in ys])
+        got = float(_row_norms(vec[None, :])[0])
+        want = math.hypot(*vec.tolist())
+        assert abs(got - want) <= 4 * math.ulp(want)
+
+
 class TestSlidingMax:
     @settings(max_examples=300)
     @given(x=st.lists(MIXED, min_size=1, max_size=40), data=st.data())
@@ -323,7 +516,7 @@ class TestSlidingMax:
 def full_history_scan(v, a, size, h, exponent):
     """The history norm parts as scanned afresh at every Picard window."""
     hist = v[a - size:a + 1]
-    return float(_row_norms(hist).max()), _pair_max(hist, h, exponent)
+    return float(_row_norms(hist).max()), full_pair_max(hist, h, exponent)
 
 
 def gap_loop_segment_norm_parts(v, h, beta, mr):
@@ -426,7 +619,7 @@ class TestWindowPairMax:
         v, wins = case
         with mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
             got = _window_pair_max(v, h, exponent, wins)
-        want = [_pair_max(v[i:j + 1], h, exponent) for i, j in wins]
+        want = [full_pair_max(v[i:j + 1], h, exponent) for i, j in wins]
         assert [float(x).hex() for x in got] == [x.hex() for x in want]
 
     @settings(max_examples=500)
@@ -438,7 +631,7 @@ class TestWindowPairMax:
         v, wins = case
         with mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
             got = _window_pair_max(v, h, exponent, wins)
-        want = [_pair_max(v[i:j + 1], h, exponent) for i, j in wins]
+        want = [full_pair_max(v[i:j + 1], h, exponent) for i, j in wins]
         assert [float(x).hex() for x in got] == [x.hex() for x in want]
 
     @pytest.mark.parametrize("block_pairs", [1, 7, 60])
@@ -451,7 +644,7 @@ class TestWindowPairMax:
     def test_unsorted_duplicated_mixed_widths(self, monkeypatch, wins,
                                               block_pairs):
         v = random_path(4, n=60, mesh=1 / 60, dim=2).values
-        want = [_pair_max(v[i:j + 1], 1 / 60, 0.55) for i, j in wins]
+        want = [full_pair_max(v[i:j + 1], 1 / 60, 0.55) for i, j in wins]
         monkeypatch.setattr("ydde.paths._BLOCK_PAIRS", block_pairs)
         got = _window_pair_max(v, 1 / 60, 0.55, wins)
         assert [float(x).hex() for x in got] == [x.hex() for x in want]
@@ -462,7 +655,7 @@ class TestWindowPairMax:
 
     def test_scans_only_the_windows_upper_nodes(self, monkeypatch):
         v = random_path(2, n=60, mesh=1 / 60, dim=2).values
-        want = [_pair_max(v[i:j + 1], 1 / 60, 0.55) for i, j in
+        want = [full_pair_max(v[i:j + 1], 1 / 60, 0.55) for i, j in
                 ((10, 12), (11, 30))]
         v = np.array(v)
         v[31:] = np.nan

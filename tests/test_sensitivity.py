@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ydde import solver
 from ydde.coefficients import make_builtin
 from ydde.errors import DomainError
 from ydde.paths import (GridPath, Segment, holder_norm, segment_norm,
@@ -192,6 +193,27 @@ class TestContinuityCheck:
                                    workhorse["omega"])
             assert rep.eta_gap == pytest.approx(size, rel=1e-12)
             assert rep.pointwise_ok and rep.full_ok
+
+    def test_base_norm_computed_once(self, monkeypatch, workhorse):
+        # the continuity checks of both sizes and the linearized solve read
+        # the base solution's Holder norm from its report
+        base = base_report(workhorse)
+        norm, calls = solver.holder_norm, []
+
+        def count(path, beta, window=None):
+            calls.append(path)
+            return norm(path, beta, window)
+
+        monkeypatch.setattr(solver, "holder_norm", count)
+        for size in (1e-1, 1e-2):
+            eta2 = workhorse["eta"].with_values(workhorse["eta"].values + size)
+            continuity_check(workhorse["coeffs"], base, eta2,
+                             workhorse["omega"])
+        linearized_solve(workhorse["coeffs"], base, workhorse["direction"],
+                         workhorse["omega"])
+        assert calls == [base.solution]
+        assert base.holder_norm == norm(base.solution,
+                                        workhorse["config"].beta)
 
     def test_vicinity_precondition(self, workhorse):
         eta2 = workhorse["eta"].with_values(workhorse["eta"].values + 2.0)

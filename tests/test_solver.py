@@ -1,16 +1,19 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import MESH, rng
+from conftest import MESH, full_pair_max, rng
 from ydde import coefficients, solver
+from ydde import paths as paths_module
+from ydde.cli import load_scenario
 from ydde.coefficients import (CoefficientSet, accepts_stacks,
                                composition_path, make_builtin, node_values)
-from ydde.drivers import DriverSpec, gen_deterministic, gen_fbm
+from ydde.drivers import DriverSpec, gen_deterministic, gen_driver, gen_fbm
 from ydde.errors import ConvergenceError, DomainError, PartitionError
 from ydde.paths import (GridPath, Segment, SegmentView, _node_stack,
                         _pair_max, _row_norms, holder_norm, holder_seminorm,
@@ -796,8 +799,8 @@ def inline_ball(report):
     """The former inline ball diagnostic, kept as an oracle: per record, the
     radius from a full scan of the history at its partition window's start
     (the halves of a split window share it), and the max over its iterates
-    of the full scan of the nodes ``[t_i - r, t_{i+1}]`` holding the
-    iterate; and whether every norm is within its radius."""
+    of the full, unpruned scan of the nodes ``[t_i - r, t_{i+1}]`` holding
+    the iterate; and whether every norm is within its radius."""
     cfg = report.config
     h, m_r, beta, mu = cfg.mesh, cfg.n_history, cfg.beta, cfg.mu
     path = report.solution
@@ -807,14 +810,14 @@ def inline_ball(report):
         ia, ib = path.index_of(record.t_start), path.index_of(record.t_end)
         i0 = max(start for start in starts if start <= ia)
         hist = path.values[i0 - m_r:i0 + 1]
-        radius = (float(_row_norms(hist).max()) + _pair_max(hist, h, beta)
+        radius = (float(_row_norms(hist).max()) + full_pair_max(hist, h, beta)
                   + mu) / (1.0 - mu)
         max_norm = 0.0
         for x in report.iterates[ia]:
             nodes = np.array(path.values[ia - m_r:ib + 1])
             nodes[m_r + 1:] = x
             max_norm = max(max_norm, float(_row_norms(nodes).max())
-                           + _pair_max(nodes, h, beta))
+                           + full_pair_max(nodes, h, beta))
         rows.append((radius, max_norm))
     return rows, all(norm <= radius * (1 + 1e-9) for radius, norm in rows)
 
@@ -827,15 +830,27 @@ def assert_ball_matches_inline(report):
     assert got.passed == ok == report.ball_ok
 
 
+def split_window_solve(workhorse):
+    """Three iterations to 1e-8 leave some windows unconverged, and their
+    halves query the history at the window start again."""
+    config = replace(workhorse["config"], picard_max_iters=3, picard_tol=1e-8)
+    omega = gen_fbm(replace(workhorse["spec"], seed=1))
+    return picard_solve(workhorse["coeffs"], workhorse["eta"], omega, config)
+
+
+def two_dimensional_solve(workhorse):
+    g = rng(5)
+    mats = {k: g.normal(size=(2, 2)) for k in ("A", "B")}
+    mats = {k: 0.15 * m / np.linalg.norm(m, 2) for k, m in mats.items()}
+    coeffs = make_builtin("sin_delay", dim=2, sigma=0.05, **mats)
+    u = np.linspace(-0.25, 0.0, workhorse["config"].n_history + 1)
+    eta = Segment(0.25, MESH, np.column_stack([1.0 + 0.2 * u, np.sin(6 * u)]))
+    return picard_solve(coeffs, eta, workhorse["omega"], workhorse["config"])
+
+
 class TestHistoryNorm:
     def test_split_windows_match_full_scan(self, workhorse):
-        # three iterations to 1e-8 leave some windows unconverged, and
-        # their halves query the history at the window start again
-        config = replace(workhorse["config"], picard_max_iters=3,
-                         picard_tol=1e-8)
-        omega = gen_fbm(replace(workhorse["spec"], seed=1))
-        rep = picard_solve(workhorse["coeffs"], workhorse["eta"], omega,
-                           config)
+        rep = split_window_solve(workhorse)
         assert sum(w.split for w in rep.windows) == 12
         assert_ball_matches_inline(rep)
 
@@ -843,17 +858,25 @@ class TestHistoryNorm:
         assert_ball_matches_inline(zero_coefficient_solve())
 
     def test_two_dimensional_solve_matches_full_scan(self, workhorse):
-        g = rng(5)
-        mats = {k: g.normal(size=(2, 2)) for k in ("A", "B")}
-        mats = {k: 0.15 * m / np.linalg.norm(m, 2) for k, m in mats.items()}
-        coeffs = make_builtin("sin_delay", dim=2, sigma=0.05, **mats)
-        u = np.linspace(-0.25, 0.0, workhorse["config"].n_history + 1)
-        eta = Segment(0.25, MESH, np.column_stack([1.0 + 0.2 * u,
-                                                   np.sin(6 * u)]))
-        rep = picard_solve(coeffs, eta, workhorse["omega"],
-                           workhorse["config"])
+        rep = two_dimensional_solve(workhorse)
         assert rep.partition.n_windows > 1
         assert_ball_matches_inline(rep)
+
+    @pytest.mark.parametrize("band", [2, 8])
+    def test_pruned_ball_matches_full_scan(self, monkeypatch, workhorse,
+                                           band):
+        # a narrow band and small blocks make these short histories read
+        # far block pairs, bounded by the per-record boxes of the iterates
+        monkeypatch.setattr("ydde.paths._BAND", band)
+        monkeypatch.setattr("ydde.paths._BLOCK_PAIRS", 256)
+        # the perturbed first iterates stray furthest from the solution
+        reps = [picard_solve(workhorse["coeffs"], workhorse["eta"],
+                             workhorse["omega"], workhorse["config"], init)
+                for init in _INIT_KINDS]
+        reps += [split_window_solve(workhorse),
+                 two_dimensional_solve(workhorse), zero_coefficient_solve()]
+        for rep in reps:
+            assert_ball_matches_inline(rep)
 
     def test_first_iterate_stitched_from_records(self, workhorse):
         # a split window's halves replace its first attempt's iterates
@@ -1125,3 +1148,67 @@ class TestTrivialPartition:
         cfg = SolverConfig(beta=0.55, nu=0.7, mesh=1 / 64, T=1.0, r=0.25)
         with pytest.raises(DomainError, match="0 <= C < inf"):
             greedy_partition(zero_omega(), cfg, C)
+
+
+def sin_fbm_solve(mesh):
+    """The sin_fbm demo scenario solved at ``mesh``: (scenario, report)."""
+    scenario = load_scenario(str(Path(__file__).resolve().parents[1] / "demos"
+                                 / "scenarios" / "sin_fbm.json"), mesh=mesh)
+    report = picard_solve(scenario.coefficients, scenario.eta,
+                          gen_driver(scenario.driver), scenario.config)
+    return scenario, report
+
+
+def pairs_formed(monkeypatch, call):
+    """The node pairs whose ratios ``call()`` forms, counted at
+    ``paths._ratios``, the one place a pair ratio is formed."""
+    ratios, count = paths_module._ratios, [0]
+
+    def spy(*args):
+        ratio = ratios(*args)
+        count[0] += ratio.shape[0] * ratio.shape[1]
+        return ratio
+
+    with monkeypatch.context() as patch:
+        patch.setattr(paths_module, "_ratios", spy)
+        call()
+    return count[0]
+
+
+class TestPrunedScanCost:
+    """The pruned scans read few of the pairs a full scan reads."""
+
+    def test_whole_path_norms_at_two_to_the_fourteen(self, monkeypatch):
+        # the solution, and the rounding noise of its Euler cross-check
+        scenario, report = sin_fbm_solve(2.0 ** -14)
+        config = scenario.config
+        x = report.solution
+        euler = euler_solve(scenario.coefficients, scenario.eta,
+                            gen_driver(scenario.driver), config)
+        noise = GridPath(x.t0, x.mesh, euler.values - x.values)
+        assert np.abs(noise.values).max() < 1e-12
+        n = x.values.shape[0]
+        for path in (x, noise):
+            count = pairs_formed(monkeypatch,
+                                 lambda: holder_norm(path, config.beta))
+            assert count < 0.02 * n * n / 2
+
+    def test_ball_at_two_to_the_twelve(self, monkeypatch):
+        scenario, report = sin_fbm_solve(2.0 ** -12)
+        config = report.config
+        m_r = config.n_history
+        report.segment_norms   # the history scans, which the ball shares
+
+        def full_scan_ball():
+            # the per-iterate scan of every pair that touches the window
+            for record in report.windows:
+                ia = report.solution.index_of(record.t_start)
+                ib = report.solution.index_of(record.t_end)
+                nodes = np.array(report.solution.values[ia - m_r:ib + 1])
+                for x in report.iterates[ia]:
+                    nodes[m_r + 1:] = x
+                    full_pair_max(nodes, config.mesh, config.beta, m_r + 1)
+
+        full = pairs_formed(monkeypatch, full_scan_ball)
+        pruned = pairs_formed(monkeypatch, lambda: ball_check(report))
+        assert pruned < full / 3

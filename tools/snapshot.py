@@ -5,7 +5,7 @@
 Runs ``python -m ydde`` from this checkout's ``src/`` for every subcommand
 on every ``demos/scenarios/*.json`` and keeps, per run, the artifacts, the
 stdout and the exit code under ``OUT/<scenario>/<subcommand>/``; then the
-solves of ``sin_fbm`` at the fine meshes 2^-12 and 2^-14 under
+runs of :data:`FINE`, ``sin_fbm`` at the fine meshes, under
 ``OUT/fine/``; then the stdout and exit code of each demo script under
 ``OUT/demos/<script>/``.
 Two snapshots of the same outputs are byte-identical, so ``diff -r`` of
@@ -30,9 +30,11 @@ SUBCOMMANDS = {
     "ensemble": ["--seeds", "2"],
 }
 
-# Fine-mesh solves, as (scenario, mesh): the sizes where the segment norms
-# and the Picard diagnostics cost most.
-FINE = [("sin_fbm", 2.0 ** -12), ("sin_fbm", 2.0 ** -14)]
+# Fine-mesh runs, as (subcommand, scenario, mesh): the sizes where the
+# segment norms, the Picard diagnostics and the whole-path norms cost most,
+# and where most node pairs lie far apart, as the pruned pair scans see them.
+FINE = [("solve", "sin_fbm", 2.0 ** -12), ("solve", "sin_fbm", 2.0 ** -14),
+        ("verify", "sin_fbm", 2.0 ** -12)]
 
 
 def _run(argv, cwd, dest):
@@ -58,10 +60,10 @@ def main(argv=None):
             _run([sys.executable, "-m", "ydde", command, "--scenario",
                   str(scenario.relative_to(ROOT)), "--out",
                   str(dest / "artifacts"), *extra], ROOT, dest)
-    for name, mesh in FINE:
-        dest = out / "fine" / f"{name}_{mesh.hex()}"
+    for command, name, mesh in FINE:
+        dest = out / "fine" / f"{command}_{name}_{mesh.hex()}"
         (dest / "artifacts").mkdir(parents=True, exist_ok=True)
-        _run([sys.executable, "-m", "ydde", "solve", "--scenario",
+        _run([sys.executable, "-m", "ydde", command, "--scenario",
               f"demos/scenarios/{name}.json", "--mesh", repr(mesh), "--out",
               str(dest / "artifacts")], ROOT, dest)
     dest = out / "counterexample"
