@@ -45,7 +45,7 @@ print(f"\nsegment at t=0.5 covers u in [{seg.times[0]}, {seg.times[-1]}], "
       f"{seg.values.shape[0]} nodes")
 
 window = (0.25, 1.0)
-lhs = segment_path_holder(walk, 0.5, r, window).seminorm
+lhs = segment_path_holder(walk, 0.5, r, window)
 rhs = holder_seminorm(walk, 0.5, (window[0] - r, window[1])).seminorm
 print(f"|||x_.|||_0.5 on [{window[0]}, {window[1]}] = {lhs:.6f}")
 print(f"|||x|||_0.5 on [{window[0] - r}, {window[1]}]  = {rhs:.6f}")

@@ -248,19 +248,18 @@ def _gap_powers(h, exponent, size):
 
 
 @lru_cache(maxsize=64)
-def _gap_weights(n, m, h, exponent):
-    """Read-only ``weight[j, k]`` of the node pair ``(k, j)`` in a scan of n
-    nodes on mesh h: ``((j-k)*h) ** exponent`` for gaps 1..m, inf (ratio 0)
-    otherwise.  Cached, as scans of one size recur on every window; a miss
-    copies its weights from :func:`_gap_powers`."""
-    # rw[n - 1 - g] weighs gap g; gaps g <= 0 or g > m weigh inf
-    rw = np.full(2 * n - 2, np.inf)
+def _gap_line(m, h, exponent, rows):
+    """Read-only weights of the gaps up to m on mesh h, laid out for blocks
+    of at most ``rows`` upper nodes: ``line[rows + m - g] = (g*h) **
+    exponent`` for 1 <= g <= m, inf (ratio 0) elsewhere, m + 2 * rows
+    floats.  A block's weights are a strided view of it, contiguous along
+    its lower nodes.  Cached, as scans of one widest gap recur on every
+    window; a miss copies its weights from :func:`_gap_powers`."""
+    line = np.full(m + 2 * rows, np.inf)
     size = 1 << (m - 1).bit_length()
-    rw[n - 1 - m:n - 1] = _gap_powers(h, exponent, size)[:m][::-1]
-    rw.flags.writeable = False
-    # weight[j, k] = rw[n - 1 - j + k]
-    step = rw.itemsize
-    return np.ndarray((n, n - 1), rw.dtype, rw, (n - 1) * step, (-step, step))
+    line[rows:rows + m] = _gap_powers(h, exponent, size)[:m][::-1]
+    line.flags.writeable = False
+    return line
 
 
 def _ratios(v, j0, j1, k0, k1, w):
@@ -295,7 +294,10 @@ def _pair_blocks(v, h, exponent, start=1, max_gap=None, stop=None):
     """
     n = v.shape[0]
     m = n - 1 if max_gap is None else min(max_gap, n - 1)
-    weight = _gap_weights(n, m, h, exponent)
+    # no block holds more than isqrt(_BLOCK_PAIRS) + 1 upper nodes
+    most = math.isqrt(_BLOCK_PAIRS) + 1
+    line = _gap_line(m, h, exponent, most)
+    step = line.strides[0]
     stop = n if stop is None else stop
     j0 = start
     while j0 < stop:
@@ -305,8 +307,10 @@ def _pair_blocks(v, h, exponent, start=1, max_gap=None, stop=None):
         a = j0 - 1 - k0
         rows = (math.isqrt(a * a + 4 * _BLOCK_PAIRS) - a) // 2
         j1 = min(stop, j0 + max(1, rows))
-        yield j0, k0, _ratios(v, j0, j1, k0, j1 - 1,
-                              weight[j0:j1, k0:j1 - 1])
+        # w[j - j0, k - k0] = line[most + m - j + k], a view
+        w = np.ndarray((j1 - j0, j1 - 1 - k0), line.dtype, line,
+                       (most + m - j0 + k0) * step, (-step, step))
+        yield j0, k0, _ratios(v, j0, j1, k0, j1 - 1, w)
         j0 = j1
 
 
@@ -322,10 +326,9 @@ def _block_boxes(lo, hi=None):
 def _far_bounds(lo, hi, b0, b1, floors):
     """Bounds on the ratios of the pairs ``(k, j)`` farther apart than
     ``_BAND``, with k in node block a and j in node block b, for the blocks
-    ``b0 <= b < b1`` and ``a < b`` of the boxes ``(lo, hi)``: ``(bound,
-    gaps)``, ``bound[b - b0, a]`` (per column for K columns; 0 for ``a >=
-    b``) and the smallest gap ``gaps[b - b0, a] = i * _BAND + 1`` of such a
-    pair, ``i = max(1, b - a - 1)``.
+    ``b0 <= b < b1`` and ``a < b`` of the boxes ``(lo, hi)``: ``bound[b -
+    b0, a]`` (per column for K columns; 0 for ``a >= b``).  Such a pair's
+    gap is ``i * _BAND + 1`` or wider, ``i = max(1, b - a - 1)``.
 
     In d = 1 the ratio's distance ``|fl(v[j] - v[k])|`` is at most ``D =
     max(fl(hi_b - lo_a), fl(hi_a - lo_b))``, and its weight at least
@@ -348,26 +351,23 @@ def _far_bounds(lo, hi, b0, b1, floors):
             num = num * (1.0 + (4 * d + 8) * _ROUNDOFF) + 2.0 ** -1072
     # a gap past the widest one has no finite weight and no pair to bound
     apart = np.arange(b0, b1)[:, None] - np.arange(b1)
-    i = np.maximum(apart - 1, 1)
-    w = floors[i - 1]
+    w = floors[np.maximum(apart - 1, 1) - 1]
     valid = (apart >= 1) & (w < np.inf)
     if num.ndim > 2:
         w, valid = w[..., None], valid[..., None]
-    return (np.divide(num, w, out=np.zeros(num.shape), where=valid),
-            i * _BAND + 1)
+    return np.divide(num, w, out=np.zeros(num.shape), where=valid)
 
 
-def _pruned_blocks(v, h, exponent, start, beats, max_gap=None, boxes=None):
+def _pruned_blocks(v, h, exponent, start, best, max_gap=None, boxes=None):
     """Blocks ``(j0, k0, ratio)`` of :func:`_pair_blocks`'s form that hold
     every pair ratio of the scan over the upper nodes ``j >= start`` (gaps up
-    to ``max_gap``) that can beat its caller's best so far: the band of gaps
-    up to ``_BAND``, in full, then the pairs of node blocks farther apart,
-    one block pair at a time, read only while ``beats(bound, gaps)`` holds
-    for its bound (:func:`_far_bounds`).  ``beats`` maps bounds and smallest
-    gaps to booleans (over the columns too, for K columns) from the
-    caller's running best, which it updates between blocks; a block pair it
-    rejects holds no pair it would take.  So a max over the blocks, or a
-    first attaining pair, is bitwise the full scan's.
+    to ``max_gap``) that exceeds its caller's ``best``, one float per column
+    (one for a single path), which the caller may raise between blocks: the
+    band of gaps up to ``_BAND``, in full, then the pairs of node blocks
+    farther apart, one block pair at a time, read only while its bound
+    (:func:`_far_bounds`) exceeds ``best`` in some column.  A block pair
+    skipped holds no ratio above ``best``, so a max over the blocks is
+    bitwise the full scan's.
 
     The block pairs are read in decreasing bound (per column, the largest)
     per chunk of about ``_BLOCK_PAIRS`` bounds, so no more than a chunk of
@@ -395,12 +395,13 @@ def _pruned_blocks(v, h, exponent, start, beats, max_gap=None, boxes=None):
     rows = max(1, _BLOCK_PAIRS // nb)
     for b0 in range(start // _BAND, nb, rows):
         b1 = min(nb, b0 + rows)
-        bound, gaps = _far_bounds(lo, hi, b0, b1, floors)
+        bound = _far_bounds(lo, hi, b0, b1, floors)
         top = bound if bound.ndim == 2 else bound.max(axis=-1)
-        picks = np.flatnonzero(beats(bound, gaps))
+        over = bound > best
+        picks = np.flatnonzero(over if over.ndim == 2 else over.any(axis=-1))
         for i in picks[np.argsort(-top.ravel()[picks])]:
             b, a = divmod(int(i), b1)
-            if not beats(bound[b, a], gaps[b, a]):
+            if not (bound[b, a] > best).any():
                 continue
             j0, k0 = max((b0 + b) * _BAND, start), a * _BAND
             j1 = min(n, (b0 + b + 1) * _BAND)
@@ -410,55 +411,42 @@ def _pruned_blocks(v, h, exponent, start, beats, max_gap=None, boxes=None):
             yield j0, k0, _ratios(v, j0, j1, k0, k0 + _BAND, w)
 
 
-def _pair_max(v, h, exponent, start=1, floor=0.0, boxes=None):
+def _pair_max(v, h, exponent, start=1, floor=0.0, max_gap=None, boxes=None):
     """Value of the pair scan over the upper nodes ``j >= start``: max over
-    ``k < j`` of ``|v[j] - v[k]| / ((j-k)*h)^exponent`` and ``floor``; 0
-    without pairs.  For K paths side by side, ``v`` of shape ``(n, K, d)``,
-    the K values.  Read by :func:`_pruned_blocks`, which skips only block
-    pairs that cannot beat the best so far, so bitwise the full scan's
-    maximum; ``boxes`` as there."""
+    ``k < j``, ``j - k <= max_gap`` (default: any), of ``|v[j] - v[k]| /
+    ((j-k)*h)^exponent`` and ``floor``; 0 without pairs.  For K paths side
+    by side, ``v`` of shape ``(n, K, d)``, the K values.  Read by
+    :func:`_pruned_blocks`, which skips only block pairs that cannot beat
+    the best so far, so bitwise the full scan's maximum; ``boxes`` as
+    there."""
     best = np.full(v.shape[1] if v.ndim > 2 else 1, float(floor))
-
-    def beats(bound, gaps):
-        over = bound > best
-        return over.any(axis=-1) if v.ndim > 2 else over
-
-    for _, _, ratio in _pruned_blocks(v, h, exponent, start, beats,
-                                      boxes=boxes):
+    for _, _, ratio in _pruned_blocks(v, h, exponent, start, best, max_gap,
+                                      boxes):
         np.maximum(best, ratio.max(axis=(0, 1)), out=best)
     return best if v.ndim > 2 else float(best[0])
 
 
-def _pair_scan(v, h, exponent, max_gap=None):
-    """The pair scan's value with the first pair attaining it, ``(value, k,
-    g)`` for the pair ``(k, k + g)``: smallest g, then smallest k; ``(0.0,
-    0, 0)`` for one node, which has no pair.  Read by
-    :func:`_pruned_blocks`, which also reads the far block pairs whose bound
-    ties the best and whose gaps may be smaller than the first attaining
-    pair's.  Only a block whose max ties or beats the best so far pays for
-    locating it."""
+def _first_pair(v, h, exponent, value):
+    """The first pair of nodes (rows) of ``v`` whose ratio is the pair
+    scan's ``value`` (:func:`_pair_max`), ``(k, g)`` for the pair ``(k, k +
+    g)``: smallest g, then smallest k; ``(0, 0)`` for one node, which has no
+    pair, and ``(0, 1)`` for a value of 0.  Reads every block of
+    :func:`_pruned_blocks` whose bound is ``value`` or more, which holds
+    every pair that attains it."""
     n = v.shape[0]
     if n == 1:
-        return 0.0, 0, 0
-    best, key = -1.0, 0
-
-    def beats(bound, gaps):
-        return (bound > best) | ((bound == best) & (gaps * n <= key))
-
-    for j0, k0, ratio in _pruned_blocks(v, h, exponent, 1, beats, max_gap):
-        top = ratio.max()
-        if top < best:
-            continue
-        rows, ks = np.nonzero(ratio == top)
-        ks += k0
-        gs = rows + j0 - ks
-        # a 0 max ties the pairs k >= j, which read 0 (pairs past max_gap
-        # do too, but a gap-1 pair of the band ties first)
-        block_key = int((gs * n + ks)[gs >= 1].min())
-        if top > best or block_key < key:
-            best, key = top, block_key
+        return 0, 0
+    if value == 0.0:
+        return 0, 1
+    key = n * n
+    below = np.array([np.nextafter(value, 0.0)])
+    for j0, k0, ratio in _pruned_blocks(v, h, exponent, 1, below):
+        rows, ks = np.nonzero(ratio == value)
+        if ks.size:
+            ks += k0
+            key = min(key, int(((rows + j0 - ks) * n + ks).min()))
     g, k = divmod(key, n)
-    return float(best), k, g
+    return k, g
 
 
 def _window_pair_max(v, h, exponent, windows):
@@ -503,11 +491,6 @@ def _window_pair_max(v, h, exponent, windows):
     return out
 
 
-def _suffix_max(x):
-    """Maxima of the suffixes of ``x`` along its last axis."""
-    return np.maximum.accumulate(x[..., ::-1], axis=-1)[..., ::-1]
-
-
 def _sliding_max(x, size):
     """Maxima of the ``len(x) - size + 1`` windows of ``size`` consecutive
     entries of the 1-D array ``x``, O(1) per window (van Herk 1992; Gil and
@@ -519,7 +502,7 @@ def _sliding_max(x, size):
     blocks[:n] = x
     blocks = blocks.reshape(nb, size)
     prefix = np.maximum.accumulate(blocks, axis=1).ravel()
-    suffix = _suffix_max(blocks).ravel()
+    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
     return np.maximum(suffix[:n - size + 1], prefix[size - 1:n])
 
 
@@ -560,15 +543,24 @@ def _delay_window(path, r, window, what):
     return mr, ja, jb
 
 
+def _holder_value(path, beta, window=None):
+    """Value of :func:`holder_seminorm` over the window, with no witness:
+    the pruned pair scan (:func:`_pair_max`), bitwise the full O(n^2) one.
+    What every estimate reads."""
+    _check_holder_exponent(beta)
+    ia, ib = path.window_indices(window)
+    return _pair_max(path.values[ia:ib + 1], path.mesh, beta)
+
+
 def holder_seminorm(path, beta, window=None):
     """Grid beta-Holder seminorm: max over node pairs of |x(t)-x(s)| / (t-s)^beta.
 
-    The pruned pair scan (:func:`_pair_scan`), bitwise the full O(n^2) one;
-    returns the first attaining pair as witness.
+    The value (:func:`_holder_value`), then the first pair attaining it as
+    witness (:func:`_first_pair`): smallest gap, then earliest node.
     """
-    _check_holder_exponent(beta)
+    value = _holder_value(path, beta, window)
     ia, ib = path.window_indices(window)
-    value, k, g = _pair_scan(path.values[ia:ib + 1], path.mesh, beta)
+    k, g = _first_pair(path.values[ia:ib + 1], path.mesh, beta, value)
     s = path.t0 + (ia + k) * path.mesh
     t = path.t0 + (ia + k + g) * path.mesh
     return NormReport(value, (s, t))
@@ -576,12 +568,9 @@ def holder_seminorm(path, beta, window=None):
 
 def holder_norm(path, beta, window=None):
     """Full Holder norm: sup norm plus beta-seminorm over the window, the
-    seminorm by value only (:func:`_pair_max`), bitwise
-    :func:`holder_seminorm`'s."""
-    _check_holder_exponent(beta)
-    ia, ib = path.window_indices(window)
-    return sup_norm(path, window) + _pair_max(path.values[ia:ib + 1],
-                                              path.mesh, beta)
+    seminorm by value only (:func:`_holder_value`)."""
+    value = _holder_value(path, beta, window)
+    return sup_norm(path, window) + value
 
 
 def pvar_seminorm(path, p, window=None):
@@ -626,19 +615,15 @@ def segment_path_holder(path, beta, r, window):
     ``sup_u |x(t+u) - x(s+u)| / (t-s)^beta`` with u on the grid of [-r, 0].
     For a gap g the segment pairs jointly cover the node pairs (k, k+g) with
     k in [a-r, b-g], so this is the pair scan of [a-r, b] with gaps up to
-    b-a; the witness is the first segment pair whose window holds the
-    attaining node pair.
+    b-a (:func:`_pair_max`), a float.
     """
     _check_holder_exponent(beta)
     ia, ib = path.window_indices(window)
     mr = _delay_cells(r, path.mesh)
     if ia - mr < 0:
         raise DomainError("segment precedes history: window start - r is before path start")
-    h = path.mesh
-    value, k, g = _pair_scan(path.values[ia - mr:ib + 1], h, beta,
-                             max_gap=ib - ia)
-    j = max(ia, ia - mr + k)
-    return NormReport(value, (path.t0 + j * h, path.t0 + (j + g) * h))
+    return _pair_max(path.values[ia - mr:ib + 1], path.mesh, beta,
+                     max_gap=ib - ia)
 
 
 def segment_norm(seg, beta):

@@ -35,28 +35,30 @@ def random_path(seed, n=64, mesh=1.0 / 64, t0=0.0, dim=1, roughness=1.0):
     return GridPath(t0, mesh, vals)
 
 
-def full_pair_max(v, h, exponent, start=1):
-    """The unpruned pair scan's value over the upper nodes ``j >= start``,
-    the max of every block of ``_pair_blocks`` (per column for K columns):
-    what ``_pair_max`` read before it pruned, kept as its oracle."""
+def full_pair_max(v, h, exponent, start=1, max_gap=None):
+    """The unpruned pair scan's value over the upper nodes ``j >= start``
+    and gaps up to ``max_gap``, the max of every block of ``_pair_blocks``
+    (per column for K columns): what ``_pair_max`` read before it pruned,
+    kept as its oracle."""
+    blocks = _pair_blocks(v, h, exponent, start, max_gap)
     if v.ndim > 2:
         best = np.zeros(v.shape[1])
-        for _, _, ratio in _pair_blocks(v, h, exponent, start):
+        for _, _, ratio in blocks:
             best = np.maximum(best, ratio.max(axis=(0, 1)))
         return best
-    return float(max((ratio.max() for _, _, ratio
-                      in _pair_blocks(v, h, exponent, start)), default=0.0))
+    return float(max((ratio.max() for _, _, ratio in blocks), default=0.0))
 
 
-def full_pair_scan(v, h, exponent, max_gap=None):
+def full_pair_scan(v, h, exponent):
     """The unpruned pair scan's value and first attaining pair ``(value, k,
-    g)``, from every block of ``_pair_blocks``: what ``_pair_scan`` read
-    before it pruned, kept as its oracle."""
+    g)``, from every block of ``_pair_blocks``: what the pair scan read
+    before it pruned, kept as the oracle of ``_pair_max`` and
+    ``_first_pair``."""
     n = v.shape[0]
     if n == 1:
         return 0.0, 0, 0
     best, key = -1.0, 0
-    for j0, k0, ratio in _pair_blocks(v, h, exponent, max_gap=max_gap):
+    for j0, k0, ratio in _pair_blocks(v, h, exponent):
         top = ratio.max()
         if top < best:
             continue

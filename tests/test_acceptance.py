@@ -242,7 +242,7 @@ def test_criterion_9_norm_estimate_suite():
         window = (i / 64, j / 64)
         enlarged = (window[0] - r, window[1])
         # translation bound: segment-path seminorm below the enlarged-path one
-        semi = segment_path_holder(path, beta, r, window).seminorm
+        semi = segment_path_holder(path, beta, r, window)
         enl = holder_seminorm(path, beta, enlarged).seminorm
         assert semi <= enl * (1 + 1e-9) + 1e-12
         # translation bound for the full norms

@@ -132,6 +132,24 @@ class TestVerify:
         assert read_all(tmp_path / "batched") == read_all(tmp_path / "solo")
 
 
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_no_witness_is_located(tmp_path, monkeypatch, command):
+    # every check reads seminorm values only: no attaining pair is sought
+    calls = []
+    first_pair = ydde.paths._first_pair
+
+    def counting(*args):
+        calls.append(1)
+        return first_pair(*args)
+
+    monkeypatch.setattr(ydde.paths, "_first_pair", counting)
+    sc = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                      "scenarios", "sin_fbm.json")
+    assert main([command, "--scenario", sc, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == EXIT_OK
+    assert calls == []
+
+
 class TestSolve:
     def test_artifacts_and_row_count(self, tmp_path):
         sc = write_scenario(tmp_path, scenario_dict())

@@ -15,8 +15,8 @@ from conftest import (full_pair_max, full_pair_scan, pvar_seminorm_exhaustive,
 from ydde.coefficients import (composition_holder, composition_holder_diff,
                                composition_path, make_builtin)
 from ydde.errors import DomainError
-from ydde.paths import (GridPath, NormReport, _block_boxes, _gap_weights,
-                        _pair_blocks, _pair_max, _pair_scan, _row_norms,
+from ydde.paths import (GridPath, NormReport, _block_boxes, _first_pair,
+                        _gap_line, _pair_blocks, _pair_max, _row_norms,
                         _segment_norm_parts, _sliding_max, _window_pair_max,
                         counterexample_growth, holder_norm,
                         holder_seminorm, pvar_seminorm, segment,
@@ -87,16 +87,13 @@ def sliding_segment_holder(path, beta, r, window):
     ia, ib = path.window_indices(window)
     mr = round(r / path.mesh)
     v, h = path.values, path.mesh
-    best, best_pair = -1.0, (ia, ia + 1)
+    best = -1.0
     for g in range(1, ib - ia + 1):
         lo, hi = ia - mr, ib - g
         inc = v[lo + g:hi + g + 1] - v[lo:hi + 1]
         seg_sup = sliding_window_view(_row_norms(inc), mr + 1).max(axis=1)
-        j = int(np.argmax(seg_sup))
-        val = seg_sup[j] / (g * h) ** beta
-        if val > best:
-            best, best_pair = val, (ia + j, ia + j + g)
-    return float(best), (path.t0 + best_pair[0] * h, path.t0 + best_pair[1] * h)
+        best = max(best, seg_sup.max() / (g * h) ** beta)
+    return float(best)
 
 
 def sliding_norm_profile(path, beta, r):
@@ -141,9 +138,11 @@ class TestPairScan:
         # small blocks make ties across blocks
         block_pairs = data.draw(st.sampled_from((1, 5, 30, 1 << 14)))
         with mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
-            got = _pair_scan(v, h, exponent, max_gap)
+            value = _pair_max(v, h, exponent, max_gap=max_gap)
+            first = _first_pair(v, h, exponent, _pair_max(v, h, exponent))
             tail = _pair_max(v, h, exponent, start)
-        assert got == brute_pair_scan(v, h, exponent, max_gap)
+        assert value == brute_pair_scan(v, h, exponent, max_gap)[0]
+        assert first == brute_pair_scan(v, h, exponent)[1:]
         assert tail == brute_pair_scan(v, h, exponent, start=start)[0]
 
     def test_weights_are_python_pow(self):
@@ -159,24 +158,48 @@ class TestPairScan:
                         assert row == want + [0.0] * (len(row) - j)
 
     def test_gap_weights_cached_read_only(self):
-        weight = _gap_weights(9, 5, 0.125, 0.55)
-        assert weight is _gap_weights(9, 5, 0.125, 0.55)
-        assert not weight.flags.writeable
+        line = _gap_line(5, 0.125, 0.55, 3)
+        assert line is _gap_line(5, 0.125, 0.55, 3)
+        assert not line.flags.writeable
         with pytest.raises(ValueError):
-            weight[1, 0] = 1.0
-        # the cache holds a bounded number of scan sizes
-        assert _gap_weights.cache_info().maxsize is not None
+            line[3] = 1.0
+        # the cache holds a bounded number of lines
+        assert _gap_line.cache_info().maxsize is not None
 
     @settings(max_examples=200)
-    @given(n=st.integers(1, 80), h=st.sampled_from(MESHES),
-           exponent=st.sampled_from(EXPONENTS), data=st.data())
-    def test_gap_weights_are_python_powers(self, n, h, exponent, data):
+    @given(m=st.integers(0, 80), rows=st.integers(1, 130),
+           h=st.sampled_from(MESHES), exponent=st.sampled_from(EXPONENTS))
+    def test_gap_weights_are_python_powers(self, m, rows, h, exponent):
         # a miss copies its weights from the shared power-of-two vectors
-        m = data.draw(st.integers(0, n - 1))
-        rows = _gap_weights(n, m, h, exponent).tolist()
-        for j, row in enumerate(rows):
-            assert row == [((j - k) * h) ** exponent if 1 <= j - k <= m
-                           else math.inf for k in range(n - 1)]
+        line = _gap_line(m, h, exponent, rows).tolist()
+        assert line == [((rows + m - i) * h) ** exponent
+                        if 1 <= rows + m - i <= m else math.inf
+                        for i in range(m + 2 * rows)]
+
+    @pytest.mark.parametrize("block_pairs", [1, 30, 1 << 14])
+    def test_weight_lines_hold_the_widest_gap(self, monkeypatch, block_pairs):
+        # a scan of 3000 nodes banded at 64 gaps keeps 64 + 2P weights, P
+        # the most upper nodes of a block, however long the path
+        lines = []
+
+        def spy(m, h, exponent, rows):
+            lines.append((m, rows, _gap_line(m, h, exponent, rows)))
+            return lines[-1][2]
+
+        v = random_path(7, n=2999, mesh=1 / 2999, dim=2).values
+        wins = [(0, 9), (900, 940)]
+        want = [full_pair_max(v, 1 / 2999, 0.55, max_gap=64)] + [
+            full_pair_max(v[i:j + 1], 1 / 2999, 0.55) for i, j in wins]
+        monkeypatch.setattr("ydde.paths._BLOCK_PAIRS", block_pairs)
+        monkeypatch.setattr("ydde.paths._gap_line", spy)
+        got = [_pair_max(v, 1 / 2999, 0.55, max_gap=64)] + list(
+            _window_pair_max(v, 1 / 2999, 0.55, wins))
+        assert hexes(got) == hexes(want)
+        assert {(m, rows) for m, rows, _ in lines} \
+            == {(64, math.isqrt(block_pairs) + 1),
+                (40, math.isqrt(block_pairs) + 1)}
+        for m, rows, line in lines:
+            assert line.base is None and line.size == m + 2 * rows
 
     @settings(max_examples=500)
     @given(v=node_arrays(max_nodes=30, elems=st.floats(
@@ -186,8 +209,10 @@ class TestPairScan:
     def test_matches_gap_loop_bitwise(self, v, h, exponent, data):
         max_gap = data.draw(st.none() | st.integers(1, v.shape[0] - 1))
         start = data.draw(st.integers(1, v.shape[0] - 1))
-        got = _pair_scan(v, h, exponent, max_gap)
-        assert got == gap_loop_pair_scan(v, h, exponent, max_gap)
+        got = _pair_max(v, h, exponent, max_gap=max_gap)
+        assert got == gap_loop_pair_scan(v, h, exponent, max_gap)[0]
+        assert _first_pair(v, h, exponent, _pair_max(v, h, exponent)) \
+            == gap_loop_pair_scan(v, h, exponent)[1:]
         assert _pair_max(v, h, exponent, start) \
             == gap_loop_pair_scan(v, h, exponent, start=start)[0]
 
@@ -204,8 +229,7 @@ class TestPairScan:
         ib = data.draw(st.integers(ia + 1, n))
         path = GridPath(-mr * h, h, v)
         window = (path.t0 + ia * h, path.t0 + ib * h)
-        rep = segment_path_holder(path, beta, mr * h, window)
-        assert (rep.seminorm, rep.witness) == \
+        assert segment_path_holder(path, beta, mr * h, window) == \
             sliding_segment_holder(path, beta, mr * h, window)
 
 
@@ -221,10 +245,10 @@ class TestTailScan:
            exponent=st.sampled_from(EXPONENTS))
     def test_splits_pair_scan_bitwise(self, v, h, exponent):
         # the pairs below and from node ``start`` split the scan
-        full = _pair_scan(v, h, exponent)[0]
+        full = _pair_max(v, h, exponent)
         for start in range(1, v.shape[0] + 1):
             # start = 1 leaves no pair below it, start = len(v) none from it
-            head = _pair_scan(v[:start], h, exponent)[0] if start > 1 else 0.0
+            head = _pair_max(v[:start], h, exponent)
             assert max(head, _pair_max(v, h, exponent, start)) == full
 
     @pytest.mark.parametrize("block_pairs", [1, 500, 4000])
@@ -233,10 +257,9 @@ class TestTailScan:
         want = {start: _pair_max(v, 1 / 120, 0.55, start)
                 for start in (1, 2, 60, 113, 120)}
         monkeypatch.setattr("ydde.paths._BLOCK_PAIRS", block_pairs)
-        full = _pair_scan(v, 1 / 120, 0.55)[0]
+        full = _pair_max(v, 1 / 120, 0.55)
         for start, scan in want.items():
-            assert max(_pair_scan(v[:start], 1 / 120, 0.55)[0]
-                       if start > 1 else 0.0,
+            assert max(_pair_max(v[:start], 1 / 120, 0.55),
                        _pair_max(v, 1 / 120, 0.55, start)) == full
             assert _pair_max(v, 1 / 120, 0.55, start) == scan
 
@@ -355,7 +378,7 @@ def hexes(x):
 
 
 class TestPrunedScans:
-    """The pruned reader behind _pair_max and _pair_scan is float.hex-equal
+    """The pruned reader behind _pair_max and _first_pair is float.hex-equal
     to the full scan of _pair_blocks.  A narrow band and small blocks make
     short paths take every branch: far block pairs and several chunks of
     bounds."""
@@ -367,12 +390,15 @@ class TestPrunedScans:
            block_pairs=st.sampled_from((1, 6, 40, 1 << 14)), data=st.data())
     def test_pair_max_matches_full_scan(self, v, h, exponent, band,
                                         block_pairs, data):
+        # gaps past max_gap weigh inf, in the band and in the floors
         start = data.draw(st.integers(1, v.shape[0]))
         floor = data.draw(st.sampled_from((0.0, 0.5)))
-        want = np.maximum(full_pair_max(v, h, exponent, start), floor)
+        max_gap = data.draw(st.none() | st.integers(1, v.shape[0] - 1))
+        want = np.maximum(full_pair_max(v, h, exponent, start, max_gap),
+                          floor)
         with mock.patch("ydde.paths._BAND", band), \
                 mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
-            got = _pair_max(v, h, exponent, start, floor)
+            got = _pair_max(v, h, exponent, start, floor, max_gap)
         assert hexes(got) == hexes(want)
 
     @settings(max_examples=300)
@@ -398,15 +424,17 @@ class TestPrunedScans:
     @given(v=adversarial_nodes(columns=False), h=st.sampled_from(MESHES),
            exponent=st.sampled_from(EXPONENTS),
            band=st.sampled_from((1, 2, 3, 5, 64)),
-           block_pairs=st.sampled_from((1, 6, 40, 1 << 14)), data=st.data())
+           block_pairs=st.sampled_from((1, 6, 40, 1 << 14)))
     def test_pair_scan_matches_full_scan(self, v, h, exponent, band,
-                                         block_pairs, data):
-        max_gap = data.draw(st.none() | st.integers(1, v.shape[0] - 1))
-        value, k, g = full_pair_scan(v, h, exponent, max_gap)
+                                         block_pairs):
+        # the value, then the first pair attaining it, as holder_seminorm
+        # locates its witness
+        value, k, g = full_pair_scan(v, h, exponent)
         with mock.patch("ydde.paths._BAND", band), \
                 mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
-            got = _pair_scan(v, h, exponent, max_gap)
-        assert (got[0].hex(),) + got[1:] == (value.hex(), k, g)
+            got = _pair_max(v, h, exponent)
+            first = _first_pair(v, h, exponent, got)
+        assert (got.hex(), first) == (value.hex(), (k, g))
 
     @settings(max_examples=300)
     @given(v=adversarial_nodes(), exponent=st.sampled_from(EXPONENTS),
@@ -421,7 +449,7 @@ class TestPrunedScans:
 
         h = data.draw(st.sampled_from((0.7, 1.3)))   # in no other test
         start = data.draw(st.integers(1, v.shape[0]))
-        _gap_weights.cache_clear()
+        _gap_line.cache_clear()
         try:
             with mock.patch("ydde.paths._gap_powers", table):
                 want = full_pair_max(v, h, exponent, start)
@@ -429,10 +457,11 @@ class TestPrunedScans:
                         mock.patch("ydde.paths._BLOCK_PAIRS", 1):
                     got = _pair_max(v, h, exponent, start)
                     nodes = v.reshape(v.shape[0], -1)
-                    scan = _pair_scan(nodes, h, exponent)
+                    value = _pair_max(nodes, h, exponent)
+                    scan = (value,) + _first_pair(nodes, h, exponent, value)
                 assert scan == full_pair_scan(nodes, h, exponent)
         finally:
-            _gap_weights.cache_clear()
+            _gap_line.cache_clear()
         assert hexes(got) == hexes(want)
 
     def test_tied_block_pairs_keep_the_first_pair(self):
@@ -443,15 +472,16 @@ class TestPrunedScans:
             return np.where(np.arange(1, size + 1) <= 1, 1e300, 1.0)
 
         v = np.repeat([0.0, 1.0], [5, 7])
-        _gap_weights.cache_clear()
+        _gap_line.cache_clear()
         try:
             with mock.patch("ydde.paths._gap_powers", table):
                 want = full_pair_scan(v, 0.7, 0.5)
                 with mock.patch("ydde.paths._BAND", 1), \
                         mock.patch("ydde.paths._BLOCK_PAIRS", 1):
-                    got = _pair_scan(v, 0.7, 0.5)
+                    value = _pair_max(v, 0.7, 0.5)
+                    got = (value,) + _first_pair(v, 0.7, 0.5, value)
         finally:
-            _gap_weights.cache_clear()
+            _gap_line.cache_clear()
         assert got == want == (1.0, 3, 2)
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -670,7 +700,8 @@ class TestHolderSeminorm:
 
     def test_one_node_has_no_pair(self):
         p = GridPath(2.0, 0.5, [[1.0]])
-        assert _pair_scan(p.values, 0.5, 0.5) == (0.0, 0, 0)
+        assert _pair_max(p.values, 0.5, 0.5) == 0.0
+        assert _first_pair(p.values, 0.5, 0.5, 0.0) == (0, 0)
         assert holder_seminorm(p, 0.5) == NormReport(0.0, (2.0, 2.0))
         assert holder_norm(p, 0.5) == 1.0
         # a constant path keeps its first gap-1 pair as witness
@@ -832,19 +863,19 @@ class TestSegment:
 class TestSegmentPathHolder:
     def test_constant_zero(self):
         p = GridPath(0.0, 0.125, np.full(17, 1.0))
-        assert segment_path_holder(p, 0.5, 0.25, (0.5, 1.5)).seminorm == 0.0
+        assert segment_path_holder(p, 0.5, 0.25, (0.5, 1.5)) == 0.0
 
     def test_linear_shift_cancels(self):
         p = GridPath(-0.25, 1 / 64, np.linspace(-0.25, 1.0, 81))
-        rep = segment_path_holder(p, 1.0, 0.25, (0.0, 1.0))
-        assert rep.seminorm == pytest.approx(1.0, rel=1e-12)
+        semi = segment_path_holder(p, 1.0, 0.25, (0.0, 1.0))
+        assert semi == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_double_scan_oracle(self, seed):
         path = random_path(seed, n=48, mesh=1 / 48)
         window = (0.25, 1.0)
-        rep = segment_path_holder(path, 0.45, 0.25, window)
-        assert rep.seminorm == pytest.approx(
+        semi = segment_path_holder(path, 0.45, 0.25, window)
+        assert semi == pytest.approx(
             brute_segment_holder(path, 0.45, 0.25, window), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -852,7 +883,7 @@ class TestSegmentPathHolder:
         # segment-path seminorm never exceeds the path seminorm on [a-r, b]
         path = random_path(seed, n=64, mesh=1 / 64)
         window = (0.25, 1.0)
-        lhs = segment_path_holder(path, 0.5, 0.25, window).seminorm
+        lhs = segment_path_holder(path, 0.5, 0.25, window)
         rhs = holder_seminorm(path, 0.5, (0.0, 1.0)).seminorm
         assert lhs <= rhs * (1 + 1e-12)
 
@@ -861,7 +892,7 @@ class TestSegmentPathHolder:
         path = gen_fbm(DriverSpec(kind="fbm", T=1.0, mesh=1 / 128, hurst=0.75,
                                   seed=21))
         window = (0.25, 1.0)
-        lhs = segment_path_holder(path, 0.4, 0.25, window).seminorm
+        lhs = segment_path_holder(path, 0.4, 0.25, window)
         rhs = holder_seminorm(path, 0.4, (0.0, 1.0)).seminorm
         assert lhs <= rhs * (1 + 1e-12)
         assert lhs == pytest.approx(
@@ -872,7 +903,7 @@ class TestSegmentPathHolder:
         path = random_path(seed, n=64, mesh=1 / 64, dim=2)
         r, beta, window = 0.25, 0.5, (0.25, 1.0)
         ts, profile = segment_norm_profile(path, beta, r, window)
-        semi = segment_path_holder(path, beta, r, window).seminorm
+        semi = segment_path_holder(path, beta, r, window)
         sup_part = max(
             _row_norms(segment(path, t, r).values).max() for t in ts)
         lhs = sup_part + semi

@@ -1193,6 +1193,19 @@ class TestPrunedScanCost:
                                  lambda: holder_norm(path, config.beta))
             assert count < 0.02 * n * n / 2
 
+    def test_witness_costs_no_more_than_the_value(self, monkeypatch):
+        # holder_seminorm locates its witness after the value, reading only
+        # the block pairs whose bound reaches it
+        _, report = sin_fbm_solve(2.0 ** -14)
+        v, h = report.solution.values, report.config.mesh
+        beta = report.config.beta
+        value = paths_module._pair_max(v, h, beta)
+        scan = pairs_formed(monkeypatch,
+                            lambda: paths_module._pair_max(v, h, beta))
+        locate = pairs_formed(
+            monkeypatch, lambda: paths_module._first_pair(v, h, beta, value))
+        assert 0 < locate <= scan
+
     def test_ball_at_two_to_the_twelve(self, monkeypatch):
         scenario, report = sin_fbm_solve(2.0 ** -12)
         config = report.config
