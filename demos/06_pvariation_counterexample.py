@@ -17,7 +17,7 @@ beta, p = 0.4, 2.0
 n = 512
 path = GridPath(-1.0, 1 / n, np.abs(np.linspace(-1, 1, 2 * n + 1)) ** beta)
 print(f"x(t) = |t|^{beta} on [-1, 1]: {p}-variation = "
-      f"{pvar_seminorm(path, p).seminorm:.4f}")
+      f"{pvar_seminorm(path, p):.4f}")
 
 # ...but the segment map blows up along the partition ladder.
 print(f"\nsegment partition sums (beta = {beta}, p = {p}):")

@@ -15,10 +15,10 @@ from .drivers import (DriverSpec, empirical_holder_exponent,
                       gen_deterministic, gen_driver, gen_fbm)
 from .errors import (ConvergenceError, DomainError, GenerationError,
                      PartitionError)
-from .paths import (GridPath, NormReport, Segment, counterexample_growth,
-                    holder_norm, holder_seminorm, pvar_seminorm, segment,
-                    segment_norm, segment_norm_profile, segment_path_holder,
-                    sup_norm, write_csv)
+from .paths import (GridPath, Segment, counterexample_growth, holder_norm,
+                    holder_seminorm, pvar_seminorm, segment, segment_norm,
+                    segment_norm_profile, segment_path_holder, sup_norm,
+                    write_csv)
 from .sensitivity import (ContinuityReport, DifferentiabilityReport,
                           continuity_check, differentiability_check,
                           linearized_solve)

@@ -23,7 +23,6 @@ import numpy as np
 from . import coefficients as co
 from . import drivers, paths, sensitivity, solver, young
 from .errors import ConvergenceError, DomainError, GenerationError
-from .paths import _holder_value
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -504,8 +503,8 @@ def _verify_checks(scenario):
             ok = ok and rep.lhs <= rep.bound_tight * (1 + 1e-9) + 1e-12
             ok = ok and rep.bound_tight <= rep.bound_weak * (1 + 1e-9)
         p = 1.0 / config.beta
-        pv = paths.pvar_seminorm(sol, p, (0.0, config.T)).seminorm
-        hb = _holder_value(sol, config.beta, (0.0, config.T))
+        pv = paths.pvar_seminorm(sol, p, (0.0, config.T))
+        hb = paths.holder_seminorm(sol, config.beta, (0.0, config.T))
         ok = ok and pv <= hb * config.T ** config.beta * (1 + 1e-9)
         return ok, ("translation/composition/difference estimates, "
                     "p-var vs Holder")

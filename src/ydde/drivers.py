@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GenerationError
-from .paths import GridPath, _check_grid_size, _holder_value, _snap_index
+from .paths import GridPath, _check_grid_size, _snap_index, holder_seminorm
 
 # Durbin-Levinson sampling is O(n^2) time, O(n) memory; hard desk-scale cap.
 MAX_FBM_INTERVALS = 2 ** 14
@@ -156,4 +156,4 @@ def empirical_holder_exponent(path, betas):
     betas = list(betas)
     if not betas:
         raise DomainError("need at least one candidate exponent")
-    return [(float(b), _holder_value(path, b)) for b in betas]
+    return [(float(b), holder_seminorm(path, b)) for b in betas]

@@ -28,7 +28,7 @@ _BLOCK_PAIRS = 1 << 14
 
 # Widest gap of the band a pruned pair scan reads in full, and the nodes of
 # one block of its bounds: farther pairs are read a block pair at a time, and
-# only the block pairs whose bound can win (:func:`_pruned_blocks`).
+# only the block pairs whose bound can win (:func:`_pair_max`).
 _BAND = 64
 
 # The unit roundoff of a float and its smallest normal value.
@@ -205,14 +205,6 @@ def _node_stack(a, ka, kb, m):
     return stack
 
 
-@dataclass(frozen=True)
-class NormReport:
-    """A seminorm value with the witness that attains it."""
-
-    seminorm: float
-    witness: tuple
-
-
 def _row_norms(arr):
     """Euclidean norm along the last axis: of each row of an ``(n, d)``
     array, of each column of each row of ``(n, K, d)``; ``|x|`` for a scalar
@@ -358,95 +350,62 @@ def _far_bounds(lo, hi, b0, b1, floors):
     return np.divide(num, w, out=np.zeros(num.shape), where=valid)
 
 
-def _pruned_blocks(v, h, exponent, start, best, max_gap=None, boxes=None):
-    """Blocks ``(j0, k0, ratio)`` of :func:`_pair_blocks`'s form that hold
-    every pair ratio of the scan over the upper nodes ``j >= start`` (gaps up
-    to ``max_gap``) that exceeds its caller's ``best``, one float per column
-    (one for a single path), which the caller may raise between blocks: the
-    band of gaps up to ``_BAND``, in full, then the pairs of node blocks
-    farther apart, one block pair at a time, read only while its bound
-    (:func:`_far_bounds`) exceeds ``best`` in some column.  A block pair
-    skipped holds no ratio above ``best``, so a max over the blocks is
-    bitwise the full scan's.
-
-    The block pairs are read in decreasing bound (per column, the largest)
-    per chunk of about ``_BLOCK_PAIRS`` bounds, so no more than a chunk of
-    bounds is held at once.  ``boxes`` are per-block bounds of ``v``'s nodes
-    to use in place of :func:`_block_boxes` (any that hold the nodes are
-    valid).  A scan that fits one block of :func:`_pair_blocks` is read in
-    full, as bounds cannot save on it."""
-    n = v.shape[0]
-    m = n - 1 if max_gap is None else min(max_gap, n - 1)
-    band = m if (n - start) * m <= _BLOCK_PAIRS else min(m, _BAND)
-    yield from _pair_blocks(v, h, exponent, start, band)
-    if band == m or start >= n:
-        return
-    # the weight of gap g at g - 1, inf past m; the least weight of a gap
-    # i * _BAND + 1 or wider at i - 1, from O(n / _BAND) block minima
-    weights = _gap_powers(h, exponent, 1 << (n - 2).bit_length())
-    if m < n - 1:
-        weights = np.concatenate((weights[:m], np.full(n - 1 - m, np.inf)))
-    floors = np.minimum.reduceat(weights[:n - 1], np.arange(_BAND, n - 1,
-                                                            _BAND))
-    floors = np.minimum.accumulate(floors[::-1])[::-1]
-    step = weights.strides[0]
-    lo, hi = _block_boxes(v) if boxes is None else boxes
-    nb = lo.shape[0]
-    rows = max(1, _BLOCK_PAIRS // nb)
-    for b0 in range(start // _BAND, nb, rows):
-        b1 = min(nb, b0 + rows)
-        bound = _far_bounds(lo, hi, b0, b1, floors)
-        top = bound if bound.ndim == 2 else bound.max(axis=-1)
-        over = bound > best
-        picks = np.flatnonzero(over if over.ndim == 2 else over.any(axis=-1))
-        for i in picks[np.argsort(-top.ravel()[picks])]:
-            b, a = divmod(int(i), b1)
-            if not (bound[b, a] > best).any():
-                continue
-            j0, k0 = max((b0 + b) * _BAND, start), a * _BAND
-            j1 = min(n, (b0 + b + 1) * _BAND)
-            # w[j - j0, k - k0] = weights[j - k - 1], a view
-            w = np.ndarray((j1 - j0, _BAND), weights.dtype, weights,
-                           (j0 - k0 - 1) * step, (step, -step))
-            yield j0, k0, _ratios(v, j0, j1, k0, k0 + _BAND, w)
-
-
 def _pair_max(v, h, exponent, start=1, floor=0.0, max_gap=None, boxes=None):
     """Value of the pair scan over the upper nodes ``j >= start``: max over
     ``k < j``, ``j - k <= max_gap`` (default: any), of ``|v[j] - v[k]| /
     ((j-k)*h)^exponent`` and ``floor``; 0 without pairs.  For K paths side
-    by side, ``v`` of shape ``(n, K, d)``, the K values.  Read by
-    :func:`_pruned_blocks`, which skips only block pairs that cannot beat
-    the best so far, so bitwise the full scan's maximum; ``boxes`` as
-    there."""
+    by side, ``v`` of shape ``(n, K, d)``, the K values.
+
+    Pruned, exactly: the band of gaps up to ``_BAND`` is read in full
+    (:func:`_pair_blocks`), then the pairs of node blocks farther apart, one
+    block pair at a time, read only while its bound (:func:`_far_bounds`)
+    exceeds the best so far in some column.  A block pair skipped holds no
+    ratio above the best, so the value is bitwise the full scan's.  The
+    block pairs are read in decreasing bound (per column, the largest) per
+    chunk of about ``_BLOCK_PAIRS`` bounds, so no more than a chunk of
+    bounds is held at once.  ``boxes`` are per-block bounds of ``v``'s nodes
+    to use in place of :func:`_block_boxes` (any that hold the nodes are
+    valid).  A scan that fits one block of :func:`_pair_blocks` is read in
+    full, as bounds cannot save on it."""
     best = np.full(v.shape[1] if v.ndim > 2 else 1, float(floor))
-    for _, _, ratio in _pruned_blocks(v, h, exponent, start, best, max_gap,
-                                      boxes):
-        np.maximum(best, ratio.max(axis=(0, 1)), out=best)
-    return best if v.ndim > 2 else float(best[0])
-
-
-def _first_pair(v, h, exponent, value):
-    """The first pair of nodes (rows) of ``v`` whose ratio is the pair
-    scan's ``value`` (:func:`_pair_max`), ``(k, g)`` for the pair ``(k, k +
-    g)``: smallest g, then smallest k; ``(0, 0)`` for one node, which has no
-    pair, and ``(0, 1)`` for a value of 0.  Reads every block of
-    :func:`_pruned_blocks` whose bound is ``value`` or more, which holds
-    every pair that attains it."""
     n = v.shape[0]
-    if n == 1:
-        return 0, 0
-    if value == 0.0:
-        return 0, 1
-    key = n * n
-    below = np.array([np.nextafter(value, 0.0)])
-    for j0, k0, ratio in _pruned_blocks(v, h, exponent, 1, below):
-        rows, ks = np.nonzero(ratio == value)
-        if ks.size:
-            ks += k0
-            key = min(key, int(((rows + j0 - ks) * n + ks).min()))
-    g, k = divmod(key, n)
-    return k, g
+    m = n - 1 if max_gap is None else min(max_gap, n - 1)
+    band = m if (n - start) * m <= _BLOCK_PAIRS else min(m, _BAND)
+    for _, _, ratio in _pair_blocks(v, h, exponent, start, band):
+        np.maximum(best, ratio.max(axis=(0, 1)), out=best)
+    if band < m and start < n:
+        # the weight of gap g at g - 1, inf past m; the least weight of a
+        # gap i * _BAND + 1 or wider at i - 1, from O(n / _BAND) block minima
+        weights = _gap_powers(h, exponent, 1 << (n - 2).bit_length())
+        if m < n - 1:
+            weights = np.concatenate((weights[:m],
+                                      np.full(n - 1 - m, np.inf)))
+        floors = np.minimum.reduceat(weights[:n - 1],
+                                     np.arange(_BAND, n - 1, _BAND))
+        floors = np.minimum.accumulate(floors[::-1])[::-1]
+        step = weights.strides[0]
+        lo, hi = _block_boxes(v) if boxes is None else boxes
+        nb = lo.shape[0]
+        rows = max(1, _BLOCK_PAIRS // nb)
+        for b0 in range(start // _BAND, nb, rows):
+            b1 = min(nb, b0 + rows)
+            bound = _far_bounds(lo, hi, b0, b1, floors)
+            top = bound if bound.ndim == 2 else bound.max(axis=-1)
+            over = bound > best
+            picks = np.flatnonzero(over if over.ndim == 2
+                                   else over.any(axis=-1))
+            for i in picks[np.argsort(-top.ravel()[picks])]:
+                b, a = divmod(int(i), b1)
+                if not (bound[b, a] > best).any():
+                    continue
+                j0, k0 = max((b0 + b) * _BAND, start), a * _BAND
+                j1 = min(n, (b0 + b + 1) * _BAND)
+                # w[j - j0, k - k0] = weights[j - k - 1], a view
+                w = np.ndarray((j1 - j0, _BAND), weights.dtype, weights,
+                               (j0 - k0 - 1) * step, (step, -step))
+                ratio = _ratios(v, j0, j1, k0, k0 + _BAND, w)
+                np.maximum(best, ratio.max(axis=(0, 1)), out=best)
+    return best if v.ndim > 2 else float(best[0])
 
 
 def _window_pair_max(v, h, exponent, windows):
@@ -540,63 +499,41 @@ def _delay_window(path, r, window, what):
         jb = path.index_of(window[1], "window end")
     if ja < mr:
         raise DomainError(f"{what} window starts before t0 + r")
+    if jb < ja:
+        raise DomainError(f"{what} window ends before it starts")
     return mr, ja, jb
-
-
-def _holder_value(path, beta, window=None):
-    """Value of :func:`holder_seminorm` over the window, with no witness:
-    the pruned pair scan (:func:`_pair_max`), bitwise the full O(n^2) one.
-    What every estimate reads."""
-    _check_holder_exponent(beta)
-    ia, ib = path.window_indices(window)
-    return _pair_max(path.values[ia:ib + 1], path.mesh, beta)
 
 
 def holder_seminorm(path, beta, window=None):
     """Grid beta-Holder seminorm: max over node pairs of |x(t)-x(s)| / (t-s)^beta.
 
-    The value (:func:`_holder_value`), then the first pair attaining it as
-    witness (:func:`_first_pair`): smallest gap, then earliest node.
+    A float, from the pruned pair scan (:func:`_pair_max`), bitwise the full
+    O(n^2) one.
     """
-    value = _holder_value(path, beta, window)
+    _check_holder_exponent(beta)
     ia, ib = path.window_indices(window)
-    k, g = _first_pair(path.values[ia:ib + 1], path.mesh, beta, value)
-    s = path.t0 + (ia + k) * path.mesh
-    t = path.t0 + (ia + k + g) * path.mesh
-    return NormReport(value, (s, t))
+    return _pair_max(path.values[ia:ib + 1], path.mesh, beta)
 
 
 def holder_norm(path, beta, window=None):
-    """Full Holder norm: sup norm plus beta-seminorm over the window, the
-    seminorm by value only (:func:`_holder_value`)."""
-    value = _holder_value(path, beta, window)
-    return sup_norm(path, window) + value
+    """Full Holder norm: sup norm plus beta-seminorm over the window."""
+    return sup_norm(path, window) + holder_seminorm(path, beta, window)
 
 
 def pvar_seminorm(path, p, window=None):
     """Grid p-variation: exact supremum over node partitions, by dynamic programming.
 
-    Returns the p-th root of the optimal sum; the witness is the optimal
-    partition (as times, endpoints included).
+    Returns the p-th root of the optimal sum, a float.
     """
-    if not p >= 1.0:
-        raise DomainError(f"p-variation needs p >= 1, got {p!r}")
+    if not 1.0 <= p < math.inf:
+        raise DomainError(f"p-variation needs 1 <= p < inf, got {p!r}")
     ia, ib = path.window_indices(window)
     v = path.values[ia:ib + 1]
     m = ib - ia
     best = np.zeros(m + 1)
-    back = np.zeros(m + 1, dtype=int)
     for j in range(1, m + 1):
-        cand = best[:j] + _row_norms(v[:j] - v[j]) ** p
-        i = int(np.argmax(cand))
-        best[j] = cand[i]
-        back[j] = i
-    nodes = [m]
-    while nodes[-1] != 0:
-        nodes.append(int(back[nodes[-1]]))
-    nodes.reverse()
-    times = tuple(path.t0 + (ia + k) * path.mesh for k in nodes)
-    return NormReport(float(best[m] ** (1.0 / p)), times)
+        best[j] = (best[:j] + _row_norms(v[:j] - v[j]) ** p).max()
+    return float(best[m] ** (1.0 / p))
 
 
 def segment(path, t, r):

@@ -27,9 +27,9 @@ import numpy as np
 
 from .coefficients import _marked, _node_views, _segments_at, _stack_values
 from .errors import ConvergenceError, DomainError, PartitionError
-from .paths import (GridPath, _block_boxes, _check_grid_size, _holder_value,
-                    _pair_blocks, _pair_max, _row_norms, _segment_norm_parts,
-                    _snap_index, holder_norm, random_windows, segment,
+from .paths import (GridPath, _block_boxes, _check_grid_size, _pair_blocks,
+                    _pair_max, _row_norms, _segment_norm_parts, _snap_index,
+                    holder_norm, holder_seminorm, random_windows, segment,
                     segment_norm, segment_norm_profile)
 from .young import YoungConstants
 
@@ -233,7 +233,7 @@ def stopping_count_bound(omega, config, C):
     with k the smallest integer such that k (nu - beta) >= 1.
     """
     k = math.ceil(1.0 / (config.nu - config.beta))
-    om = _holder_value(omega, config.nu, (0.0, config.T))
+    om = holder_seminorm(omega, config.nu, (0.0, config.T))
     T = config.T
     return (2.0 ** (k - 1) * (C / config.mu) ** k
             * (T ** (k * (1.0 - config.beta))
@@ -270,8 +270,8 @@ class SolveReport:
     @property
     def nu_seminorm(self):
         """Grid nu-seminorm of the solution on [0, T]."""
-        return _holder_value(self.solution, self.config.nu,
-                             (0.0, self.config.T))
+        return holder_seminorm(self.solution, self.config.nu,
+                               (0.0, self.config.T))
 
     @property
     def window_iterations(self):
@@ -740,7 +740,7 @@ def gronwall_check(z, A, C, omega, config, n_window_samples=50, seed=0):
     residuals = window_residual(omega, config.beta, config.nu, windows)
     worst = 0.0
     for (s, t), res in zip(windows, residuals):
-        lhs = _holder_value(z, config.beta, (s, t))
+        lhs = holder_seminorm(z, config.beta, (s, t))
         rhs = A + C * res * holder_norm(z, config.beta, (s - config.r, t))
         if lhs > 0:
             worst = max(worst, lhs / rhs if rhs > 0 else math.inf)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .paths import _holder_value, _window_pair_max, random_windows
+from .paths import _window_pair_max, holder_seminorm, random_windows
 
 MAX_MESH_MISMATCH = 1e-9
 
@@ -80,8 +80,8 @@ def young_loeve_gap(x, omega, window, consts):
     on the window, with the grid seminorms of both paths there."""
     a, b = window
     return _gap_report(x, omega, _check_alignment(x, omega, window), b - a,
-                       consts, _holder_value(omega, consts.nu, window),
-                       _holder_value(x, consts.beta, window))
+                       consts, holder_seminorm(omega, consts.nu, window),
+                       holder_seminorm(x, consts.beta, window))
 
 
 def _gap_report(x, omega, nodes, span, consts, omega_semi, x_semi):

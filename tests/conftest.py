@@ -49,29 +49,6 @@ def full_pair_max(v, h, exponent, start=1, max_gap=None):
     return float(max((ratio.max() for _, _, ratio in blocks), default=0.0))
 
 
-def full_pair_scan(v, h, exponent):
-    """The unpruned pair scan's value and first attaining pair ``(value, k,
-    g)``, from every block of ``_pair_blocks``: what the pair scan read
-    before it pruned, kept as the oracle of ``_pair_max`` and
-    ``_first_pair``."""
-    n = v.shape[0]
-    if n == 1:
-        return 0.0, 0, 0
-    best, key = -1.0, 0
-    for j0, k0, ratio in _pair_blocks(v, h, exponent):
-        top = ratio.max()
-        if top < best:
-            continue
-        rows, ks = np.nonzero(ratio == top)
-        ks += k0
-        gs = rows + j0 - ks
-        block_key = int((gs * n + ks)[gs >= 1].min())
-        if top > best or block_key < key:
-            best, key = top, block_key
-    g, k = divmod(key, n)
-    return float(best), k, g
-
-
 def segments(sample, g, count=1):
     """``count`` successive draws of the segment sampler ``sample`` (see
     ``bounded_segment_sampler``) from the generator g, as Segments."""

@@ -218,7 +218,7 @@ def former_difference_bounds(coeffs, x, y, beta, r, window):
     lm = coeffs.L_M(M)
     span = b - a
     tight = (coeffs.L_g * span ** (beta - db)
-             * holder_seminorm(diff, beta, enlarged).seminorm
+             * holder_seminorm(diff, beta, enlarged)
              + lm * M ** coeffs.delta * sup_norm(diff, enlarged))
     weak = ((coeffs.L_g * span ** (beta - db) + lm * M ** coeffs.delta)
             * holder_norm(diff, beta, enlarged))
@@ -260,8 +260,8 @@ def former_composition_holder(coeffs, path, beta, r, window):
     enlarged window; kept as the oracle of the batched form."""
     a, b = window
     comp = composition_path(coeffs.g, path, r, window)
-    return (holder_seminorm(comp, beta).seminorm,
-            holder_seminorm(path, beta, (a - r, b)).seminorm)
+    return (holder_seminorm(comp, beta),
+            holder_seminorm(path, beta, (a - r, b)))
 
 
 def former_composition_holder_diff(coeffs, x, y, beta, r, window):
@@ -273,11 +273,11 @@ def former_composition_holder_diff(coeffs, x, y, beta, r, window):
     gy = composition_path(coeffs.g, y, r, window)
     db = coeffs.delta * beta
     lhs = holder_seminorm(GridPath(gx.t0, gx.mesh, gx.values - gy.values),
-                          db).seminorm
+                          db)
     enlarged = (a - r, b)
     M = max(holder_norm(x, beta, enlarged), holder_norm(y, beta, enlarged))
     diff = GridPath(x.t0, x.mesh, x.values - y.values)
-    semi = holder_seminorm(diff, beta, enlarged).seminorm
+    semi = holder_seminorm(diff, beta, enlarged)
     sup = sup_norm(diff, enlarged)
     lip = coeffs.L_g * (b - a) ** (beta - db)
     mod = coeffs.L_M(M) * M ** coeffs.delta
@@ -534,7 +534,7 @@ class TestComposition:
         p = GridPath(0.0, 1 / 64, vals)
         window = (1.0, 2.0)
         comp = composition_holder(co, p, 0.5, R, [window])[0].seminorm
-        enlarged = holder_seminorm(p, 0.5, (0.75, 2.0)).seminorm
+        enlarged = holder_seminorm(p, 0.5, (0.75, 2.0))
         assert comp == pytest.approx(0.5 * enlarged, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -551,8 +551,7 @@ class TestComposition:
         j = int(g.integers(i + 4, 65))
         window = (i / 64, j / 64)
         comp = composition_holder(co, path, 0.55, R, [window])[0].seminorm
-        enlarged = holder_seminorm(path, 0.55,
-                                   (window[0] - R, window[1])).seminorm
+        enlarged = holder_seminorm(path, 0.55, (window[0] - R, window[1]))
         assert comp <= co.L_g * enlarged * (1 + 1e-9) + 1e-12
 
     @pytest.mark.parametrize("seed", range(8))

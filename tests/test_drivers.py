@@ -243,9 +243,7 @@ class TestDeterministic:
     def test_power_holder_attained_at_origin(self):
         path = gen_deterministic(DriverSpec(kind="power", T=1.0, mesh=1 / 128,
                                             exponent=0.75))
-        rep = holder_seminorm(path, 0.75)
-        assert rep.seminorm == pytest.approx(1.0, rel=1e-12)
-        assert rep.witness[0] == 0.0
+        assert holder_seminorm(path, 0.75) == pytest.approx(1.0, rel=1e-12)
 
     def test_samples_driver(self):
         vals = [[0.0], [1.0], [0.5]]

@@ -10,16 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import (full_pair_max, full_pair_scan, pvar_seminorm_exhaustive,
-                      random_path, rng)
+from conftest import full_pair_max, pvar_seminorm_exhaustive, random_path, rng
 from ydde.coefficients import (composition_holder, composition_holder_diff,
                                composition_path, make_builtin)
 from ydde.errors import DomainError
-from ydde.paths import (GridPath, NormReport, _block_boxes, _first_pair,
-                        _gap_line, _pair_blocks, _pair_max, _row_norms,
-                        _segment_norm_parts, _sliding_max, _window_pair_max,
-                        counterexample_growth, holder_norm,
-                        holder_seminorm, pvar_seminorm, segment,
+from ydde.paths import (GridPath, _block_boxes, _gap_line, _pair_blocks,
+                        _pair_max, _row_norms, _segment_norm_parts,
+                        _sliding_max, _window_pair_max, counterexample_growth,
+                        holder_norm, holder_seminorm, pvar_seminorm, segment,
                         segment_norm, segment_norm_profile,
                         segment_path_holder, sup_norm, write_csv)
 
@@ -51,34 +49,28 @@ def brute_segment_holder(path, beta, r, window):
 
 
 def brute_pair_scan(v, h, exponent, max_gap=None, start=1):
-    """Double loop over all node pairs with upper node k + g >= start:
-    ``(value, k, g)`` of the first pair, in (gap, node) order, attaining the
+    """Double loop over all node pairs with upper node k + g >= start: the
     max of |v[k+g] - v[k]| / (g h)^exponent."""
     n = v.shape[0]
     m = n - 1 if max_gap is None else max_gap
-    best, best_k, best_g = -1.0, 0, 0
+    best = -1.0
     for g in range(1, m + 1):
         for k in range(max(0, start - g), n - g):
             dist = float(np.linalg.norm(np.atleast_1d(v[k + g] - v[k])))
-            val = dist / (g * h) ** exponent
-            if val > best:
-                best, best_k, best_g = val, k, g
-    return best, best_k, best_g
+            best = max(best, dist / (g * h) ** exponent)
+    return best
 
 
 def gap_loop_pair_scan(v, h, exponent, max_gap=None, start=1):
     """The former pair scan, one vectorised max per gap, kept as an oracle;
     extended only by ``start``, the lowest upper node of a pair."""
     m = v.shape[0] - 1 if max_gap is None else max_gap
-    best, best_g = -1.0, 0
+    best = -1.0
     for g in range(1, m + 1):
         lo = max(0, start - g)
         val = _row_norms(v[lo + g:] - v[lo:-g]).max() / (g * h) ** exponent
-        if val > best:
-            best, best_g = val, g
-    lo = max(0, start - best_g)
-    k = lo + int(np.argmax(_row_norms(v[lo + best_g:] - v[lo:-best_g])))
-    return float(best), k, best_g
+        best = max(best, val)
+    return float(best)
 
 
 def sliding_segment_holder(path, beta, r, window):
@@ -139,11 +131,9 @@ class TestPairScan:
         block_pairs = data.draw(st.sampled_from((1, 5, 30, 1 << 14)))
         with mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
             value = _pair_max(v, h, exponent, max_gap=max_gap)
-            first = _first_pair(v, h, exponent, _pair_max(v, h, exponent))
             tail = _pair_max(v, h, exponent, start)
-        assert value == brute_pair_scan(v, h, exponent, max_gap)[0]
-        assert first == brute_pair_scan(v, h, exponent)[1:]
-        assert tail == brute_pair_scan(v, h, exponent, start=start)[0]
+        assert value == brute_pair_scan(v, h, exponent, max_gap)
+        assert tail == brute_pair_scan(v, h, exponent, start=start)
 
     def test_weights_are_python_pow(self):
         # on a ramp the distance is the gap, so each ratio shows its weight;
@@ -210,11 +200,9 @@ class TestPairScan:
         max_gap = data.draw(st.none() | st.integers(1, v.shape[0] - 1))
         start = data.draw(st.integers(1, v.shape[0] - 1))
         got = _pair_max(v, h, exponent, max_gap=max_gap)
-        assert got == gap_loop_pair_scan(v, h, exponent, max_gap)[0]
-        assert _first_pair(v, h, exponent, _pair_max(v, h, exponent)) \
-            == gap_loop_pair_scan(v, h, exponent)[1:]
+        assert got == gap_loop_pair_scan(v, h, exponent, max_gap)
         assert _pair_max(v, h, exponent, start) \
-            == gap_loop_pair_scan(v, h, exponent, start=start)[0]
+            == gap_loop_pair_scan(v, h, exponent, start=start)
 
     @settings(max_examples=300)
     @given(v=node_arrays(min_nodes=3, max_nodes=20, elems=st.integers(-3, 3)
@@ -378,8 +366,8 @@ def hexes(x):
 
 
 class TestPrunedScans:
-    """The pruned reader behind _pair_max and _first_pair is float.hex-equal
-    to the full scan of _pair_blocks.  A narrow band and small blocks make
+    """The pruned reader _pair_max is float.hex-equal to the full scan of
+    _pair_blocks.  A narrow band and small blocks make
     short paths take every branch: far block pairs and several chunks of
     bounds."""
 
@@ -427,14 +415,12 @@ class TestPrunedScans:
            block_pairs=st.sampled_from((1, 6, 40, 1 << 14)))
     def test_pair_scan_matches_full_scan(self, v, h, exponent, band,
                                          block_pairs):
-        # the value, then the first pair attaining it, as holder_seminorm
-        # locates its witness
-        value, k, g = full_pair_scan(v, h, exponent)
+        # the whole-path value, as holder_seminorm reads it
+        path = GridPath(0.0, h, v)
         with mock.patch("ydde.paths._BAND", band), \
                 mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
-            got = _pair_max(v, h, exponent)
-            first = _first_pair(v, h, exponent, got)
-        assert (got.hex(), first) == (value.hex(), (k, g))
+            got = holder_seminorm(path, exponent)
+        assert got.hex() == full_pair_max(path.values, h, exponent).hex()
 
     @settings(max_examples=300)
     @given(v=adversarial_nodes(), exponent=st.sampled_from(EXPONENTS),
@@ -453,21 +439,23 @@ class TestPrunedScans:
         try:
             with mock.patch("ydde.paths._gap_powers", table):
                 want = full_pair_max(v, h, exponent, start)
+                # the columns of (n, K, d) nodes as one path of K d
+                # coordinates
+                nodes = v.reshape(v.shape[0], -1)
+                want_nodes = full_pair_max(nodes, h, exponent)
                 with mock.patch("ydde.paths._BAND", band), \
                         mock.patch("ydde.paths._BLOCK_PAIRS", 1):
                     got = _pair_max(v, h, exponent, start)
-                    nodes = v.reshape(v.shape[0], -1)
                     value = _pair_max(nodes, h, exponent)
-                    scan = (value,) + _first_pair(nodes, h, exponent, value)
-                assert scan == full_pair_scan(nodes, h, exponent)
+                assert value.hex() == want_nodes.hex()
         finally:
             _gap_line.cache_clear()
         assert hexes(got) == hexes(want)
 
     def test_tied_block_pairs_keep_the_first_pair(self):
         # past the band every weight is 1, so the pairs across the step all
-        # tie, and the block pairs of a row are read largest gap first: the
-        # first attaining pair, gap 2, is found only among the tied ones
+        # tie at the value, as do the bounds of their block pairs: once one
+        # is read, the others only tie the best so far and are skipped
         def table(h, exponent, size):
             return np.where(np.arange(1, size + 1) <= 1, 1e300, 1.0)
 
@@ -475,25 +463,22 @@ class TestPrunedScans:
         _gap_line.cache_clear()
         try:
             with mock.patch("ydde.paths._gap_powers", table):
-                want = full_pair_scan(v, 0.7, 0.5)
+                want = full_pair_max(v, 0.7, 0.5)
                 with mock.patch("ydde.paths._BAND", 1), \
                         mock.patch("ydde.paths._BLOCK_PAIRS", 1):
-                    value = _pair_max(v, 0.7, 0.5)
-                    got = (value,) + _first_pair(v, 0.7, 0.5, value)
+                    got = _pair_max(v, 0.7, 0.5)
         finally:
             _gap_line.cache_clear()
-        assert got == want == (1.0, 3, 2)
+        assert got.hex() == want.hex() == (1.0).hex()
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_long_path_reads_far_block_pairs(self, dim):
         # unpatched: a drift-dominated path of 2000 nodes peaks far past the
-        # band, and its witness too
+        # band, where the band alone falls short of the value
         p = random_path(8, n=1999, mesh=1 / 1999, dim=dim, roughness=0.02)
-        rep = holder_seminorm(p, 0.55)
-        value, k, g = full_pair_scan(p.values, p.mesh, 0.55)
-        assert g > 64
-        assert rep.seminorm.hex() == value.hex()
-        assert rep.witness == (p.t0 + k * p.mesh, p.t0 + (k + g) * p.mesh)
+        value = full_pair_max(p.values, p.mesh, 0.55)
+        assert full_pair_max(p.values, p.mesh, 0.55, max_gap=64) < value
+        assert holder_seminorm(p, 0.55).hex() == value.hex()
         assert holder_norm(p, 0.55).hex() == (
             sup_norm(p) + full_pair_max(p.values, p.mesh, 0.55)).hex()
 
@@ -696,45 +681,34 @@ class TestWindowPairMax:
 class TestHolderSeminorm:
     def test_constant_is_zero(self):
         p = GridPath(0.0, 0.125, np.full((9, 2), 3.7))
-        assert holder_seminorm(p, 0.5).seminorm == 0.0
+        assert holder_seminorm(p, 0.5) == 0.0
 
     def test_one_node_has_no_pair(self):
         p = GridPath(2.0, 0.5, [[1.0]])
         assert _pair_max(p.values, 0.5, 0.5) == 0.0
-        assert _first_pair(p.values, 0.5, 0.5, 0.0) == (0, 0)
-        assert holder_seminorm(p, 0.5) == NormReport(0.0, (2.0, 2.0))
+        assert holder_seminorm(p, 0.5) == 0.0
         assert holder_norm(p, 0.5) == 1.0
-        # a constant path keeps its first gap-1 pair as witness
         flat = GridPath(2.0, 0.5, np.full(4, 1.0))
-        assert holder_seminorm(flat, 0.5) == NormReport(0.0, (2.0, 2.5))
+        assert holder_seminorm(flat, 0.5) == 0.0
 
     def test_linear_beta_half(self):
         p = GridPath(0.0, 1 / 64, np.linspace(0, 1, 65))
-        rep = holder_seminorm(p, 0.5)
-        assert rep.seminorm == pytest.approx(1.0, rel=1e-12)
-        assert rep.witness == (0.0, 1.0)
+        assert holder_seminorm(p, 0.5) == pytest.approx(1.0, rel=1e-12)
 
     def test_abs_power_cusp(self):
         # x(t) = |t|^0.4 at beta = 0.4: the cusp pair attains ratio 1
         n = 256
         t = np.linspace(-1, 1, 2 * n + 1)
         p = GridPath(-1.0, 1 / n, np.abs(t) ** 0.4)
-        rep = holder_seminorm(p, 0.4)
-        assert rep.seminorm >= 1.0 - 1e-12
-        assert rep.seminorm == pytest.approx(brute_holder(p, 0.4), rel=1e-12)
+        semi = holder_seminorm(p, 0.4)
+        assert semi >= 1.0 - 1e-12
+        assert semi == pytest.approx(brute_holder(p, 0.4), rel=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_bruteforce(self, seed):
         p = random_path(seed, n=40, dim=2)
-        rep = holder_seminorm(p, 0.55)
-        assert rep.seminorm == pytest.approx(brute_holder(p, 0.55), rel=1e-12)
-
-    def test_witness_reproduces_value(self):
-        p = random_path(5, n=50)
-        rep = holder_seminorm(p, 0.4)
-        s, t = rep.witness
-        val = np.linalg.norm(p.value_at(t) - p.value_at(s)) / (t - s) ** 0.4
-        assert val == pytest.approx(rep.seminorm, rel=1e-12)
+        assert holder_seminorm(p, 0.55) == pytest.approx(
+            brute_holder(p, 0.55), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_subadditive_across_split(self, seed):
@@ -742,11 +716,11 @@ class TestHolderSeminorm:
         g = rng(seed + 100)
         i = int(g.integers(1, 47))
         b = i * p.mesh
-        whole = holder_seminorm(p, 0.5, (0.0, 0.75)).seminorm if b >= 0.75 else None
-        left = holder_seminorm(p, 0.5, (0.0, b)).seminorm if i >= 1 else 0.0
-        right = holder_seminorm(p, 0.5, (b, 0.75)).seminorm if b < 0.75 else 0.0
+        whole = holder_seminorm(p, 0.5, (0.0, 0.75)) if b >= 0.75 else None
+        left = holder_seminorm(p, 0.5, (0.0, b)) if i >= 1 else 0.0
+        right = holder_seminorm(p, 0.5, (b, 0.75)) if b < 0.75 else 0.0
         if 0 < i < 48 and b < 0.75:
-            whole = holder_seminorm(p, 0.5, (0.0, 0.75)).seminorm
+            whole = holder_seminorm(p, 0.5, (0.0, 0.75))
             assert whole <= left + right + 1e-12
 
     def test_window_errors(self):
@@ -779,24 +753,22 @@ class TestPvarSeminorm:
         g = rng(7)
         vals = np.concatenate(([0.0], np.cumsum(g.uniform(0.0, 1.0, 16))))
         p = GridPath(0.0, 0.0625, vals)
-        rep = pvar_seminorm(p, 1.0)
-        assert rep.seminorm == pytest.approx(vals[-1] - vals[0], rel=1e-12)
+        assert pvar_seminorm(p, 1.0) == pytest.approx(vals[-1] - vals[0],
+                                                      rel=1e-12)
 
     def test_constant_zero(self):
         p = GridPath(0.0, 0.25, np.full(9, 2.0))
-        assert pvar_seminorm(p, 2.0).seminorm == 0.0
+        assert pvar_seminorm(p, 2.0) == 0.0
 
     def test_linear_p2_single_interval(self):
         p = GridPath(0.0, 1 / 64, np.linspace(0, 1, 65))
-        rep = pvar_seminorm(p, 2.0)
-        assert rep.seminorm == pytest.approx(1.0, rel=1e-12)
-        assert rep.witness == (0.0, 1.0)
+        assert pvar_seminorm(p, 2.0) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("seed,dim", [(0, 1), (1, 1), (2, 2), (3, 2)])
     @pytest.mark.parametrize("p_exp", [1.0, 1.7, 2.0, 3.0])
     def test_dp_matches_exhaustive(self, seed, dim, p_exp):
         path = random_path(seed, n=11, mesh=1 / 11, dim=dim)
-        dp = pvar_seminorm(path, p_exp).seminorm
+        dp = pvar_seminorm(path, p_exp)
         ex = pvar_seminorm_exhaustive(path, p_exp)
         assert dp == pytest.approx(ex, rel=1e-12)
 
@@ -808,27 +780,27 @@ class TestPvarSeminorm:
         got = pvar_seminorm_exhaustive(path, p_exp)
         assert got.hex() == per_partition_pvar(path.values, p_exp).hex()
 
-    def test_witness_reproduces_value(self):
-        path = random_path(9, n=30)
-        rep = pvar_seminorm(path, 2.5)
-        total = sum(np.linalg.norm(path.value_at(b) - path.value_at(a)) ** 2.5
-                    for a, b in zip(rep.witness[:-1], rep.witness[1:]))
-        assert total ** (1 / 2.5) == pytest.approx(rep.seminorm, rel=1e-12)
-
     @pytest.mark.parametrize("seed", range(5))
     def test_pvar_below_holder_bound(self, seed):
         # |||x|||_{p-var} <= |||x|||_beta (b-a)^beta whenever p*beta >= 1
         path = random_path(seed, n=32, mesh=1 / 32)
         beta = 0.5
         p_exp = 2.0
-        pv = pvar_seminorm(path, p_exp).seminorm
-        hb = holder_seminorm(path, beta).seminorm
+        pv = pvar_seminorm(path, p_exp)
+        hb = holder_seminorm(path, beta)
         assert pv <= hb * 1.0 ** beta * (1 + 1e-12)
 
     def test_p_below_one_rejected(self):
         path = random_path(0, n=8)
         with pytest.raises(DomainError):
             pvar_seminorm(path, 0.9)
+
+    @pytest.mark.parametrize("p_exp", [math.inf, math.nan])
+    def test_non_finite_p_rejected(self, p_exp):
+        # best ** (1 / inf) would read 1 for every path, the zero path too
+        for path in (random_path(0, n=8), GridPath(0.0, 0.25, np.zeros(9))):
+            with pytest.raises(DomainError, match="p-variation"):
+                pvar_seminorm(path, p_exp)
 
 
 class TestSegment:
@@ -884,7 +856,7 @@ class TestSegmentPathHolder:
         path = random_path(seed, n=64, mesh=1 / 64)
         window = (0.25, 1.0)
         lhs = segment_path_holder(path, 0.5, 0.25, window)
-        rhs = holder_seminorm(path, 0.5, (0.0, 1.0)).seminorm
+        rhs = holder_seminorm(path, 0.5, (0.0, 1.0))
         assert lhs <= rhs * (1 + 1e-12)
 
     def test_translation_bound_on_fbm(self):
@@ -893,7 +865,7 @@ class TestSegmentPathHolder:
                                   seed=21))
         window = (0.25, 1.0)
         lhs = segment_path_holder(path, 0.4, 0.25, window)
-        rhs = holder_seminorm(path, 0.4, (0.0, 1.0)).seminorm
+        rhs = holder_seminorm(path, 0.4, (0.0, 1.0))
         assert lhs <= rhs * (1 + 1e-12)
         assert lhs == pytest.approx(
             brute_segment_holder(path, 0.4, 0.25, window), rel=1e-12)
@@ -931,6 +903,37 @@ def test_refuses_delay_off_positive_multiples(name, r):
     path = random_path(6, n=32, mesh=1 / 32)
     with pytest.raises(DomainError, match="delay"):
         _DELAY_USERS[name](path, r)
+
+
+@pytest.mark.parametrize("name", ["segment_norm_profile", "composition_path"])
+def test_refuses_window_ending_before_it_starts(name):
+    read = {"segment_norm_profile":
+            lambda p, w: segment_norm_profile(p, 0.5, 0.5, w)[1],
+            "composition_path":
+            lambda p, w: composition_path(_SIN.g, p, 0.5, w).values}[name]
+    path = random_path(6, n=64, mesh=1 / 32)
+    with pytest.raises(DomainError, match="ends before it starts"):
+        read(path, (1.5, 0.5))
+    # a one-node window is valid
+    assert read(path, (1.5, 1.5)).shape[0] == 1
+
+
+_NORMS = {
+    "holder_seminorm": lambda p: holder_seminorm(p, 0.5),
+    "holder_norm": lambda p: holder_norm(p, 0.5, (0.25, 0.75)),
+    "pvar_seminorm": lambda p: pvar_seminorm(p, 2.0),
+    "segment_path_holder": lambda p: segment_path_holder(p, 0.5, 0.25,
+                                                         (0.5, 1.0)),
+    "segment_norm": lambda p: segment_norm(segment(p, 0.5, 0.25), 0.5),
+    "sup_norm": lambda p: sup_norm(p),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", sorted(_NORMS))
+def test_norms_are_python_floats(name, dim):
+    assert type(_NORMS[name](random_path(4, n=32, mesh=1 / 32,
+                                         dim=dim))) is float
 
 
 class TestSegmentNormProfile:

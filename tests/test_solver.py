@@ -763,7 +763,7 @@ class TestPicardSolve:
     def test_nu_seminorm_diagnostic_recorded(self, workhorse):
         rep = picard_solve(workhorse["coeffs"], workhorse["eta"],
                            workhorse["omega"], workhorse["config"])
-        direct = holder_seminorm(rep.solution, 0.7, (0.0, 1.0)).seminorm
+        direct = holder_seminorm(rep.solution, 0.7, (0.0, 1.0))
         assert rep.nu_seminorm == pytest.approx(direct, rel=1e-12)
         assert math.isfinite(rep.nu_seminorm)
 
@@ -1192,19 +1192,6 @@ class TestPrunedScanCost:
             count = pairs_formed(monkeypatch,
                                  lambda: holder_norm(path, config.beta))
             assert count < 0.02 * n * n / 2
-
-    def test_witness_costs_no_more_than_the_value(self, monkeypatch):
-        # holder_seminorm locates its witness after the value, reading only
-        # the block pairs whose bound reaches it
-        _, report = sin_fbm_solve(2.0 ** -14)
-        v, h = report.solution.values, report.config.mesh
-        beta = report.config.beta
-        value = paths_module._pair_max(v, h, beta)
-        scan = pairs_formed(monkeypatch,
-                            lambda: paths_module._pair_max(v, h, beta))
-        locate = pairs_formed(
-            monkeypatch, lambda: paths_module._first_pair(v, h, beta, value))
-        assert 0 < locate <= scan
 
     def test_ball_at_two_to_the_twelve(self, monkeypatch):
         scenario, report = sin_fbm_solve(2.0 ** -12)

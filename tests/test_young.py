@@ -137,8 +137,8 @@ class TestQuadratureConvergence:
                       - young_integral(finer_x, finer_w)[0])
             h = coarse_x.mesh
             bound = (K * h ** (beta + nu - 1.0)
-                     * holder_seminorm(finer_w, nu).seminorm
-                     * holder_seminorm(finer_x, beta).seminorm)
+                     * holder_seminorm(finer_w, nu)
+                     * holder_seminorm(finer_x, beta))
             assert gap <= bound * (1 + 1e-9)
 
 
