@@ -27,7 +27,7 @@ report = picard_solve(coeffs, eta, omega, config)
 print("continuity in the initial segment:")
 for size in (1e-1, 1e-2):
     eta2 = eta.with_values(eta.values + size)
-    rep = continuity_check(coeffs, report, eta2, omega)
+    rep = continuity_check(report, eta2)
     print(f"  |eta2 - eta1| = {size:.0e}:  N(T) = {rep.N_T}, "
           f"pointwise margin {rep.pointwise_min_margin:.2f}, "
           f"full-interval margin {rep.full_margin:.2f} "
@@ -36,13 +36,13 @@ for size in (1e-1, 1e-2):
 # The linearized equation along the base solution: for linear coefficients
 # it reproduces the exact solution difference; in general it is the
 # derivative of the solution map in the direction xi.
-y = linearized_solve(coeffs, report, xi, omega)
+y = linearized_solve(report, xi)
 print(f"\nlinearized solution: y(0) = {y.value_at(0.0)[0]:+.4f}, "
       f"y(T) = {y.value_at(1.0)[0]:+.4f}")
 
 print("\nfinite-difference remainder rho(eps) = "
       "sup_t |x_t(eta + eps xi) - x_t(eta) - eps y_t| / eps:")
-rep = differentiability_check(coeffs, report, xi, omega)
+rep = differentiability_check(report, xi)
 for eps, rho in rep.table:
     print(f"  eps = {eps:.0e} : rho = {rho:.3e}")
 print(f"ladder decreasing: {rep.decreasing}, "

@@ -213,30 +213,26 @@ def solve_diagnostics(report, partition_bound=None):
 # Subcommands.
 
 def _solve_scenario(scenario):
-    omega = drivers.gen_driver(scenario.driver)
-    report = solver.picard_solve(scenario.coefficients, scenario.eta, omega,
-                                 scenario.config)
-    return omega, report
+    return solver.picard_solve(scenario.coefficients, scenario.eta,
+                               drivers.gen_driver(scenario.driver),
+                               scenario.config)
 
 
-def _continuity(scenario, report, omega, sizes=(1e-1, 1e-2)):
+def _continuity(scenario, report, sizes=(1e-1, 1e-2)):
     """Continuity reports of ``eta + size * xi / |xi|`` and whether all hold."""
     config = scenario.config
     unit = scale_segment_to_norm(scenario.direction, config.beta, 1.0)
-    reps = [sensitivity.continuity_check(
-        scenario.coefficients, report,
-        scenario.eta.with_values(scenario.eta.values + size * unit.values),
-        omega) for size in sizes]
+    reps = [sensitivity.continuity_check(report, scenario.eta.with_values(
+        scenario.eta.values + size * unit.values)) for size in sizes]
     return reps, all(rep.pointwise_ok and rep.full_ok for rep in reps)
 
 
-def _differentiability(scenario, report, omega, eps_ladder=(1e-1, 1e-2, 1e-3)):
+def _differentiability(scenario, report, eps_ladder=(1e-1, 1e-2, 1e-3)):
     """Remainder ladder along the scenario direction, with its verdict and
     detail: at noise level for the linear family, else shrinking to at most
     half its first value."""
-    rep = sensitivity.differentiability_check(
-        scenario.coefficients, report, scenario.direction, omega,
-        eps_ladder=eps_ladder)
+    rep = sensitivity.differentiability_check(report, scenario.direction,
+                                              eps_ladder=eps_ladder)
     if scenario.coefficients.family == "linear_delay":
         return rep, rep.max_rho <= 1e-5, f"max rho {rep.max_rho:.3e} (linear)"
     return (rep, rep.decreasing and rep.final_over_initial <= 0.5,
@@ -261,11 +257,11 @@ def _write_solution(report, out):
 
 
 def cmd_solve(args, scenario, out, say):
-    omega, report = _solve_scenario(scenario)
+    report = _solve_scenario(scenario)
     _write_solution(report, out)
     bound = None
     if report.partition.C > 0:
-        bound = solver.stopping_count_bound(omega, scenario.config,
+        bound = solver.stopping_count_bound(report.omega, scenario.config,
                                             report.partition.C)
     write_json_file(solve_diagnostics(report, bound),
                     os.path.join(out, "diagnostics.json"))
@@ -342,9 +338,9 @@ def cmd_converge(args, scenario, out, say):
 
 
 def cmd_sensitivity(args, scenario, out, say):
-    omega, report = _solve_scenario(scenario)
+    report = _solve_scenario(scenario)
     sizes = args.pert or (1e-1, 1e-2)
-    reps, cont_ok = _continuity(scenario, report, omega, sizes)
+    reps, cont_ok = _continuity(scenario, report, sizes)
     continuity = {
         f"{size:.17g}": {
             "eta_gap": rep.eta_gap, "N_T": rep.N_T, "C": rep.C,
@@ -352,7 +348,7 @@ def cmd_sensitivity(args, scenario, out, say):
             "pointwise_min_margin": rep.pointwise_min_margin,
             "full_ok": rep.full_ok, "full_margin": rep.full_margin,
         } for size, rep in zip(sizes, reps)}
-    diff, diff_ok, _ = _differentiability(scenario, report, omega,
+    diff, diff_ok, _ = _differentiability(scenario, report,
                                           args.eps or (1e-1, 1e-2, 1e-3))
     with open(os.path.join(out, "differentiability.csv"), "w") as f:
         write_table(diff.table, ["eps", "rho"], f)
@@ -461,20 +457,20 @@ def _verify_checks(scenario):
     run("growth", chk_growth)
 
     def chk_uniqueness():
-        rep = solver.uniqueness_probe(coeffs, report, omega)
+        rep = solver.uniqueness_probe(report)
         return rep.passed, f"max pairwise {rep.max_pairwise:.3e}"
 
     run("uniqueness", chk_uniqueness)
 
     def chk_continuity():
-        reps, ok = _continuity(scenario, report, omega)
+        reps, ok = _continuity(scenario, report)
         return ok, ("min margins "
                     f"{[f'{rep.pointwise_min_margin:.2f}' for rep in reps]}")
 
     run("continuity", chk_continuity)
 
     def chk_differentiability():
-        return _differentiability(scenario, report, omega)[1:]
+        return _differentiability(scenario, report)[1:]
 
     run("differentiability", chk_differentiability)
 
@@ -542,7 +538,7 @@ def _ensemble_worker(raw_scenario, seed):
     d = json.loads(raw_scenario)
     d.setdefault("driver", {})["seed"] = int(seed)
     scenario = build_scenario(d)
-    _, report = _solve_scenario(scenario)
+    report = _solve_scenario(scenario)
     growth = solver.growth_bound_check(report, scenario.eta)
     return {
         "seed": int(seed),

@@ -486,8 +486,10 @@ def composition_holder_diff(coeffs, x, y, beta, r, windows):
     sups are read from one array of node norms per path.
     """
     _check_holder_exponent(beta)
-    if abs(x.mesh - y.mesh) > 1e-12 or abs(x.t0 - y.t0) > 1e-12:
-        raise DomainError("paths must share grid for the difference estimate")
+    if (x.values.shape != y.values.shape or abs(x.mesh - y.mesh) > 1e-12
+            or abs(x.t0 - y.t0) > 1e-12):
+        raise DomainError("paths must share grid and dimension for the "
+                          "difference estimate")
     gx, nodes = _composition_windows(coeffs.g, x, r, windows)
     gy, _ = _composition_windows(coeffs.g, y, r, windows)
     db = coeffs.delta * beta

@@ -306,13 +306,12 @@ def _pair_blocks(v, h, exponent, start=1, max_gap=None, stop=None):
         j0 = j1
 
 
-def _block_boxes(lo, hi=None):
-    """Per-coordinate min of each block of ``_BAND`` consecutive nodes (rows)
-    of ``lo``, and max of each of ``hi`` (default: ``lo``), the last block
-    the remainder."""
-    firsts = np.arange(0, lo.shape[0], _BAND)
-    return (np.minimum.reduceat(lo, firsts, axis=0),
-            np.maximum.reduceat(lo if hi is None else hi, firsts, axis=0))
+def _block_boxes(v):
+    """Per-coordinate min and max of each block of ``_BAND`` consecutive
+    nodes (rows) of ``v``, the last block the remainder."""
+    firsts = np.arange(0, v.shape[0], _BAND)
+    return (np.minimum.reduceat(v, firsts, axis=0),
+            np.maximum.reduceat(v, firsts, axis=0))
 
 
 def _far_bounds(lo, hi, b0, b1, floors):
@@ -350,7 +349,7 @@ def _far_bounds(lo, hi, b0, b1, floors):
     return np.divide(num, w, out=np.zeros(num.shape), where=valid)
 
 
-def _pair_max(v, h, exponent, start=1, floor=0.0, max_gap=None, boxes=None):
+def _pair_max(v, h, exponent, start=1, floor=0.0, max_gap=None):
     """Value of the pair scan over the upper nodes ``j >= start``: max over
     ``k < j``, ``j - k <= max_gap`` (default: any), of ``|v[j] - v[k]| /
     ((j-k)*h)^exponent`` and ``floor``; 0 without pairs.  For K paths side
@@ -363,10 +362,8 @@ def _pair_max(v, h, exponent, start=1, floor=0.0, max_gap=None, boxes=None):
     ratio above the best, so the value is bitwise the full scan's.  The
     block pairs are read in decreasing bound (per column, the largest) per
     chunk of about ``_BLOCK_PAIRS`` bounds, so no more than a chunk of
-    bounds is held at once.  ``boxes`` are per-block bounds of ``v``'s nodes
-    to use in place of :func:`_block_boxes` (any that hold the nodes are
-    valid).  A scan that fits one block of :func:`_pair_blocks` is read in
-    full, as bounds cannot save on it."""
+    bounds is held at once.  A scan that fits one block of
+    :func:`_pair_blocks` is read in full, as bounds cannot save on it."""
     best = np.full(v.shape[1] if v.ndim > 2 else 1, float(floor))
     n = v.shape[0]
     m = n - 1 if max_gap is None else min(max_gap, n - 1)
@@ -384,7 +381,7 @@ def _pair_max(v, h, exponent, start=1, floor=0.0, max_gap=None, boxes=None):
                                      np.arange(_BAND, n - 1, _BAND))
         floors = np.minimum.accumulate(floors[::-1])[::-1]
         step = weights.strides[0]
-        lo, hi = _block_boxes(v) if boxes is None else boxes
+        lo, hi = _block_boxes(v)
         nb = lo.shape[0]
         rows = max(1, _BLOCK_PAIRS // nb)
         for b0 in range(start // _BAND, nb, rows):

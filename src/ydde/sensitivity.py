@@ -20,9 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .paths import (GridPath, holder_norm, segment, segment_norm,
-                    segment_norm_profile)
-from .solver import (_gronwall_conclusion, _run_picard,
+from .paths import GridPath, holder_norm, segment_norm, segment_norm_profile
+from .solver import (_gronwall_conclusion, _run_picard, _validate_start,
                      compute_contraction_constants, greedy_partition,
                      picard_solve, resolve)
 
@@ -36,11 +35,10 @@ def linearized_contraction_constant(coeffs, config, base_norm):
                            + coeffs.L_M(base_norm) * base_norm ** coeffs.delta))
 
 
-def linearized_solve(coeffs, base, direction, omega):
+def linearized_solve(base, direction):
     """Solve the linearized equation along the solution of the
     :class:`SolveReport` ``base``; y equals ``direction`` on [-r, 0]."""
-    cfg = base.config
-    x = base.solution
+    coeffs, omega, cfg = base.coeffs, base.omega, base.config
     exponent = coeffs.delta * cfg.beta
 
     def partition():
@@ -49,7 +47,7 @@ def linearized_solve(coeffs, base, direction, omega):
 
     _, values, _, _ = _run_picard(
         coeffs, omega, cfg, [(direction, "constant")], partition,
-        (coeffs.Df, coeffs.Dg, (x.values,), exponent))
+        (coeffs.Df, coeffs.Dg, (base.solution.values,), exponent))
     return GridPath(-cfg.r, cfg.mesh, values[:, 0])
 
 
@@ -68,16 +66,16 @@ class ContinuityReport:
     full_constant: float      # 1 + T/r
 
 
-def continuity_check(coeffs, base, eta2, omega):
+def continuity_check(base, eta2):
     """Check ``|x_t(eta2) - x_t(eta)| <= (1-2mu)^-(N(t)+1) |eta2 - eta|``
     at every grid t, plus the full-interval form with constant 1 + T/r.
 
     ``base`` is the :class:`SolveReport` of the solve from ``eta``; only
-    ``eta2`` is solved here.
+    ``eta2`` is solved here, and it is validated before anything else.
     """
-    config = base.config
-    x1 = base.solution
-    eta1 = segment(x1, 0.0, config.r)
+    coeffs, omega, config = base.coeffs, base.omega, base.config
+    _validate_start(coeffs, eta2, config)
+    x1, eta1 = base.solution, base.eta
     eta_gap = segment_norm(eta1.with_values(eta2.values - eta1.values),
                            config.beta)
     if eta_gap > 1.0 + 1e-12:
@@ -119,8 +117,7 @@ class DifferentiabilityReport:
     max_rho: float
 
 
-def differentiability_check(coeffs, base, direction, omega,
-                            eps_ladder=(1e-1, 1e-2, 1e-3)):
+def differentiability_check(base, direction, eps_ladder=(1e-1, 1e-2, 1e-3)):
     """Remainder table rho(eps) = sup_t |x_t(eta + eps xi) - x_t(eta) - eps y_t| / eps.
 
     ``base`` is the :class:`SolveReport` of the solve from ``eta``; only the
@@ -136,10 +133,9 @@ def differentiability_check(coeffs, base, direction, omega,
     if not all(b < a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise DomainError("eps ladder must be strictly decreasing")
     config = base.config
-    x = base.solution
-    eta = segment(x, 0.0, config.r)
-    y = linearized_solve(coeffs, base, direction, omega)
-    ladder = resolve(coeffs, base, omega, [
+    x, eta = base.solution, base.eta
+    y = linearized_solve(base, direction)
+    ladder = resolve(base, [
         (eta.with_values(eta.values + eps * direction.values), "constant")
         for eps in eps_ladder])
     rows = []

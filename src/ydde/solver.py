@@ -27,10 +27,10 @@ import numpy as np
 
 from .coefficients import _marked, _node_views, _segments_at, _stack_values
 from .errors import ConvergenceError, DomainError, PartitionError
-from .paths import (GridPath, _block_boxes, _check_grid_size, _pair_blocks,
-                    _pair_max, _row_norms, _segment_norm_parts, _snap_index,
-                    holder_norm, holder_seminorm, random_windows, segment,
-                    segment_norm, segment_norm_profile)
+from .paths import (GridPath, _check_grid_size, _pair_blocks, _pair_max,
+                    _row_norms, _segment_norm_parts, _snap_index, holder_norm,
+                    holder_seminorm, random_windows, segment, segment_norm,
+                    segment_norm_profile)
 from .young import YoungConstants
 
 _INIT_KINDS = ("constant", "linear", "euler_perturbed")
@@ -257,15 +257,23 @@ class WindowRecord:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solution path plus the diagnostics of the windowed fixed-point solve;
-    ``iterates`` are the engine's (:class:`_WindowedPicard`)."""
+    """A solve of ``coeffs`` and ``omega`` under ``config``, which a check
+    takes alone: the solution, its diagnostics and the engine's
+    ``iterates`` (:class:`_WindowedPicard`)."""
 
     solution: GridPath
     partition: GreedyPartition
     windows: tuple
     config: SolverConfig
     eta_norm: float
+    coeffs: object = field(repr=False, compare=False)
+    omega: GridPath = field(repr=False, compare=False)
     iterates: dict = field(repr=False, compare=False)
+
+    @cached_property
+    def eta(self):
+        """The solution on ``[-r, 0]``: bitwise the start solved from."""
+        return segment(self.solution, 0.0, self.config.r)
 
     @property
     def nu_seminorm(self):
@@ -504,13 +512,18 @@ class _WindowedPicard:
         return records, self.iterates
 
 
-def _validate_solve_inputs(coeffs, eta, omega, config):
+def _validate_start(coeffs, eta, config):
+    """Refuse a start ``eta`` of another dimension, delay or mesh."""
     if eta.dim != coeffs.dim:
         raise DomainError(f"eta dim {eta.dim} != coefficient dim {coeffs.dim}")
     if abs(eta.delay - config.r) > 1e-12 * max(1.0, config.r):
         raise DomainError(f"eta delay {eta.delay!r} != config r {config.r!r}")
     if abs(eta.mesh - config.mesh) > 1e-12 * config.mesh:
         raise DomainError("eta mesh != config mesh")
+
+
+def _validate_solve_inputs(coeffs, eta, omega, config):
+    _validate_start(coeffs, eta, config)
     if abs(omega.mesh - config.mesh) > 1e-12 * config.mesh:
         raise DomainError("driver mesh != config mesh")
     if omega.dim != 1:
@@ -554,32 +567,31 @@ def picard_solve(coeffs, eta, omega, config, init="constant"):
     return SolveReport(
         solution=GridPath(-config.r, config.mesh, values[:, 0]),
         partition=partition, windows=tuple(records), config=config,
-        eta_norm=segment_norm(eta, config.beta),
+        eta_norm=segment_norm(eta, config.beta), coeffs=coeffs, omega=omega,
         iterates={ia: [x[:, 0] for x in xs] for ia, xs in iterates.items()})
 
 
-def resolve(coeffs, base, omega, starts):
+def resolve(base, starts):
     """Solve again from each ``(eta, init_kind)`` of ``starts``: the
-    solution paths, each bitwise the solution of ``picard_solve(coeffs,
-    eta, omega, base.config, init=init_kind)``.
+    solution paths, each bitwise the solution of ``picard_solve(base.coeffs,
+    eta, base.omega, base.config, init=init_kind)``.
 
-    ``base`` is a :class:`SolveReport` of ``coeffs`` on ``omega``.  Its
-    partition depends only on omega, the config and C, so it is reused, and
-    the K starts are iterated as K columns in lockstep
-    (:class:`_WindowedPicard`).  If a start does not converge, the starts
-    are solved one by one in order, so the error raised is the first solo
-    solve's.
+    The partition of the :class:`SolveReport` ``base`` depends only on its
+    driver, config and C, so it is reused, and the K starts are iterated as
+    K columns in lockstep (:class:`_WindowedPicard`).  If a start does not
+    converge, the starts are solved one by one in order, so the error
+    raised is the first solo solve's.
     """
     if not starts:
         raise DomainError("resolve needs at least one start")
     config = base.config
     try:
-        _, values, _, _ = _run_picard(coeffs, omega, config, starts,
+        _, values, _, _ = _run_picard(base.coeffs, base.omega, config, starts,
                                       lambda: base.partition)
     except ConvergenceError:
         if len(starts) == 1:
             raise
-        return [resolve(coeffs, base, omega, [start])[0] for start in starts]
+        return [resolve(base, [start])[0] for start in starts]
     return [GridPath(-config.r, config.mesh, values[:, c])
             for c in range(len(starts))]
 
@@ -608,18 +620,17 @@ class ProbeReport:
     passed: bool
 
 
-def uniqueness_probe(coeffs, base, omega):
+def uniqueness_probe(base):
     """Re-solve from every initial iterate kind; all runs must agree within
     ``10 * picard_tol`` in the grid Holder norm.
 
     ``base`` is the :class:`SolveReport` of :func:`picard_solve` with its
-    default (constant) init; only the other inits are solved here, from the
-    base's segment on ``[-r, 0]``, as one batch (:func:`resolve`).
+    default (constant) init; only the other inits are solved here, from its
+    start, as one batch (:func:`resolve`).
     """
     config = base.config
-    eta = segment(base.solution, 0.0, config.r)
-    solutions = [base.solution] + resolve(coeffs, base, omega,
-                                          [(eta, k) for k in _INIT_KINDS[1:]])
+    solutions = [base.solution] + resolve(
+        base, [(base.eta, k) for k in _INIT_KINDS[1:]])
     worst = max(holder_norm(GridPath(a.t0, a.mesh, a.values - b.values),
                             config.beta)
                 for a, b in combinations(solutions, 2))
@@ -644,16 +655,19 @@ def growth_bound_check(report, eta):
     """Check ``|x_t| <= (1-mu)^-(N(t)+1) (|eta| + 1)`` at every grid t.
 
     Norms are the grid segment norms (sup plus beta-seminorm on [-r, 0]);
-    N(t) counts the solver's stopping times in (0, t].
+    N(t) counts the solver's stopping times in (0, t]; ``eta`` must be the
+    report's start (:attr:`SolveReport.eta`), whose norm it holds.
     """
     config = report.config
+    _validate_start(report.coeffs, eta, config)
+    if not np.array_equal(eta.values, report.eta.values):
+        raise DomainError("eta is not the start the report was solved from")
     sups, scans = report.segment_norms
     profile = sups + scans
     ts = report.solution.times[config.n_history:]
     n_of_t = report.partition.n_at(ts)
-    eta_norm = segment_norm(eta, config.beta)
     log_factor = -math.log(1.0 - config.mu)
-    rhs = np.exp((n_of_t + 1) * log_factor) * (eta_norm + 1.0)
+    rhs = np.exp((n_of_t + 1) * log_factor) * (report.eta_norm + 1.0)
     margins = np.log(rhs) - np.log(np.maximum(profile, 1e-300))
     passed = bool(np.all(profile <= rhs * (1.0 + 1e-12)))
     rows = []
@@ -681,9 +695,7 @@ def ball_check(report):
     its ball).  The history parts are the solution's
     :attr:`SolveReport.segment_norms`; each iterate adds a pruned scan of the
     pairs that touch its window (:func:`~ydde.paths._pair_max`), with the
-    history's scan as its floor.  The node-block bounds are set up once per
-    record: the history's blocks, and the window's from the min and max of
-    all its iterates, which bound each of them."""
+    history's scan as its floor."""
     config = report.config
     h, m_r, beta, mu = config.mesh, config.n_history, config.beta, config.mu
     path = report.solution
@@ -696,16 +708,11 @@ def ball_check(report):
         if ia in starts:
             radius = (hist_sup + hist_scan + mu) / (1.0 - mu)
         nodes = path.values[ia - m_r:path.index_of(record.t_end) + 1].copy()
-        iterates = np.stack(report.iterates[ia])
-        lo, hi = nodes.copy(), nodes.copy()
-        lo[m_r + 1:], hi[m_r + 1:] = iterates.min(axis=0), iterates.max(axis=0)
-        boxes = _block_boxes(lo, hi)
         max_norm = 0.0
-        for x in iterates:
+        for x in report.iterates[ia]:
             nodes[m_r + 1:] = x
             max_norm = max(max_norm, max(hist_sup, float(_row_norms(x).max()))
-                           + _pair_max(nodes, h, beta, m_r + 1, hist_scan,
-                                       boxes=boxes))
+                           + _pair_max(nodes, h, beta, m_r + 1, hist_scan))
         rows.append((radius, max_norm))
     return BallReport(rows=tuple(rows), passed=all(
         norm <= radius * (1.0 + 1e-9) for radius, norm in rows))

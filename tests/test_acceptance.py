@@ -128,7 +128,7 @@ def test_criterion_4_uniqueness_probe():
     worst = 0.0
     for seed in range(100, 110):
         omega = fbm(seed)
-        probe = uniqueness_probe(co, picard_solve(co, eta, omega, cfg), omega)
+        probe = uniqueness_probe(picard_solve(co, eta, omega, cfg))
         assert probe.passed, f"seed {seed}"
         worst = max(worst, probe.max_pairwise)
     report(4, worst <= 10 * cfg.picard_tol,
@@ -192,7 +192,7 @@ def test_criterion_7_continuity():
         base = picard_solve(co, eta, omega, cfg)
         for size in (1e-1, 1e-2):
             eta2 = eta.with_values(eta.values + size)
-            rep = continuity_check(co, base, eta2, omega)
+            rep = continuity_check(base, eta2)
             assert rep.eta_gap == pytest.approx(size, rel=1e-12)
             assert rep.pointwise_ok, (name, size)
             assert rep.full_ok, (name, size)
@@ -209,7 +209,7 @@ def test_criterion_8_differentiability():
     def check(name, seed):
         omega = fbm(seed)
         base = picard_solve(BUILTINS[name], eta, omega, cfg)
-        return differentiability_check(BUILTINS[name], base, xi, omega)
+        return differentiability_check(base, xi)
 
     rep = check("sin_fbm", 7)
     ratio = rep.final_over_initial

@@ -8,12 +8,19 @@
 - A default-valued parameter of a function or method, public or private,
   is passed, by keyword or by position, by some call in package, demo or
   benchmark code: a knob that only tests turn is dead weight.
+- A private top-level function or a module-level constant is read by
+  package code other than its own definition: a helper a change leaves
+  behind is found.
+- A public function that takes a solve's report (``base`` or ``report``)
+  takes neither its coefficients nor its driver: the report carries them.
 
 Names are matched without their class or module, so a name read anywhere
 counts for every definition of it.  The benchmark files are only read here,
 never run."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -155,3 +162,62 @@ def test_every_default_parameter_is_passed():
     assert {a for a in ALLOWED if "(" in a} <= found
     assert not unpassed, \
         f"parameters no package, demo or bench call passes: {sorted(unpassed)}"
+
+
+def _module_names(path):
+    """The name of each private top-level function and each module-level
+    constant (a top-level assigned name) of ``path``."""
+    out = []
+    for node in _tree(path).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            out += [n.id for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name)]
+    return out
+
+
+def _readers(paths):
+    """Per name: the top-level definitions (None: module level) whose code
+    reads it, as a variable or as an attribute."""
+    readers = {}
+    for path in paths:
+        for node in _tree(path).body:
+            owner = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name)
+                        else sub.attr if isinstance(sub, ast.Attribute)
+                        else None)
+                if name is not None and isinstance(sub.ctx, ast.Load):
+                    readers.setdefault(name, set()).add(owner)
+    return readers
+
+
+def test_every_private_function_and_constant_is_read():
+    readers = _readers(MODULES)
+    found = [(path.name, name) for path in MODULES
+             for name in _module_names(path)]
+    assert ("paths.py", "_block_boxes") in found
+    assert ("paths.py", "_BAND") in found
+    unread = sorted(f"{module}:{name}" for module, name in found
+                    if not readers.get(name, set()) - {name})
+    assert not unread, f"read by no other package code: {unread}"
+
+
+def test_report_checks_take_no_coefficients_or_driver():
+    checked = []
+    for path in MODULES:
+        if path.stem == "__main__":     # importing it runs the command line
+            continue
+        module = importlib.import_module(f"ydde.{path.stem}")
+        for node in _public(_tree(path).body, ast.FunctionDef):
+            params = set(inspect.signature(getattr(module, node.name))
+                         .parameters)
+            if params & {"base", "report"}:
+                checked.append(node.name)
+                assert not params & {"coeffs", "omega"}, node.name
+    assert {"resolve", "uniqueness_probe", "linearized_solve",
+            "continuity_check", "differentiability_check",
+            "growth_bound_check", "ball_check"} <= set(checked)

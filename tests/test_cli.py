@@ -96,9 +96,9 @@ class TestVerify:
             calls.append(1)
             return picard_solve(*args, **kwargs)
 
-        def counting_batches(coeffs, base, omega, starts):
+        def counting_batches(base, starts):
             batches.append([kind for _, kind in starts])
-            return resolve(coeffs, base, omega, starts)
+            return resolve(base, starts)
 
         monkeypatch.setattr(ydde.solver, "picard_solve", counting)
         monkeypatch.setattr(ydde.sensitivity, "picard_solve", counting)
@@ -117,9 +117,9 @@ class TestVerify:
     def test_batched_resolves_match_solo_solves(self, tmp_path, monkeypatch,
                                                 command, name):
         # the former re-solves, one picard_solve per start, as the oracle
-        def solo_loop(coeffs, base, omega, starts):
-            return [ydde.solver.picard_solve(coeffs, eta, omega, base.config,
-                                             init=kind).solution
+        def solo_loop(base, starts):
+            return [ydde.solver.picard_solve(base.coeffs, eta, base.omega,
+                                             base.config, init=kind).solution
                     for eta, kind in starts]
 
         sc = os.path.join(os.path.dirname(__file__), os.pardir, "demos",

@@ -372,6 +372,18 @@ class TestBatchedComposition:
             with pytest.raises(DomainError):
                 composition_holder_diff(co, p, p, 0.5, R, windows)
 
+    def test_difference_paths_share_grid(self):
+        # another node count or dimension is refused before any array
+        # arithmetic, as another mesh or start is
+        co = make_builtin("sin_delay", sigma=1.0)
+        p = random_path(0, n=80, mesh=1 / 64)
+        for other in (random_path(1, n=96, mesh=1 / 64),
+                      random_path(1, n=80, mesh=1 / 64, dim=2),
+                      random_path(1, n=80, mesh=1 / 128),
+                      random_path(1, n=80, mesh=1 / 64, t0=-R)):
+            with pytest.raises(DomainError, match="share grid"):
+                composition_holder_diff(co, p, other, 0.5, R, [(0.5, 1.0)])
+
 
 class TestStackedRegularity:
     @settings(max_examples=100)

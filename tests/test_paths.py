@@ -14,9 +14,9 @@ from conftest import full_pair_max, pvar_seminorm_exhaustive, random_path, rng
 from ydde.coefficients import (composition_holder, composition_holder_diff,
                                composition_path, make_builtin)
 from ydde.errors import DomainError
-from ydde.paths import (GridPath, _block_boxes, _gap_line, _pair_blocks,
-                        _pair_max, _row_norms, _segment_norm_parts,
-                        _sliding_max, _window_pair_max, counterexample_growth,
+from ydde.paths import (GridPath, _gap_line, _pair_blocks, _pair_max,
+                        _row_norms, _segment_norm_parts, _sliding_max,
+                        _window_pair_max, counterexample_growth,
                         holder_norm, holder_seminorm, pvar_seminorm, segment,
                         segment_norm, segment_norm_profile,
                         segment_path_holder, sup_norm, write_csv)
@@ -388,25 +388,6 @@ class TestPrunedScans:
                 mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
             got = _pair_max(v, h, exponent, start, floor, max_gap)
         assert hexes(got) == hexes(want)
-
-    @settings(max_examples=300)
-    @given(v=adversarial_nodes(), h=st.sampled_from(MESHES),
-           exponent=st.sampled_from(EXPONENTS),
-           band=st.sampled_from((1, 2, 5)), seed=st.integers(0, 2 ** 32 - 1),
-           data=st.data())
-    def test_boxes_of_several_paths_bound_each(self, v, h, exponent, band,
-                                               seed, data):
-        # as for a Picard window's iterates: the boxes of their min and max
-        # serve every one of them
-        paths = [v, v + rng(seed).normal(size=v.shape)]
-        start = data.draw(st.integers(1, v.shape[0]))
-        with mock.patch("ydde.paths._BAND", band), \
-                mock.patch("ydde.paths._BLOCK_PAIRS", 1):
-            boxes = _block_boxes(np.minimum(*paths), np.maximum(*paths))
-            got = [_pair_max(p, h, exponent, start, boxes=boxes)
-                   for p in paths]
-        assert [hexes(x) for x in got] \
-            == [hexes(full_pair_max(p, h, exponent, start)) for p in paths]
 
     @settings(max_examples=600)
     @given(v=adversarial_nodes(columns=False), h=st.sampled_from(MESHES),

@@ -88,7 +88,7 @@ def base_for(coeffs, omega, config):
     return replace(base, config=config)
 
 
-def batched(coeffs, base, omega, starts):
+def batched(base, starts):
     """``resolve``'s paths and the records of each column of its batch (None
     if it fell back to solo solves or raised)."""
     captured = []
@@ -100,7 +100,7 @@ def batched(coeffs, base, omega, starts):
         return out
 
     with mock.patch.object(solver._WindowedPicard, "solve", spy):
-        paths = resolve(coeffs, base, omega, starts)
+        paths = resolve(base, starts)
     return paths, captured[0] if len(captured) == 1 else None
 
 
@@ -126,11 +126,11 @@ def assert_matches_solo(coeffs, omega, config, starts):
     reports, error = solo(coeffs, omega, config, starts)
     if error is not None:
         with pytest.raises(ConvergenceError) as got:
-            resolve(coeffs, base, omega, starts)
+            resolve(base, starts)
         assert str(got.value) == str(error)
         assert got.value.residual_history == error.residual_history
         return None
-    paths, records = batched(coeffs, base, omega, starts)
+    paths, records = batched(base, starts)
     assert records is not None
     for path, column, report in zip(paths, records, reports):
         assert path.values.tobytes() == report.solution.values.tobytes()
@@ -178,7 +178,7 @@ class TestResolveMatchesSolo:
             return stops(self, *args)
 
         with mock.patch.object(solver._WindowedPicard, "_stops", count):
-            _, records = batched(coeffs, base, omega, starts)
+            _, records = batched(base, starts)
         iterates = sum(r.iterations for column in records for r in column)
         failed = sum(r.split for column in records for r in column) // 2
         assert failed == 1
@@ -207,7 +207,7 @@ class TestResolveMatchesSolo:
         base = base_for(coeffs, omega, config)
         for order in (starts, starts[::-1]):
             with pytest.raises(ConvergenceError) as got:
-                resolve(coeffs, base, omega, order)
+                resolve(base, order)
             want = errors[0] if order is starts else errors[1]
             assert str(got.value) == str(want)
 
@@ -215,14 +215,13 @@ class TestResolveMatchesSolo:
         base = picard_solve(workhorse["coeffs"], workhorse["eta"],
                             workhorse["omega"], workhorse["config"])
         with pytest.raises(DomainError):
-            resolve(workhorse["coeffs"], base, workhorse["omega"], [])
+            resolve(base, [])
 
     def test_reuses_the_base_partition(self, workhorse, monkeypatch):
         base = picard_solve(workhorse["coeffs"], workhorse["eta"],
                             workhorse["omega"], workhorse["config"])
         monkeypatch.setattr(solver, "greedy_partition", None)
-        got, = resolve(workhorse["coeffs"], base, workhorse["omega"],
-                       [(workhorse["eta"], "constant")])
+        got, = resolve(base, [(workhorse["eta"], "constant")])
         assert got.values.tobytes() == base.solution.values.tobytes()
 
 

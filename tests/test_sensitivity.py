@@ -72,7 +72,7 @@ def resolving_differentiability_check(coeffs, eta, direction, omega, config,
     base from ``eta`` itself."""
     report = picard_solve(coeffs, eta, omega, config)
     base = report.solution
-    y = linearized_solve(coeffs, report, direction, omega)
+    y = linearized_solve(report, direction)
     rows = []
     for eps in eps_ladder:
         eta_eps = eta.with_values(eta.values + eps * direction.values)
@@ -98,23 +98,19 @@ def scenario(request, name):
     return request.getfixturevalue(name)
 
 
-def linearized(sc, base, direction):
-    return linearized_solve(sc["coeffs"], base, direction, sc["omega"])
-
-
 class TestLinearizedSolve:
     def test_zero_direction_zero_solution(self, workhorse):
         base = base_report(workhorse)
         zero = workhorse["direction"].with_values(
             np.zeros_like(workhorse["direction"].values))
-        y = linearized(workhorse, base, zero)
+        y = linearized_solve(base, zero)
         assert np.all(y.values == 0.0)
 
     def test_scaling_linearity(self, workhorse):
         base = base_report(workhorse)
         xi = workhorse["direction"]
-        y1 = linearized(workhorse, base, xi)
-        y2 = linearized(workhorse, base, xi.with_values(2.0 * xi.values))
+        y1 = linearized_solve(base, xi)
+        y2 = linearized_solve(base, xi.with_values(2.0 * xi.values))
         scale = np.abs(y2.values).max()
         assert np.abs(y2.values - 2.0 * y1.values).max() <= 1e-12 * scale
 
@@ -123,10 +119,10 @@ class TestLinearizedSolve:
         xi = workhorse["direction"]
         u = np.linspace(-0.25, 0.0, xi.values.shape[0])
         xi2 = xi.with_values((0.3 * np.sin(2 * math.pi * u))[:, None])
-        y1 = linearized(workhorse, base, xi)
-        y2 = linearized(workhorse, base, xi2)
+        y1 = linearized_solve(base, xi)
+        y2 = linearized_solve(base, xi2)
         combo = xi.with_values(xi.values + xi2.values)
-        y12 = linearized(workhorse, base, combo)
+        y12 = linearized_solve(base, combo)
         scale = max(np.abs(y12.values).max(), 1e-30)
         assert np.abs(y12.values - y1.values - y2.values).max() <= 1e-12 * scale
 
@@ -135,7 +131,7 @@ class TestLinearizedSolve:
         sc = linear_scenario
         base = base_report(sc)
         xi = sc["direction"]
-        y = linearized(sc, base, xi)
+        y = linearized_solve(base, xi)
         eta2 = sc["eta"].with_values(sc["eta"].values + xi.values)
         x2 = picard_solve(sc["coeffs"], eta2, sc["omega"], sc["config"]).solution
         assert np.abs((x2.values - base.solution.values) - y.values).max() \
@@ -144,7 +140,7 @@ class TestLinearizedSolve:
     def test_matches_direction_on_history(self, workhorse):
         base = base_report(workhorse)
         xi = workhorse["direction"]
-        y = linearized(workhorse, base, xi)
+        y = linearized_solve(base, xi)
         n_hist = workhorse["config"].n_history
         assert np.array_equal(y.values[:n_hist + 1], xi.values)
 
@@ -152,26 +148,24 @@ class TestLinearizedSolve:
         base = base_report(workhorse)
         xi = workhorse["direction"]
         with pytest.raises(DomainError, match="dim"):
-            linearized(workhorse, base,
-                       xi.with_values(np.hstack([xi.values] * 2)))
+            linearized_solve(base, xi.with_values(np.hstack([xi.values] * 2)))
         with pytest.raises(DomainError, match="delay"):
-            linearized(workhorse, base, Segment(0.125, xi.mesh, xi.values[32:]))
+            linearized_solve(base, Segment(0.125, xi.mesh, xi.values[32:]))
         with pytest.raises(DomainError, match="mesh"):
-            linearized(workhorse, base,
-                       Segment(xi.delay, 2 * xi.mesh, xi.values[::2]))
+            linearized_solve(base,
+                             Segment(xi.delay, 2 * xi.mesh, xi.values[::2]))
 
 
 class TestContinuityCheck:
     def test_identical_segments_zero_gap(self, workhorse):
-        rep = continuity_check(workhorse["coeffs"], base_report(workhorse),
-                               workhorse["eta"], workhorse["omega"])
+        rep = continuity_check(base_report(workhorse), workhorse["eta"])
         assert rep.eta_gap == 0.0
         assert rep.pointwise_ok and rep.full_ok
 
     def test_linear_small_perturbation(self, linear_scenario):
         sc = linear_scenario
         eta2 = sc["eta"].with_values(sc["eta"].values + 0.01)
-        rep = continuity_check(sc["coeffs"], base_report(sc), eta2, sc["omega"])
+        rep = continuity_check(base_report(sc), eta2)
         assert rep.pointwise_ok and rep.full_ok
         assert rep.pointwise_min_margin > 0
         assert rep.full_constant == pytest.approx(1.0 + 1.0 / 0.25)
@@ -181,7 +175,7 @@ class TestContinuityCheck:
         eta2 = workhorse["eta"].with_values(workhorse["eta"].values + 0.01)
         base = picard_solve(co, workhorse["eta"], workhorse["omega"],
                             workhorse["config"])
-        rep = continuity_check(co, base, eta2, workhorse["omega"])
+        rep = continuity_check(base, eta2)
         assert rep.C == 0.0 and rep.N_T == 0
         assert rep.pointwise_ok and rep.full_ok
 
@@ -189,8 +183,7 @@ class TestContinuityCheck:
         base = base_report(workhorse)
         for size in (1e-1, 1e-2):
             eta2 = workhorse["eta"].with_values(workhorse["eta"].values + size)
-            rep = continuity_check(workhorse["coeffs"], base, eta2,
-                                   workhorse["omega"])
+            rep = continuity_check(base, eta2)
             assert rep.eta_gap == pytest.approx(size, rel=1e-12)
             assert rep.pointwise_ok and rep.full_ok
 
@@ -207,10 +200,8 @@ class TestContinuityCheck:
         monkeypatch.setattr(solver, "holder_norm", count)
         for size in (1e-1, 1e-2):
             eta2 = workhorse["eta"].with_values(workhorse["eta"].values + size)
-            continuity_check(workhorse["coeffs"], base, eta2,
-                             workhorse["omega"])
-        linearized_solve(workhorse["coeffs"], base, workhorse["direction"],
-                         workhorse["omega"])
+            continuity_check(base, eta2)
+        linearized_solve(base, workhorse["direction"])
         assert calls == [base.solution]
         assert base.holder_norm == norm(base.solution,
                                         workhorse["config"].beta)
@@ -218,8 +209,21 @@ class TestContinuityCheck:
     def test_vicinity_precondition(self, workhorse):
         eta2 = workhorse["eta"].with_values(workhorse["eta"].values + 2.0)
         with pytest.raises(DomainError, match="<= 1"):
-            continuity_check(workhorse["coeffs"], base_report(workhorse), eta2,
-                             workhorse["omega"])
+            continuity_check(base_report(workhorse), eta2)
+
+    def test_eta2_validated_before_the_gap(self, workhorse):
+        # a start on another grid is refused before eta2 - eta is formed
+        base = base_report(workhorse)
+        eta = workhorse["eta"]
+        fine = Segment(eta.delay, eta.mesh / 2, np.repeat(eta.values, 2,
+                                                          axis=0)[1:])
+        for eta2, what in ((fine, "mesh"),
+                           (Segment(eta.delay / 2, eta.mesh, eta.values[32:]),
+                            "delay"),
+                           (eta.with_values(np.hstack([eta.values] * 2)),
+                            "dim")):
+            with pytest.raises(DomainError, match=what):
+                continuity_check(base, eta2)
 
     @pytest.mark.parametrize("name", ["workhorse", "linear_scenario",
                                       "zero_coeffs"])
@@ -230,7 +234,7 @@ class TestContinuityCheck:
             sc["direction"].values
             / segment_norm(sc["direction"], sc["config"].beta))
         eta2 = sc["eta"].with_values(sc["eta"].values + size * unit.values)
-        got = continuity_check(sc["coeffs"], base_report(sc), eta2, sc["omega"])
+        got = continuity_check(base_report(sc), eta2)
         want = two_solve_continuity_check(sc["coeffs"], sc["eta"], eta2,
                                           sc["omega"], sc["config"])
         assert got == want
@@ -238,9 +242,8 @@ class TestContinuityCheck:
 
 class TestDifferentiabilityCheck:
     def test_sin_fbm_ladder_decreases(self, workhorse):
-        rep = differentiability_check(
-            workhorse["coeffs"], base_report(workhorse),
-            workhorse["direction"], workhorse["omega"])
+        rep = differentiability_check(base_report(workhorse),
+                                      workhorse["direction"])
         eps = [e for e, _ in rep.table]
         assert eps == [1e-1, 1e-2, 1e-3]
         assert rep.decreasing
@@ -248,22 +251,19 @@ class TestDifferentiabilityCheck:
 
     def test_linear_remainder_at_noise_floor(self, linear_scenario):
         sc = linear_scenario
-        rep = differentiability_check(sc["coeffs"], base_report(sc),
-                                      sc["direction"], sc["omega"])
+        rep = differentiability_check(base_report(sc), sc["direction"])
         assert rep.max_rho <= 1e-5
 
     def test_zero_direction(self, workhorse):
         zero = workhorse["direction"].with_values(
             np.zeros_like(workhorse["direction"].values))
-        rep = differentiability_check(
-            workhorse["coeffs"], base_report(workhorse), zero,
-            workhorse["omega"], eps_ladder=(1e-1, 1e-2))
+        rep = differentiability_check(base_report(workhorse), zero,
+                                      eps_ladder=(1e-1, 1e-2))
         assert rep.max_rho == 0.0
         assert rep.final_over_initial == 0.0
 
     def test_ladder_validation(self, workhorse):
-        args = (workhorse["coeffs"], base_report(workhorse),
-                workhorse["direction"], workhorse["omega"])
+        args = (base_report(workhorse), workhorse["direction"])
         with pytest.raises(DomainError):
             differentiability_check(*args, eps_ladder=())
         with pytest.raises(DomainError):
@@ -276,8 +276,7 @@ class TestDifferentiabilityCheck:
     def test_matches_resolving_check(self, request, name):
         sc = scenario(request, name)
         ladder = (1e-1, 3e-2, 1e-3)
-        got = differentiability_check(sc["coeffs"], base_report(sc),
-                                      sc["direction"], sc["omega"],
+        got = differentiability_check(base_report(sc), sc["direction"],
                                       eps_ladder=ladder)
         want = resolving_differentiability_check(
             sc["coeffs"], sc["eta"], sc["direction"], sc["omega"],

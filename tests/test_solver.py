@@ -17,7 +17,7 @@ from ydde.drivers import DriverSpec, gen_deterministic, gen_driver, gen_fbm
 from ydde.errors import ConvergenceError, DomainError, PartitionError
 from ydde.paths import (GridPath, Segment, SegmentView, _node_stack,
                         _pair_max, _row_norms, holder_norm, holder_seminorm,
-                        random_windows)
+                        random_windows, segment_norm)
 from ydde.sensitivity import linearized_solve
 from ydde.solver import (_INIT_KINDS, GreedyPartition, ProbeReport,
                          SolverConfig, _left_sum_map, _solve_grid, ball_check,
@@ -25,6 +25,14 @@ from ydde.solver import (_INIT_KINDS, GreedyPartition, ProbeReport,
                          growth_bound_check, picard_solve,
                          stopping_count_bound,
                          uniqueness_probe, window_residual)
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+SCENARIO_NAMES = sorted(path.stem for path in SCENARIOS.glob("*.json"))
+
+
+def hexes(values):
+    return [v.hex() for v in np.ravel(values).tolist()]
 
 
 def const_eta(value=1.0, r=0.25, mesh=MESH, dim=1):
@@ -662,7 +670,7 @@ class TestBatchedCoefficients:
         assert stacked == windows
         assert sum(rep.window_iterations) > 3 * len(windows)
         del stacked[:]
-        uniqueness_probe(co, rep, omega)       # two columns in lockstep
+        uniqueness_probe(rep)  # two columns in lockstep
         assert stacked == windows
 
     @pytest.mark.parametrize("family", ["constant_drift", "sin_delay_d2"])
@@ -684,7 +692,7 @@ class TestBatchedCoefficients:
         for co in (marked, plain):
             del segment_count[:]
             rep = picard_solve(co, eta, omega, cfg)
-            lin = linearized_solve(co, rep, eta, omega)
+            lin = linearized_solve(rep, eta)
             runs.append((rep.solution.values, lin.values,
                          euler_solve(co, eta, omega, cfg).values,
                          composition_path(co.g, rep.solution, cfg.r).values,
@@ -710,6 +718,18 @@ class TestPicardSolve:
         assert np.all(rep.solution.values[i0:] == 2.5)
         assert rep.partition.N == 0
         assert rep.partition.n_windows == 1
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_report_carries_its_problem(self, name):
+        # the coefficients, the driver and, bitwise, the start solved from
+        scenario = load_scenario(str(SCENARIOS / f"{name}.json"))
+        omega = gen_driver(scenario.driver)
+        rep = picard_solve(scenario.coefficients, scenario.eta, omega,
+                           scenario.config)
+        assert rep.coeffs is scenario.coefficients and rep.omega is omega
+        assert (rep.eta.delay, rep.eta.mesh) == (scenario.eta.delay,
+                                                 scenario.eta.mesh)
+        assert hexes(rep.eta.values) == hexes(scenario.eta.values)
 
     def test_trivial_partition_ball_diagnostic(self):
         # zero coefficients: one window over the whole horizon, scanned in
@@ -866,7 +886,7 @@ class TestHistoryNorm:
     def test_pruned_ball_matches_full_scan(self, monkeypatch, workhorse,
                                            band):
         # a narrow band and small blocks make these short histories read
-        # far block pairs, bounded by the per-record boxes of the iterates
+        # far block pairs, bounded by each iterate's own node blocks
         monkeypatch.setattr("ydde.paths._BAND", band)
         monkeypatch.setattr("ydde.paths._BLOCK_PAIRS", 256)
         # the perturbed first iterates stray furthest from the solution
@@ -941,7 +961,7 @@ class TestHistoryNorm:
             rep = picard_solve(coeffs, sc["eta"], sc["omega"], sc["config"])
             assert len(iterates) == sum(rep.window_iterations)
         else:
-            linearized_solve(coeffs, base, sc["direction"], sc["omega"])
+            linearized_solve(base, sc["direction"])
         assert len(iterates) > 1 and len(scans) == len(iterates)
 
 
@@ -1019,13 +1039,12 @@ class TestUniquenessProbe:
                                 c=0.5)):
             base = picard_solve(co, const_eta(), workhorse["omega"],
                                 workhorse["config"])
-            rep = uniqueness_probe(co, base, workhorse["omega"])
+            rep = uniqueness_probe(base)
             assert rep.passed
             assert rep.max_pairwise == 0.0
 
     def test_sin_fbm_inits_agree(self, workhorse):
-        rep = uniqueness_probe(workhorse["coeffs"], base_report(workhorse),
-                               workhorse["omega"])
+        rep = uniqueness_probe(base_report(workhorse))
         assert rep.passed
         assert rep.init_kinds == ("constant", "linear", "euler_perturbed")
         assert rep.max_pairwise <= rep.tolerance
@@ -1037,7 +1056,7 @@ class TestUniquenessProbe:
                                     n_inits):
         sc = request.getfixturevalue(name)
         monkeypatch.setattr(solver, "_INIT_KINDS", _INIT_KINDS[:n_inits])
-        got = uniqueness_probe(sc["coeffs"], base_report(sc), sc["omega"])
+        got = uniqueness_probe(base_report(sc))
         want = all_init_probe(sc["coeffs"], sc["eta"], sc["omega"],
                               sc["config"], n_inits)
         assert got == want
@@ -1066,6 +1085,28 @@ class TestGrowthBound:
         assert growth.passed
         assert growth.min_margin > 0
         assert len(growth.rows) == rep.partition.n_windows
+
+    def test_reads_the_start_norm_of_the_report(self, monkeypatch, workhorse):
+        # the margins are those of the start's own segment norm, which the
+        # report holds: the check computes no second one
+        rep = base_report(workhorse)
+        want = growth_bound_check(rep, workhorse["eta"])
+        assert rep.eta_norm.hex() == segment_norm(
+            workhorse["eta"], rep.config.beta).hex()
+        monkeypatch.setattr(solver, "segment_norm", None)
+        got = growth_bound_check(rep, rep.eta)
+        assert got.min_margin.hex() == want.min_margin.hex()
+        assert got.rows == want.rows
+
+    def test_refuses_another_start(self, workhorse):
+        rep = base_report(workhorse)
+        eta = workhorse["eta"]
+        for other in (Segment(eta.delay, 2 * eta.mesh, eta.values[::2]),
+                      Segment(eta.delay / 2, eta.mesh, eta.values[32:]),
+                      eta.with_values(np.hstack([eta.values] * 2)),
+                      eta.with_values(eta.values + 1e-3)):
+            with pytest.raises(DomainError):
+                growth_bound_check(rep, other)
 
 
 class TestGronwall:
@@ -1152,8 +1193,7 @@ class TestTrivialPartition:
 
 def sin_fbm_solve(mesh):
     """The sin_fbm demo scenario solved at ``mesh``: (scenario, report)."""
-    scenario = load_scenario(str(Path(__file__).resolve().parents[1] / "demos"
-                                 / "scenarios" / "sin_fbm.json"), mesh=mesh)
+    scenario = load_scenario(str(SCENARIOS / "sin_fbm.json"), mesh=mesh)
     report = picard_solve(scenario.coefficients, scenario.eta,
                           gen_driver(scenario.driver), scenario.config)
     return scenario, report
