@@ -380,7 +380,6 @@ def cmd_counterexample(args, scenario, out, say):
 def _verify_checks(scenario):
     """Run the enabled checks: (report, [(name, passed, detail)], tables)."""
     coeffs, config = scenario.coefficients, scenario.config
-    omega = drivers.gen_driver(scenario.driver)
     checks = scenario.checks
     results = []
     tables = []
@@ -398,7 +397,8 @@ def _verify_checks(scenario):
 
     run("regularity", chk_regularity)
 
-    report = solver.picard_solve(coeffs, scenario.eta, omega, config)
+    report = _solve_scenario(scenario)
+    omega = report.omega
 
     def chk_solve():
         ball_ok = report.ball_ok

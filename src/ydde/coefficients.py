@@ -452,7 +452,7 @@ def composition_holder(coeffs, path, beta, r, windows):
     Lipschitz composition bound keeps the first below ``L_g`` times the
     second.  One :class:`CompositionReport` per window.  ``g(x_.)`` is
     built once over the windows' span, and the seminorms of each path come
-    from one pass over its node pairs
+    from one pruned pass over its node pairs
     (:func:`~ydde.paths._window_pair_max`)."""
     _check_holder_exponent(beta)
     comp, nodes = _composition_windows(coeffs.g, path, r, windows)

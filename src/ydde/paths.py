@@ -28,8 +28,18 @@ _BLOCK_PAIRS = 1 << 14
 
 # Widest gap of the band a pruned pair scan reads in full, and the nodes of
 # one block of its bounds: farther pairs are read a block pair at a time, and
-# only the block pairs whose bound can win (:func:`_pair_max`).
+# only the block pairs whose bound can win (:func:`_pair_max`,
+# :func:`_window_pair_max`).
 _BAND = 64
+
+# Fewest far block pairs (pairs of node blocks no farther apart than the
+# widest window spans) for which :func:`_window_pair_max` prunes; a smaller
+# scan is read in full, as the work per block pair outweighs the pairs it
+# skips.  Measured on a two-core host on the sin_fbm solution: its segment
+# and composition windows at mesh 2^-11 (292 and 810 far block pairs) read
+# 1.4x and 1.3x slower pruned, its segment windows at 2^-12 (1160) 1.8x
+# faster.
+_PRUNE_BLOCK_PAIRS = 1 << 10
 
 # The unit roundoff of a float and its smallest normal value.
 _ROUNDOFF = 2.0 ** -53
@@ -269,18 +279,17 @@ def _ratios(v, j0, j1, k0, k1, w):
     return ratio
 
 
-def _pair_blocks(v, h, exponent, start=1, max_gap=None, stop=None):
+def _pair_blocks(v, h, exponent, start=1, max_gap=None):
     """The grid pair scan of the nodes (rows) ``v`` of a path on mesh ``h``,
-    in blocks of upper nodes ``start <= j < stop`` (default: all nodes):
+    in blocks of upper nodes ``j >= start``:
     yields ``(j0, k0, ratio)`` with ``ratio[j - j0, k - k0] = |v[j] - v[k]|
     / ((j-k)*h)^exponent``, 0 for pairs with ``k >= j`` or a gap above
     ``max_gap`` (default: all), from :func:`_ratios`.  A block of upper
     nodes ``[j0, j1)`` reads the lower nodes ``k0 = max(0, j0 - max_gap) <=
-    k < j1 - 1`` and no node from ``stop`` on, so a short ``max_gap`` scans
-    a band.  A block holds at most ``_BLOCK_PAIRS`` pairs.  The weights are
-    Python's ``(g*h) ** exponent`` (numpy's ``power`` rounds some
-    differently), so the ratios and their maxima are bitwise those of a loop
-    over gaps.  For K paths side by side, ``v`` of shape ``(n, K, d)``,
+    k < j1 - 1``, so a short ``max_gap`` scans a band.  A block holds at
+    most ``_BLOCK_PAIRS`` pairs.  The weights are Python's ``(g*h) **
+    exponent`` (numpy's ``power`` rounds some differently), so the ratios
+    and their maxima are bitwise those of a loop over gaps.  For K paths side by side, ``v`` of shape ``(n, K, d)``,
     ``ratio[j - j0, k - k0, c]`` is bitwise the ratio of the scan of column
     c alone.
     """
@@ -290,15 +299,14 @@ def _pair_blocks(v, h, exponent, start=1, max_gap=None, stop=None):
     most = math.isqrt(_BLOCK_PAIRS) + 1
     line = _gap_line(m, h, exponent, most)
     step = line.strides[0]
-    stop = n if stop is None else stop
     j0 = start
-    while j0 < stop:
+    while j0 < n:
         k0 = max(0, j0 - m)
         # largest j1 with (j1 - j0) * (j1 - 1 - k0) <= _BLOCK_PAIRS, one row
         # at least
         a = j0 - 1 - k0
         rows = (math.isqrt(a * a + 4 * _BLOCK_PAIRS) - a) // 2
-        j1 = min(stop, j0 + max(1, rows))
+        j1 = min(n, j0 + max(1, rows))
         # w[j - j0, k - k0] = line[most + m - j + k], a view
         w = np.ndarray((j1 - j0, j1 - 1 - k0), line.dtype, line,
                        (most + m - j0 + k0) * step, (-step, step))
@@ -349,6 +357,28 @@ def _far_bounds(lo, hi, b0, b1, floors):
     return np.divide(num, w, out=np.zeros(num.shape), where=valid)
 
 
+def _gap_floors(h, exponent, n, m):
+    """The weights of an n-node scan with gaps up to m, the weight of gap g
+    at g - 1 and inf past m, n - 1 of them; and the least weight of a gap
+    ``i * _BAND + 1`` or wider at i - 1, from O(n / _BAND) block minima:
+    the floors of :func:`_far_bounds`."""
+    weights = _gap_powers(h, exponent, 1 << (m - 1).bit_length())[:m]
+    if m < n - 1:
+        weights = np.concatenate((weights, np.full(n - 1 - m, np.inf)))
+    floors = np.minimum.reduceat(weights, np.arange(_BAND, n - 1, _BAND))
+    return weights, np.minimum.accumulate(floors[::-1])[::-1]
+
+
+def _far_ratios(v, weights, j0, j1, k0):
+    """:func:`_ratios` of the upper nodes ``j0 <= j < j1`` and the
+    ``_BAND`` lower nodes from ``k0 < j0 - _BAND``, with the weights
+    ``weights[j - k - 1]`` of :func:`_gap_floors`, a view."""
+    step = weights.strides[0]
+    w = np.ndarray((j1 - j0, _BAND), weights.dtype, weights,
+                   (j0 - k0 - 1) * step, (step, -step))
+    return _ratios(v, j0, j1, k0, k0 + _BAND, w)
+
+
 def _pair_max(v, h, exponent, start=1, floor=0.0, max_gap=None):
     """Value of the pair scan over the upper nodes ``j >= start``: max over
     ``k < j``, ``j - k <= max_gap`` (default: any), of ``|v[j] - v[k]| /
@@ -371,16 +401,7 @@ def _pair_max(v, h, exponent, start=1, floor=0.0, max_gap=None):
     for _, _, ratio in _pair_blocks(v, h, exponent, start, band):
         np.maximum(best, ratio.max(axis=(0, 1)), out=best)
     if band < m and start < n:
-        # the weight of gap g at g - 1, inf past m; the least weight of a
-        # gap i * _BAND + 1 or wider at i - 1, from O(n / _BAND) block minima
-        weights = _gap_powers(h, exponent, 1 << (n - 2).bit_length())
-        if m < n - 1:
-            weights = np.concatenate((weights[:m],
-                                      np.full(n - 1 - m, np.inf)))
-        floors = np.minimum.reduceat(weights[:n - 1],
-                                     np.arange(_BAND, n - 1, _BAND))
-        floors = np.minimum.accumulate(floors[::-1])[::-1]
-        step = weights.strides[0]
+        weights, floors = _gap_floors(h, exponent, n, m)
         lo, hi = _block_boxes(v)
         nb = lo.shape[0]
         rows = max(1, _BLOCK_PAIRS // nb)
@@ -395,55 +416,161 @@ def _pair_max(v, h, exponent, start=1, floor=0.0, max_gap=None):
                 b, a = divmod(int(i), b1)
                 if not (bound[b, a] > best).any():
                     continue
-                j0, k0 = max((b0 + b) * _BAND, start), a * _BAND
-                j1 = min(n, (b0 + b + 1) * _BAND)
-                # w[j - j0, k - k0] = weights[j - k - 1], a view
-                w = np.ndarray((j1 - j0, _BAND), weights.dtype, weights,
-                               (j0 - k0 - 1) * step, (step, -step))
-                ratio = _ratios(v, j0, j1, k0, k0 + _BAND, w)
+                j0 = max((b0 + b) * _BAND, start)
+                ratio = _far_ratios(v, weights, j0,
+                                    min(n, (b0 + b + 1) * _BAND), a * _BAND)
                 np.maximum(best, ratio.max(axis=(0, 1)), out=best)
     return best if v.ndim > 2 else float(best[0])
 
 
+def _fold_block(out, sel, ratio, last, first):
+    """Raise ``out[sel]`` to the max of the windows' ratios in the 2-D block
+    ``ratio`` of a scan: window i holds its rows up to ``last[i]`` and its
+    columns from ``first[i]``, clipped to the block.  A window that holds
+    the whole block takes its max, one cut only by its last row a running
+    max of the row maxima, one cut only by its first column a suffix max of
+    the column maxima; the 2-D maxima (in place) are formed only when a
+    window cuts both."""
+    rows = ratio.shape[0]
+    last = np.minimum(last, rows - 1)
+    first = np.maximum(first, 0)
+    if ((last < rows - 1) & (first > 0)).any():
+        # the suffix max by lower node, then the running max down the upper
+        # nodes by doubling, in log2(rows) passes (an accumulate along this
+        # short axis loops once per column)
+        flip = ratio[:, ::-1]
+        np.maximum.accumulate(flip, axis=1, out=flip)
+        step = 1
+        while step < rows:
+            ratio[step:] = np.maximum(ratio[step:], ratio[:-step])
+            step *= 2
+        got = ratio[last, first]
+    else:
+        cols = np.maximum.accumulate(ratio.max(axis=0)[::-1])[::-1]
+        got = np.where(last == rows - 1, cols[first],
+                       np.maximum.accumulate(ratio.max(axis=1))[last])
+    out[sel] = np.maximum(out[sel], got)
+
+
+def _window_cells(lo, hi):
+    """The windows ``(lo, hi)`` grouped in cells by the ``_BAND``-node
+    blocks of their last and first nodes, the cells sorted by last block,
+    then first: the windows in cell order, where each cell starts in that
+    order (and, last, where the final cell ends), and each cell's last and
+    first block."""
+    last, head = hi // _BAND, lo // _BAND
+    by_cell = np.lexsort((head, last))
+    last, head = last[by_cell], head[by_cell]
+    cuts = np.flatnonzero((np.diff(last, prepend=-1) != 0)
+                          | (np.diff(head, prepend=-1) != 0))
+    return by_cell, np.append(cuts, by_cell.size), last[cuts], head[cuts]
+
+
 def _window_pair_max(v, h, exponent, windows):
     """``_pair_max(v[i:j+1], h, exponent)`` for each window ``(i, j)``,
-    ``i < j``, of the ``(N, 2)`` node indices ``windows``, from one pass of
-    :func:`_pair_blocks` over ``v``, banded at the widest window: a wider
-    pair lies in no window.  Per block, the suffix max by lower node of
-    each upper node's pairs, then a running max down the upper nodes: a
-    window reads it at its last upper node and its first node, as the
-    pairs ``(k, l)`` with ``k >= i`` and ``l <= j``.  Upper nodes ``l <= i``
-    read 0 there, as their pairs with ``k >= i`` do.  A block updates only
-    the windows that meet it, found among the windows sorted by last node.
-    The same ratios as :func:`_pair_max`, so bitwise its maxima; the upper
-    nodes scanned are those of the windows, and the weights those of one
-    scan size."""
+    ``i < j``, of the ``(N, 2)`` node indices ``windows`` of the nodes
+    (rows) ``v``, from one pass over the nodes of the windows.
+
+    Pruned, exactly, as :func:`_pair_max`: the band of gaps up to ``_BAND``
+    (:func:`_pair_blocks`), then the pairs of ``_BAND``-node blocks farther
+    apart but within the widest window, one block pair at a time, in
+    decreasing bound (:func:`_far_bounds`) per chunk of about ``8 *
+    _BLOCK_PAIRS`` bounds.  A block pair is read only while its bound
+    exceeds the least value of the windows that meet it, those that start
+    before its lower block ends and end at or after its upper block starts:
+    a block pair skipped holds no ratio above any of their values.  For
+    that least value, the windows are grouped in cells by the blocks of
+    their first and last nodes.  Each block read raises the windows that
+    meet it (:func:`_fold_block`), found among the windows sorted by last
+    node, or by cell.  A scan of fewer than ``_PRUNE_BLOCK_PAIRS`` far
+    block pairs is read in full, banded at the widest window: a wider pair
+    lies in no window.  The same ratios as :func:`_pair_max`, so bitwise
+    its maxima."""
     lo, hi = np.asarray(windows, dtype=np.intp).reshape(-1, 2).T
     out = np.zeros(lo.shape[0])
     if not out.size:
         return out
+    first = int(lo.min())
+    v, lo, hi = v[first:int(hi.max()) + 1], lo - first, hi - first
+    n, width = v.shape[0], int((hi - lo).max())
+    # the far block pairs (a, b): 1 <= b - a <= span, b < nb
+    nb, span = -(-n // _BAND), -(-width // _BAND)
+    near = min(span, nb - 1)
+    far = near * (nb - 1) - near * (near - 1) // 2
+    band = width if far < _PRUNE_BLOCK_PAIRS else min(width, _BAND)
     order = np.argsort(hi, kind="stable")
     ends = hi[order]
-    width = int((hi - lo).max())
-    for j0, k0, ratio in _pair_blocks(v, h, exponent, int(lo.min()) + 1,
-                                      max_gap=width, stop=int(ends[-1]) + 1):
-        rows, cols = ratio.shape[:2]
-        # in place: the suffix max by lower node, then the running max down
-        # the upper nodes by doubling, in log2(rows) passes (an accumulate
-        # along this short axis loops once per column)
-        best, step = ratio, 1
-        flip = best[..., ::-1]
-        np.maximum.accumulate(flip, axis=-1, out=flip)
-        while step < rows:
-            best[step:] = np.maximum(best[step:], best[:-step])
-            step *= 2
-        # a window meeting the block ends at j0 or later and starts at one
-        # of its lower nodes, so it ends before k0 + cols + width; it starts
-        # at k0 or later, as wider pairs are in no window
+    for j0, k0, ratio in _pair_blocks(v, h, exponent, max_gap=band):
+        # a window meeting the block ends at j0 or later and starts before
+        # its last lower node, so it ends before k0 + cols + width
+        cols = ratio.shape[1]
         sel = order[slice(*np.searchsorted(ends, (j0, k0 + cols + width)))]
         sel = sel[lo[sel] < k0 + cols]
-        got = best[np.minimum(hi[sel], j0 + rows - 1) - j0, lo[sel] - k0]
-        out[sel] = np.maximum(out[sel], got)
+        _fold_block(out, sel, ratio, hi[sel] - j0, lo[sel] - k0)
+        # freed before the next block is formed, which would otherwise
+        # hold three blocks at once and raise the peak memory
+        del ratio
+    if band == width:
+        return out
+    # freed, so that the far part's arrays do not add to the band's peak
+    del order, ends
+    weights, floors = _gap_floors(h, exponent, n, width)
+    lo_box, hi_box = _block_boxes(v)
+    by_cell, cuts, cell_last, cell_head = _window_cells(lo, hi)
+    row = np.searchsorted(cell_last, np.arange(nb + 1)).tolist()
+    least = np.minimum.reduceat(out[by_cell], cuts[:-1])
+    # upper blocks per chunk of bounds, rows * (rows + span) <= 8 *
+    # _BLOCK_PAIRS (1 MiB): the fewer the chunks, the fewer block pairs are
+    # read (the segment windows of the 2^14 sin_fbm solution read 1360 in
+    # one chunk, 2057 in four)
+    rows = max(1, (math.isqrt(span * span + 32 * _BLOCK_PAIRS) - span) // 2)
+    for b0 in range(1, nb, rows):
+        b1 = min(nb, b0 + rows)
+        a0 = max(0, b0 - span)
+        bound = _far_bounds(lo_box[a0:b1], hi_box[a0:b1], b0 - a0, b1 - a0,
+                            floors).ravel()
+        picks = np.flatnonzero(bound > least.min())
+        picks = picks[np.argsort(-bound[picks])]
+        tops = bound[picks]
+        falls = -tops
+        upper, lower = np.divmod(picks, b1 - a0)
+        upper += b0
+        lower += a0
+        i = k = 0
+        while i < picks.size:
+            if i == k:
+                # the cells below the next bound stay so until the bound
+                # falls to the largest of them, at k, or a block is read;
+                # reach[b] is the least first block of those ending in
+                # block b or later, and (a, b) meets one iff reach[b] <= a
+                live = least < tops[i]
+                if not live.any():
+                    break
+                k = int(np.searchsorted(falls, -least[live].max()))
+                ends_in, starts_in = cell_last[live], cell_head[live]
+                lead = np.diff(ends_in, prepend=-1) != 0
+                reach = np.full(nb + 1, nb)
+                reach[ends_in[lead]] = starts_in[lead]
+                reach = np.minimum.accumulate(reach[::-1])[::-1]
+            need = np.flatnonzero(reach[upper[i:k]] <= lower[i:k])
+            if not need.size:
+                i = k
+                continue
+            i += int(need[0])
+            b, a = int(upper[i]), int(lower[i])
+            i = k = i + 1
+            j0, k0 = b * _BAND, a * _BAND
+            # the cells that can meet block pair (a, b): ending in block b
+            # or later, and no later than a window starting in block a can
+            c0 = row[b]
+            c1 = row[min(nb, (k0 + _BAND - 1 + width) // _BAND + 1)]
+            held = by_cell[cuts[c0]:cuts[c1]]
+            sel = held[lo[held] < k0 + _BAND]
+            _fold_block(out, sel, _far_ratios(v, weights, j0,
+                                              min(n, j0 + _BAND), k0),
+                        hi[sel] - j0, lo[sel] - k0)
+            least[c0:c1] = np.minimum.reduceat(out[held],
+                                               cuts[c0:c1] - cuts[c0])
     return out
 
 
@@ -573,9 +700,9 @@ def _segment_norm_parts(v, h, beta, mr):
     ``sups`` and the beta pair scan ``scans`` of the history ``v[j - mr :
     j + 1]``, bitwise ``_row_norms(hist).max()`` and :func:`_pair_max`.
     The sups are one O(1)-per-node sliding max (:func:`_sliding_max`), the
-    scans the histories' windows read from one pass over the band of pairs
-    with gaps up to mr (:func:`_window_pair_max`), so both cost O(n * mr)
-    instead of a pair scan per node."""
+    scans the histories' windows read from one pruned pass
+    (:func:`_window_pair_max`), at most O(n * mr) instead of a pair scan
+    per node."""
     sups = _sliding_max(_row_norms(v), mr + 1)
     ends = np.arange(mr, v.shape[0])
     return sups, _window_pair_max(v, h, beta, np.stack((ends - mr, ends), 1))

@@ -119,9 +119,9 @@ def window_residual(omega, beta, nu, windows):
     grid, for each window ``(s, t)`` of ``windows``.  Each window scans its
     own node pairs: the windows checked (a partition's, each one cell
     longer) are short and nearly disjoint, and one pass over their span
-    banded at the widest window (:func:`~ydde.paths._window_pair_max`)
-    measured slower on a two-core host: on sin_fbm's 56-65 partition
-    windows, 0.44 vs 0.40 ms at n = 2^8 and 8.5 vs 1.2 ms at n = 2^12."""
+    (:func:`~ydde.paths._window_pair_max`) gains little at n = 2^8 and
+    loses at n = 2^12, measured on a two-core host on sin_fbm's 55 and
+    67 partition windows: 0.40 vs 0.49 ms and 7.7 vs 1.2 ms."""
     out = []
     for window in windows:
         i0, i1 = omega.window_indices(window)

@@ -49,6 +49,33 @@ def full_pair_max(v, h, exponent, start=1, max_gap=None):
     return float(max((ratio.max() for _, _, ratio in blocks), default=0.0))
 
 
+def banded_window_pair_max(v, h, exponent, windows):
+    """``full_pair_max(v[i:j+1], h, exponent)`` for each window ``(i, j)``
+    from one unpruned pass of ``_pair_blocks`` over the windows' nodes,
+    banded at the widest window: per block, the suffix max by lower node,
+    then the running max down the upper nodes, read by each window that
+    meets the block at its last upper node and first lower node.  What
+    ``_window_pair_max`` read before it pruned, kept as its oracle at
+    solver sizes."""
+    lo, hi = np.asarray(windows, dtype=np.intp).reshape(-1, 2).T
+    out = np.zeros(lo.shape[0])
+    if not out.size:
+        return out
+    width = int((hi - lo).max())
+    for j0, k0, ratio in _pair_blocks(v[:int(hi.max()) + 1], h, exponent,
+                                      int(lo.min()) + 1, max_gap=width):
+        rows = ratio.shape[0]
+        np.maximum.accumulate(ratio[:, ::-1], axis=1, out=ratio[:, ::-1])
+        ratio = np.maximum.accumulate(ratio, axis=0)
+        # a window meeting the block starts at one of its lower nodes, as
+        # wider pairs are in no window
+        sel = np.flatnonzero((hi >= j0) & (lo < k0 + ratio.shape[1])
+                             & (lo >= k0))
+        got = ratio[np.minimum(hi[sel], j0 + rows - 1) - j0, lo[sel] - k0]
+        out[sel] = np.maximum(out[sel], got)
+    return out
+
+
 def segments(sample, g, count=1):
     """``count`` successive draws of the segment sampler ``sample`` (see
     ``bounded_segment_sampler``) from the generator g, as Segments."""

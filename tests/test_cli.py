@@ -499,13 +499,18 @@ class TestErrorHandling:
         assert error["type"] == "DomainError"
         assert "at least 2 cells" in error["message"]
 
-    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "7", -1, 2 ** 64])
-    def test_non_integer_driver_seed(self, tmp_path, capsys, seed):
+    @pytest.mark.parametrize("command, seed", [
+        pytest.param(command, seed, id=f"{prefix}{seed}")
+        for command, prefix in (("solve", ""), ("verify", "verify-"))
+        for seed in (1.5, 1.0, True, "7", -1, 2 ** 64)])
+    def test_non_integer_driver_seed(self, tmp_path, capsys, command, seed):
+        # verify solves the scenario as solve does, and refuses the seed
+        # with the same exit code and error.json
         d = scenario_dict()
         d["driver"]["seed"] = seed
         sc = write_scenario(tmp_path, d)
         out = tmp_path / "o"
-        assert main(["solve", "--scenario", sc, "--out", str(out)]) \
+        assert main([command, "--scenario", sc, "--out", str(out)]) \
             == EXIT_CONFIG
         assert "Traceback" not in capsys.readouterr().err
         error = json.loads((out / "error.json").read_text())["error"]

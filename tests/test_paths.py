@@ -10,16 +10,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import full_pair_max, pvar_seminorm_exhaustive, random_path, rng
+from conftest import (banded_window_pair_max, full_pair_max,
+                      pvar_seminorm_exhaustive, random_path, rng)
+from ydde import paths as paths_module
 from ydde.coefficients import (composition_holder, composition_holder_diff,
                                composition_path, make_builtin)
 from ydde.errors import DomainError
 from ydde.paths import (GridPath, _gap_line, _pair_blocks, _pair_max,
                         _row_norms, _segment_norm_parts, _sliding_max,
                         _window_pair_max, counterexample_growth,
-                        holder_norm, holder_seminorm, pvar_seminorm, segment,
-                        segment_norm, segment_norm_profile,
-                        segment_path_holder, sup_norm, write_csv)
+                        holder_norm, holder_seminorm, pvar_seminorm,
+                        random_windows, segment, segment_norm,
+                        segment_norm_profile, segment_path_holder, sup_norm,
+                        write_csv)
 
 
 def brute_holder(path, beta, window=None):
@@ -292,19 +295,17 @@ class TestBandedBlocks:
         n = v.shape[0]
         m = data.draw(st.integers(1, n - 1))
         start = data.draw(st.integers(1, n - 1))
-        stop = data.draw(st.integers(start, n))
         # the unbanded scan: one block of every upper node and every column
         (j0, k0, full), = _pair_blocks(v, h, exponent, max_gap=m)
         assert (j0, k0, full.shape[:2]) == (1, 0, (n - 1, n - 1))
-        # nodes below j0 - m, and from stop on, are NaN when a block reads
-        # them: NaN would reach its ratios
+        # nodes below j0 - m are NaN when a block reads them: NaN would
+        # reach its ratios
         poisoned = np.array(v)
-        poisoned[stop:] = np.nan
         poisoned[:max(0, start - m)] = np.nan
         seen = start
         with mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
             for j0, k0, ratio in _pair_blocks(poisoned, h, exponent, start,
-                                              m, stop):
+                                              m):
                 rows, cols = ratio.shape[:2]
                 assert (j0, k0, k0 + cols) == (seen, max(0, j0 - m),
                                                j0 + rows - 1)
@@ -317,7 +318,7 @@ class TestBandedBlocks:
                 assert not band[:, :k0].any() and not band[:, k0 + cols:].any()
                 seen = j0 + rows
                 poisoned[:max(0, seen - m)] = np.nan
-        assert seen == stop
+        assert seen == n
 
 
 # Node values near the ends of the range where a square neither underflows
@@ -531,6 +532,16 @@ def hexed(pairs):
     return [tuple(float.hex(x) for x in pair) for pair in pairs]
 
 
+def pruning(band, prune=0, block_pairs=1 << 14):
+    """Patch the band and block widths, the fewest far block pairs that
+    prune, and the pairs of a block (its bounds per chunk, 8 times as
+    many): a narrow band and prune = 0 make short paths read far block
+    pairs, in several chunks of bounds when blocks are small."""
+    return mock.patch.multiple("ydde.paths", _BAND=band,
+                               _PRUNE_BLOCK_PAIRS=prune,
+                               _BLOCK_PAIRS=block_pairs)
+
+
 class TestSegmentNormParts:
     @settings(max_examples=500)
     @given(v=node_arrays(max_nodes=40, elems=MIXED), h=st.sampled_from(MESHES),
@@ -545,10 +556,12 @@ class TestSegmentNormParts:
     @settings(max_examples=500)
     @given(v=node_arrays(max_nodes=40, elems=MIXED), h=st.sampled_from(MESHES),
            exponent=st.sampled_from(EXPONENTS),
+           band=st.sampled_from((2, 8)),
            block_pairs=st.sampled_from((1, 7, 1 << 14)), data=st.data())
-    def test_matches_per_gap_loop(self, v, h, exponent, block_pairs, data):
+    def test_matches_per_gap_loop(self, v, h, exponent, band, block_pairs,
+                                  data):
         size = data.draw(st.integers(1, v.shape[0] - 1))
-        with mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
+        with pruning(band, 0, block_pairs):
             got = _segment_norm_parts(v, h, exponent, size)
         want = gap_loop_segment_norm_parts(v, h, exponent, size)
         for part, oracle in zip(got, want):
@@ -563,6 +576,21 @@ class TestSegmentNormParts:
         want = gap_loop_segment_norm_parts(v, 1 / 600, 0.55, size)
         monkeypatch.setattr("ydde.paths._BLOCK_PAIRS", block_pairs)
         got = _segment_norm_parts(v, 1 / 600, 0.55, size)
+        for part, oracle in zip(got, want):
+            assert part.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("block_pairs", [1, 1 << 14])
+    @pytest.mark.parametrize("size", [61, 64, 599])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_pruned_per_gap_loop_on_long_paths(self, dim, size, block_pairs):
+        # a band of 8 prunes; the path is drift-dominated, so its longest
+        # gaps win, and they lie in the farthest block pairs; one chunk of
+        # bounds per upper block, or one for all
+        v = random_path(dim, n=600, mesh=1 / 600, dim=dim,
+                        roughness=0.1).values
+        want = gap_loop_segment_norm_parts(v, 1 / 600, 0.55, size)
+        with pruning(8, 0, block_pairs):
+            got = _segment_norm_parts(v, 1 / 600, 0.55, size)
         for part, oracle in zip(got, want):
             assert part.tobytes() == oracle.tobytes()
 
@@ -605,38 +633,79 @@ def short_windows(draw):
     return v, wins + wins[:draw(st.integers(0, len(wins)))]
 
 
+@st.composite
+def adversarial_windows(draw):
+    """An adversarial path of n nodes (:func:`adversarial_nodes`, shape
+    ``(n,)`` or ``(n, d)``) and windows ``(i, j)``, i < j, unsorted, some
+    repeated, among them one-cell and whole-path ones."""
+    v = draw(adversarial_nodes(columns=False))
+    n = v.shape[0]
+    cells = st.integers(0, n - 2).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(i + 1, n - 1)))
+    wins = draw(st.lists(cells, min_size=1, max_size=12))
+    wins += wins[:draw(st.integers(0, len(wins)))]
+    return v, wins + [(0, n - 1), (n - 2, n - 1)]
+
+
+def window_hexes(v, h, exponent, wins):
+    return [full_pair_max(v[i:j + 1], h, exponent).hex() for i, j in wins]
+
+
+# Unsorted, duplicated windows of mixed widths on a 61-node path.
+MIXED_WINDOWS = [
+    [(40, 59), (3, 4), (10, 30), (3, 4), (0, 59), (55, 56), (10, 30),
+     (20, 22), (0, 1), (58, 59), (30, 31), (5, 45)],
+    [(40, 43), (3, 4), (10, 13), (3, 4), (55, 56), (20, 22), (57, 59),
+     (0, 1), (41, 42)],
+]
+
+
 class TestWindowPairMax:
+    """The pruned window reader is float.hex-equal, per window, to the full
+    scan of the window's nodes.  A narrow band (2 or 8 nodes) and a size
+    rule patched to 0 make short paths read far block pairs."""
+
     @settings(max_examples=500)
     @given(case=path_windows(), h=st.sampled_from(MESHES),
            exponent=st.sampled_from(EXPONENTS),
+           band=st.sampled_from((2, 8)),
+           prune=st.sampled_from((0, 1 << 10)),
            block_pairs=st.sampled_from((1, 7, 1 << 14)))
-    def test_matches_pair_max_per_window(self, case, h, exponent,
-                                         block_pairs):
+    def test_matches_pair_max_per_window(self, case, h, exponent, band,
+                                         prune, block_pairs):
         v, wins = case
-        with mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
+        with pruning(band, prune, block_pairs):
             got = _window_pair_max(v, h, exponent, wins)
-        want = [full_pair_max(v[i:j + 1], h, exponent) for i, j in wins]
-        assert [float(x).hex() for x in got] == [x.hex() for x in want]
+        assert hexes(got) == window_hexes(v, h, exponent, wins)
 
     @settings(max_examples=500)
     @given(case=short_windows(), h=st.sampled_from(MESHES),
            exponent=st.sampled_from(EXPONENTS),
+           band=st.sampled_from((2, 8)),
+           prune=st.sampled_from((0, 1 << 10)),
            block_pairs=st.sampled_from((1, 7, 1 << 14)))
-    def test_banded_at_the_widest_window(self, case, h, exponent,
-                                         block_pairs):
+    def test_banded_at_the_widest_window(self, case, h, exponent, band,
+                                         prune, block_pairs):
         v, wins = case
-        with mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
+        with pruning(band, prune, block_pairs):
             got = _window_pair_max(v, h, exponent, wins)
-        want = [full_pair_max(v[i:j + 1], h, exponent) for i, j in wins]
-        assert [float(x).hex() for x in got] == [x.hex() for x in want]
+        assert hexes(got) == window_hexes(v, h, exponent, wins)
+
+    @settings(max_examples=100)
+    @given(case=adversarial_windows(), h=st.sampled_from(MESHES),
+           exponent=st.sampled_from(EXPONENTS), band=st.sampled_from((2, 8)),
+           block_pairs=st.sampled_from((1, 6, 40, 1 << 14)))
+    def test_adversarial_paths(self, case, h, exponent, band, block_pairs):
+        # ramps, spikes, constant runs and alternating signs, scaled from
+        # 2^-540 to 2^520: bounds that are tight, tie, or need the d >= 2
+        # rounding allowance
+        v, wins = case
+        with pruning(band, 0, block_pairs):
+            got = _window_pair_max(v, h, exponent, wins)
+        assert hexes(got) == window_hexes(v, h, exponent, wins)
 
     @pytest.mark.parametrize("block_pairs", [1, 7, 60])
-    @pytest.mark.parametrize("wins", [
-        [(40, 59), (3, 4), (10, 30), (3, 4), (0, 59), (55, 56), (10, 30),
-         (20, 22), (0, 1), (58, 59), (30, 31), (5, 45)],
-        [(40, 43), (3, 4), (10, 13), (3, 4), (55, 56), (20, 22), (57, 59),
-         (0, 1), (41, 42)],
-    ], ids=["wide", "short"])
+    @pytest.mark.parametrize("wins", MIXED_WINDOWS, ids=["wide", "short"])
     def test_unsorted_duplicated_mixed_widths(self, monkeypatch, wins,
                                               block_pairs):
         v = random_path(4, n=60, mesh=1 / 60, dim=2).values
@@ -644,6 +713,36 @@ class TestWindowPairMax:
         monkeypatch.setattr("ydde.paths._BLOCK_PAIRS", block_pairs)
         got = _window_pair_max(v, 1 / 60, 0.55, wins)
         assert [float(x).hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("band", [2, 8])
+    @pytest.mark.parametrize("block_pairs", [1, 60])
+    @pytest.mark.parametrize("wins", MIXED_WINDOWS, ids=["wide", "short"])
+    def test_pruned_unsorted_duplicated_mixed_widths(self, wins, block_pairs,
+                                                     band):
+        v = random_path(4, n=60, mesh=1 / 60, dim=2).values
+        with pruning(band, 0, block_pairs):
+            got = _window_pair_max(v, 1 / 60, 0.55, wins)
+        assert hexes(got) == window_hexes(v, 1 / 60, 0.55, wins)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_windows_cutting_both_sides_of_a_block(self, monkeypatch, dim):
+        # windows that start inside a far pair's lower block and end inside
+        # its upper block read the block's 2-D maxima; the others its row
+        # and column maxima
+        v = random_path(dim, n=60, mesh=1 / 60, dim=dim).values
+        wins = [(9, 30), (3, 58), (17, 46), (0, 60), (12, 37), (25, 55)]
+        fold, cuts = paths_module._fold_block, []
+
+        def spy(out, sel, ratio, last, first):
+            if ratio.shape == (8, 8):
+                cuts.append(bool(((last < 7) & (first > 0)).any()))
+            return fold(out, sel, ratio, last, first)
+
+        monkeypatch.setattr(paths_module, "_fold_block", spy)
+        with pruning(8):
+            got = _window_pair_max(v, 1 / 60, 0.55, wins)
+        assert hexes(got) == window_hexes(v, 1 / 60, 0.55, wins)
+        assert True in cuts and False in cuts
 
     def test_no_windows(self):
         v = random_path(1, n=20).values
@@ -657,6 +756,41 @@ class TestWindowPairMax:
         v[31:] = np.nan
         got = _window_pair_max(v, 1 / 60, 0.55, [(10, 12), (11, 30)])
         assert [float(x).hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("band", [2, 8])
+    def test_reads_only_the_windows_nodes(self, band):
+        # pruned, and with the nodes before the first window poisoned too
+        v = random_path(2, n=60, mesh=1 / 60, dim=2).values
+        wins = [(21, 23), (11, 30), (11, 12)]
+        want = window_hexes(v, 1 / 60, 0.55, wins)
+        v = np.array(v)
+        v[31:] = np.nan
+        v[:11] = np.nan
+        with pruning(band):
+            got = _window_pair_max(v, 1 / 60, 0.55, wins)
+        assert hexes(got) == want
+
+    @pytest.mark.parametrize("dim, kind", [(1, "segment"), (2, "random")])
+    def test_solver_sized_paths_match_banded_reader(self, monkeypatch, dim,
+                                                    kind):
+        # unpatched: the segment windows of 1024 cells, as the 2^-12 solve
+        # reads them, or 40 random windows, on a path of 81 node blocks
+        # read far block pairs
+        p = random_path(dim + 20, n=5120, mesh=1 / 5120, dim=dim,
+                        roughness=0.05)
+        ends = np.arange(1024, 5121)
+        wins = (np.stack((ends - 1024, ends), 1) if kind == "segment"
+                else random_windows(dim, 0, 5120, 2, 40))
+        reads, far_ratios = [], paths_module._far_ratios
+
+        def spy(*args):
+            reads.append(args[2:])
+            return far_ratios(*args)
+
+        monkeypatch.setattr(paths_module, "_far_ratios", spy)
+        got = _window_pair_max(p.values, p.mesh, 0.55, wins)
+        want = banded_window_pair_max(p.values, p.mesh, 0.55, wins)
+        assert reads and got.tobytes() == want.tobytes()
 
 
 class TestHolderSeminorm:

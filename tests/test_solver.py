@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,9 @@ from ydde.coefficients import (CoefficientSet, accepts_stacks,
 from ydde.drivers import DriverSpec, gen_deterministic, gen_driver, gen_fbm
 from ydde.errors import ConvergenceError, DomainError, PartitionError
 from ydde.paths import (GridPath, Segment, SegmentView, _node_stack,
-                        _pair_max, _row_norms, holder_norm, holder_seminorm,
-                        random_windows, segment_norm)
+                        _pair_max, _row_norms, _segment_norm_parts,
+                        holder_norm, holder_seminorm, random_windows,
+                        segment_norm)
 from ydde.sensitivity import linearized_solve
 from ydde.solver import (_INIT_KINDS, GreedyPartition, ProbeReport,
                          SolverConfig, _left_sum_map, _solve_grid, ball_check,
@@ -886,9 +888,13 @@ class TestHistoryNorm:
     def test_pruned_ball_matches_full_scan(self, monkeypatch, workhorse,
                                            band):
         # a narrow band and small blocks make these short histories read
-        # far block pairs, bounded by each iterate's own node blocks
+        # far block pairs, bounded by each iterate's own node blocks; the
+        # segment norms at the history's start are read in full, as the
+        # pruned window reader has oracles of its own (in test_paths) and
+        # takes seconds on 2-node blocks
         monkeypatch.setattr("ydde.paths._BAND", band)
         monkeypatch.setattr("ydde.paths._BLOCK_PAIRS", 256)
+        monkeypatch.setattr("ydde.paths._PRUNE_BLOCK_PAIRS", math.inf)
         # the perturbed first iterates stray furthest from the solution
         reps = [picard_solve(workhorse["coeffs"], workhorse["eta"],
                              workhorse["omega"], workhorse["config"], init)
@@ -1191,8 +1197,10 @@ class TestTrivialPartition:
             greedy_partition(zero_omega(), cfg, C)
 
 
+@lru_cache(maxsize=None)
 def sin_fbm_solve(mesh):
-    """The sin_fbm demo scenario solved at ``mesh``: (scenario, report)."""
+    """The sin_fbm demo scenario solved at ``mesh``: (scenario, report),
+    solved once per mesh."""
     scenario = load_scenario(str(SCENARIOS / "sin_fbm.json"), mesh=mesh)
     report = picard_solve(scenario.coefficients, scenario.eta,
                           gen_driver(scenario.driver), scenario.config)
@@ -1232,6 +1240,28 @@ class TestPrunedScanCost:
             count = pairs_formed(monkeypatch,
                                  lambda: holder_norm(path, config.beta))
             assert count < 0.02 * n * n / 2
+
+    def test_segment_norms_at_two_to_the_fourteen(self, monkeypatch):
+        # the history windows (j - m_r, j) of every node, against the
+        # reader banded at m_r that every window's pairs fit in
+        # (banded_window_pair_max), whose blocks are counted, not formed
+        _, report = sin_fbm_solve(2.0 ** -14)
+        x, config = report.solution, report.config
+        m_r = config.n_history
+        pruned = pairs_formed(monkeypatch, lambda: _segment_norm_parts(
+            x.values, x.mesh, config.beta, m_r))
+
+        def banded():
+            for _ in paths_module._pair_blocks(x.values, x.mesh, config.beta,
+                                               max_gap=m_r):
+                pass
+
+        with monkeypatch.context() as patch:
+            patch.setattr(paths_module, "_ratios",
+                          lambda v, j0, j1, k0, k1, w: np.empty((j1 - j0,
+                                                                 k1 - k0)))
+            full = pairs_formed(monkeypatch, banded)
+        assert pruned < full / 4
 
     def test_ball_at_two_to_the_twelve(self, monkeypatch):
         scenario, report = sin_fbm_solve(2.0 ** -12)
