@@ -1,11 +1,18 @@
 """Driver path generation: fractional Brownian motion and deterministic test drivers.
 
-fBm sampling is exact in distribution: the Durbin-Levinson recursion
-(Hosking 1984; Dieker 2004) applies the lower Cholesky factor of the
-increment covariance (fractional Gaussian noise) to standard normals,
-built from the autocovariance vector alone in O(n^2) time and O(n)
-memory.  The normals come from a counter-based generator (Philox), so a
-given spec reproduces bit-identical paths.
+fBm sampling is exact in distribution: the n increments (fractional
+Gaussian noise) are the first half of a stationary Gaussian sequence of
+length 2n whose covariance is the circulant that embeds the fGn
+autocovariance (Davies and Harte 1987; Wood and Chan 1994).  One real FFT
+of the circulant's first row gives its eigenvalues, every one of which is
+checked: a negative or NaN eigenvalue raises ``GenerationError`` and is
+never clipped (the minimal embedding of fGn is nonnegative, Dietrich and
+Newsam 1997).  One inverse real FFT of 2n standard normals, scaled by the
+eigenvalues' square roots, gives the increments: O(n log n) time and O(n)
+memory, so an fBm driver takes the whole grid cap
+(:data:`ydde.paths.MAX_GRID_INTERVALS`).  The normals come from a
+counter-based generator (Philox), so a given spec reproduces bit-identical
+paths.
 """
 
 from __future__ import annotations
@@ -18,8 +25,13 @@ import numpy as np
 from .errors import DomainError, GenerationError
 from .paths import GridPath, _check_grid_size, _snap_index, holder_seminorm
 
-# Durbin-Levinson sampling is O(n^2) time, O(n) memory; hard desk-scale cap.
-MAX_FBM_INTERVALS = 2 ** 14
+# From this lag on the fGn autocovariance is summed as its series in 1/k^2,
+# whose terms are all positive; the second difference of k^2H it replaces
+# loses about log10(k^2) digits to cancellation.  Past lag 16 each term is at
+# most 16^-2 of the one before, so 12 terms leave a relative remainder far
+# below the double rounding unit.
+_SERIES_LAG = 16
+_SERIES_TERMS = 12
 
 _KINDS = ("fbm", "power", "sine", "zero", "samples")
 
@@ -72,39 +84,74 @@ def spec_from_json(d):
 
 def fgn_autocovariance(hurst, n, mesh):
     """Autocovariance ``gamma(k)``, k < n, of fGn increments over steps of
-    size ``mesh``."""
-    k = np.arange(n)
-    two_h = 2.0 * hurst
-    return 0.5 * (np.abs(k + 1) ** two_h + np.abs(k - 1) ** two_h
-                  - 2.0 * np.abs(k) ** two_h) * mesh ** two_h
+    size ``mesh``.
 
-
-def fgn_levinson(hurst, z, mesh):
-    """fGn increments ``L z`` for the lower Cholesky factor ``L`` of the
-    increment covariance, by the Durbin-Levinson recursion.
-
-    ``z`` holds standard normals, shape ``(n,)`` or ``(n, m)``; the m
-    columns are independent draws sharing the prediction coefficients.
-    Increment k is its best linear prediction from increments ``k-1 .. 0``
-    plus ``sqrt(v_k) z_k``, with ``v_k`` the prediction variance.
+    ``gamma(k) = mesh^2H ((k+1)^2H + |k-1|^2H - 2 k^2H) / 2``, summed for
+    ``k >= _SERIES_LAG`` as ``mesh^2H k^2H sum_{m>=1} binom(2H, 2m) k^-2m``
+    (Horner in ``k^-2``), the same quantity without the cancellation.
     """
-    n = z.shape[0]
-    gamma = fgn_autocovariance(hurst, n, mesh)
-    phi = np.zeros(n)
-    x = np.empty(z.shape)
-    v = gamma[0]
-    for k in range(n):
-        if k:
-            kappa = (gamma[k] - phi[:k - 1] @ gamma[k - 1:0:-1]) / v
-            phi[:k - 1] -= kappa * phi[:k - 1][::-1]
-            phi[k - 1] = kappa
-            v *= 1.0 - kappa * kappa
-        if not v > 0:
-            raise GenerationError(
-                f"fGn prediction variance {float(v)!r} at step {k} "
-                f"(H={hurst}, n={n}): covariance not positive definite")
-        x[k] = phi[:k] @ x[:k][::-1] + math.sqrt(v) * z[k]
-    return x
+    two_h = 2.0 * hurst
+    k = np.arange(n, dtype=float)
+    gamma = np.empty(n)
+    near, far = k[:_SERIES_LAG], k[_SERIES_LAG:]
+    gamma[:_SERIES_LAG] = 0.5 * ((near + 1) ** two_h
+                                 + np.abs(near - 1) ** two_h
+                                 - 2.0 * near ** two_h)
+    binom = [1.0]                        # binom(2H, j), j = 0 .. 2 * terms
+    for j in range(1, 2 * _SERIES_TERMS + 1):
+        binom.append(binom[-1] * (two_h - j + 1) / j)
+    inv_sq = far ** -2.0
+    series = gamma[_SERIES_LAG:]         # summed in place
+    series[:] = 0.0
+    for coef in binom[:0:-2]:            # binom(2H, 2m), m = terms .. 1
+        series += coef
+        series *= inv_sq
+    series *= far ** two_h
+    gamma *= mesh ** two_h
+    return gamma
+
+
+def _embedding_eigenvalues(hurst, n, mesh):
+    """Eigenvalues, at frequencies 0 .. n, of the 2n circulant whose first
+    row ``[gamma(0) .. gamma(n), gamma(n-1) .. gamma(1)]`` embeds the fGn
+    autocovariance; a negative or NaN one raises ``GenerationError``."""
+    gamma = fgn_autocovariance(hurst, n + 1, mesh)
+    lam = np.fft.rfft(np.concatenate((gamma, gamma[-2:0:-1]))).real.copy()
+    bad = np.flatnonzero(~(lam >= 0))
+    if bad.size:
+        raise GenerationError(
+            f"circulant eigenvalue {float(lam[bad[0]])!r} at frequency "
+            f"{int(bad[0])} (H={hurst}, n={n}): the embedding of the fGn "
+            f"covariance is not nonnegative")
+    return lam
+
+
+def fgn_circulant(hurst, z, mesh):
+    """fGn increments from standard normals by circulant embedding.
+
+    ``z`` holds 2n standard normals, shape ``(2n,)`` or ``(2n, m)`` for m
+    independent draws (the FFT runs along axis 0); the result holds the n
+    increments, shape ``(n,)`` or ``(n, m)``.  ``z[:n+1]`` and ``z[n+1:]``
+    are the real and the imaginary parts of a Hermitian half-spectrum (real
+    at frequencies 0 and n), scaled by ``sqrt(n lam)`` (``sqrt(2n lam)``
+    where real) for the embedding's eigenvalues ``lam``: its inverse real
+    FFT has the circulant covariance exactly, and its first n entries the
+    fGn covariance.
+    """
+    n = z.shape[0] // 2
+    if n < 1 or z.shape[0] != 2 * n:
+        raise DomainError(f"circulant embedding needs an even, positive "
+                          f"number of normals, got {z.shape[0]}")
+    scale = _embedding_eigenvalues(hurst, n, mesh)
+    scale *= n
+    scale[[0, n]] *= 2.0
+    np.sqrt(scale, out=scale)
+    spectrum = np.empty((n + 1,) + z.shape[1:], complex)
+    spectrum.real = z[:n + 1]
+    spectrum.imag[[0, n]] = 0.0
+    spectrum.imag[1:n] = z[n + 1:]
+    spectrum *= scale.reshape((n + 1,) + (1,) * (z.ndim - 1))
+    return np.fft.irfft(spectrum, 2 * n, axis=0)[:n]
 
 
 def gen_fbm(spec):
@@ -112,10 +159,9 @@ def gen_fbm(spec):
     if spec.kind != "fbm":
         raise DomainError(f"gen_fbm needs kind='fbm', got {spec.kind!r}")
     n = spec.n_intervals
-    if n > MAX_FBM_INTERVALS:
-        raise DomainError(f"fbm capped at {MAX_FBM_INTERVALS} intervals (got {n})")
     rng = np.random.Generator(np.random.Philox(key=int(spec.seed)))
-    increments = fgn_levinson(spec.hurst, rng.standard_normal(n), spec.mesh)
+    increments = fgn_circulant(spec.hurst, rng.standard_normal(2 * n),
+                               spec.mesh)
     values = np.concatenate(([0.0], np.cumsum(spec.amplitude * increments)))
     return GridPath(0.0, spec.mesh, values)
 

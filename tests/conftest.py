@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import settings
 
 from ydde.coefficients import make_builtin
+from ydde import drivers
 from ydde.drivers import DriverSpec, gen_driver, gen_fbm
+from ydde.errors import GenerationError
 from ydde.paths import GridPath, Segment, _pair_blocks
 from ydde.solver import SolverConfig
 
@@ -74,6 +77,36 @@ def banded_window_pair_max(v, h, exponent, windows):
         got = ratio[np.minimum(hi[sel], j0 + rows - 1) - j0, lo[sel] - k0]
         out[sel] = np.maximum(out[sel], got)
     return out
+
+
+def fgn_levinson(hurst, z, mesh):
+    """fGn increments ``L z`` for the lower Cholesky factor ``L`` of the
+    increment covariance, by the Durbin-Levinson recursion (Hosking 1984;
+    Dieker 2004): O(n^2) time, O(n) memory, a Python step per node.  The
+    exact sampler that circulant embedding replaced, kept as its oracle.
+
+    ``z`` holds standard normals, shape ``(n,)`` or ``(n, m)``; the m
+    columns are independent draws sharing the prediction coefficients.
+    Increment k is its best linear prediction from increments ``k-1 .. 0``
+    plus ``sqrt(v_k) z_k``, with ``v_k`` the prediction variance.
+    """
+    n = z.shape[0]
+    gamma = drivers.fgn_autocovariance(hurst, n, mesh)
+    phi = np.zeros(n)
+    x = np.empty(z.shape)
+    v = gamma[0]
+    for k in range(n):
+        if k:
+            kappa = (gamma[k] - phi[:k - 1] @ gamma[k - 1:0:-1]) / v
+            phi[:k - 1] -= kappa * phi[:k - 1][::-1]
+            phi[k - 1] = kappa
+            v *= 1.0 - kappa * kappa
+        if not v > 0:
+            raise GenerationError(
+                f"fGn prediction variance {float(v)!r} at step {k} "
+                f"(H={hurst}, n={n}): covariance not positive definite")
+        x[k] = phi[:k] @ x[:k][::-1] + math.sqrt(v) * z[k]
+    return x
 
 
 def segments(sample, g, count=1):

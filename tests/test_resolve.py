@@ -144,10 +144,10 @@ class TestResolveMatchesSolo:
     def test_columns_equal_solo_solves(self, case):
         assert_matches_solo(*case)
 
-    def split_case(self, kinds, slopes, iters, tol=1e-8):
+    def split_case(self, kinds, slopes, iters, tol=1e-8, seed=2):
         coeffs = make_builtin("sin_delay", A=-0.15, B=0.1, sigma=0.05)
         omega = gen_fbm(DriverSpec(kind="fbm", T=0.25, mesh=H, hurst=0.75,
-                                   seed=2, amplitude=0.05))
+                                   seed=seed, amplitude=0.05))
         config = SolverConfig(beta=0.55, nu=0.7, mesh=H, T=0.25, r=R,
                               picard_tol=tol, picard_max_iters=iters)
         u = np.linspace(-R, 0.0, 17)[:, None]
@@ -186,9 +186,9 @@ class TestResolveMatchesSolo:
 
     def test_one_column_raises(self):
         # at 3 iterates the euler init fails a window's halves too, while
-        # the other two columns split and go on
+        # the other two columns split and go on (on the driver of seed 0)
         case = self.split_case(("linear", "euler_perturbed", "constant"),
-                               (0.2, 0.2, 0.2), 3)
+                               (0.2, 0.2, 0.2), 3, seed=0)
         assert assert_matches_solo(*case) is None
         coeffs, omega, config, starts = case
         for kind in ("linear", "constant"):
@@ -198,12 +198,13 @@ class TestResolveMatchesSolo:
 
     def test_first_solo_error_is_raised(self):
         # the linear column fails on a later window than the constant one:
-        # the error is the one the first start raises on its own
+        # the error is the one the first start raises on its own (on the
+        # driver of seed 5; on most drivers both fail on the same window)
         coeffs, omega, config, starts = self.split_case(
-            ("linear", "constant"), (0.2, 0.2), 3, tol=1e-10)
+            ("linear", "constant"), (0.2, 0.2), 3, tol=1e-10, seed=5)
         errors = [solo(coeffs, omega, config, [start])[1] for start in starts]
-        assert "nodes [39, 42]" in str(errors[0])
-        assert "nodes [34, 37]" in str(errors[1])
+        assert "nodes [43, 46]" in str(errors[0])
+        assert "nodes [33, 36]" in str(errors[1])
         base = base_for(coeffs, omega, config)
         for order in (starts, starts[::-1]):
             with pytest.raises(ConvergenceError) as got:

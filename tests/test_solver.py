@@ -873,7 +873,7 @@ def two_dimensional_solve(workhorse):
 class TestHistoryNorm:
     def test_split_windows_match_full_scan(self, workhorse):
         rep = split_window_solve(workhorse)
-        assert sum(w.split for w in rep.windows) == 12
+        assert sum(w.split for w in rep.windows) == 8
         assert_ball_matches_inline(rep)
 
     def test_zero_coefficients_match_full_scan(self):

@@ -33,8 +33,10 @@ SUBCOMMANDS = {
 # Fine-mesh runs, as (subcommand, scenario, mesh): the sizes where the
 # segment norms, the Picard diagnostics and the whole-path norms cost most,
 # and where most node pairs lie far apart, as the pruned pair scans see them
-# (the window maxima of the 2^-14 verify read fewest).
+# (the window maxima of the 2^-14 verify read fewest); the 2^-16 solve is
+# past the 2^14 intervals the O(n^2) fBm sampler was capped at.
 FINE = [("solve", "sin_fbm", 2.0 ** -12), ("solve", "sin_fbm", 2.0 ** -14),
+        ("solve", "sin_fbm", 2.0 ** -16),
         ("verify", "sin_fbm", 2.0 ** -12), ("verify", "sin_fbm", 2.0 ** -14)]
 
 
