@@ -44,11 +44,6 @@ class Scenario:
     raw: dict
 
 
-_ALL_CHECKS = ("regularity", "young", "partition", "solve", "euler",
-               "uniqueness", "growth", "continuity", "differentiability",
-               "estimates", "counterexample")
-
-
 def _segment_from_spec(d, config, dim):
     r, mesh = config.r, config.mesh
     n = config.n_history
@@ -90,54 +85,65 @@ def scale_segment_to_norm(seg, beta, target):
     return seg.with_values(seg.values * (target / norm))
 
 
+def _object(value, what):
+    if isinstance(value, dict):
+        return value
+    raise DomainError(f"{what} must be an object, got {type(value).__name__}")
+
+
 @contextmanager
-def _section(name):
-    """Report a bad key or value in scenario section ``name`` as a DomainError."""
+def _section(name, value):
+    """Yield scenario section ``name``, an object; report a bad key or value
+    in it as a DomainError."""
+    _object(value, f"scenario {name}")
     try:
-        yield
+        yield value
     except (TypeError, ValueError) as exc:
         raise DomainError(f"scenario {name}: {exc}") from exc
 
 
 def build_scenario(d):
-    d = dict(d)
+    d = dict(_object(d, "scenario"))
     name = d.get("name", "scenario")
-    with _section("coefficients"):
-        coeffs = co.coefficients_from_json(d["coefficients"])
-    with _section("config"):
-        config = solver.SolverConfig(**d["config"])
-    with _section("driver"):
-        drv = dict(d["driver"])
-        drv.setdefault("T", config.T)
-        drv.setdefault("mesh", config.mesh)
-        spec = drivers.spec_from_json(drv)
-    if abs(spec.mesh - config.mesh) > 1e-12 * config.mesh:
+    with _section("coefficients", d["coefficients"]) as spec:
+        coeffs = co.coefficients_from_json(spec)
+    with _section("config", d["config"]) as spec:
+        config = solver.SolverConfig(**spec)
+    with _section("driver", d["driver"]) as spec:
+        driver = drivers.spec_from_json({"T": config.T, "mesh": config.mesh,
+                                         **spec})
+    if abs(driver.mesh - config.mesh) > 1e-12 * config.mesh:
         raise DomainError("driver mesh != config mesh")
-    if spec.T < config.T - 1e-12:
+    if driver.T < config.T - 1e-12:
         raise DomainError("driver horizon shorter than config T")
-    with _section("eta"):
-        eta = _segment_from_spec(d.get("eta", {}), config, coeffs.dim)
+    with _section("eta", d.get("eta", {})) as spec:
+        eta = _segment_from_spec(spec, config, coeffs.dim)
     if "direction" in d:
-        with _section("direction"):
-            direction = _segment_from_spec(d["direction"], config, coeffs.dim)
+        with _section("direction", d["direction"]) as spec:
+            direction = _segment_from_spec(spec, config, coeffs.dim)
     else:
         direction = default_direction(config, coeffs.dim)
-    checks = tuple(d.get("checks", _ALL_CHECKS))
-    unknown = set(checks) - set(_ALL_CHECKS)
+    checks = d.get("checks", list(_CHECKS))
+    if not isinstance(checks, list):
+        raise DomainError(f"scenario checks must be a list, got {checks!r}")
+    unknown = [c for c in checks if not isinstance(c, str) or c not in _CHECKS]
     if unknown:
-        raise DomainError(f"unknown checks {sorted(unknown)}")
-    return Scenario(name=name, coefficients=coeffs, driver=spec, eta=eta,
-                    direction=direction, config=config, checks=checks, raw=d)
+        raise DomainError(f"unknown checks {unknown}")
+    return Scenario(name=name, coefficients=coeffs, driver=driver, eta=eta,
+                    direction=direction, config=config, checks=tuple(checks),
+                    raw=d)
 
 
 def load_scenario(path, seed=None, mesh=None):
     with open(path) as f:
-        d = json.load(f)
+        d = _object(json.load(f), "scenario")
     if seed is not None:
-        d.setdefault("driver", {})["seed"] = int(seed)
+        _object(d.setdefault("driver", {}), "scenario driver")["seed"] = \
+            int(seed)
     if mesh is not None:
-        d.setdefault("config", {})["mesh"] = float(mesh)
-        d.setdefault("driver", {})["mesh"] = float(mesh)
+        for section in ("config", "driver"):
+            _object(d.setdefault(section, {}), f"scenario {section}")["mesh"] = \
+                float(mesh)
     return build_scenario(d)
 
 
@@ -227,15 +233,13 @@ def _continuity(scenario, report, sizes=(1e-1, 1e-2)):
     return reps, all(rep.pointwise_ok and rep.full_ok for rep in reps)
 
 
-def _differentiability(scenario, report, eps_ladder=(1e-1, 1e-2, 1e-3)):
-    """Remainder ladder along the scenario direction, with its verdict and
-    detail: at noise level for the linear family, else shrinking to at most
-    half its first value."""
-    rep = sensitivity.differentiability_check(report, scenario.direction,
-                                              eps_ladder=eps_ladder)
+def _differentiability(scenario, rep):
+    """Verdict and detail of a remainder ladder along the scenario direction:
+    at noise level for the linear family, else shrinking to at most half its
+    first value."""
     if scenario.coefficients.family == "linear_delay":
-        return rep, rep.max_rho <= 1e-5, f"max rho {rep.max_rho:.3e} (linear)"
-    return (rep, rep.decreasing and rep.final_over_initial <= 0.5,
+        return rep.max_rho <= 1e-5, f"max rho {rep.max_rho:.3e} (linear)"
+    return (rep.decreasing and rep.final_over_initial <= 0.5,
             f"ratio {rep.final_over_initial:.4f}")
 
 
@@ -348,8 +352,9 @@ def cmd_sensitivity(args, scenario, out, say):
             "pointwise_min_margin": rep.pointwise_min_margin,
             "full_ok": rep.full_ok, "full_margin": rep.full_margin,
         } for size, rep in zip(sizes, reps)}
-    diff, diff_ok, _ = _differentiability(scenario, report,
-                                          args.eps or (1e-1, 1e-2, 1e-3))
+    diff = sensitivity.differentiability_check(
+        report, scenario.direction, eps_ladder=args.eps or (1e-1, 1e-2, 1e-3))
+    diff_ok, _ = _differentiability(scenario, diff)
     with open(os.path.join(out, "differentiability.csv"), "w") as f:
         write_table(diff.table, ["eps", "rho"], f)
     verdict = {
@@ -377,157 +382,150 @@ def cmd_counterexample(args, scenario, out, say):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _verify_checks(scenario):
-    """Run the enabled checks: (report, [(name, passed, detail)], tables)."""
-    coeffs, config = scenario.coefficients, scenario.config
-    checks = scenario.checks
-    results = []
-    tables = []
+# verify's checks: each takes the scenario and its solve and returns
+# ``(passed, detail)``, then any tables ``(file stem, header, rows)`` to write.
 
-    def run(name, fn):
-        if name in checks:
-            results.append((name,) + fn())
+def _check_regularity(scenario, report):
+    coeffs, config = report.coeffs, report.config
+    sampler = co.bounded_segment_sampler(config.r, config.mesh, coeffs.dim,
+                                         2.0)
+    rep = co.verify_regularity(coeffs, sampler, M=2.0, trials=200, seed=1)
+    worst = max(rep.f_lipschitz, rep.dg_bound, rep.dg_holder)
+    return rep.passed, f"worst ratio {worst:.6f}"
 
-    def chk_regularity():
-        sampler = co.bounded_segment_sampler(config.r, config.mesh,
-                                             coeffs.dim, 2.0)
-        rep = co.verify_regularity(coeffs, sampler, M=2.0, trials=200, seed=1)
-        worst = max(rep.f_lipschitz, rep.dg_bound, rep.dg_holder)
-        return rep.passed, f"worst ratio {worst:.6f}"
 
-    run("regularity", chk_regularity)
+def _check_solve(scenario, report):
+    residual = max(report.window_residuals)
+    ok = (residual <= report.config.picard_tol and report.ball_ok
+          and np.array_equal(report.eta.values, scenario.eta.values))
+    return ok, f"max residual {residual:.3e}, ball_ok {report.ball_ok}"
 
-    report = _solve_scenario(scenario)
-    omega = report.omega
 
-    def chk_solve():
-        ball_ok = report.ball_ok
-        ok = max(report.window_residuals) <= config.picard_tol and ball_ok
-        ok = ok and np.array_equal(
-            report.solution.values[:config.n_history + 1], scenario.eta.values)
-        return ok, (f"max residual {max(report.window_residuals):.3e}, "
-                    f"ball_ok {ball_ok}")
+def _check_partition(scenario, report):
+    config, part = report.config, report.partition
+    ok = bool(np.all(part.residuals <= part.threshold * (1 + 1e-12)))
+    # no window stretches one cell further
+    longer = [(ta, tb + config.mesh) for ta, tb in part.windows()
+              if tb + config.mesh <= config.T + 1e-12]
+    ok = ok and all(res > part.threshold for res in solver.window_residual(
+        report.omega, config.beta, config.nu, longer))
+    if part.C > 0:
+        bound = solver.stopping_count_bound(report.omega, config, part.C)
+        ok = ok and part.N <= bound
+    return ok, f"N={part.N}, threshold={part.threshold:.4g}"
 
-    run("solve", chk_solve)
 
-    def chk_partition():
-        part = report.partition
-        ok = bool(np.all(part.residuals <= part.threshold * (1 + 1e-12)))
-        # no window stretches one cell further
-        longer = [(ta, tb + config.mesh) for ta, tb in part.windows()
-                  if tb + config.mesh <= config.T + 1e-12]
-        ok = ok and all(res > part.threshold for res in solver.window_residual(
-            omega, config.beta, config.nu, longer))
-        if part.C > 0:
-            bound = solver.stopping_count_bound(omega, config, part.C)
-            ok = ok and part.N <= bound
-        return ok, f"N={part.N}, threshold={part.threshold:.4g}"
+def _check_euler(scenario, report):
+    config = report.config
+    eu = solver.euler_solve(report.coeffs, scenario.eta, report.omega, config)
+    diff = paths.GridPath(eu.t0, eu.mesh, eu.values - report.solution.values)
+    gap = paths.holder_norm(diff, config.beta)
+    return gap <= 10 * config.picard_tol, f"gap {gap:.3e}"
 
-    run("partition", chk_partition)
 
-    def chk_euler():
-        eu = solver.euler_solve(coeffs, scenario.eta, omega, config)
-        diff = paths.GridPath(eu.t0, eu.mesh,
-                              eu.values - report.solution.values)
-        gap = paths.holder_norm(diff, config.beta)
-        return gap <= 10 * config.picard_tol, f"gap {gap:.3e}"
+def _check_young(scenario, report):
+    coeffs, config = report.coeffs, report.config
+    integrands = [report.solution.restrict(0.0, config.T),
+                  co.composition_path(coeffs.g, report.solution, config.r,
+                                      (0.0, config.T)),
+                  report.first_iterate.restrict(0.0, config.T)]
+    sweep = young.certificate_sweep(integrands, report.omega, (0.0, config.T),
+                                    config.young(coeffs.delta), n_windows=34,
+                                    seed=2)
+    table = ("young_certificate",
+             ["integrand", "t_start", "t_end", "gap", "bound"], sweep.rows)
+    return (sweep.violations == 0, f"{sweep.n_windows} windows, worst "
+            f"gap/bound {sweep.worst_ratio:.4f}", table)
 
-    run("euler", chk_euler)
 
-    def chk_young():
-        consts = config.young(coeffs.delta)
-        integrands = [report.solution.restrict(0.0, config.T),
-                      co.composition_path(coeffs.g, report.solution, config.r,
-                                          (0.0, config.T)),
-                      report.first_iterate.restrict(0.0, config.T)]
-        sweep = young.certificate_sweep(integrands, omega, (0.0, config.T),
-                                        consts, n_windows=34, seed=2)
-        tables.append(("young_certificate",
-                       ["integrand", "t_start", "t_end", "gap", "bound"],
-                       sweep.rows))
-        return sweep.violations == 0, (f"{sweep.n_windows} windows, "
-                                       f"worst gap/bound {sweep.worst_ratio:.4f}")
+def _check_growth(scenario, report):
+    rep = solver.growth_bound_check(report, scenario.eta)
+    return rep.passed, f"min log-margin {rep.min_margin:.3f}"
 
-    run("young", chk_young)
 
-    def chk_growth():
-        rep = solver.growth_bound_check(report, scenario.eta)
-        return rep.passed, f"min log-margin {rep.min_margin:.3f}"
+def _check_uniqueness(scenario, report):
+    rep = solver.uniqueness_probe(report)
+    return rep.passed, f"max pairwise {rep.max_pairwise:.3e}"
 
-    run("growth", chk_growth)
 
-    def chk_uniqueness():
-        rep = solver.uniqueness_probe(report)
-        return rep.passed, f"max pairwise {rep.max_pairwise:.3e}"
+def _check_continuity(scenario, report):
+    reps, ok = _continuity(scenario, report)
+    return ok, ("min margins "
+                f"{[f'{rep.pointwise_min_margin:.2f}' for rep in reps]}")
 
-    run("uniqueness", chk_uniqueness)
 
-    def chk_continuity():
-        reps, ok = _continuity(scenario, report)
-        return ok, ("min margins "
-                    f"{[f'{rep.pointwise_min_margin:.2f}' for rep in reps]}")
+def _check_differentiability(scenario, report):
+    return _differentiability(scenario, sensitivity.differentiability_check(
+        report, scenario.direction))
 
-    run("continuity", chk_continuity)
 
-    def chk_differentiability():
-        return _differentiability(scenario, report)[1:]
+def _check_estimates(scenario, report):
+    coeffs, config, sol = report.coeffs, report.config, report.solution
+    n0 = sol.index_of(0.0)
+    nT = sol.index_of(config.T)
+    if nT - n0 < 2:
+        raise DomainError("estimates need a horizon of at least 2 cells")
+    # 40 random windows of at least 2 cells in [0, T]
+    windows = [(sol.t0 + i * sol.mesh, sol.t0 + j * sol.mesh)
+               for i, j in paths.random_windows(3, n0, nT, 2, 40)]
+    ok = True
+    comps = co.composition_holder(coeffs, sol, config.beta, config.r,
+                                  windows[:30])
+    for (a, b), comp in zip(windows[:30], comps):
+        lem1 = paths.segment_path_holder(sol, config.beta, config.r, (a, b))
+        ok = ok and lem1 <= comp.enlarged * (1 + 1e-9) + 1e-12
+        ok = ok and comp.seminorm <= \
+            coeffs.L_g * comp.enlarged * (1 + 1e-9) + 1e-12
+    bump = paths.GridPath(sol.t0, sol.mesh, sol.values + 0.05 * np.sin(
+        2 * math.pi * np.linspace(0, 1, sol.values.shape[0]))[:, None])
+    for rep in co.composition_holder_diff(coeffs, sol, bump, config.beta,
+                                          config.r, windows[30:]):
+        ok = ok and rep.lhs <= rep.bound_tight * (1 + 1e-9) + 1e-12
+        ok = ok and rep.bound_tight <= rep.bound_weak * (1 + 1e-9)
+    p = 1.0 / config.beta
+    pv = paths.pvar_seminorm(sol, p, (0.0, config.T))
+    hb = paths.holder_seminorm(sol, config.beta, (0.0, config.T))
+    ok = ok and pv <= hb * config.T ** config.beta * (1 + 1e-9)
+    return ok, "translation/composition/difference estimates, p-var vs Holder"
 
-    run("differentiability", chk_differentiability)
 
-    def chk_estimates():
-        sol = report.solution
-        n0 = sol.index_of(0.0)
-        nT = sol.index_of(config.T)
-        if nT - n0 < 2:
-            raise DomainError("estimates need a horizon of at least 2 cells")
-        # 40 random windows of at least 2 cells in [0, T]
-        windows = [(sol.t0 + i * sol.mesh, sol.t0 + j * sol.mesh)
-                   for i, j in paths.random_windows(3, n0, nT, 2, 40)]
-        ok = True
-        comps = co.composition_holder(coeffs, sol, config.beta, config.r,
-                                      windows[:30])
-        for (a, b), comp in zip(windows[:30], comps):
-            lem1 = paths.segment_path_holder(sol, config.beta, config.r,
-                                             (a, b))
-            ok = ok and lem1 <= comp.enlarged * (1 + 1e-9) + 1e-12
-            ok = ok and comp.seminorm <= \
-                coeffs.L_g * comp.enlarged * (1 + 1e-9) + 1e-12
-        bump = paths.GridPath(sol.t0, sol.mesh, sol.values + 0.05 * np.sin(
-            2 * math.pi * np.linspace(0, 1, sol.values.shape[0]))[:, None])
-        for rep in co.composition_holder_diff(coeffs, sol, bump, config.beta,
-                                              config.r, windows[30:]):
-            ok = ok and rep.lhs <= rep.bound_tight * (1 + 1e-9) + 1e-12
-            ok = ok and rep.bound_tight <= rep.bound_weak * (1 + 1e-9)
-        p = 1.0 / config.beta
-        pv = paths.pvar_seminorm(sol, p, (0.0, config.T))
-        hb = paths.holder_seminorm(sol, config.beta, (0.0, config.T))
-        ok = ok and pv <= hb * config.T ** config.beta * (1 + 1e-9)
-        return ok, ("translation/composition/difference estimates, "
-                    "p-var vs Holder")
+def _check_counterexample(scenario, report):
+    rows, ok = _counterexample_rows(0.4, 2.0, (100, 1000))
+    return ok, f"values {[f'{v:.4f}' for _, v, _ in rows]}"
 
-    run("estimates", chk_estimates)
 
-    def chk_counterexample():
-        rows, ok = _counterexample_rows(0.4, 2.0, (100, 1000))
-        return ok, f"values {[f'{v:.4f}' for _, v, _ in rows]}"
-
-    run("counterexample", chk_counterexample)
-    return report, results, tables
+# verify's checks by name, in run and print order; a scenario's ``checks``
+# names the ones to run (default all).
+_CHECKS = {
+    "regularity": _check_regularity,
+    "solve": _check_solve,
+    "partition": _check_partition,
+    "euler": _check_euler,
+    "young": _check_young,
+    "growth": _check_growth,
+    "uniqueness": _check_uniqueness,
+    "continuity": _check_continuity,
+    "differentiability": _check_differentiability,
+    "estimates": _check_estimates,
+    "counterexample": _check_counterexample,
+}
 
 
 def cmd_verify(args, scenario, out, say):
-    report, results, tables = _verify_checks(scenario)
-    all_ok = all(ok for _, ok, _ in results)
-    for name, ok, detail in results:
-        say(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    report = _solve_scenario(scenario)
+    results = {name: check(scenario, report)
+               for name, check in _CHECKS.items() if name in scenario.checks}
+    all_ok = all(ok for ok, *_ in results.values())
     _write_solution(report, out)
-    for name, header, rows in tables:
-        with open(os.path.join(out, name + ".csv"), "w") as f:
-            write_table(rows, header, f)
+    for name, (ok, detail, *tables) in results.items():
+        say(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        for stem, header, rows in tables:
+            with open(os.path.join(out, stem + ".csv"), "w") as f:
+                write_table(rows, header, f)
     write_json_file(
         {"scenario": scenario.name,
          "checks": {name: {"passed": ok, "detail": detail}
-                    for name, ok, detail in results},
+                    for name, (ok, detail, *_) in results.items()},
          "all_passed": all_ok},
         os.path.join(out, "verify.json"))
     say(f"verify: {'all checks passed' if all_ok else 'CHECKS FAILED'}")

@@ -642,6 +642,17 @@ def uniqueness_probe(base):
 # ---------------------------------------------------------------------------
 # Bound checkers.
 
+def _stopping_time_bound(partition, ts, k, c, lhs):
+    """``(rhs, margins)``: the bound ``rhs = (1 - k mu)^-(N(t)+1) c`` at the
+    grid times ``ts``, mu and N(t) those of ``partition``, and the
+    log-margins ``log(rhs) - log(lhs)`` of the norms ``lhs`` below it."""
+    log_factor = -math.log(1.0 - k * partition.mu)
+    rhs = np.exp((partition.n_at(ts) + 1) * log_factor) * c
+    margins = (np.log(np.maximum(rhs, 1e-300))
+               - np.log(np.maximum(lhs, 1e-300)))
+    return rhs, margins
+
+
 @dataclass(frozen=True)
 class GrowthReport:
     """Per-window margins of the segment-norm growth estimate."""
@@ -664,18 +675,15 @@ def growth_bound_check(report, eta):
         raise DomainError("eta is not the start the report was solved from")
     sups, scans = report.segment_norms
     profile = sups + scans
-    ts = report.solution.times[config.n_history:]
-    n_of_t = report.partition.n_at(ts)
-    log_factor = -math.log(1.0 - config.mu)
-    rhs = np.exp((n_of_t + 1) * log_factor) * (report.eta_norm + 1.0)
-    margins = np.log(rhs) - np.log(np.maximum(profile, 1e-300))
+    path, m_r = report.solution, config.n_history
+    rhs, margins = _stopping_time_bound(
+        report.partition, path.times[m_r:], 1, report.eta_norm + 1.0, profile)
     passed = bool(np.all(profile <= rhs * (1.0 + 1e-12)))
     rows = []
-    for i, (ta, tb) in enumerate(report.partition.windows()):
-        sel = (ts >= ta - 1e-12) & (ts <= tb + 1e-12)
-        if np.any(sel):
-            rows.append((float(ta), float(tb), int(report.partition.n_at(ta)),
-                         float(margins[sel].min())))
+    for ta, tb in report.partition.windows():
+        ia, ib = path.index_of(ta) - m_r, path.index_of(tb) - m_r
+        rows.append((float(ta), float(tb), int(report.partition.n_at(ta)),
+                     float(margins[ia:ib + 1].min())))
     return GrowthReport(rows=tuple(rows), min_margin=float(margins.min()),
                         passed=passed)
 
@@ -767,9 +775,8 @@ def _gronwall_conclusion(z, A, partition, config):
     |z_0|)`` at every grid t of ``[0, T]``, N counted on ``partition``."""
     ts, profile = segment_norm_profile(z, config.beta, config.r, (0.0, config.T))
     z0 = float(profile[0])
-    log_factor = -math.log(1.0 - 2.0 * config.mu)
-    rhs = np.exp((partition.n_at(ts) + 1) * log_factor) * (A / config.mu + z0)
+    rhs, margins = _stopping_time_bound(partition, ts, 2, A / config.mu + z0,
+                                        profile)
     scale = max(z0, A / config.mu, 1e-300)
     ok = bool(np.all(profile <= rhs + 1e-12 * scale))
-    margins = np.log(np.maximum(rhs, 1e-300)) - np.log(np.maximum(profile, 1e-300))
     return ok, float(margins.min())

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -130,6 +131,62 @@ class TestVerify:
         monkeypatch.setattr(ydde.sensitivity, "resolve", solo_loop)
         assert main(argv + [str(tmp_path / "solo")]) == EXIT_OK
         assert read_all(tmp_path / "batched") == read_all(tmp_path / "solo")
+
+
+@pytest.fixture(scope="module")
+def full_verify(tmp_path_factory):
+    """verify.json and the stdout lines of a run with every check on."""
+    tmp = tmp_path_factory.mktemp("full")
+    sc = write_scenario(tmp, scenario_dict())
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(["verify", "--scenario", sc, "--out",
+                     str(tmp / "o")]) == EXIT_OK
+    return (json.loads((tmp / "o" / "verify.json").read_text()),
+            stdout.getvalue().splitlines())
+
+
+class TestCheckTable:
+    def test_prints_checks_in_table_order(self, full_verify):
+        verdict, lines = full_verify
+        assert [re.match(r"\[PASS\] (\w+): ", line)[1]
+                for line in lines[:-1]] == list(cli._CHECKS)
+        assert lines[-1] == "verify: all checks passed"
+        assert list(verdict["checks"]) == sorted(cli._CHECKS)
+
+    @pytest.mark.parametrize("name", list(cli._CHECKS))
+    def test_each_check_runs_alone(self, tmp_path, capsys, full_verify, name):
+        # the same verdict and stdout line as in the full run, and only the
+        # young check writes its certificate table
+        sc = write_scenario(tmp_path, scenario_dict(checks=[name]))
+        out = tmp_path / "o"
+        assert main(["verify", "--scenario", sc, "--out", str(out)]) == EXIT_OK
+        verdict = json.loads((out / "verify.json").read_text())
+        assert verdict["checks"] == {name: full_verify[0]["checks"][name]}
+        line, = [line for line in full_verify[1]
+                 if line.startswith(f"[PASS] {name}: ")]
+        assert capsys.readouterr().out.splitlines() == [
+            line, "verify: all checks passed"]
+        assert (out / "young_certificate.csv").exists() == (name == "young")
+
+    @pytest.mark.parametrize("checks, message", [
+        (5, "must be a list"), ("growth", "must be a list"),
+        ({"growth": True}, "must be a list"), (None, "must be a list"),
+        ([["growth"]], "unknown checks [['growth']]"),
+        ([5, "growth"], "unknown checks [5]"),
+        (["growth", "nonsense"], "unknown checks ['nonsense']"),
+    ], ids=["number", "string", "object", "null", "nested_list",
+            "number_entry", "unknown_name"])
+    def test_malformed_checks_exit_config(self, tmp_path, capsys, checks,
+                                          message):
+        sc = write_scenario(tmp_path, scenario_dict(checks=checks))
+        out = tmp_path / "o"
+        assert main(["verify", "--scenario", sc, "--out", str(out)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err
+        assert os.listdir(out) == ["error.json"]
+        assert json.loads((out / "error.json").read_text())["error"]["type"] \
+            == "DomainError"
 
 
 @pytest.mark.parametrize("command", ["verify", "solve"])
@@ -457,6 +514,29 @@ class TestErrorHandling:
             assert f"scenario {section}" in err
         assert json.loads((out / "error.json").read_text())["error"]["type"] \
             == exc_type
+
+    @pytest.mark.parametrize("section, value, flags", [
+        ("eta", 5, []), ("direction", [], []), (None, [1, 2], []),
+        ("driver", "fbm", []), ("coefficients", [], []),
+        (None, [1, 2], ["--seed", "3"]), ("driver", 5, ["--seed", "3"]),
+        ("config", [], ["--mesh", "0.0078125"]),
+    ], ids=["eta", "direction", "top_level", "driver", "coefficients",
+            "top_level_seed_flag", "driver_seed_flag", "config_mesh_flag"])
+    def test_non_object_scenario_writes_error_json(self, tmp_path, capsys,
+                                                   section, value, flags):
+        # a scenario and each of its sections must be a JSON object, also
+        # where a flag overrides a key in it
+        d = value if section is None else scenario_dict(**{section: value})
+        sc = write_scenario(tmp_path, d)
+        out = tmp_path / "o"
+        assert main(["solve", "--scenario", sc, "--out", str(out), *flags]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        name = "scenario" if section is None else f"scenario {section}"
+        assert f"{name} must be an object, got {type(value).__name__}" in err
+        assert json.loads((out / "error.json").read_text())["error"]["type"] \
+            == "DomainError"
 
     @pytest.mark.parametrize("key, value", [
         ("picard_tol", float("nan")), ("picard_tol", float("inf")),

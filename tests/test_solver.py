@@ -1068,7 +1068,41 @@ class TestUniquenessProbe:
         assert got == want
 
 
+def mask_growth_check(report):
+    """The former growth margins and rows, kept as an oracle: ``(rows, min
+    margin)`` with each window's margins picked out by a full-length time
+    mask, and the margins without the guard on the right side."""
+    config, part = report.config, report.partition
+    sups, scans = report.segment_norms
+    ts = report.solution.times[config.n_history:]
+    log_factor = -math.log(1.0 - config.mu)
+    rhs = np.exp((part.n_at(ts) + 1) * log_factor) * (report.eta_norm + 1.0)
+    margins = np.log(rhs) - np.log(np.maximum(sups + scans, 1e-300))
+    rows = []
+    for ta, tb in part.windows():
+        sel = (ts >= ta - 1e-12) & (ts <= tb + 1e-12)
+        if np.any(sel):
+            rows.append((float(ta), float(tb), int(part.n_at(ta)),
+                         float(margins[sel].min())))
+    return tuple(rows), float(margins.min())
+
+
 class TestGrowthBound:
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_rows_match_the_time_mask(self, name):
+        # each window's rows are a slice of the margins by its node indices
+        scenario = load_scenario(str(SCENARIOS / f"{name}.json"))
+        rep = picard_solve(scenario.coefficients, scenario.eta,
+                           gen_driver(scenario.driver), scenario.config)
+        got = growth_bound_check(rep, rep.eta)
+        rows, min_margin = mask_growth_check(rep)
+        assert len(got.rows) == rep.partition.n_windows
+        assert [[x.hex() if isinstance(x, float) else x for x in row]
+                for row in got.rows] == \
+            [[x.hex() if isinstance(x, float) else x for x in row]
+             for row in rows]
+        assert got.min_margin.hex() == min_margin.hex()
+
     def test_zero_dynamics_dominated(self, workhorse):
         co = make_builtin("linear_delay")
         eta = const_eta()
@@ -1152,6 +1186,29 @@ class TestGronwall:
         assert not rep.hypothesis_ok
         assert rep.conclusion_ok is None
         assert "hypothesis not satisfied" in rep.message
+
+    @pytest.mark.parametrize("A", [0.0, 1e-3, 0.1])
+    @pytest.mark.parametrize("C", [0.0, 0.3, 2.0])
+    def test_conclusion_is_the_former_formula(self, workhorse, A, C):
+        # the former ``(1 - 2 mu)^-(N(t)+1) (A / mu + |z_0|)`` and its
+        # margins, written out, against the shared stopping-time bound
+        cfg, omega = workhorse["config"], workhorse["omega"]
+        t = np.linspace(-0.25, 1.0, 321)[:, None]
+        part = greedy_partition(omega, cfg, C)
+        for z in (np.zeros_like(t), 0.1 * np.sin(40 * math.pi * t),
+                  np.exp(t) + omega.values[0]):
+            z = GridPath(-0.25, MESH, z)
+            ts, profile = paths_module.segment_norm_profile(
+                z, cfg.beta, cfg.r, (0.0, cfg.T))
+            z0 = float(profile[0])
+            log_factor = -math.log(1.0 - 2.0 * cfg.mu)
+            rhs = np.exp((part.n_at(ts) + 1) * log_factor) * (A / cfg.mu + z0)
+            ok = bool(np.all(profile <= rhs + 1e-12 * max(z0, A / cfg.mu,
+                                                           1e-300)))
+            margin = float((np.log(np.maximum(rhs, 1e-300))
+                            - np.log(np.maximum(profile, 1e-300))).min())
+            got = solver._gronwall_conclusion(z, A, part, cfg)
+            assert (got[0], got[1].hex()) == (ok, margin.hex())
 
     def test_parameter_validation(self, workhorse):
         z = GridPath(-0.25, MESH, np.zeros(321))
