@@ -332,11 +332,11 @@ def cmd_converge(args, scenario, out, say):
     decreasing = not any(b[2] > a[2] for a, b in zip(rows, rows[1:]))
     with open(os.path.join(out, "converge.csv"), "w") as f:
         write_table(rows, ["mesh", "integral", "abs_error", "rel_error"], f)
-    final_rel = rows[-1][3]
     final_err = rows[-1][2]
-    ok = decreasing and (final_err == 0.0
-                         or final_err <= float(args.rtol) * scale)
-    say(f"converge: target {target:.6g}, final rel error {final_rel:.3e}, "
+    threshold = float(args.rtol) * scale
+    ok = decreasing and (final_err == 0.0 or final_err <= threshold)
+    say(f"converge: target {target:.6g}, final abs error {final_err:.3e} "
+        f"(threshold rtol * scale {threshold:.3e}), "
         f"errors {'decreasing' if decreasing else 'NOT decreasing'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

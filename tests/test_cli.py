@@ -337,6 +337,24 @@ class TestConvergeCommand:
                          "--rtol", "0.01", "--out", str(out), "--quiet"]) \
                 == cli.EXIT_CHECK_FAILED
 
+    def test_prints_the_error_the_rule_judges(self, tmp_path, capsys):
+        # a whole sine period: the target cancels to about 0, so the line
+        # gives the final absolute error and the threshold rtol * scale
+        # (scale 0.5) that the pass rule compares, not a relative error
+        d = zero_scenario()
+        d["driver"] = {"kind": "sine", "amplitude": 1.0, "frequency": 1.0,
+                       "T": 1.0, "mesh": MESH}
+        sc = write_scenario(tmp_path, d)
+        out = tmp_path / "o"
+        assert main(["converge", "--scenario", sc, "--levels", "4",
+                     "--rtol", "0.05", "--out", str(out)]) == EXIT_OK
+        line = capsys.readouterr().out.strip()
+        rows = [r.split(",") for r in
+                (out / "converge.csv").read_text().splitlines()[1:]]
+        assert f"final abs error {float(rows[-1][2]):.3e}" in line
+        assert "threshold rtol * scale 2.500e-02" in line
+        assert "inf" not in line and "rel" not in line
+
 
 class TestCounterexampleCommand:
     def test_prints_lower_bound(self, tmp_path, capsys):

@@ -286,6 +286,71 @@ class TestColumnScans:
             assert norms[:, c].tobytes() == _row_norms(col).tobytes()
 
 
+class TestColumnMajorScans:
+    """K >= 2 columns are formed column-major, and a scan of columns that
+    share a history prefix, as the ball check reads a window's iterates, is
+    bitwise each column's own scan."""
+
+    @settings(max_examples=100)
+    @given(n=st.integers(2, 40), k=st.integers(2, 5),
+           d=st.sampled_from((1, 2, 3)), seed=st.integers(0, 2 ** 32 - 1),
+           column_major=st.booleans(),
+           block_pairs=st.sampled_from((1, 7, 1 << 14)), data=st.data())
+    def test_k_column_blocks_are_column_major(self, n, k, d, seed,
+                                              column_major, block_pairs,
+                                              data):
+        v = rng(seed).normal(size=(n, k, d))
+        if column_major:
+            v = np.ascontiguousarray(v.transpose(1, 0, 2)).transpose(1, 0, 2)
+        start = data.draw(st.integers(1, n - 1))
+        with mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
+            for _, _, ratio in _pair_blocks(v, 0.3, 0.55, start):
+                assert ratio.transpose(2, 0, 1).flags.c_contiguous
+
+    @settings(max_examples=400)
+    @given(m=st.integers(0, 40), w=st.integers(1, 20), k=st.integers(1, 5),
+           d=st.sampled_from((1, 2, 3)), seed=st.integers(0, 2 ** 32 - 1),
+           h=st.sampled_from(MESHES), exponent=st.sampled_from(EXPONENTS),
+           stride_zero=st.booleans(),
+           band=st.sampled_from((1, 2, 3, 5, 64)),
+           block_pairs=st.sampled_from((1, 6, 40, 1 << 14)), data=st.data())
+    def test_shared_history_matches_each_column_alone(
+            self, m, w, k, d, seed, h, exponent, stride_zero, band,
+            block_pairs, data):
+        g = rng(seed)
+        hist = np.cumsum(g.normal(size=(m + 1, d)), axis=0)
+        # tails that differ from a common one by up to a few units, or not
+        # at all, as successive iterates do
+        tail = hist[-1] + np.cumsum(g.normal(size=(w, d)), axis=0)
+        spread = g.choice([0.0, 1e-9, 0.1, 3.0], size=(k, 1, 1))
+        tails = tail + spread * g.normal(size=(k, w, d))
+        if stride_zero:
+            # the history a stride-0 view of one copy, gathered node-major
+            shared = np.broadcast_to(hist[:, None], (m + 1, k, d))
+            v = np.concatenate((shared, tails.transpose(1, 0, 2)))
+        else:
+            # column-major storage with the history copied once per column
+            cols = np.empty((k, m + 1 + w, d))
+            cols[:, :m + 1] = hist
+            cols[:, m + 1:] = tails
+            v = cols.transpose(1, 0, 2)
+        n = m + 1 + w
+        start = data.draw(st.sampled_from((m + 1, 1, n - 1))
+                          | st.integers(1, n))
+        floor = data.draw(st.sampled_from(
+            (0.0, 0.5, full_pair_max(hist, h, exponent))))
+        with mock.patch("ydde.paths._BAND", band), \
+                mock.patch("ydde.paths._BLOCK_PAIRS", block_pairs):
+            got = _pair_max(v, h, exponent, start, floor)
+            alone = [_pair_max(np.concatenate((hist, tails[c])), h, exponent,
+                               start, floor) for c in range(k)]
+        assert hexes(got) == hexes(alone)
+        want = [np.maximum(full_pair_max(np.concatenate((hist, tails[c])), h,
+                                         exponent, start), floor)
+                for c in range(k)]
+        assert hexes(got) == hexes(want)
+
+
 class TestBandedBlocks:
     @settings(max_examples=300)
     @given(v=node_arrays(max_nodes=30, elems=MIXED), h=st.sampled_from(MESHES),

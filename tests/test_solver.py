@@ -904,6 +904,26 @@ class TestHistoryNorm:
         for rep in reps:
             assert_ball_matches_inline(rep)
 
+    @pytest.mark.parametrize("make", [split_window_solve,
+                                      two_dimensional_solve])
+    def test_ball_reads_each_record_in_one_scan(self, monkeypatch, workhorse,
+                                                make):
+        # a record's iterates are the K columns of one pair scan
+        rep = make(workhorse)
+        rep.segment_norms
+        pair_max, scans = solver._pair_max, []
+
+        def count_scan(v, *args):
+            scans.append(v.shape)
+            return pair_max(v, *args)
+
+        monkeypatch.setattr(solver, "_pair_max", count_scan)
+        got = ball_check(rep)
+        assert len(scans) == len(got.rows) == len(rep.windows)
+        assert [shape[1] for shape in scans] == rep.window_iterations
+        monkeypatch.undo()
+        assert_ball_matches_inline(rep)
+
     def test_first_iterate_stitched_from_records(self, workhorse):
         # a split window's halves replace its first attempt's iterates
         config = replace(workhorse["config"], picard_max_iters=3,
@@ -1066,6 +1086,25 @@ class TestUniquenessProbe:
         want = all_init_probe(sc["coeffs"], sc["eta"], sc["omega"],
                               sc["config"], n_inits)
         assert got == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("make", [base_report, two_dimensional_solve])
+    def test_every_pair_is_read(self, monkeypatch, workhorse, make, seed):
+        # the pairwise norms are read as one stacked scan: stand-in re-solves
+        # that differ at random scales let any pair be the largest
+        base = make(workhorse)
+        path, g = base.solution, rng(seed)
+        others = [GridPath(path.t0, path.mesh, path.values + scale * np.cumsum(
+            g.normal(size=path.values.shape), axis=0))
+            for scale in g.uniform(0.0, 1.0, size=2)]
+        monkeypatch.setattr(solver, "resolve", lambda base, starts: others)
+        solutions = [path] + others
+        want = max(holder_norm(GridPath(path.t0, path.mesh,
+                                        solutions[i].values
+                                        - solutions[j].values),
+                               base.config.beta)
+                   for i in range(3) for j in range(i + 1, 3))
+        assert uniqueness_probe(base).max_pairwise.hex() == want.hex()
 
 
 def mask_growth_check(report):

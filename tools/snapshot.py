@@ -5,9 +5,9 @@
 Runs ``python -m ydde`` from this checkout's ``src/`` for every subcommand
 on every ``demos/scenarios/*.json`` and keeps, per run, the artifacts, the
 stdout and the exit code under ``OUT/<scenario>/<subcommand>/``; then the
-runs of :data:`FINE`, ``sin_fbm`` at the fine meshes, under
-``OUT/fine/``; then the stdout and exit code of each demo script under
-``OUT/demos/<script>/``.
+runs of :data:`FINE`, ``sin_fbm`` (and ``coupled_fbm``) at the fine
+meshes, under ``OUT/fine/``; then the stdout and exit code of each demo
+script under ``OUT/demos/<script>/``.
 Two snapshots of the same outputs are byte-identical, so ``diff -r`` of
 the snapshots of two commits shows every output a change alters.
 """
@@ -34,10 +34,14 @@ SUBCOMMANDS = {
 # segment norms, the Picard diagnostics and the whole-path norms cost most,
 # and where most node pairs lie far apart, as the pruned pair scans see them
 # (the window maxima of the 2^-14 verify read fewest); the 2^-16 solve is
-# past the 2^14 intervals the O(n^2) fBm sampler was capped at.
+# past the 2^14 intervals the O(n^2) fBm sampler was capped at.  The d = 2
+# coupled_fbm verify at 2^-12 runs the column-major K-column scans (ball,
+# uniqueness, differentiability ladder) where they read pruned far block
+# pairs, and the norms of vectors rather than absolute values.
 FINE = [("solve", "sin_fbm", 2.0 ** -12), ("solve", "sin_fbm", 2.0 ** -14),
         ("solve", "sin_fbm", 2.0 ** -16),
-        ("verify", "sin_fbm", 2.0 ** -12), ("verify", "sin_fbm", 2.0 ** -14)]
+        ("verify", "sin_fbm", 2.0 ** -12), ("verify", "sin_fbm", 2.0 ** -14),
+        ("verify", "coupled_fbm", 2.0 ** -12)]
 
 
 def _run(argv, cwd, dest):
