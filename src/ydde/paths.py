@@ -271,19 +271,18 @@ def _ratios(v, j0, j1, k0, k1, w):
     d)`` nodes, ``ratio[j - j0, k - k0, c]`` of column c.  The only place a
     pair ratio is formed.
 
-    K >= 2 columns are formed column-major: each column's pairs are
-    contiguous, ``ratio.transpose(2, 0, 1)`` is C-contiguous, so a max over
-    the pairs reads each column in one sweep (node-major, with K the last
-    axis, numpy reduces it many times slower), whatever the nodes' layout.
-    They are read fastest in column-major storage, ``v.transpose(1, 0, 2)``
+    Columns are formed column-major: each column's pairs are contiguous,
+    ``ratio.transpose(2, 0, 1)`` is C-contiguous, so a max over the pairs
+    reads each column in one sweep (node-major, with K the last axis, numpy
+    reduces it many times slower), whatever the nodes' layout.  They are
+    read fastest in column-major storage, ``v.transpose(1, 0, 2)``
     C-contiguous, which :func:`_pair_max` makes once for all its blocks."""
-    if v.ndim > 2 and v.shape[1] > 1:
+    if v.ndim > 2:
         cols = v.transpose(1, 0, 2)
         diff = np.subtract(cols[:, j0:j1, None], cols[:, None, k0:k1],
                            out=np.empty((v.shape[1], j1 - j0, k1 - k0,
                                          v.shape[2])))
-        ratio = (np.abs(diff, out=diff)[..., 0] if v.shape[-1] == 1
-                 else _row_norms(diff))
+        ratio = _row_norms(diff)
         del diff
         ratio /= w
         return ratio.transpose(1, 2, 0)
@@ -292,7 +291,7 @@ def _ratios(v, j0, j1, k0, k1, w):
     diff = v[j0:j1, None] - v[None, k0:k1]
     ratio = np.abs(diff, out=diff) if v.ndim == 1 else _row_norms(diff)
     del diff
-    ratio /= w[:, :, None] if v.ndim > 2 else w
+    ratio /= w
     return ratio
 
 
@@ -310,7 +309,7 @@ def _pair_blocks(v, h, exponent, start=1, max_gap=None):
 
     For K paths side by side, ``v`` of shape ``(n, K, d)``, ``ratio[j - j0,
     k - k0, c]`` is bitwise the ratio of the scan of column c alone, in the
-    same blocks; for K >= 2 each block is column-major (:func:`_ratios`).
+    same blocks; each block is column-major (:func:`_ratios`).
     """
     n = v.shape[0]
     m = n - 1 if max_gap is None else min(max_gap, n - 1)
@@ -392,7 +391,7 @@ def _far_ratios(v, weights, j0, j1, k0):
     """:func:`_ratios` of the upper nodes ``j0 <= j < j1`` and the
     ``_BAND`` lower nodes from ``k0 < j0 - _BAND``, with the weights
     ``weights[j - k - 1]`` of :func:`_gap_floors`, a view; column-major for
-    K >= 2 columns, read fastest from column-major storage."""
+    K columns, read fastest from column-major storage."""
     step = weights.strides[0]
     w = np.ndarray((j1 - j0, _BAND), weights.dtype, weights,
                    (j0 - k0 - 1) * step, (step, -step))
@@ -414,10 +413,10 @@ def _pair_max(v, h, exponent, start=1, floor=0.0, max_gap=None):
     chunk of about ``_BLOCK_PAIRS`` bounds, so no more than a chunk of
     bounds is held at once.  A scan that fits one block of
     :func:`_pair_blocks` is read in full, as bounds cannot save on it.
-    K >= 2 columns are put in column-major storage once for the whole scan
-    (a copy unless they already are), where every block read forms each
+    K columns are put in column-major storage once for the whole scan (a
+    copy unless they already are), where every block read forms each
     column's ratios fastest."""
-    if v.ndim > 2 and v.shape[1] > 1:
+    if v.ndim > 2:
         v = np.ascontiguousarray(v.transpose(1, 0, 2)).transpose(1, 0, 2)
     best = np.full(v.shape[1] if v.ndim > 2 else 1, float(floor))
     n = v.shape[0]

@@ -633,19 +633,14 @@ def uniqueness_probe(base):
 
     ``base`` is the :class:`SolveReport` of :func:`picard_solve` with its
     default (constant) init; only the other inits are solved here, from its
-    start, as one batch (:func:`resolve`).  The pairwise differences are
-    the columns of one column-major node array, so one pass of node norms
-    and one pair scan give every pair's norm, bitwise its
-    :func:`~ydde.paths.holder_norm`.
+    start, as one batch (:func:`resolve`).
     """
     config = base.config
     solutions = [base.solution] + resolve(
         base, [(base.eta, k) for k in _INIT_KINDS[1:]])
-    cols = np.stack([a.values - b.values
-                     for a, b in combinations(solutions, 2)])
-    sups = _row_norms(cols).max(axis=1)
-    scans = _pair_max(cols.transpose(1, 0, 2), config.mesh, config.beta)
-    worst = max((sups + scans).tolist())
+    worst = max(holder_norm(GridPath(a.t0, a.mesh, a.values - b.values),
+                            config.beta)
+                for a, b in combinations(solutions, 2))
     tol = 10.0 * config.picard_tol
     return ProbeReport(init_kinds=_INIT_KINDS, max_pairwise=worst,
                        tolerance=tol, passed=worst <= tol)
