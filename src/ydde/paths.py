@@ -413,10 +413,15 @@ def _pair_max(v, h, exponent, start=1, floor=0.0, max_gap=None):
     chunk of about ``_BLOCK_PAIRS`` bounds, so no more than a chunk of
     bounds is held at once.  A scan that fits one block of
     :func:`_pair_blocks` is read in full, as bounds cannot save on it.
-    K columns are put in column-major storage once for the whole scan (a
-    copy unless they already are), where every block read forms each
-    column's ratios fastest."""
-    if v.ndim > 2:
+    K >= 2 columns are put in column-major storage once for the whole scan
+    (a copy unless they already are), where every block read forms each
+    column's ratios fastest.  One column is scanned as the 2-D nodes it is:
+    the same ratios, without the per-block column views, which cost the
+    many short scans of a one-column solve a few percent."""
+    columns = v.ndim > 2
+    if columns and v.shape[1] == 1:
+        v = v[:, 0]
+    elif columns:
         v = np.ascontiguousarray(v.transpose(1, 0, 2)).transpose(1, 0, 2)
     best = np.full(v.shape[1] if v.ndim > 2 else 1, float(floor))
     n = v.shape[0]
@@ -444,7 +449,7 @@ def _pair_max(v, h, exponent, start=1, floor=0.0, max_gap=None):
                 ratio = _far_ratios(v, weights, j0,
                                     min(n, (b0 + b + 1) * _BAND), a * _BAND)
                 np.maximum(best, ratio.max(axis=(0, 1)), out=best)
-    return best if v.ndim > 2 else float(best[0])
+    return best if columns else float(best[0])
 
 
 def _fold_block(out, sel, ratio, last, first):

@@ -1090,8 +1090,8 @@ class TestUniquenessProbe:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("make", [base_report, two_dimensional_solve])
     def test_every_pair_is_read(self, monkeypatch, workhorse, make, seed):
-        # the pairwise norms are read as one stacked scan: stand-in re-solves
-        # that differ at random scales let any pair be the largest
+        # stand-in re-solves that differ at random scales let any pair be
+        # the largest
         base = make(workhorse)
         path, g = base.solution, rng(seed)
         others = [GridPath(path.t0, path.mesh, path.values + scale * np.cumsum(
