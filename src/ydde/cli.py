@@ -626,9 +626,6 @@ def _build_parser():
     return parser
 
 
-_NEEDS_SCENARIO = ("solve", "partition", "converge", "sensitivity",
-                   "verify", "ensemble")
-
 _COMMANDS = {
     "solve": cmd_solve,
     "partition": cmd_partition,
@@ -648,7 +645,7 @@ def main(argv=None):
     try:
         os.makedirs(out, exist_ok=True)
         scenario = None
-        if args.command in _NEEDS_SCENARIO:
+        if hasattr(args, "scenario"):     # built on the scenario parent
             if not args.scenario:
                 raise DomainError(f"{args.command} requires --scenario FILE")
             scenario = load_scenario(args.scenario, seed=args.seed,

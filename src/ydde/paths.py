@@ -75,6 +75,25 @@ def _delay_cells(r, mesh):
     return mr
 
 
+def _freeze_nodes(carrier, what, origin):
+    """Normalise a :class:`GridPath` or :class:`Segment` in place and return
+    its values: read-only, contiguous, finite floats of shape ``(n+1, d)``
+    (1-D is one column); ``origin`` and ``mesh`` become floats."""
+    vals = np.asarray(carrier.values, dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    if vals.ndim != 2 or vals.shape[0] < 1:
+        raise DomainError(f"{what} values must be a nonempty (n+1, d) array")
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"{what} values must be finite")
+    vals = np.ascontiguousarray(vals)
+    vals.flags.writeable = False
+    object.__setattr__(carrier, "values", vals)
+    object.__setattr__(carrier, origin, float(getattr(carrier, origin)))
+    object.__setattr__(carrier, "mesh", float(carrier.mesh))
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class GridPath:
     """Vector-valued path on the uniform grid ``t0 + k*mesh``, k = 0..n."""
@@ -84,20 +103,9 @@ class GridPath:
     values: np.ndarray  # shape (n+1, d)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.ndim != 2 or vals.shape[0] < 1:
-            raise DomainError("path values must be a nonempty (n+1, d) array")
         if not self.mesh > 0:
             raise DomainError("mesh must be positive")
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("path values must be finite")
-        vals = np.ascontiguousarray(vals)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "t0", float(self.t0))
-        object.__setattr__(self, "mesh", float(self.mesh))
+        _freeze_nodes(self, "path", "t0")
 
     @property
     def dim(self):
@@ -158,18 +166,11 @@ class Segment:
     values: np.ndarray  # shape (m+1, d), node k at u = -delay + k*mesh
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
         m = _delay_cells(self.delay, self.mesh)
-        if vals.shape[0] != m + 1:
+        n = _freeze_nodes(self, "segment", "delay").shape[0]
+        if n != m + 1:
             raise DomainError(f"segment needs {m + 1} nodes to cover "
-                              f"[-{self.delay!r}, 0], got {vals.shape[0]}")
-        vals = np.ascontiguousarray(vals)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "delay", float(self.delay))
-        object.__setattr__(self, "mesh", float(self.mesh))
+                              f"[-{self.delay!r}, 0], got {n}")
 
     @property
     def dim(self):

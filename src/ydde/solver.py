@@ -379,7 +379,7 @@ class _WindowedPicard:
     ``accepts_stacks`` is called once for all of them, and one pair scan
     gives every column's residual.  ``iterates`` maps each window's start
     node to the iterates on its nodes; a split window's halves replace the
-    failed attempt (a batch column run alone keeps them in its own engine)."""
+    failed attempt."""
 
     def __init__(self, f, g, base, config, exponent, values, dw):
         self.f = f
@@ -410,13 +410,11 @@ class _WindowedPicard:
             slope = (column[ia] - column[ia - 1]) / self.h
             column[ia + 1:ib + 1] = (column[ia]
                                      + np.outer(np.arange(1, w + 1) * self.h, slope))
-        elif kind == "euler_perturbed":
+        else:   # "euler_perturbed"; _run_picard refuses any other kind
             self._step(_euler_steps, column, ia, ib)
             amp = 0.05 * (1.0 + float(np.linalg.norm(column[ia])))
             bump = amp * np.sin(math.pi * np.arange(1, w + 1) / w)
             column[ia + 1:ib + 1] += bump[:, None]
-        else:
-            raise DomainError(f"unknown init kind {kind!r}; one of {_INIT_KINDS}")
 
     def _stops(self, res, residuals, ratios):
         """Record a column's iterate residual ``res``; whether it stops."""
@@ -435,8 +433,9 @@ class _WindowedPicard:
 
         Each column keeps its own residuals and stopping test.  A column
         that stops is frozen (its nodes are no longer written), so its
-        iterates and records are those of a run of its own.  A column that
-        does not converge splits the window once on its own, or raises.
+        iterates and records are those of a run of its own.  A column
+        converges only if its last residual is <= ``picard_tol`` (NaN is
+        not); if not, a lone column splits the window once, a batch raises.
         """
         values = self.values
         for c, kind in enumerate(kinds):
@@ -467,8 +466,8 @@ class _WindowedPicard:
         t0 = -self.m_r * self.h
         out = []
         for c, kind in enumerate(kinds):
-            if c in running and residuals[c][-1] > self.tol:
-                out.append(self._unconverged(ia, ib, c, kind, depth,
+            if c in running and not residuals[c][-1] <= self.tol:
+                out.append(self._unconverged(ia, ib, kind, depth,
                                              residuals[c]))
                 continue
             out.append([WindowRecord(
@@ -477,18 +476,10 @@ class _WindowedPicard:
                 contraction_ratios=tuple(ratios[c]))])
         return out
 
-    def _unconverged(self, ia, ib, c, kind, depth, residuals):
-        """The records of column c, which did not converge on (ia, ib]."""
-        if self.values.shape[1] > 1:
-            # the column is bitwise its solo run, which fails the same way:
-            # split it on its own at once
-            solo = _WindowedPicard(self.f, self.g, self.base, self.config,
-                                   self.exponent,
-                                   self.values[:, c:c + 1].copy(), self.dw)
-            records = solo._unconverged(ia, ib, 0, kind, depth, residuals)
-            self.values[:, c:c + 1] = solo.values
-            return records
-        if depth == 0 and ib - ia >= 2:
+    def _unconverged(self, ia, ib, kind, depth, residuals):
+        """The records of a lone column that did not converge on (ia, ib]:
+        the window's halves; a batch raises at once."""
+        if self.values.shape[1] == 1 and depth == 0 and ib - ia >= 2:
             # grid snapping can leave a window a hair too long; one
             # bisection restores the contraction, then give up
             mid = (ia + ib) // 2
@@ -539,13 +530,16 @@ def _run_picard(coeffs, omega, config, starts, partition, maps=None):
     partition, the ``(n+1, K, d)`` node array, the WindowRecords of each
     column and the iterates.
 
-    Every start is validated before anything is computed; then
-    ``partition()`` gives the windows.  ``maps = (f, g, base, exponent)``
-    defaults to the equation's: ``coeffs.f``, ``coeffs.g``, no base
-    arrays, contracting in the beta-Holder norm.
+    Every start (segment and init kind) is validated before anything is
+    computed; then ``partition()`` gives the windows.  ``maps = (f, g,
+    base, exponent)`` defaults to the equation's: ``coeffs.f``, ``coeffs.g``,
+    no base arrays, contracting in the beta-Holder norm.
     """
-    for eta, _ in starts:
+    for eta, kind in starts:
         _validate_solve_inputs(coeffs, eta, omega, config)
+        if kind not in _INIT_KINDS:
+            raise DomainError(
+                f"unknown init kind {kind!r}; one of {_INIT_KINDS}")
     partition = partition()
     f, g, base, exponent = maps or (coeffs.f, coeffs.g, (), config.beta)
     values, dw = _solve_grid(config, [eta for eta, _ in starts], omega)
@@ -578,9 +572,10 @@ def resolve(base, starts):
 
     The partition of the :class:`SolveReport` ``base`` depends only on its
     driver, config and C, so it is reused, and the K starts are iterated as
-    K columns in lockstep (:class:`_WindowedPicard`).  If a start does not
-    converge, the starts are solved one by one in order, so the error
-    raised is the first solo solve's.
+    K columns in lockstep (:class:`_WindowedPicard`).  If a column does not
+    converge on a window, the batch stops and the starts are solved again
+    one by one in order: a solo solve may split that window, and the error
+    raised, if any, is the first solo solve's.
 
     Cost: the K residual scans of an iterate are one column-major pair
     scan, about the cost of K solo scans.  On sin_fbm at mesh 2^-12 (a

@@ -665,6 +665,29 @@ class TestErrorHandling:
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["type"] == "GenerationError"
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_history_refused_before_solving(
+            self, tmp_path, capsys, monkeypatch, command, bad):
+        # json reads NaN and Infinity: the start is refused as the scenario
+        # loads, not by the solution's path after the solve
+        def fail(*args, **kwargs):
+            raise AssertionError("solved a refused start")
+
+        monkeypatch.setattr(ydde.solver, "picard_solve", fail)
+        samples = [1.0 + 0.2 * (k / 128 - 0.25) for k in range(33)]
+        samples[-1] = bad
+        sc = write_scenario(tmp_path, scenario_dict(
+            eta={"form": "samples", "samples": samples}))
+        out = tmp_path / "o"
+        assert main([command, "--scenario", sc, "--out", str(out)]) \
+            == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        assert os.listdir(out) == ["error.json"]
+        assert json.loads((out / "error.json").read_text())["error"] == {
+            "type": "DomainError",
+            "message": "scenario eta: segment values must be finite"}
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("YDDE_OUT", str(tmp_path / "envout"))
         assert main(["counterexample", "--n", "10", "--quiet"]) == EXIT_OK

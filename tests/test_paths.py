@@ -16,8 +16,9 @@ from ydde import paths as paths_module
 from ydde.coefficients import (composition_holder, composition_holder_diff,
                                composition_path, make_builtin)
 from ydde.errors import DomainError
-from ydde.paths import (GridPath, _gap_line, _pair_blocks, _pair_max,
-                        _row_norms, _segment_norm_parts, _sliding_max,
+from ydde.paths import (GridPath, Segment, _gap_line, _pair_blocks,
+                        _pair_max, _row_norms, _segment_norm_parts,
+                        _sliding_max,
                         _window_pair_max, counterexample_growth,
                         holder_norm, holder_seminorm, pvar_seminorm,
                         random_windows, segment, segment_norm,
@@ -1011,6 +1012,25 @@ class TestSegment:
         seg = segment(path, 0.75, 0.25)
         for k, u in enumerate(seg.times):
             assert np.array_equal(seg.values[k], path.value_at(0.75 + u))
+
+    @pytest.mark.parametrize("bad, match", [
+        (math.nan, "segment values must be finite"),
+        (math.inf, "segment values must be finite"),
+        (-math.inf, "segment values must be finite"),
+        (None, r"segment values must be a nonempty \(n\+1, d\) array"),
+    ], ids=["nan", "inf", "minus_inf", "three_dimensional"])
+    def test_refuses_what_a_path_refuses(self, bad, match):
+        # a start is checked where it is made, as a GridPath is
+        vals = np.ones((9, 2))
+        if bad is None:
+            vals = np.ones((9, 2, 1))
+        else:
+            vals[-1, 1] = bad
+        with pytest.raises(DomainError, match=match):
+            Segment(0.25, 1 / 32, vals)
+        if bad is not None:
+            with pytest.raises(DomainError, match="path values must be"):
+                GridPath(0.0, 1 / 32, vals)
 
 
 class TestSegmentPathHolder:

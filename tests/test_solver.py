@@ -797,6 +797,58 @@ class TestPicardSolve:
                          workhorse["omega"], cfg)
         assert err.value.residual_history
 
+    def test_nan_functional_raises_on_its_first_window(self, workhorse,
+                                                       monkeypatch):
+        # g turns NaN once s(-r) > 0.99, so every iterate of that window has
+        # a NaN residual, which must not pass as converged: the window splits
+        # once and the half that fails raises, before any later window runs
+        base = workhorse["coeffs"]
+
+        @accepts_stacks
+        def g(seg):
+            return np.where(seg.values[0] > 0.99, np.nan, base.g(seg))
+
+        calls, windows = [], []
+        stops = solver._WindowedPicard._stops
+        run_window = solver._WindowedPicard.run_window
+
+        def count_stops(self, res, *args):
+            calls.append((windows[-1], res))
+            return stops(self, res, *args)
+
+        def count_windows(self, ia, ib, kinds, depth=0):
+            windows.append((ia, ib, depth))
+            return run_window(self, ia, ib, kinds, depth)
+
+        monkeypatch.setattr(solver._WindowedPicard, "_stops", count_stops)
+        monkeypatch.setattr(solver._WindowedPicard, "run_window",
+                            count_windows)
+        config = workhorse["config"]
+        with pytest.raises(ConvergenceError) as err:
+            picard_solve(replace(base, g=g), workhorse["eta"],
+                         workhorse["omega"], config)
+        nan_calls = [window for window, res in calls if math.isnan(res)]
+        ia, ib, depth = nan_calls[0]
+        mid = (ia + ib) // 2
+        assert depth == 0
+        assert windows[windows.index((ia, ib, 0)):] in (
+            [(ia, ib, 0), (ia, mid, 1)],
+            [(ia, ib, 0), (ia, mid, 1), (mid, ib, 1)])
+        assert f"nodes [{windows[-1][0]}, {windows[-1][1]}]" in str(err.value)
+        assert len(nan_calls) <= 2 * config.picard_max_iters
+        assert all(math.isnan(r) for r in err.value.residual_history)
+
+    def test_unknown_init_refused_before_partition(self, workhorse,
+                                                   monkeypatch):
+        def no_partition(*args):
+            raise AssertionError("partition built for a refused start")
+
+        monkeypatch.setattr(solver, "greedy_partition", no_partition)
+        with pytest.raises(DomainError, match="unknown init kind 'bogus'"):
+            picard_solve(workhorse["coeffs"], workhorse["eta"],
+                         workhorse["omega"], workhorse["config"],
+                         init="bogus")
+
     def test_input_validation(self, workhorse):
         cfg = workhorse["config"]
         with pytest.raises(DomainError):

@@ -6,12 +6,16 @@ Runs ``python -m ydde`` from this checkout's ``src/`` for every subcommand
 on every ``demos/scenarios/*.json`` and keeps, per run, the artifacts, the
 stdout and the exit code under ``OUT/<scenario>/<subcommand>/``; then the
 runs of :data:`FINE`, ``sin_fbm`` (and ``coupled_fbm``) at the fine
-meshes, under ``OUT/fine/``; then the stdout and exit code of each demo
-script under ``OUT/demos/<script>/``.
+meshes, under ``OUT/fine/``; then ``ydde solve`` on a copy of ``sin_fbm``
+whose last history sample is NaN, written with its refusal under
+``OUT/errors/``; then the stdout and exit code of each demo script under
+``OUT/demos/<script>/``.
 Two snapshots of the same outputs are byte-identical, so ``diff -r`` of
 the snapshots of two commits shows every output a change alters.
 """
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -53,6 +57,17 @@ def _run(argv, cwd, dest):
     (dest / "exit_code.txt").write_text(f"{proc.returncode}\n")
 
 
+def _nan_history(dest):
+    """Write ``dest/scenario.json``, a copy of ``sin_fbm`` whose history is
+    the samples 1.0 with NaN at t = 0 (json reads it back); its path."""
+    d = json.loads((ROOT / "demos" / "scenarios" / "sin_fbm.json").read_text())
+    nodes = round(d["config"]["r"] / d["config"]["mesh"]) + 1
+    d["eta"] = {"form": "samples", "samples": [1.0] * (nodes - 1) + [math.nan]}
+    path = dest / "scenario.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
@@ -73,6 +88,11 @@ def main(argv=None):
         _run([sys.executable, "-m", "ydde", command, "--scenario",
               f"demos/scenarios/{name}.json", "--mesh", repr(mesh), "--out",
               str(dest / "artifacts")], ROOT, dest)
+    dest = out / "errors" / "solve_sin_fbm_nan_history"
+    (dest / "artifacts").mkdir(parents=True, exist_ok=True)
+    _run([sys.executable, "-m", "ydde", "solve", "--scenario",
+          str(_nan_history(dest)), "--out", str(dest / "artifacts")], ROOT,
+         dest)
     dest = out / "counterexample"
     (dest / "artifacts").mkdir(parents=True, exist_ok=True)
     _run([sys.executable, "-m", "ydde", "counterexample", "--out",
