@@ -87,7 +87,10 @@ def accepts_stacks(func):
     ``(w, d)`` row per segment of a stack of w; :func:`node_values` then
     calls it once per range of nodes instead of once per node.  Only mark a
     functional written for both: on a stack, ``A @ seg.values[-1]`` forms a
-    matrix product silently."""
+    matrix product silently.  Each row must be bitwise the functional's
+    value on that segment alone: the Picard map and the Euler sweeps
+    (``solver._euler_sweeps``) evaluate stacks where the node loop they
+    are checked against evaluates single segments."""
     func.accepts_stacks = True
     return func
 
@@ -139,21 +142,6 @@ def _stack_values(funcs, views):
             for i, col in enumerate(segs):
                 vals[i] = func(*col)
         out.append(vals)
-    return out
-
-
-def _segments_at(arrays, k, m, delay, mesh, views):
-    """The delay segments of ``arrays`` cut at node k (rows ``k - m .. k``):
-    read-only views if ``views``, for functionals marked by
-    :func:`accepts_stacks` only, else Segments.  Cut when asked for, so a
-    sequential scheme (Euler) may fill row k just before."""
-    if not views:
-        return [Segment(delay, mesh, a[k - m:k + 1]) for a in arrays]
-    out = []
-    for a in arrays:
-        rows = a[k - m:k + 1]
-        rows.flags.writeable = False
-        out.append(SegmentView(delay, mesh, rows))
     return out
 
 

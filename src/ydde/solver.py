@@ -25,10 +25,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .coefficients import _marked, _node_views, _segments_at, _stack_values
+from .coefficients import _marked, _node_views, _stack_values
 from .errors import ConvergenceError, DomainError, PartitionError
-from .paths import (GridPath, _check_grid_size, _pair_blocks, _pair_max,
-                    _row_norms, _segment_norm_parts, _snap_index, holder_norm,
+from .paths import (GridPath, Segment, SegmentView, _check_grid_size,
+                    _node_stack, _pair_blocks, _pair_max, _row_norms,
+                    _segment_norm_parts, _snap_index, holder_norm,
                     holder_seminorm, random_windows, segment, segment_norm,
                     segment_norm_profile)
 from .young import YoungConstants
@@ -355,17 +356,125 @@ def _left_sum_map(f, g, arrays, ia, ib, delay, h, dw):
     return apply
 
 
+# Euler sweeps (_euler_steps), measured with timeit on a shared two-core
+# host on sin_fbm, logistic_fbm, expdecay and coupled_fbm at meshes 2^-8 to
+# 2^-12.  One loop step costs 7-13 us.  A sweep of 512 nodes costs 2.5-3.8
+# loop steps on the scalar demos and 13 on coupled_fbm (d = 2).  A run of
+# sweeps from a fresh guess commits one node a sweep for its first 3-7
+# sweeps, then tens to hundreds; a run of 16 nodes takes 0.7-1.4 times the
+# loop's time, of 32 nodes 0.35-0.87 times.  On a stiff input (sin_delay,
+# |A| h >= 1/8) the sweeps commit 1-2 nodes each, for good.
+_SWEEP_NODES = 512      # nodes one sweep evaluates at most
+_SWEEP_COST = 4         # loop steps a sweep is charged
+_SWEEP_CREDIT = 24      # loop steps the first run of sweeps may lag the loop
+_SWEEP_MIN = 32         # crossover: a run of fewer nodes takes the loop
+
+
 def _euler_steps(f, g, arrays, ia, ib, delay, h, dw):
     """Fill nodes ``(ia, ib]`` of the path ``x = arrays[-1]`` in place by
-    ``x[k+1] = x[k] + f h + g dw[k]``, ``f`` and ``g`` applied to the delay
-    segments of ``arrays`` at node k: read-only views if both are marked
-    ``accepts_stacks``, else Segments."""
-    x = arrays[-1]
+    ``x[k+1] = (x[k] + f h) + g dw[k]``, ``f`` and ``g`` applied to the delay
+    segments of ``arrays`` at node k.
+
+    Functionals not both marked ``accepts_stacks`` take the node loop
+    (:func:`_euler_loop`), the oracle.  Marked ones are swept
+    (:func:`_euler_sweeps`), which gives the loop's path bit for bit.  A
+    run of fewer than ``_SWEEP_MIN`` nodes takes the loop, and so do the
+    next ``_SWEEP_NODES`` nodes each time the sweeps stop paying.  After
+    such a fallback the sweeps get one trial sweep per ``_SWEEP_NODES``
+    nodes, so a stiff input costs the loop plus the first run's
+    ``_SWEEP_CREDIT`` and about one sweep per block.
+
+    Node stacks need C-contiguous rows, so a column of a K >= 2 grid is
+    worked on in a copy of its rows ``ia - m .. ib`` (m the delay in cells)
+    and copied back."""
     m = _snap_index(delay, h, "delay")
-    views = _marked(f) and _marked(g)
-    for k in range(ia, ib):
-        segs = _segments_at(arrays, k, m, delay, h, views)
+    rows = [a[ia - m:ib + 1] for a in arrays]
+    work = [np.ascontiguousarray(a) for a in rows]
+    k, end, dw = m, m + ib - ia, dw[ia - m:ib]
+    if _marked(f) and _marked(g):
+        credit = _SWEEP_CREDIT
+        while end - k >= _SWEEP_MIN:
+            k = _euler_sweeps(f, g, work, k, end, delay, h, dw, credit)
+            stop = min(k + _SWEEP_NODES, end)
+            _euler_loop(f, g, work, k, stop, m, delay, h, dw)
+            k, credit = stop, 0
+    _euler_loop(f, g, work, k, end, m, delay, h, dw)
+    if work[-1] is not rows[-1]:
+        rows[-1][m + 1:] = work[-1][m + 1:]
+
+
+def _euler_loop(f, g, arrays, ka, kb, m, delay, h, dw):
+    """The Euler step at each node k of ``[ka, kb)`` in turn: node k's
+    segments are column ``k - ka`` of read-only node stacks of the
+    C-contiguous ``arrays``, made once (they see the rows written since),
+    passed as SegmentViews if ``f`` and ``g`` are marked
+    ``accepts_stacks``, else as Segments."""
+    x = arrays[-1]
+    carrier = SegmentView if _marked(f) and _marked(g) else Segment
+    stacks = [_node_stack(a, ka, kb, m) for a in arrays]
+    for j, k in enumerate(range(ka, kb)):
+        segs = [carrier(delay, h, s[:, j]) for s in stacks]
         x[k + 1] = x[k] + f(*segs) * h + g(*segs) * dw[k]
+
+
+@np.errstate(all="ignore")
+def _euler_sweeps(f, g, arrays, k, end, delay, h, dw, credit):
+    """Euler nodes ``(k, end]`` of ``x = arrays[-1]`` (C-contiguous, node k
+    final) by sweeps, until they finish or stop paying: the node up to
+    which ``x`` is then final.
+
+    A sweep takes the block ``(k, stop]``, ``stop = min(k + _SWEEP_NODES,
+    end)``, as it stands in ``x``: final nodes, then a guess.  It calls
+    ``f`` and ``g`` once each on the node stacks of the block's segments
+    (:func:`~ydde.coefficients._node_views`, as the Picard map does) and
+    rebuilds the block by one ``np.add.accumulate`` over ``[x_k, f_k h,
+    g_k dw_k, f_{k+1} h, ...]``.  That is a sequential left fold, so each
+    node is ``(x[j] + f_j h) + g_j dw[j]`` in the loop's order; the sweep
+    writes the block back to ``x``.
+
+    Exactness: node k + 1 reads only final nodes, so the sweep makes it
+    bitwise as the loop does.  If nodes ``k+1 .. j`` are final and each
+    came out bitwise as it went in, the segment at j read final nodes, so
+    node j + 1 is final too.  So every node up to and including the first
+    whose bits changed is final (bits compared as ``view(np.int64)``, so
+    NaN and -0.0 count as the loop makes them).  Those are committed and
+    the block slides to start after them; when a sweep changes no bit, the
+    block is final.  Each sweep commits at least one node, so a block of w
+    nodes ends within w sweeps.  The nodes a slide brings in are guessed
+    equal to the last node guessed.  A guess can overflow where the loop's
+    path does not, so the sweeps raise no floating-point warnings.
+
+    Cost: each sweep is charged ``_SWEEP_COST`` loop steps against the
+    nodes it commits.  The run starts from ``credit`` loop steps (the
+    warm-up of a fresh guess commits one node a sweep), gains what a sweep
+    commits above its charge up to ``_SWEEP_CREDIT``, and stops once it is
+    below zero: from ``credit = 0``, a sweep that commits fewer nodes than
+    it costs stops the run.  A run from credit c that commits n nodes thus
+    makes at most ``(n + c - 1) / _SWEEP_COST + 1`` sweeps."""
+    x = arrays[-1]
+    fold = np.empty((2 * _SWEEP_NODES + 1, x.shape[1]))
+    known = k
+    while k < end:
+        stop = min(k + _SWEEP_NODES, end)
+        x[known + 1:stop + 1] = x[known]    # the block's new nodes
+        known = stop
+        w = stop - k
+        f_vals, g_vals = _stack_values(
+            (f, g), _node_views(arrays, k, stop, delay, h))
+        terms = fold[:2 * w + 1]
+        terms[0] = x[k]
+        np.multiply(f_vals, h, out=terms[1::2])
+        np.multiply(g_vals, dw[k:stop, None], out=terms[2::2])
+        new = np.add.accumulate(terms, axis=0, out=terms)[2::2]
+        old = x[k + 1:stop + 1]
+        changed = (new.view(np.int64) != old.view(np.int64)).any(axis=1)
+        done = int(changed.argmax()) + 1 if changed.any() else w
+        old[...] = new
+        k += done
+        credit = min(credit + done - _SWEEP_COST, _SWEEP_CREDIT)
+        if credit < 0:
+            break
+    return k
 
 
 class _WindowedPicard:
@@ -421,8 +530,9 @@ class _WindowedPicard:
         if residuals and residuals[-1] > 100.0 * self.tol and res > 0:
             ratios.append(res / residuals[-1])
         residuals.append(res)
-        # the polish floor, or tol met at the rounding floor
-        return res <= self.stop_tol or (
+        # not finite (it never converges), the polish floor, or tol met at
+        # the rounding floor
+        return not math.isfinite(res) or res <= self.stop_tol or (
             len(residuals) >= 3 and res <= self.tol
             and res >= 0.9 * residuals[-2])
 
@@ -434,8 +544,15 @@ class _WindowedPicard:
         Each column keeps its own residuals and stopping test.  A column
         that stops is frozen (its nodes are no longer written), so its
         iterates and records are those of a run of its own.  A column
-        converges only if its last residual is <= ``picard_tol`` (NaN is
-        not); if not, a lone column splits the window once, a batch raises.
+        converges only if its last residual is <= ``picard_tol``; if not, a
+        lone column splits the window once, a batch raises.  An iterate
+        that is not finite has a residual that is not (inf or NaN, from its
+        node norms), so its column stops at once, unconverged, before any
+        functional sees it.
+
+        The differences ``new - old`` of an iterate are written column-major,
+        column c after a zero start node, so that each column's node norms
+        and its pair scan (:func:`~ydde.paths._pair_max`) read it contiguous.
         """
         values = self.values
         for c, kind in enumerate(kinds):
@@ -448,12 +565,13 @@ class _WindowedPicard:
         step = self._step(_left_sum_map, values, ia, ib)
         # the difference vanishes up to the window start, so pairs into the
         # history are dominated by pairs with the (zero) start node
-        padded = np.zeros((ib - ia + 1,) + window.shape[1:])
+        padded = np.zeros((len(kinds), ib - ia + 1, window.shape[2]))
+        nodes = padded.transpose(1, 0, 2)
         for _ in range(self.max_iters):
             new = step()
-            diff = np.subtract(new, window, out=padded[1:])
-            res = (_row_norms(diff).max(axis=0)
-                   + _pair_max(padded, self.h, self.exponent)).tolist()
+            np.subtract(new, window, out=nodes[1:])
+            res = (_row_norms(padded).max(axis=1)
+                   + _pair_max(nodes, self.h, self.exponent)).tolist()
             if len(running) == len(kinds):
                 window[...] = new
             else:
@@ -466,7 +584,9 @@ class _WindowedPicard:
         t0 = -self.m_r * self.h
         out = []
         for c, kind in enumerate(kinds):
-            if c in running and not residuals[c][-1] <= self.tol:
+            last = residuals[c][-1]
+            if not math.isfinite(last) or (c in running
+                                           and not last <= self.tol):
                 out.append(self._unconverged(ia, ib, kind, depth,
                                              residuals[c]))
                 continue
@@ -579,10 +699,11 @@ def resolve(base, starts):
 
     Cost: the K residual scans of an iterate are one column-major pair
     scan, about the cost of K solo scans.  On sin_fbm at mesh 2^-12 (a
-    two-core host), the uniqueness probe's K = 2 batch takes about 60 ms,
-    half of it the ``euler_perturbed`` init, stepped node by node, and the
-    differentiability ladder's K = 3 batch about 27 ms, against 23 ms for
-    the solo solve.
+    shared two-core host, medians of 9), the uniqueness probe's K = 2 batch
+    takes about 38 ms, against 62 ms when its ``euler_perturbed`` init was
+    stepped node by node; the init, swept on windows of about 60 nodes, is
+    now about a third of it under cProfile.  The differentiability
+    ladder's K = 3 batch takes about 25 ms, and the solo solve 22 ms.
     """
     if not starts:
         raise DomainError("resolve needs at least one start")
@@ -602,7 +723,14 @@ def euler_solve(coeffs, eta, omega, config):
     """One-pass explicit scheme ``x_{k+1} = x_k + f(x_{t_k}) h + g(x_{t_k}) dw_k``.
 
     Independent cross-check oracle for :func:`picard_solve`; the discrete
-    Picard fixed point satisfies the same recursion.
+    Picard fixed point satisfies the same recursion.  The recursion is
+    sequential in form only: for functionals marked ``accepts_stacks`` it
+    is swept a block of nodes at a time (:func:`_euler_steps`), bitwise
+    the node-by-node loop, which stays for unmarked functionals, short
+    runs and stiff stretches.  On sin_fbm at mesh 2^-12 (4,096 nodes, a
+    shared two-core host) the sweeps take about 2 ms where the loop takes
+    35-60 ms; a stiff input costs the loop plus about one sweep per 512
+    nodes.
     """
     _validate_solve_inputs(coeffs, eta, omega, config)
     values, dw = _solve_grid(config, [eta], omega)

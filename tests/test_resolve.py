@@ -212,6 +212,53 @@ class TestResolveMatchesSolo:
         assert got.values.tobytes() == base.solution.values.tobytes()
 
 
+def segment_loop_steps(f, g, arrays, ia, ib, delay, h, dw):
+    """The Euler init as a plain loop over Segments: the sweeps' oracle."""
+    x, m = arrays[-1], round(delay / h)
+    for k in range(ia, ib):
+        segs = [Segment(delay, h, a[k - m:k + 1]) for a in arrays]
+        x[k + 1] = x[k] + f(*segs) * h + g(*segs) * dw[k]
+
+
+class TestSweptEulerInit:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_batch_matches_loop_initialised_oracle(self, dim, monkeypatch):
+        # windows of about 40 nodes, so the euler_perturbed init is swept;
+        # in a batch of three, its columns are strided views of the grid,
+        # which the sweeps work on in contiguous copies
+        h, r = 1 / 512, 1 / 16
+        coeffs = make_builtin("sin_delay", dim=dim, A=-0.15, B=0.1,
+                              sigma=0.01)
+        omega = gen_fbm(DriverSpec(kind="fbm", T=0.5, mesh=h, hurst=0.75,
+                                   seed=3, amplitude=0.05))
+        config = SolverConfig(beta=0.55, nu=0.7, mesh=h, T=0.5, r=r)
+        u = np.linspace(-r, 0.0, 33)[:, None]
+        starts = [(Segment(r, h, 1.0 + slope * u + np.zeros(dim)), kind)
+                  for slope, kind in ((0.2, "euler_perturbed"),
+                                      (0.5, "linear"),
+                                      (-3.0, "euler_perturbed"))]
+        base = picard_solve(coeffs, starts[0][0], omega, config)
+        cells = np.round(np.diff(base.partition.times) / h)
+        assert (cells[:-1] >= solver._SWEEP_MIN).all()
+        sweeps = []
+        euler_sweeps = solver._euler_sweeps
+
+        def spy(f, g, arrays, *args):
+            sweeps.append(arrays[-1].flags.c_contiguous)
+            return euler_sweeps(f, g, arrays, *args)
+
+        monkeypatch.setattr(solver, "_euler_sweeps", spy)
+        got, records = batched(base, starts)
+        assert records is not None      # one batch, no solo fallback
+        assert len(sweeps) >= 2 * (len(cells) - 1) and all(sweeps)
+        monkeypatch.setattr(solver, "_euler_steps", segment_loop_steps)
+        want = resolve(base, starts)
+        for path, oracle, (eta, kind) in zip(got, want, starts):
+            assert path.values.tobytes() == oracle.values.tobytes()
+            alone = picard_solve(coeffs, eta, omega, config, init=kind)
+            assert path.values.tobytes() == alone.solution.values.tobytes()
+
+
 @st.composite
 def column_kernels(draw):
     family = draw(st.sampled_from(("linear_delay", "sin_delay",

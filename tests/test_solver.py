@@ -501,6 +501,28 @@ def kernel_cases(draw):
     return make_builtin(family, **params), m_r, n_h, g, params
 
 
+@st.composite
+def euler_cases(draw):
+    """A kernel case whose horizon is mostly long enough to be swept (up to
+    three sweep blocks), with the drift scaled so that |A| h (2 |a| h for the
+    logistic family) is up to 3 at the oracle mesh 1/16."""
+    coeffs, m_r, _, g, params = draw(kernel_cases())
+    long = draw(st.sampled_from((True, True, False)))
+    n_h = draw(st.integers(solver._SWEEP_MIN, 3 * solver._SWEEP_NODES)
+               if long else st.integers(1, solver._SWEEP_MIN - 1))
+    stiffness = draw(st.sampled_from((0.1, 1.0, 3.0))) * draw(
+        st.floats(0.0, 1.0)) * 16
+    if coeffs.family == "scalar_logistic_bounded":
+        params["a"] = -0.5 * stiffness
+    else:
+        params["A"] = scaled_matrix(params["A"], stiffness)
+    return make_builtin(coeffs.family, **params), m_r, n_h, g
+
+
+def scaled_matrix(mat, norm):
+    return mat * (norm / max(np.linalg.norm(mat, 2), 1e-300))
+
+
 class TestStepKernelOracle:
     h = 1 / 16
 
@@ -519,15 +541,25 @@ class TestStepKernelOracle:
                               loop_map_F(x, coeffs, omega, window, delay))
 
     @settings(max_examples=150)
-    @given(case=kernel_cases())
+    @given(case=euler_cases())
     def test_euler_matches_loop(self, case):
-        coeffs, m_r, n_h, g, _ = case
+        # short runs take the loop; long ones are swept, and stiff ones
+        # (|A| h up to 3) fall back to the loop block by block
+        coeffs, m_r, n_h, g = case
         cfg = SolverConfig(beta=0.55, nu=0.7, mesh=self.h, T=n_h * self.h,
                            r=m_r * self.h)
         eta = Segment(cfg.r, self.h, g.normal(size=(m_r + 1, coeffs.dim)))
         omega = GridPath(0.0, self.h, 0.1 * g.normal(size=n_h + 1))
-        assert np.array_equal(euler_solve(coeffs, eta, omega, cfg).values,
-                              loop_euler(coeffs, eta, omega, cfg))
+        try:
+            want = loop_euler(coeffs, eta, omega, cfg)
+        except DomainError:     # a segment overflowed to inf or NaN
+            want = None
+        if want is None or not np.all(np.isfinite(want)):
+            with pytest.raises(DomainError, match="must be finite"):
+                euler_solve(coeffs, eta, omega, cfg)
+        else:
+            assert hexes(euler_solve(coeffs, eta, omega, cfg).values) \
+                == hexes(want)
 
     @settings(max_examples=150)
     @given(case=kernel_cases(), data=st.data())
@@ -797,16 +829,22 @@ class TestPicardSolve:
                          workhorse["omega"], cfg)
         assert err.value.residual_history
 
+    @pytest.mark.parametrize("marked", [True, False],
+                             ids=["marked", "unmarked"])
     def test_nan_functional_raises_on_its_first_window(self, workhorse,
-                                                       monkeypatch):
-        # g turns NaN once s(-r) > 0.99, so every iterate of that window has
-        # a NaN residual, which must not pass as converged: the window splits
-        # once and the half that fails raises, before any later window runs
+                                                       monkeypatch, marked):
+        # g turns NaN once s(-r) > 0.99, so the first iterate of that window
+        # is not finite: its column stops at once, unconverged, before a
+        # functional sees it.  The window splits once and the half that
+        # fails raises, before any later window runs; an unmarked g ends in
+        # the same error as a marked one
         base = workhorse["coeffs"]
 
-        @accepts_stacks
         def g(seg):
             return np.where(seg.values[0] > 0.99, np.nan, base.g(seg))
+
+        if marked:
+            g = accepts_stacks(g)
 
         calls, windows = [], []
         stops = solver._WindowedPicard._stops
@@ -835,8 +873,9 @@ class TestPicardSolve:
             [(ia, ib, 0), (ia, mid, 1)],
             [(ia, ib, 0), (ia, mid, 1), (mid, ib, 1)])
         assert f"nodes [{windows[-1][0]}, {windows[-1][1]}]" in str(err.value)
-        assert len(nan_calls) <= 2 * config.picard_max_iters
-        assert all(math.isnan(r) for r in err.value.residual_history)
+        assert len(nan_calls) == 2      # one iterate per attempt
+        assert len(err.value.residual_history) == 1
+        assert math.isnan(err.value.residual_history[0])
 
     def test_unknown_init_refused_before_partition(self, workhorse,
                                                    monkeypatch):
@@ -1087,6 +1126,96 @@ class TestEulerSolve:
         assert all(g > 0 for g in gaps)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert min(orders) >= min(1.0, 0.55 + 0.7 - 1.0)
+
+
+@pytest.fixture
+def sweep_runs(monkeypatch):
+    """A list that grows by ``(nodes committed, starting credit, sweeps)``
+    for each run of Euler sweeps."""
+    runs, calls = [], []
+    sweeps, stack_values = solver._euler_sweeps, solver._stack_values
+
+    def counted(*args):
+        calls.append(1)
+        return stack_values(*args)
+
+    def spy(f, g, arrays, k, end, delay, h, dw, credit):
+        del calls[:]
+        reached = sweeps(f, g, arrays, k, end, delay, h, dw, credit)
+        runs.append((reached - k, credit, len(calls)))
+        return reached
+
+    monkeypatch.setattr(solver, "_stack_values", counted)
+    monkeypatch.setattr(solver, "_euler_sweeps", spy)
+    return runs
+
+
+def assert_within_sweep_bound(runs):
+    # each sweep commits a node; a run from credit c that commits n nodes
+    # makes at most (n + c - 1) / _SWEEP_COST + 1 sweeps
+    for done, credit, sweeps in runs:
+        assert 1 <= sweeps <= done
+        assert sweeps * solver._SWEEP_COST \
+            <= done + credit + solver._SWEEP_COST - 1
+
+
+class TestEulerSweeps:
+    h = 1 / 16
+
+    def case(self, coeffs, n_h, m_r=4, seed=0):
+        g = rng(seed)
+        cfg = SolverConfig(beta=0.55, nu=0.7, mesh=self.h, T=n_h * self.h,
+                           r=m_r * self.h)
+        eta = Segment(cfg.r, self.h, 1.0 + 0.1 * g.normal(
+            size=(m_r + 1, coeffs.dim)))
+        omega = GridPath(0.0, self.h, 0.1 * g.normal(size=n_h + 1))
+        return coeffs, eta, omega, cfg
+
+    def test_mild_input_is_swept_in_one_run(self, sweep_runs):
+        case = self.case(make_builtin("sin_delay", A=-0.15, B=0.1,
+                                      sigma=0.05), 1100)
+        assert hexes(euler_solve(*case).values) == hexes(loop_euler(*case))
+        assert [run[:2] for run in sweep_runs] \
+            == [(1100, solver._SWEEP_CREDIT)]
+        assert_within_sweep_bound(sweep_runs)
+
+    def test_stiff_input_falls_back_block_by_block(self, sweep_runs):
+        # |A| h = 2.5: every sweep commits one node.  The first run spends
+        # its credit, then the loop takes a block, and each later block
+        # costs one trial sweep
+        n_h = 2 * solver._SWEEP_NODES + 100
+        case = self.case(make_builtin("sin_delay", A=-40.0, B=0.1,
+                                      sigma=0.05), n_h)
+        assert hexes(euler_solve(*case).values) == hexes(loop_euler(*case))
+        first, *trials = sweep_runs
+        assert first[1] == solver._SWEEP_CREDIT
+        assert first[2] == first[0] \
+            == solver._SWEEP_CREDIT // (solver._SWEEP_COST - 1) + 1
+        assert trials == [(1, 0, 1)] * 2
+        assert_within_sweep_bound(sweep_runs)
+
+    def test_nan_functional_raises_the_loops_error(self, monkeypatch,
+                                                   sweep_runs):
+        # g turns NaN once x(t - r) > 8 (at about node 116 of 600): the
+        # swept path, NaN bits included, is the loop's, and so is the error
+        co = constant_drift_coeffs(1.0, stacks=True)
+        co = replace(co, g=accepts_stacks(
+            lambda seg: np.where(seg.values[0] > 8.0, np.nan, 0.0)))
+        _, eta, omega, cfg = case = self.case(co, 600)
+        paths = []
+        for sweep_min in (solver._SWEEP_MIN, 10 ** 9):
+            monkeypatch.setattr(solver, "_SWEEP_MIN", sweep_min)
+            with pytest.raises(DomainError) as err:
+                euler_solve(*case)
+            values, dw = _solve_grid(cfg, [eta], omega)
+            solver._euler_steps(co.f, co.g, (values[:, 0],), cfg.n_history,
+                                values.shape[0] - 1, cfg.r, cfg.mesh, dw)
+            paths.append((str(err.value), values.view(np.int64).tobytes()))
+        assert paths[0] == paths[1]
+        assert "path values must be finite" in paths[0][0]
+        assert np.isnan(values[-1]).all() and np.isfinite(values[100]).all()
+        assert sweep_runs and all(run[0] == 600 for run in sweep_runs)
+        assert_within_sweep_bound(sweep_runs)
 
 
 def base_report(sc):
