@@ -90,7 +90,11 @@ def accepts_stacks(func):
     matrix product silently.  Each row must be bitwise the functional's
     value on that segment alone: the Picard map and the Euler sweeps
     (``solver._euler_sweeps``) evaluate stacks where the node loop they
-    are checked against evaluates single segments."""
+    are checked against evaluates single segments, and nothing checks the
+    contract at run time.  The built-in families' f, g, Df and Dg are
+    checked against it, bit for bit, by
+    ``TestStepKernelOracle.test_stacked_call_matches_segment_loop`` in
+    ``tests/test_solver.py``."""
     func.accepts_stacks = True
     return func
 

@@ -366,7 +366,7 @@ def _left_sum_map(f, g, arrays, ia, ib, delay, h, dw):
 # |A| h >= 1/8) the sweeps commit 1-2 nodes each, for good.
 _SWEEP_NODES = 512      # nodes one sweep evaluates at most
 _SWEEP_COST = 4         # loop steps a sweep is charged
-_SWEEP_CREDIT = 24      # loop steps the first run of sweeps may lag the loop
+_SWEEP_CREDIT = 24      # loop steps a run of sweeps may lag the loop
 _SWEEP_MIN = 32         # crossover: a run of fewer nodes takes the loop
 
 
@@ -378,11 +378,9 @@ def _euler_steps(f, g, arrays, ia, ib, delay, h, dw):
     Functionals not both marked ``accepts_stacks`` take the node loop
     (:func:`_euler_loop`), the oracle.  Marked ones are swept
     (:func:`_euler_sweeps`), which gives the loop's path bit for bit.  A
-    run of fewer than ``_SWEEP_MIN`` nodes takes the loop, and so do the
-    next ``_SWEEP_NODES`` nodes each time the sweeps stop paying.  After
-    such a fallback the sweeps get one trial sweep per ``_SWEEP_NODES``
-    nodes, so a stiff input costs the loop plus the first run's
-    ``_SWEEP_CREDIT`` and about one sweep per block.
+    run of fewer than ``_SWEEP_MIN`` nodes takes the loop, and so does the
+    rest of the run once the sweeps stop paying, so a stiff input costs
+    the loop plus sweeps worth about ``_SWEEP_CREDIT`` loop steps.
 
     Node stacks need C-contiguous rows, so a column of a K >= 2 grid is
     worked on in a copy of its rows ``ia - m .. ib`` (m the delay in cells)
@@ -391,13 +389,8 @@ def _euler_steps(f, g, arrays, ia, ib, delay, h, dw):
     rows = [a[ia - m:ib + 1] for a in arrays]
     work = [np.ascontiguousarray(a) for a in rows]
     k, end, dw = m, m + ib - ia, dw[ia - m:ib]
-    if _marked(f) and _marked(g):
-        credit = _SWEEP_CREDIT
-        while end - k >= _SWEEP_MIN:
-            k = _euler_sweeps(f, g, work, k, end, delay, h, dw, credit)
-            stop = min(k + _SWEEP_NODES, end)
-            _euler_loop(f, g, work, k, stop, m, delay, h, dw)
-            k, credit = stop, 0
+    if _marked(f) and _marked(g) and end - k >= _SWEEP_MIN:
+        k = _euler_sweeps(f, g, work, k, end, delay, h, dw)
     _euler_loop(f, g, work, k, end, m, delay, h, dw)
     if work[-1] is not rows[-1]:
         rows[-1][m + 1:] = work[-1][m + 1:]
@@ -418,7 +411,7 @@ def _euler_loop(f, g, arrays, ka, kb, m, delay, h, dw):
 
 
 @np.errstate(all="ignore")
-def _euler_sweeps(f, g, arrays, k, end, delay, h, dw, credit):
+def _euler_sweeps(f, g, arrays, k, end, delay, h, dw):
     """Euler nodes ``(k, end]`` of ``x = arrays[-1]`` (C-contiguous, node k
     final) by sweeps, until they finish or stop paying: the node up to
     which ``x`` is then final.
@@ -445,13 +438,13 @@ def _euler_sweeps(f, g, arrays, k, end, delay, h, dw, credit):
     path does not, so the sweeps raise no floating-point warnings.
 
     Cost: each sweep is charged ``_SWEEP_COST`` loop steps against the
-    nodes it commits.  The run starts from ``credit`` loop steps (the
-    warm-up of a fresh guess commits one node a sweep), gains what a sweep
-    commits above its charge up to ``_SWEEP_CREDIT``, and stops once it is
-    below zero: from ``credit = 0``, a sweep that commits fewer nodes than
-    it costs stops the run.  A run from credit c that commits n nodes thus
-    makes at most ``(n + c - 1) / _SWEEP_COST + 1`` sweeps."""
+    nodes it commits.  The run starts from a credit of ``_SWEEP_CREDIT``
+    loop steps (the warm-up of a fresh guess commits one node a sweep),
+    gains what a sweep commits above its charge up to ``_SWEEP_CREDIT``,
+    and stops once it is below zero.  A run that commits n nodes thus
+    makes at most ``(n + _SWEEP_CREDIT - 1) / _SWEEP_COST + 1`` sweeps."""
     x = arrays[-1]
+    credit = _SWEEP_CREDIT
     fold = np.empty((2 * _SWEEP_NODES + 1, x.shape[1]))
     known = k
     while k < end:
@@ -727,10 +720,17 @@ def euler_solve(coeffs, eta, omega, config):
     sequential in form only: for functionals marked ``accepts_stacks`` it
     is swept a block of nodes at a time (:func:`_euler_steps`), bitwise
     the node-by-node loop, which stays for unmarked functionals, short
-    runs and stiff stretches.  On sin_fbm at mesh 2^-12 (4,096 nodes, a
-    shared two-core host) the sweeps take about 2 ms where the loop takes
-    35-60 ms; a stiff input costs the loop plus about one sweep per 512
-    nodes.
+    runs and what follows a stretch where the sweeps stop paying.  On
+    sin_fbm at mesh 2^-12 (4,096 nodes, a shared two-core host) the sweeps
+    take about 2 ms where the loop takes 35-60 ms; a stiff input costs the
+    loop plus the sweeps' warm-up.
+
+    The check is independent of the Picard fold and its windows, not of
+    the stacked evaluation: the sweeps, like the Picard map, call a marked
+    functional on node stacks, so they rely on each stacked row being
+    bitwise its single-segment value (see
+    :func:`~ydde.coefficients.accepts_stacks`).  A functional that breaks that contract would give
+    both sides the same wrong values.
     """
     _validate_solve_inputs(coeffs, eta, omega, config)
     values, dw = _solve_grid(config, [eta], omega)

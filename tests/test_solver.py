@@ -544,7 +544,7 @@ class TestStepKernelOracle:
     @given(case=euler_cases())
     def test_euler_matches_loop(self, case):
         # short runs take the loop; long ones are swept, and stiff ones
-        # (|A| h up to 3) fall back to the loop block by block
+        # (|A| h up to 3) hand the rest to the loop
         coeffs, m_r, n_h, g = case
         cfg = SolverConfig(beta=0.55, nu=0.7, mesh=self.h, T=n_h * self.h,
                            r=m_r * self.h)
@@ -600,7 +600,9 @@ class TestStepKernelOracle:
     @given(case=kernel_cases(), data=st.data())
     def test_stacked_call_matches_segment_loop(self, case, data):
         # each built-in functional called once on the node-major stacks of
-        # the segments cut at nodes [ka, kb), against one call per Segment
+        # the segments cut at nodes [ka, kb), against one call per Segment,
+        # bit for bit: the accepts_stacks contract the Picard map and the
+        # Euler sweeps rely on
         coeffs, m_r, n_h, g, _ = case
         n, r = m_r + n_h, m_r * self.h
         arrays = (g.normal(size=(n + 1, coeffs.dim)),
@@ -614,9 +616,9 @@ class TestStepKernelOracle:
         funcs = ((coeffs.f, 1), (coeffs.g, 1), (coeffs.Df, 2), (coeffs.Dg, 2))
         for func, n_args in funcs:
             looped = np.array([func(*node[2 - n_args:]) for node in segs])
-            assert np.array_equal(func(*stacks[2 - n_args:]), looped)
+            assert hexes(func(*stacks[2 - n_args:])) == hexes(looped)
             got, = node_values((func,), arrays[2 - n_args:], ka, kb, r, self.h)
-            assert np.array_equal(got, looped)
+            assert hexes(got) == hexes(looped)
 
     @settings(max_examples=100)
     @given(case=kernel_cases())
@@ -1130,8 +1132,8 @@ class TestEulerSolve:
 
 @pytest.fixture
 def sweep_runs(monkeypatch):
-    """A list that grows by ``(nodes committed, starting credit, sweeps)``
-    for each run of Euler sweeps."""
+    """A list that grows by ``(nodes committed, sweeps)`` for each run of
+    Euler sweeps."""
     runs, calls = [], []
     sweeps, stack_values = solver._euler_sweeps, solver._stack_values
 
@@ -1139,10 +1141,10 @@ def sweep_runs(monkeypatch):
         calls.append(1)
         return stack_values(*args)
 
-    def spy(f, g, arrays, k, end, delay, h, dw, credit):
+    def spy(f, g, arrays, k, end, delay, h, dw):
         del calls[:]
-        reached = sweeps(f, g, arrays, k, end, delay, h, dw, credit)
-        runs.append((reached - k, credit, len(calls)))
+        reached = sweeps(f, g, arrays, k, end, delay, h, dw)
+        runs.append((reached - k, len(calls)))
         return reached
 
     monkeypatch.setattr(solver, "_stack_values", counted)
@@ -1151,12 +1153,12 @@ def sweep_runs(monkeypatch):
 
 
 def assert_within_sweep_bound(runs):
-    # each sweep commits a node; a run from credit c that commits n nodes
-    # makes at most (n + c - 1) / _SWEEP_COST + 1 sweeps
-    for done, credit, sweeps in runs:
+    # each sweep commits a node; a run that commits n nodes makes at most
+    # (n + _SWEEP_CREDIT - 1) / _SWEEP_COST + 1 sweeps
+    for done, sweeps in runs:
         assert 1 <= sweeps <= done
         assert sweeps * solver._SWEEP_COST \
-            <= done + credit + solver._SWEEP_COST - 1
+            <= done + solver._SWEEP_CREDIT + solver._SWEEP_COST - 1
 
 
 class TestEulerSweeps:
@@ -1175,23 +1177,18 @@ class TestEulerSweeps:
         case = self.case(make_builtin("sin_delay", A=-0.15, B=0.1,
                                       sigma=0.05), 1100)
         assert hexes(euler_solve(*case).values) == hexes(loop_euler(*case))
-        assert [run[:2] for run in sweep_runs] \
-            == [(1100, solver._SWEEP_CREDIT)]
+        assert [done for done, _ in sweep_runs] == [1100]
         assert_within_sweep_bound(sweep_runs)
 
-    def test_stiff_input_falls_back_block_by_block(self, sweep_runs):
-        # |A| h = 2.5: every sweep commits one node.  The first run spends
-        # its credit, then the loop takes a block, and each later block
-        # costs one trial sweep
+    def test_stiff_input_falls_back_to_the_loop(self, sweep_runs):
+        # |A| h = 2.5: every sweep commits one node, so the one run of
+        # sweeps spends its credit and the loop takes the rest
         n_h = 2 * solver._SWEEP_NODES + 100
         case = self.case(make_builtin("sin_delay", A=-40.0, B=0.1,
                                       sigma=0.05), n_h)
         assert hexes(euler_solve(*case).values) == hexes(loop_euler(*case))
-        first, *trials = sweep_runs
-        assert first[1] == solver._SWEEP_CREDIT
-        assert first[2] == first[0] \
-            == solver._SWEEP_CREDIT // (solver._SWEEP_COST - 1) + 1
-        assert trials == [(1, 0, 1)] * 2
+        sweeps = solver._SWEEP_CREDIT // (solver._SWEEP_COST - 1) + 1
+        assert sweep_runs == [(sweeps, sweeps)]
         assert_within_sweep_bound(sweep_runs)
 
     def test_nan_functional_raises_the_loops_error(self, monkeypatch,
