@@ -35,10 +35,15 @@ _BAND = 64
 # Fewest far block pairs (pairs of node blocks no farther apart than the
 # widest window spans) for which :func:`_window_pair_max` prunes; a smaller
 # scan is read in full, as the work per block pair outweighs the pairs it
-# skips.  Measured on a two-core host on the sin_fbm solution: its segment
-# and composition windows at mesh 2^-11 (292 and 810 far block pairs) read
-# 1.4x and 1.3x slower pruned, its segment windows at 2^-12 (1160) 1.8x
-# faster.
+# skips.  Pruned against full, read in rounds, on a shared two-core host on
+# the sin_fbm solution (medians of 15 alternating calls): at mesh 2^-10 the
+# enlarged windows of 30 composition estimates (189 far block pairs) 1.13x
+# and 102 random windows (120) 1.62x the time; at 2^-11 the segment windows
+# (292) 0.83x, the composition windows (774) 0.69x, the random windows
+# (495) 1.27x; at 2^-12 the random windows (2006) 0.71x.  Where pruning
+# starts to pay depends on the windows: at 292 far block pairs or fewer for
+# the segment windows, past 495 for the random ones.  The rule stays above
+# every measured scan that pruning slows.
 _PRUNE_BLOCK_PAIRS = 1 << 10
 
 # The unit roundoff of a float and its smallest normal value.
@@ -265,7 +270,7 @@ def _gap_line(m, h, exponent, rows):
     return line
 
 
-def _ratios(v, j0, j1, k0, k1, w):
+def _ratios(v, j0, j1, k0, k1, w, out=None):
     """``ratio[j - j0, k - k0] = |v[j] - v[k]| / w[j - j0, k - k0]`` for the
     upper nodes ``j0 <= j < j1`` and the lower nodes ``k0 <= k < k1`` of the
     nodes (rows) ``v``, with the weights ``w`` of those pairs; with ``(n, K,
@@ -277,7 +282,8 @@ def _ratios(v, j0, j1, k0, k1, w):
     reads each column in one sweep (node-major, with K the last axis, numpy
     reduces it many times slower), whatever the nodes' layout.  They are
     read fastest in column-major storage, ``v.transpose(1, 0, 2)``
-    C-contiguous, which :func:`_pair_max` makes once for all its blocks."""
+    C-contiguous, which :func:`_pair_max` makes once for all its blocks.
+    Nodes without columns may write their ratios into ``out``."""
     if v.ndim > 2:
         cols = v.transpose(1, 0, 2)
         diff = np.subtract(cols[:, j0:j1, None], cols[:, None, k0:k1],
@@ -289,11 +295,16 @@ def _ratios(v, j0, j1, k0, k1, w):
         return ratio.transpose(1, 2, 0)
     # in place where it can be, so that a suspended block holds one array of
     # its pairs
-    diff = v[j0:j1, None] - v[None, k0:k1]
+    if out is None or v.ndim > 1:
+        diff = v[j0:j1, None] - v[None, k0:k1]
+    else:
+        diff = np.subtract(v[j0:j1, None], v[None, k0:k1], out=out)
     ratio = np.abs(diff, out=diff) if v.ndim == 1 else _row_norms(diff)
     del diff
-    ratio /= w
-    return ratio
+    if out is None:
+        ratio /= w
+        return ratio
+    return np.divide(ratio, w, out=out)
 
 
 def _pair_blocks(v, h, exponent, start=1, max_gap=None):
@@ -388,15 +399,16 @@ def _gap_floors(h, exponent, n, m):
     return weights, np.minimum.accumulate(floors[::-1])[::-1]
 
 
-def _far_ratios(v, weights, j0, j1, k0):
+def _far_ratios(v, weights, j0, j1, k0, out=None):
     """:func:`_ratios` of the upper nodes ``j0 <= j < j1`` and the
     ``_BAND`` lower nodes from ``k0 < j0 - _BAND``, with the weights
-    ``weights[j - k - 1]`` of :func:`_gap_floors`, a view; column-major for
-    K columns, read fastest from column-major storage."""
+    ``weights[j - k - 1]`` of :func:`_gap_floors`, a view, written into
+    ``out`` if given; column-major for K columns, read fastest from
+    column-major storage."""
     step = weights.strides[0]
     w = np.ndarray((j1 - j0, _BAND), weights.dtype, weights,
                    (j0 - k0 - 1) * step, (step, -step))
-    return _ratios(v, j0, j1, k0, k0 + _BAND, w)
+    return _ratios(v, j0, j1, k0, k0 + _BAND, w, out)
 
 
 def _pair_max(v, h, exponent, start=1, floor=0.0, max_gap=None):
@@ -482,6 +494,31 @@ def _fold_block(out, sel, ratio, last, first):
     out[sel] = np.maximum(out[sel], got)
 
 
+def _fold_blocks(out, win, ratio, block, last, first):
+    """:func:`_fold_block` for the stack ``ratio`` of same-shaped 2-D blocks
+    of a scan, window ``win[i]`` reading block ``block[i]`` up to its row
+    ``last[i]`` and from its column ``first[i]`` (no window reads a block
+    twice): each block that a window cuts on both sides on its own, the
+    others at once, from their row and column maxima."""
+    rows = ratio.shape[1]
+    last = np.minimum(last, rows - 1)
+    first = np.maximum(first, 0)
+    cut = np.zeros(ratio.shape[0], bool)
+    cut[block[(last < rows - 1) & (first > 0)]] = True
+    for b in np.flatnonzero(cut).tolist():
+        sel = np.flatnonzero(block == b)
+        _fold_block(out, win[sel], ratio[b], last[sel], first[sel])
+    plain = np.flatnonzero(~cut[block])
+    if plain.size:
+        runs = np.maximum.accumulate(ratio.max(axis=2), axis=1)
+        cols = np.maximum.accumulate(ratio.max(axis=1)[:, ::-1],
+                                     axis=1)[:, ::-1]
+        win, block = win[plain], block[plain]
+        last, first = last[plain], first[plain]
+        np.maximum.at(out, win, np.where(last == rows - 1, cols[block, first],
+                                         runs[block, last]))
+
+
 def _window_cells(lo, hi):
     """The windows ``(lo, hi)`` grouped in cells by the ``_BAND``-node
     blocks of their last and first nodes, the cells sorted by last block,
@@ -496,6 +533,15 @@ def _window_cells(lo, hi):
     return by_cell, np.append(cuts, by_cell.size), last[cuts], head[cuts]
 
 
+def _runs(starts, stops):
+    """The positions ``starts[i] <= p < stops[i]`` of every run i in turn,
+    with the run of each."""
+    sizes = stops - starts
+    run = np.repeat(np.arange(sizes.size), sizes)
+    return run, np.arange(run.size) + np.repeat(starts + sizes
+                                                - np.cumsum(sizes), sizes)
+
+
 def _window_pair_max(v, h, exponent, windows):
     """``_pair_max(v[i:j+1], h, exponent)`` for each window ``(i, j)``,
     ``i < j``, of the ``(N, 2)`` node indices ``windows`` of the nodes
@@ -503,25 +549,46 @@ def _window_pair_max(v, h, exponent, windows):
 
     Pruned, exactly, as :func:`_pair_max`: the band of gaps up to ``_BAND``
     (:func:`_pair_blocks`), then the pairs of ``_BAND``-node blocks farther
-    apart but within the widest window, one block pair at a time, in
-    decreasing bound (:func:`_far_bounds`) per chunk of about ``8 *
-    _BLOCK_PAIRS`` bounds.  A block pair is read only while its bound
-    exceeds the least value of the windows that meet it, those that start
-    before its lower block ends and end at or after its upper block starts:
-    a block pair skipped holds no ratio above any of their values.  For
-    that least value, the windows are grouped in cells by the blocks of
-    their first and last nodes.  Each block read raises the windows that
-    meet it (:func:`_fold_block`), found among the windows sorted by last
-    node, or by cell.  A scan of fewer than ``_PRUNE_BLOCK_PAIRS`` far
-    block pairs is read in full, banded at the widest window: a wider pair
-    lies in no window.  The same ratios as :func:`_pair_max`, so bitwise
-    its maxima."""
+    apart but within the widest window, bounded (:func:`_far_bounds`) per
+    chunk of about ``8 * _BLOCK_PAIRS`` bounds.  The windows are grouped in
+    cells by the blocks of their first and last nodes (:func:`_window_cells`).
+    A cell meets block pair (a, b) when its windows start in block a or
+    before and end in block b or after; its least value is the least value
+    so far of its windows.  A chunk's block pairs are read in rounds
+    (best-first branch and bound with one bound test per round):
+
+    1. Each cell whose least value is below the bound of an unread block
+       pair it meets picks the highest-bound such pair: one pass over a
+       rank matrix, whose running minima down the upper blocks and back
+       along the lower ones give every cell its first unread pair in
+       decreasing bound.  The round reads the union of the picks.
+    2. The picks are read in slices of at most ``2 * _BLOCK_PAIRS`` ratios,
+       and each slice is folded into the windows in one pass: a cell that
+       holds a block pair whole takes its max, once for all its windows;
+       only the windows whose first or last node falls inside the pair's
+       blocks, and that are below its max, read its row or column maxima
+       (:func:`_fold_blocks`), and 2-D maxima are formed only for blocks
+       cut on both sides.
+    3. The least values are updated once, after the fold.
+
+    The loop ends when no cell picks: then every unread block pair has a
+    bound no higher than the least value of every cell that meets it, and
+    values only rise, so none of its ratios can win.  A cell picks only a
+    pair whose bound beats its least value once every higher-bound pair it
+    meets is read, so the rounds read no pair that one read at a time, in
+    the same decreasing order, would skip.  A scan of fewer
+    than ``_PRUNE_BLOCK_PAIRS`` far block pairs is read in full, banded at
+    the widest window: a wider pair lies in no window.  The same ratios as
+    :func:`_pair_max`, so bitwise its maxima."""
     lo, hi = np.asarray(windows, dtype=np.intp).reshape(-1, 2).T
     out = np.zeros(lo.shape[0])
     if not out.size:
         return out
     first = int(lo.min())
     v, lo, hi = v[first:int(hi.max()) + 1], lo - first, hi - first
+    if v.ndim > 1 and v.shape[1] == 1:
+        # the same ratios from scalar nodes, formed in place
+        v = v[:, 0]
     n, width = v.shape[0], int((hi - lo).max())
     # the far block pairs (a, b): 1 <= b - a <= span, b < nb
     nb, span = -(-n // _BAND), -(-width // _BAND)
@@ -547,60 +614,102 @@ def _window_pair_max(v, h, exponent, windows):
     weights, floors = _gap_floors(h, exponent, n, width)
     lo_box, hi_box = _block_boxes(v)
     by_cell, cuts, cell_last, cell_head = _window_cells(lo, hi)
-    row = np.searchsorted(cell_last, np.arange(nb + 1)).tolist()
+    # per cell, the largest max of the block pairs it holds whole, which
+    # all its windows take
+    held = np.zeros(cell_last.size)
     least = np.minimum.reduceat(out[by_cell], cuts[:-1])
     # upper blocks per chunk of bounds, rows * (rows + span) <= 8 *
     # _BLOCK_PAIRS (1 MiB): the fewer the chunks, the fewer block pairs are
     # read (the segment windows of the 2^14 sin_fbm solution read 1360 in
     # one chunk, 2057 in four)
     rows = max(1, (math.isqrt(span * span + 32 * _BLOCK_PAIRS) - span) // 2)
+    # block pairs per slice of a round's reads, 2 * _BLOCK_PAIRS ratios (256
+    # KiB), formed into one buffer: on the sin_fbm solution at 2^12 within
+    # 3% of the time of slices 4x as large (a whole chunk of bounds), which
+    # raise the peak memory by the same factor; slices half this size take
+    # 11-15% longer
+    slab = max(1, 2 * _BLOCK_PAIRS // (_BAND * _BAND))
+    blocks = np.empty((slab, _BAND, _BAND))
     for b0 in range(1, nb, rows):
         b1 = min(nb, b0 + rows)
         a0 = max(0, b0 - span)
         bound = _far_bounds(lo_box[a0:b1], hi_box[a0:b1], b0 - a0, b1 - a0,
                             floors).ravel()
-        picks = np.flatnonzero(bound > least.min())
-        picks = picks[np.argsort(-bound[picks])]
-        tops = bound[picks]
-        falls = -tops
-        upper, lower = np.divmod(picks, b1 - a0)
+        pairs = np.flatnonzero(bound > least.min())
+        pairs = pairs[np.argsort(-bound[pairs])]
+        bounds = bound[pairs]
+        del bound
+        upper, lower = np.divmod(pairs, b1 - a0)
         upper += b0
         lower += a0
-        i = k = 0
-        while i < picks.size:
-            if i == k:
-                # the cells below the next bound stay so until the bound
-                # falls to the largest of them, at k, or a block is read;
-                # reach[b] is the least first block of those ending in
-                # block b or later, and (a, b) meets one iff reach[b] <= a
-                live = least < tops[i]
-                if not live.any():
-                    break
-                k = int(np.searchsorted(falls, -least[live].max()))
-                ends_in, starts_in = cell_last[live], cell_head[live]
-                lead = np.diff(ends_in, prepend=-1) != 0
-                reach = np.full(nb + 1, nb)
-                reach[ends_in[lead]] = starts_in[lead]
-                reach = np.minimum.accumulate(reach[::-1])[::-1]
-            need = np.flatnonzero(reach[upper[i:k]] <= lower[i:k])
-            if not need.size:
-                i = k
-                continue
-            i += int(need[0])
-            b, a = int(upper[i]), int(lower[i])
-            i = k = i + 1
-            j0, k0 = b * _BAND, a * _BAND
-            # the cells that can meet block pair (a, b): ending in block b
-            # or later, and no later than a window starting in block a can
-            c0 = row[b]
-            c1 = row[min(nb, (k0 + _BAND - 1 + width) // _BAND + 1)]
-            held = by_cell[cuts[c0]:cuts[c1]]
-            sel = held[lo[held] < k0 + _BAND]
-            _fold_block(out, sel, _far_ratios(v, weights, j0,
-                                              min(n, j0 + _BAND), k0),
-                        hi[sel] - j0, lo[sel] - k0)
-            least[c0:c1] = np.minimum.reduceat(out[held],
-                                               cuts[c0:c1] - cuts[c0])
+        # rank[b - b0, a - a0]: the place of block pair (a, b) in that
+        # order, pairs.size once read or if it cannot win
+        rank = np.full((b1 - b0) * (b1 - a0), pairs.size)
+        rank[pairs] = np.arange(pairs.size)
+        rank = rank.reshape(b1 - b0, b1 - a0)
+        # the cells that can meet a block pair of the chunk, and the corner
+        # of the chunk's pairs each meets: b <= its last, a >= its head
+        meet = np.flatnonzero((cell_last >= b0) & (cell_head < b1 - 1))
+        heads, lasts = cell_head[meet, None], cell_last[meet, None]
+        corner = (np.minimum(cell_last[meet], b1 - 1) - b0,
+                  np.maximum(cell_head[meet], a0) - a0)
+        while True:
+            # each cell's first unread pair: the least rank over its corner
+            best = np.minimum.accumulate(rank, axis=0)
+            flip = best[:, ::-1]
+            np.minimum.accumulate(flip, axis=1, out=flip)
+            due = best[corner]
+            pick = due < pairs.size
+            pick[pick] = bounds[due[pick]] > least[meet[pick]]
+            if not pick.any():
+                break
+            # each pick once, in decreasing bound (not by np.unique, whose
+            # hashed path in numpy 2.4 raised a solve's peak resident memory
+            # by about 1.4 MB on first use)
+            chosen = np.zeros(pairs.size, bool)
+            chosen[due[pick]] = True
+            picks = np.flatnonzero(chosen)
+            rank.ravel()[pairs[picks]] = pairs.size
+            b, a = upper[picks], lower[picks]
+            # the cells that hold a pick whole, and those that meet one at
+            # an edge
+            whole = (heads < a) & (b < lasts)
+            edge = (heads <= a) & (b <= lasts) & ~whole
+            maxima = np.empty(picks.size)
+            for s in range(0, picks.size, slab):
+                e = min(picks.size, s + slab)
+                ratio = blocks[:e - s]
+                for i, (j0, k0) in enumerate(zip((b[s:e] * _BAND).tolist(),
+                                                 (a[s:e] * _BAND).tolist())):
+                    j1 = min(n, j0 + _BAND)
+                    _far_ratios(v, weights, j0, j1, k0, ratio[i, :j1 - j0])
+                    if j1 - j0 < _BAND:
+                        # the last upper block is short: zeros fill it
+                        ratio[i, j1 - j0:] = 0.0
+                maxima[s:e] = ratio.max(axis=(1, 2))
+                # only the windows below a pick's max read more of it, and
+                # only the picks they read are folded, moved to the front
+                # of the slice in place
+                cell, pair = np.nonzero(edge[:, s:e])
+                run, at = _runs(cuts[meet[cell]], cuts[meet[cell] + 1])
+                win, pair = by_cell[at], pair[run] + s
+                live = maxima[pair] > out[win]
+                win, pair = win[live], pair[live]
+                used = np.zeros(e - s, bool)
+                used[pair - s] = True
+                place = np.cumsum(used) - 1
+                for i, u in enumerate(np.flatnonzero(used).tolist()):
+                    if i < u:
+                        ratio[i] = ratio[u]
+                if win.size:
+                    _fold_blocks(out, win, ratio[:place[-1] + 1],
+                                 place[pair - s], hi[win] - b[pair] * _BAND,
+                                 lo[win] - a[pair] * _BAND)
+            held[meet] = np.maximum(held[meet], np.where(
+                whole, maxima, 0.0).max(axis=1))
+            least = np.maximum(np.minimum.reduceat(out[by_cell], cuts[:-1]),
+                               held)
+    out[by_cell] = np.maximum(out[by_cell], np.repeat(held, np.diff(cuts)))
     return out
 
 

@@ -795,17 +795,22 @@ class TestWindowPairMax:
     def test_windows_cutting_both_sides_of_a_block(self, monkeypatch, dim):
         # windows that start inside a far pair's lower block and end inside
         # its upper block read the block's 2-D maxima; the others its row
-        # and column maxima
+        # and column maxima.  A trend lifts the far pairs above the band, so
+        # that the far pairs a window cuts on both sides raise it and are
+        # folded (only a pair that can raise a window is).
         v = random_path(dim, n=60, mesh=1 / 60, dim=dim).values
+        v = v + 8.0 * np.linspace(0.0, 1.0, 61)[:, None]
         wins = [(9, 30), (3, 58), (17, 46), (0, 60), (12, 37), (25, 55)]
-        fold, cuts = paths_module._fold_block, []
+        fold, cuts = paths_module._fold_blocks, []
 
-        def spy(out, sel, ratio, last, first):
-            if ratio.shape == (8, 8):
-                cuts.append(bool(((last < 7) & (first > 0)).any()))
-            return fold(out, sel, ratio, last, first)
+        def spy(out, win, ratio, block, last, first):
+            # per far block read: does a window cut both its sides?
+            if ratio.shape[1:] == (8, 8):
+                both = set(block[(last < 7) & (first > 0)].tolist())
+                cuts.extend(b in both for b in range(ratio.shape[0]))
+            return fold(out, win, ratio, block, last, first)
 
-        monkeypatch.setattr(paths_module, "_fold_block", spy)
+        monkeypatch.setattr(paths_module, "_fold_blocks", spy)
         with pruning(8):
             got = _window_pair_max(v, 1 / 60, 0.55, wins)
         assert hexes(got) == window_hexes(v, 1 / 60, 0.55, wins)

@@ -1537,6 +1537,25 @@ class TestPrunedScanCost:
             full = pairs_formed(monkeypatch, banded)
         assert pruned < full / 4
 
+    def test_segment_norms_read_no_more_far_block_pairs(self, monkeypatch):
+        # the far block pairs the history windows of the 2^-12 solution
+        # read, counted at _far_ratios: the reader that read and folded one
+        # block pair at a time, in decreasing bound, read 367 here (counted
+        # the same way on this solution); reading them in rounds must not
+        # read more, nor any block pair twice
+        _, report = sin_fbm_solve(2.0 ** -12)
+        x, config = report.solution, report.config
+        reads, far_ratios = [], paths_module._far_ratios
+
+        def spy(v, weights, j0, j1, k0, *out):
+            reads.append((j0, k0))
+            return far_ratios(v, weights, j0, j1, k0, *out)
+
+        monkeypatch.setattr(paths_module, "_far_ratios", spy)
+        _segment_norm_parts(x.values, x.mesh, config.beta, config.n_history)
+        assert 0 < len(reads) <= 367
+        assert len(set(reads)) == len(reads)
+
     def test_ball_at_two_to_the_twelve(self, monkeypatch):
         scenario, report = sin_fbm_solve(2.0 ** -12)
         config = report.config
